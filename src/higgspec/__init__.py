@@ -7,7 +7,6 @@ and a declared Neron-Severi lattice (degrees, push-forward Chern classes,
 stability case tables, SL2(R) enumeration, the Milnor-Wood degree bound).
 """
 
-from . import _kernels
 from .errors import HiggspecError
 from .geometry import (
     BxComponent,
@@ -81,5 +80,3 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
-
-kernel_backend = _kernels.BACKEND

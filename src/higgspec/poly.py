@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 
-from . import _kernels as _K
+from . import _core_py as _K
 from .errors import DivisionFailure, ZeroPolynomial
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -148,13 +148,15 @@ class Poly:
         return self.terms[self.leading_exponent()]
 
     def content(self) -> Fraction:
-        """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
-        c = Fraction(0)
-        for v in self.terms.values():
-            c = frac_gcd(c, v)
-            if c == 1:
-                break
-        return c
+        """Nonnegative gcd of all coefficients (0 for the zero polynomial).
+
+        Over Q this is gcd(numerators) / lcm(denominators); a running gcd of 1
+        can still drop below 1, so every coefficient is read.
+        """
+        cs = self.terms.values()
+        return Fraction(
+            math.gcd(*[c.numerator for c in cs]), math.lcm(*[c.denominator for c in cs])
+        )
 
     def primitive(self):
         """Split off the signed rational content.

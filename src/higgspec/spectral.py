@@ -427,11 +427,11 @@ def spectral_base_check(d: SpectralDatum) -> SpectralBaseVerdict:
     q = d.quarter_defect()
     if q.is_zero():
         return Nilpotent()
-    witness = first_nonzero_minor(q)
-    if witness is None:
+    try:
         return Member(factor_rank_one(q))
+    except NotRankOne as exc:
+        i, j, k, l = exc.indices
     scaled = d.s2.scale(4).sub(SymDiff.outer(d.s1, d.s1))
-    (i, j, k, l), _ = witness
     return NotMember((i, j, k, l), _minor2(scaled.S, i, j, k, l))
 
 
@@ -655,10 +655,13 @@ def tower_enumerate(c: SpectralCover) -> TowerResult:
 
 
 def is_normal(c: SpectralCover) -> bool:
-    """Serre-criterion surrogate: the cover is normal iff effective tau is squarefree."""
-    if c.effective_tau.is_constant():
-        return True
-    return is_squarefree(c.effective_tau)
+    """Serre-criterion surrogate: the cover is normal iff effective tau is squarefree.
+
+    The branch factors are squarefree, pairwise coprime and nonconstant (by
+    ``squarefree_decompose``, or checked in ``_declared_branch``), so effective
+    tau is squarefree exactly when no effective multiplicity exceeds one.
+    """
+    return all(m <= 1 for m in c.effective_multiplicities())
 
 
 # -- modules on covers and the correspondence --------------------------------------

@@ -1,73 +1,141 @@
+"""The term kernels against a naive dict-of-Fraction reference.
+
+The reference below shares no code with ``higgspec._core_py``: it sums every
+term (pair) into a zero-initialised dict and drops zeros at the end.
+"""
+
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from higgspec import _core_py, _kernels
+from higgspec import _core_py as K
 
-cython_core = pytest.importorskip(
-    "higgspec._core", reason="compiled kernels not built (python setup.py build_ext --inplace)"
-)
+BIG = 2**20
 
 
-def rand_terms(rng, nvars, nterms):
+def ref_combine(*scaled):
+    out = defaultdict(Fraction)
+    for k, t in scaled:
+        for e, c in t.items():
+            out[e] += k * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = defaultdict(Fraction)
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_eval(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for x, k in zip(point, e):
+            c *= x**k
+        total += c
+    return total
+
+
+def rand_coeff(rng):
+    num = rng.choice([rng.randint(-9, 9) or 1, rng.randint(-(10**30), 10**30) or 1])
+    den = rng.choice([1, 1, rng.randint(1, 12), rng.randint(1, 10**20)])
+    return Fraction(num, den)
+
+
+def rand_exps(rng, nvars, big):
+    pool = [0, 0, 1, 2, 3, 7] + ([BIG, BIG + 5, 2**40] if big else [])
+    return tuple(rng.choice(pool) for _ in range(nvars))
+
+
+def rand_terms(rng, nvars, nterms, big=False):
     out = {}
     for _ in range(nterms):
-        e = tuple(rng.randint(0, 4) for _ in range(nvars))
-        out[e] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        out[rand_exps(rng, nvars, big)] = rand_coeff(rng)
     return out
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_backends_agree(seed):
+def cases(seed, count=60):
+    """Seeded operand pairs: nvars 0..4, sizes 0..12 with one-term operands
+    common, exponents >= 2^20 in a third of the cases, mixed denominators."""
     rng = random.Random(seed)
-    for _ in range(100):
-        nvars = rng.randint(1, 4)
-        a = rand_terms(rng, nvars, rng.randint(1, 8))
-        b = rand_terms(rng, nvars, rng.randint(1, 8))
-        assert cython_core.add_terms(a, b) == _core_py.add_terms(a, b)
-        assert cython_core.sub_terms(a, b) == _core_py.sub_terms(a, b)
-        assert cython_core.mul_terms(a, b) == _core_py.mul_terms(a, b)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        assert cython_core.scale_terms(a, c) == _core_py.scale_terms(a, c)
-        e = tuple(rng.randint(0, 3) for _ in range(nvars))
-        assert cython_core.submul_terms(a, c, e, b) == _core_py.submul_terms(a, c, e, b)
-        pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nvars))
-        assert cython_core.eval_terms(a, pt) == _core_py.eval_terms(a, pt)
+    for i in range(count):
+        nvars = i % 5
+        big = i % 3 == 0
+        na = rng.choice([0, 1, 1, 2, 3, 5, 12])
+        nb = rng.choice([1, 1, 2, 4, 12])
+        yield rng, nvars, rand_terms(rng, nvars, na, big), rand_terms(rng, nvars, nb, big)
 
 
-def test_kernels_do_not_mutate_inputs():
-    a = {(1, 0): Fraction(2)}
-    b = {(1, 0): Fraction(-2), (0, 1): Fraction(1)}
-    snap_a, snap_b = dict(a), dict(b)
-    for impl in (cython_core, _core_py):
-        impl.add_terms(a, b)
-        impl.sub_terms(a, b)
-        impl.mul_terms(a, b)
-        impl.submul_terms(a, Fraction(1), (0, 0), b)
+def canonical(t, nvars):
+    return all(c and isinstance(c, Fraction) and len(e) == nvars for e, c in t.items())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernels_match_reference(seed):
+    for rng, nvars, a, b in cases(seed):
+        snap_a, snap_b = dict(a), dict(b)
+        q = rand_coeff(rng)  # submul_terms is only called with a nonzero quotient coefficient
+        c = q if rng.random() < 0.8 else Fraction(0)
+        e = rand_exps(rng, nvars, big=rng.random() < 0.3)
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nvars))
+        results = {
+            "add": (K.add_terms(a, b), ref_combine((1, a), (1, b))),
+            "sub": (K.sub_terms(a, b), ref_combine((1, a), (-1, b))),
+            "scale": (K.scale_terms(a, c), ref_combine((c, a))),
+            "mul": (K.mul_terms(a, b), ref_mul(a, b)),
+            "mul_swapped": (K.mul_terms(b, a), ref_mul(a, b)),
+            "submul": (K.submul_terms(a, q, e, b), ref_combine((1, a), (-q, ref_mul({e: Fraction(1)}, b)))),
+        }
+        for name, (got, want) in results.items():
+            assert got == want, name
+            assert canonical(got, nvars), name
+        if not any(k >= BIG for ex in a for k in ex):
+            assert K.eval_terms(a, point) == ref_eval(a, point)
         assert a == snap_a and b == snap_b
 
 
-def test_backend_switching_roundtrip():
-    original = _kernels.BACKEND
-    try:
-        _kernels.select_backend("python")
-        assert _kernels.BACKEND == "python"
-        from higgspec.poly import Poly
+def test_mul_cancellation():
+    x, y = (1, 0), (0, 1)
+    plus = {x: Fraction(1), y: Fraction(1)}
+    minus = {x: Fraction(1), y: Fraction(-1)}
+    assert K.mul_terms(plus, minus) == {(2, 0): 1, (0, 2): -1}
+    # c (1 + t^s + ... + t^((k-1)s)) * (1 - t^s) / c = 1 - t^(ks): every middle term cancels
+    for k in range(1, 13):
+        for s in (1, 3, BIG):
+            for c in (Fraction(1), Fraction(-2, 9)):
+                geo = {(0, i * s, 0): c for i in range(k)}
+                step = {(0, 0, 0): 1 / c, (0, s, 0): -1 / c}
+                assert K.mul_terms(geo, step) == {(0, 0, 0): 1, (0, k * s, 0): -1}
+    # (P + Q)(P - Q) = P^2 - Q^2 with every cross term cancelling, on operands
+    # long enough for the packed path
+    rng = random.Random(7)
+    for nvars in (1, 2, 4):
+        for _ in range(20):
+            big = rng.random() < 0.5
+            P, Q = rand_terms(rng, nvars, rng.randint(1, 6), big), rand_terms(rng, nvars, 3, big)
+            Q = {e: c for e, c in Q.items() if e not in P}
+            got = K.mul_terms(K.add_terms(P, Q), K.sub_terms(P, Q))
+            assert got == ref_combine((1, ref_mul(P, P)), (-1, ref_mul(Q, Q)))
+            assert all(got.values())
+    big = {(k * BIG, 1): Fraction(1, 2 + k) for k in range(4)}
+    for k in (1, 2):
+        f = ref_mul(big, {(k, 0): Fraction(1, 7)})
+        assert K.submul_terms(f, Fraction(1, 7), (k, 0), big) == {}
+    assert K.mul_terms(big, {}) == {} == K.mul_terms({}, {})
 
-        p = Poly.from_text("1 * x1 + 1", 1)
-        sq_py = (p * p).to_text()
-        _kernels.select_backend("cython")
-        sq_cy = (p * p).to_text()
-        assert sq_py == sq_cy == "1 * x1^2 + 2 * x1 + 1"
-    finally:
-        _kernels.select_backend(original)
+
+def test_mul_field_width_boundary():
+    # degree sums land on a power of two, and single exponents past 2^20
+    for da, db in ((3, 5), (1, 1), (7, 1), (BIG, BIG), (BIG - 1, BIG + 1)):
+        a = {(da, 0, 0): Fraction(2), (0, 1, 0): Fraction(-1, 3), (0, 0, 0): Fraction(5)}
+        b = {(0, 0, db): Fraction(1, 4), (db, 0, 0): Fraction(3), (0, 2, 1): Fraction(-7)}
+        assert K.mul_terms(a, b) == ref_mul(a, b)
 
 
-def test_results_canonical_no_zero_entries():
-    a = {(1,): Fraction(1)}
-    b = {(1,): Fraction(-1)}
-    for impl in (cython_core, _core_py):
-        assert impl.add_terms(a, b) == {}
-        assert impl.sub_terms(a, a) == {}
-        assert impl.mul_terms(a, {}) == {}
+def test_mul_constants_and_nvars_zero():
+    assert K.mul_terms({(): Fraction(2, 3)}, {(): Fraction(9, 4)}) == {(): Fraction(3, 2)}
+    assert K.mul_terms({(): Fraction(1)}, {}) == {}

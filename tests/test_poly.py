@@ -273,6 +273,20 @@ def test_primitive_split():
     assert Poly.constant(1, c) * prim == P("-6 * x1 + -9", 1)
 
 
+def test_content_reads_every_coefficient():
+    # the running gcd reaches 1 after the first term here, yet the content is 1/3
+    a = P("1 * x1 + 1/3 * x2 + -2/3", 2)
+    b = P("1/3 * x2 + 1 * x1 + -2/3", 2)
+    assert list(a.terms) != list(b.terms)
+    assert a.content() == b.content() == Fraction(1, 3)
+    assert a.primitive() == (Fraction(1, 3), P("3 * x1 + 1 * x2 + -2", 2))
+    assert Poly.zero(2).content() == 0
+    assert P("-4/6 * x1 + 2/9", 1).content() == Fraction(2, 9)
+    d = squarefree_decompose(a**2 * P("1 * x1", 2))
+    assert all(f.content() == 1 for f, _ in d.factors)
+    assert d.reconstruct() == a**2 * P("1 * x1", 2)
+
+
 def test_gcd_many():
     assert poly_gcd_many([P("2 * x1 * x2", 2), P("4 * x1", 2), P("6 * x1^2", 2)]) == P(
         "2 * x1", 2

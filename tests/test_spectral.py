@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,30 @@ def test_tower_counts(alpha_xy):
     )
     assert len(chain.covers) == 3
     assert len(chain.edges) == 2
+
+
+def test_is_normal_agrees_with_squarefree_test(alpha_xy):
+    """The multiplicity rule against the gcd-based test, on every cover of
+    seeded towers with inferred and with declared branch data."""
+    rng = random.Random(5)
+    covers = []
+    for _ in range(12):
+        forms, k = {}, rng.randint(1, 3)
+        while len(forms) < k:
+            # primitive linear forms with positive leading coefficient: pairwise coprime when distinct
+            a, b, c = rng.randint(1, 3), rng.randint(-3, 3), rng.choice([-2, -1, 1, 3])
+            _, f = Poly(2, {(1, 0): a, (0, 1): b, (0, 0): Fraction(c, 3)}).primitive()
+            forms[f] = rng.randint(1, 5)
+        content = Poly.constant(2, Fraction(rng.choice([-5, 2, 7]), rng.choice([1, 3])))
+        tau = content
+        for f, m in forms.items():
+            tau = tau * f**m
+        fac = RankOneFactorization(alpha_xy, tau)
+        covers += tower_enumerate(build_cover(fac)).covers
+        covers += tower_enumerate(build_cover(fac, components=list(forms.items()))).covers
+    assert sum(map(is_normal, covers)) < len(covers)
+    for c in covers:
+        assert is_normal(c) == is_squarefree(c.effective_tau)
 
 
 def test_declared_components(alpha_xy):
