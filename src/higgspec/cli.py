@@ -9,7 +9,8 @@ declared surface lattice ``{"kind": "surface", "generators": [..],
 "intersection": [row-major ints], "K": [..], "omega": [..], "b1": ..,
 "torsion2": ..}``.  Polynomials are text (``"3/2 * x1^2 * x2"``) or the
 serialized tree; rational numbers are ints, ``"p/q"`` strings or
-``{"num": p, "den": q}``.
+``{"num": p, "den": q}``, with a nonzero denominator.  Decimals and exponents
+are rejected.
 
 Exit codes: 0 success, 1 domain/precondition failure, 2 parse/schema failure.
 The machine block is canonical JSON: identical config and seed give
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, moduli, spectral
-from .errors import HiggspecError, ParseError, SchemaError
+from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError
 from .geometry import NSClass, ProductOfCurves, SurfaceModel
-from .poly import Poly
+from .poly import Poly, _parse_rational
 from .selftest import run_selftest
 from .spectral import HiggsField, OneForm, RankOneFactorization, SpectralDatum, SymDiff
 
@@ -85,12 +86,16 @@ def _as_fraction(x, path) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _parse_rational(x)
         except ValueError as exc:
-            raise SchemaError(path, f"bad rational string: {exc}")
+            raise SchemaError(path, str(exc))
     if isinstance(x, dict):
         _require_dict(x, path, required=("num", "den"))
-        return Fraction(_as_int(x["num"], f"{path}.num"), _as_int(x["den"], f"{path}.den"))
+        num = _as_int(x["num"], f"{path}.num")
+        den = _as_int(x["den"], f"{path}.den")
+        if not den:
+            raise SchemaError(f"{path}.den", "zero denominator")
+        return Fraction(num, den)
     raise SchemaError(path, f"expected a rational, got {type(x).__name__}")
 
 
@@ -142,7 +147,10 @@ def _parse_model(cfg, path):
         return ("chart", n)
     if kind == "product_curves":
         _require_dict(cfg, path, required=("kind", "g1", "g2"), optional=("torsion2",))
-        X = ProductOfCurves(_as_int(cfg["g1"], f"{path}.g1"), _as_int(cfg["g2"], f"{path}.g2"))
+        for key in ("g1", "g2", "torsion2"):
+            if key in cfg and _as_int(cfg[key], f"{path}.{key}") < 0:
+                raise SchemaError(f"{path}.{key}", "must be nonnegative")
+        X = ProductOfCurves(cfg["g1"], cfg["g2"])
         model = X.model
         if "torsion2" in cfg:
             model = SurfaceModel(
@@ -374,7 +382,12 @@ def _run_cover(job):
 
 def _run_tower(job):
     f, comps = _cover_payload(job)
-    tower = spectral.tower_enumerate(spectral.build_cover(f, components=comps))
+    cover = spectral.build_cover(f, components=comps)
+    try:
+        tower = spectral.tower_enumerate(cover)
+    except DegreeCapExceeded as exc:
+        path = "$.payload.components" if comps is not None else "$.payload.factorization.tau"
+        raise DegreeCapExceeded(f"{path}: {exc}") from None
     return {
         "verdicts": {"count": len(tower.covers), "normalization_index": tower.normalization_index},
         "values": {
@@ -550,6 +563,8 @@ def _run_hitchin_section(job):
 def _run_sl2r_enum(job):
     model = _surface(job)
     _require_dict(job.payload, "$.payload", required=("components", "L"))
+    if not isinstance(job.payload["components"], list):
+        raise SchemaError("$.payload.components", "expected a list")
     comps = []
     for i, item in enumerate(job.payload["components"]):
         _require_dict(item, f"$.payload.components[{i}]", required=("class", "multiplicity"))
@@ -560,7 +575,10 @@ def _run_sl2r_enum(job):
             )
         )
     L = _as_class(job.payload["L"], model.rank, "$.payload.L")
-    data = moduli.sl2r_enumerate(comps, L, model)
+    try:
+        data = moduli.sl2r_enumerate(comps, L, model)
+    except DegreeCapExceeded as exc:
+        raise DegreeCapExceeded(f"$.payload.components: {exc}") from None
     return {
         "verdicts": {"count": len(data), "torsion_multiplicity": model.torsion2_count},
         "values": {

@@ -22,7 +22,12 @@ class ZeroPolynomial(HiggspecError):
 
 
 class DegreeCapExceeded(HiggspecError):
-    """Desk-scale cap violated (chart dimension, matrix size or entry degree)."""
+    """Desk-scale cap violated before the work starts.
+
+    Covers chart dimension, matrix size and entry degree, and the size of an
+    enumeration: sl2r tuples (MAX_SL2R_TUPLES) and tower covers
+    (MAX_TOWER_COVERS).
+    """
 
 
 class NotRankOne(HiggspecError):

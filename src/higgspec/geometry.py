@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, SpecialDivisorUndecidable
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating point coordinates are not supported")
     return Fraction(x)

@@ -10,12 +10,15 @@ classes and numerical verdicts).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
+from operator import mul
 from typing import Optional
 
 from .errors import (
+    DegreeCapExceeded,
     DegreeOrderViolation,
     InconsistentBranchData,
     NilpotentDatum,
@@ -222,12 +225,23 @@ class SL2RDatum:
     tuple_a: tuple
 
 
+MAX_SL2R_TUPLES = 2**16
+
+
 def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     """All splittings of the branch divisor passing the two numerical tests.
 
-    components is [(NSClass, multiplicity), ...] with sum m_i c_i = 2 L.
-    A tuple (a_i), 0 <= a_i <= m_i, is kept iff (D1 - D2)^2 = 0 and D1 - L is
-    divisible by two in the lattice; torsion only multiplies the count.
+    components is [(c_i, m_i), ...] with sum m_i c_i = 2 L.  A tuple (a_i),
+    0 <= a_i <= m_i, gives D1 = sum a_i c_i and D2 = 2 L - D1; it is kept iff
+    (D1 - D2)^2 = 0 and D1 - L is divisible by two in the lattice.  Torsion
+    only multiplies the count.
+
+    Both tests run on integers.  With G_ij = c_i . c_j the Gram matrix of the
+    components and b_i = 2 a_i - m_i, (D1 - D2)^2 = b^T G b.  With d the
+    common denominator of the c_i and L, D1 - L = (sum a_i d c_i - d L) / d,
+    which is even iff every coordinate of the numerator is 0 mod 2 d.  The
+    prod(m_i + 1) tuples are walked in itertools.product order; more than
+    MAX_SL2R_TUPLES raises DegreeCapExceeded before the first one.
     """
     components = [(c, int(m)) for c, m in components]
     total = NSClass.zero(model.rank)
@@ -237,25 +251,35 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
         total = total + c * m
     if total != L * 2:
         raise InconsistentBranchData("component sum must equal 2 L")
+    ms = [m for _, m in components]
+    count = math.prod(m + 1 for m in ms)
+    if count > MAX_SL2R_TUPLES:
+        raise DegreeCapExceeded(f"sl2r enumeration of {count} tuples exceeds cap {MAX_SL2R_TUPLES}")
+    classes = [c for c, _ in components]
+    gram = [[model.pair(x, y) for y in classes] for x in classes]
+    g = math.lcm(*(v.denominator for row in gram for v in row))
+    G = [[int(v * g) for v in row] for row in gram]
+    d = math.lcm(*(x.denominator for c in classes + [L] for x in c.coords))
+    C = [[int(x * d) for x in c.coords] for c in classes]
+    dL = [int(x * d) for x in L.coords]
+    columns = [[c[j] for c in C] for j in range(model.rank)]
+    two_d = 2 * d
+    torsion = model.torsion2_count
     out = []
-    for a in _iproduct(*[range(m + 1) for _, m in components]):
-        D1 = NSClass.zero(model.rank)
-        for (c, _), ai in zip(components, a):
-            D1 = D1 + c * ai
-        D2 = total - D1
-        diff = D1 - D2
-        if degree(diff, diff, model) != 0:
+    for a in _iproduct(*[range(m + 1) for m in ms]):
+        x = [sum(map(mul, a, col)) - l for col, l in zip(columns, dL)]  # d (D1 - L)
+        if any(xj % two_d for xj in x):
             continue
-        half_datum = D1 - L
-        if not half_datum.divisible_by_two():
+        b = [2 * ai - m for ai, m in zip(a, ms)]
+        if sum(bi * sum(map(mul, row, b)) for bi, row in zip(b, G)):
             continue
         out.append(
             SL2RDatum(
-                D1=D1,
-                D2=D2,
-                N_class=half_datum.half(),
-                torsion_multiplicity=model.torsion2_count,
-                tuple_a=tuple(a),
+                D1=NSClass(tuple(Fraction(xj + l, d) for xj, l in zip(x, dL))),
+                D2=NSClass(tuple(Fraction(l - xj, d) for xj, l in zip(x, dL))),
+                N_class=NSClass(tuple(Fraction(xj, two_d) for xj in x)),
+                torsion_multiplicity=torsion,
+                tuple_a=a,
             )
         )
     return out

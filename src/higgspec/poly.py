@@ -19,6 +19,19 @@ from . import _core_py as _K
 from .errors import DivisionFailure, ZeroPolynomial
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """The one rational grammar of configs: [+-]?digits(/digits)?, q != 0."""
+    m = _RATIONAL_RE.match(text)
+    if m is None:
+        raise ValueError(f"bad rational {text!r}: expected p or p/q")
+    num, den = m.groups()
+    den = int(den or 1)
+    if not den:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return Fraction(int(num), den)
 
 
 def _coerce_coeff(c):
@@ -314,7 +327,7 @@ class Poly:
                         raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
                     exps[idx] += int(m.group(2) or 1)
                 else:
-                    coeff *= Fraction(piece)
+                    coeff *= _parse_rational(piece)
             e = tuple(exps)
             terms[e] = terms.get(e, Fraction(0)) + coeff
         return cls(nvars, terms)

@@ -49,6 +49,7 @@ from .poly import (
 )
 
 MAX_CHART_DIM = 4
+MAX_TOWER_COVERS = 4096
 
 
 def _check_chart_dim(n):
@@ -632,10 +633,14 @@ class TowerResult:
 def tower_enumerate(c: SpectralCover) -> TowerResult:
     """Every tuple 0 <= a_i <= floor(m_i / 2), with covering-relation edges.
 
-    The count is prod(floor(m_i/2) + 1); the maximal tuple is flagged as the
-    normalization (its effective tau is squarefree).
+    The count is prod(floor(m_i/2) + 1), at most MAX_TOWER_COVERS; the
+    maximal tuple is flagged as the normalization (its effective tau is
+    squarefree).
     """
     ms = c.branch.multiplicities()
+    count = math.prod(m // 2 + 1 for m in ms)
+    if count > MAX_TOWER_COVERS:
+        raise DegreeCapExceeded(f"tower of {count} covers exceeds cap {MAX_TOWER_COVERS}")
     nvars = c.factorization.tau.nvars
     ranges = [range(m // 2 + 1) for m in ms]
     tuples = list(_iproduct(*ranges)) if ms else [()]

@@ -250,6 +250,72 @@ def test_exit_code_missing_file(capsys):
     assert main(["--config", "/nonexistent/job.json"]) == 2
 
 
+def _sl2r_doc(components, L):
+    return {
+        "command": "sl2r-enum",
+        "model": {"kind": "product_curves", "g1": 2, "g2": 2},
+        "payload": {"components": components, "L": L},
+    }
+
+
+def _factor_doc(entry):
+    return {
+        "command": "factor",
+        "model": {"kind": "chart", "nvars": 2},
+        "payload": {"s": [[entry, "0"], ["0", "0"]]},
+    }
+
+
+def _tower_cap_doc():
+    forms = [Poly.from_text(f"1 * x1 + {k} * x2", 2) for k in range(1, 14)]
+    tau = Poly.one(2)
+    for f in forms:
+        tau = tau * f**2
+    return {
+        "command": "tower",
+        "model": {"kind": "chart", "nvars": 2},
+        "payload": {
+            "factorization": {"alpha": ["1 * x1", "1 * x2"], "tau": tau.to_text()},
+            "components": [{"factor": f.to_text(), "multiplicity": 2} for f in forms],
+        },
+    }
+
+
+UNIT = {"class": [1, 0], "multiplicity": 1}
+
+REJECTED_INPUTS = {
+    "decimal rational": (_sl2r_doc([], ["1.5", "0"]), 2, "$.payload.L[0]"),
+    "exponent rational": (_sl2r_doc([], ["1e3", "0"]), 2, "$.payload.L[0]"),
+    "zero denominator string": (_sl2r_doc([], ["1/0", "0"]), 2, "$.payload.L[0]"),
+    "zero denominator tree": (_sl2r_doc([], [{"num": 1, "den": 0}, "0"]), 2, "$.payload.L[0].den"),
+    "decimal coefficient": (_factor_doc("1.5 * x1^2"), 2, "$.payload.s[0][0]"),
+    "exponent coefficient": (_factor_doc("1e3 * x1^2"), 2, "$.payload.s[0][0]"),
+    "zero denominator coefficient": (_factor_doc("1/0 * x1^2"), 2, "$.payload.s[0][0]"),
+    "components not a list": (_sl2r_doc(5, ["0", "0"]), 2, "$.payload.components"),
+    "negative g1": ({"command": "bx-table", "model": {"kind": "product_curves", "g1": -1, "g2": 2}}, 2, "$.model.g1"),
+    "negative g2": ({"command": "bx-table", "model": {"kind": "product_curves", "g1": 2, "g2": -1}}, 2, "$.model.g2"),
+    "negative torsion2": (
+        {"command": "bx-table", "model": {"kind": "product_curves", "g1": 2, "g2": 2, "torsion2": -1}},
+        2,
+        "$.model.torsion2",
+    ),
+    "sl2r tuple cap": (_sl2r_doc([UNIT] * 40, [20, 0]), 1, "$.payload.components"),
+    "tower cover cap": (_tower_cap_doc(), 1, "$.payload.components"),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED_INPUTS))
+def test_rejected_input_exits_cleanly(name, tmp_path, capsys):
+    doc, code, path = REJECTED_INPUTS[name]
+    rc = main(["--config", write_job(tmp_path, doc), "--format", "machine"])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert f"{path}:" in err
+    assert "Traceback" not in err
+    if code == 1:
+        assert "DegreeCapExceeded" in err
+
+
 # -- determinism and roundtrip -------------------------------------------------------
 
 

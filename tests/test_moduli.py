@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -6,6 +7,7 @@ from itertools import product
 import pytest
 
 from higgspec.errors import (
+    DegreeCapExceeded,
     DegreeOrderViolation,
     InconsistentBranchData,
     NilpotentDatum,
@@ -13,9 +15,10 @@ from higgspec.errors import (
     RankCap,
     ZeroHiggsUnsupported,
 )
-from higgspec.geometry import NSClass, ProductOfCurves, degree
+from higgspec.geometry import NSClass, ProductOfCurves, SurfaceModel, degree
 from higgspec.matrix import charpoly_cofactor
 from higgspec.moduli import (
+    MAX_SL2R_TUPLES,
     LatticeSectionDatum,
     SplitHiggsDescription,
     Stability,
@@ -215,6 +218,92 @@ def test_sl2r_empty_branch(g22):
 def test_sl2r_validates_branch_sum(g22):
     with pytest.raises(InconsistentBranchData):
         sl2r_enumerate([(g22.F1, 1)], NSClass((2, 0)), g22.model)
+
+
+def _ref_pair(Q, x, y):
+    return sum(x[i] * Q[i][j] * y[j] for i in range(len(Q)) for j in range(len(Q)))
+
+
+def ref_sl2r(comps, L, Q):
+    """Every tuple in product order with (D1 - D2)^2 = 0 and D1 - L even.
+
+    A plain Fraction filter on coordinate lists, written from the definition:
+    D1 = sum a_i c_i, D2 = sum (m_i - a_i) c_i, N = (D1 - L) / 2.  Also counts
+    the tuples with D1 - L even that only the square test throws out.
+    """
+    r = len(Q)
+    out, square_rejects = [], 0
+    for a in product(*[range(m + 1) for _, m in comps]):
+        D1 = [sum((ai * c[j] for (c, _), ai in zip(comps, a)), Fraction(0)) for j in range(r)]
+        D2 = [sum(((m - ai) * c[j] for (c, m), ai in zip(comps, a)), Fraction(0)) for j in range(r)]
+        diff = [x - y for x, y in zip(D1, D2)]
+        half = [x - l for x, l in zip(D1, L)]
+        if not all(h.denominator == 1 and h.numerator % 2 == 0 for h in half):
+            continue
+        if _ref_pair(Q, diff, diff) != 0:
+            square_rejects += 1
+            continue
+        out.append((a, tuple(D1), tuple(D2), tuple(h / 2 for h in half)))
+    return out, square_rejects
+
+
+def _random_lattice(rng):
+    """Rank 1-4, form entries in -2..2, half and third coordinates, m_i in 0..3.
+
+    Half the lattices of rank >= 2 get the hyperbolic block [[1, 1], [1, 0]]
+    and draw most components on its isotropic lines (0, 1) and (-2, 1), whose
+    pairing is -2: there (D1 - D2)^2 = 0 holds for D1 != D2 as well.
+    """
+    r = rng.randint(1, 4)
+    Q = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            Q[i][j] = Q[j][i] = rng.randint(-2, 2)
+    hyperbolic = r >= 2 and rng.random() < 0.5
+    if hyperbolic:
+        Q[0][0], Q[0][1], Q[1][0], Q[1][1] = 1, 1, 1, 0
+    Q[0][0] = max(Q[0][0], 1)
+    model = SurfaceModel(tuple(f"e{i}" for i in range(r)), Q, NSClass((0,) * r), NSClass((1,) + (0,) * (r - 1)))
+
+    def coords():
+        if hyperbolic and rng.random() < 0.7:
+            k = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+            return [k * x for x in rng.choice(((0, 1), (-2, 1)))] + [Fraction(0)] * (r - 2)
+        return [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(r)]
+
+    comps = [(coords(), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+    L = [sum((m * c[j] for c, m in comps), Fraction(0)) / 2 for j in range(r)]
+    return model, Q, comps, L
+
+
+def test_sl2r_matches_brute_force_on_random_lattices():
+    rng = random.Random(1)
+    seen = {"empty component list": 0, "kept with D1 != D2": 0, "even but (D1 - D2)^2 != 0": 0}
+    for _ in range(400):
+        model, Q, comps, L = _random_lattice(rng)
+        got = sl2r_enumerate([(NSClass(c), m) for c, m in comps], NSClass(L), model)
+        want, square_rejects = ref_sl2r(comps, L, Q)
+        assert [(d.tuple_a, d.D1.coords, d.D2.coords, d.N_class.coords) for d in got] == want
+        assert all(d.torsion_multiplicity == model.torsion2_count for d in got)
+        seen["empty component list"] += not comps
+        seen["kept with D1 != D2"] += sum(D1 != D2 for _, D1, D2, _ in want)
+        seen["even but (D1 - D2)^2 != 0"] += square_rejects
+    assert all(seen.values()), seen
+
+
+def test_sl2r_tuple_cap_checked_before_enumeration(g22):
+    with pytest.raises(DegreeCapExceeded):  # 2^40 tuples
+        sl2r_enumerate([(g22.F1, 1)] * 40, NSClass((20, 0)), g22.model)
+    assert MAX_SL2R_TUPLES == 2**16
+    # exactly 2^16 tuples is allowed; D1 - D2 = (2 (a1 + a2) - 510)(F1 + F2)
+    c = g22.F1 + g22.F2
+    data = sl2r_enumerate([(c, 255), (c, 255)], c * 255, g22.model)
+    assert [d.tuple_a for d in data] == [(a, 255 - a) for a in range(256)]
+
+
+def test_sl2r_validation_precedes_cap(g22):
+    with pytest.raises(InconsistentBranchData):
+        sl2r_enumerate([(g22.F1, 1)] * 40, NSClass((19, 0)), g22.model)
 
 
 # -- Milnor-Wood --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from higgspec.errors import (
     CayleyHamiltonViolation,
+    DegreeCapExceeded,
     FactorizationMismatch,
     NotRankOne,
     ZeroInput,
@@ -13,6 +14,7 @@ from higgspec.errors import (
 from higgspec.matrix import mat_eq, mat_mul
 from higgspec.poly import Poly, is_squarefree
 from higgspec.spectral import (
+    MAX_TOWER_COVERS,
     CoverModule,
     HiggsField,
     Member,
@@ -262,6 +264,20 @@ def test_tower_counts(alpha_xy):
     )
     assert len(chain.covers) == 3
     assert len(chain.edges) == 2
+
+
+def test_tower_cap_checked_before_enumeration(alpha_xy):
+    forms = [P(f"1 * x1 + {k} * x2", 2) for k in range(1, 41)]
+    tau = Poly.one(2)
+    for f in forms:
+        tau = tau * f**2
+    cover = build_cover(RankOneFactorization(alpha_xy, tau), components=[(f, 2) for f in forms])
+    with pytest.raises(DegreeCapExceeded):  # 2^40 covers
+        tower_enumerate(cover)
+    assert MAX_TOWER_COVERS == 4096
+    # exactly 4096 covers is allowed: x1^8190 has floor(8190 / 2) + 1 of them
+    chain = tower_enumerate(build_cover(RankOneFactorization(alpha_xy, P("1 * x1^8190", 2))))
+    assert len(chain.covers) == 4096
 
 
 def test_is_normal_agrees_with_squarefree_test(alpha_xy):
