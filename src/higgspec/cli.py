@@ -103,6 +103,8 @@ def _as_poly(x, nvars, path) -> Poly:
     if isinstance(x, str):
         try:
             return Poly.from_text(x, nvars)
+        except DegreeCapExceeded as exc:
+            raise DegreeCapExceeded(f"{path}: {exc}") from None
         except ValueError as exc:
             raise SchemaError(path, f"bad polynomial text: {exc}")
     if isinstance(x, dict):
@@ -111,9 +113,17 @@ def _as_poly(x, nvars, path) -> Poly:
             raise SchemaError(path, f"polynomial nvars {x['nvars']} != chart nvars {nvars}")
         try:
             return Poly.from_tree(x)
+        except DegreeCapExceeded as exc:
+            raise DegreeCapExceeded(f"{path}: {exc}") from None
         except Exception as exc:
             raise SchemaError(path, f"bad polynomial tree: {exc}")
     raise SchemaError(path, "expected polynomial text or tree")
+
+
+def _as_list(x, path) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(path, f"expected a list, got {type(x).__name__}")
+    return x
 
 
 def _as_class(x, rank, path) -> NSClass:
@@ -150,6 +160,9 @@ def _parse_model(cfg, path):
         for key in ("g1", "g2", "torsion2"):
             if key in cfg and _as_int(cfg[key], f"{path}.{key}") < 0:
                 raise SchemaError(f"{path}.{key}", "must be nonnegative")
+        for key in ("g1", "g2"):
+            if cfg[key] > geometry.MAX_GENUS:
+                raise SchemaError(f"{path}.{key}", f"genus exceeds cap {geometry.MAX_GENUS}")
         X = ProductOfCurves(cfg["g1"], cfg["g2"])
         model = X.model
         if "torsion2" in cfg:
@@ -196,7 +209,7 @@ def _parse_model(cfg, path):
 def parse_config(text: str) -> JobConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal past Python's digit limit
         raise ParseError("$", f"invalid JSON: {exc}")
     _require_dict(doc, "$", required=("command",), optional=("model", "payload", "seed"))
     command = doc["command"]
@@ -344,7 +357,7 @@ def _run_base_check(job):
 
 def _parse_components(obj, nvars, path):
     comps = []
-    for i, item in enumerate(obj):
+    for i, item in enumerate(_as_list(obj, path)):
         _require_dict(item, f"{path}[{i}]", required=("factor", "multiplicity"))
         comps.append(
             (
@@ -563,10 +576,8 @@ def _run_hitchin_section(job):
 def _run_sl2r_enum(job):
     model = _surface(job)
     _require_dict(job.payload, "$.payload", required=("components", "L"))
-    if not isinstance(job.payload["components"], list):
-        raise SchemaError("$.payload.components", "expected a list")
     comps = []
-    for i, item in enumerate(job.payload["components"]):
+    for i, item in enumerate(_as_list(job.payload["components"], "$.payload.components")):
         _require_dict(item, f"$.payload.components[{i}]", required=("class", "multiplicity"))
         comps.append(
             (
@@ -622,7 +633,7 @@ def _run_rigidity(job):
         b1=_as_int(job.payload["b1"], "$.payload.b1"),
         double_cover_b1s=tuple(
             _as_int(b, f"$.payload.double_cover_b1s[{i}]")
-            for i, b in enumerate(job.payload.get("double_cover_b1s", []))
+            for i, b in enumerate(_as_list(job.payload.get("double_cover_b1s", []), "$.payload.double_cover_b1s"))
         ),
     )
     v = moduli.rigidity_verdict(t)
@@ -633,11 +644,16 @@ def _run_higher_rank(job):
     _require_dict(job.payload, "$.payload", required=("rank", "coefficients", "nvars"))
     n = _as_int(job.payload["rank"], "$.payload.rank")
     nvars = _as_int(job.payload["nvars"], "$.payload.nvars")
+    if not 0 <= nvars <= spectral.MAX_CHART_DIM:
+        raise SchemaError("$.payload.nvars", f"must be 0..{spectral.MAX_CHART_DIM}")
     coeffs = [
         _as_poly(c, nvars, f"$.payload.coefficients[{i}]")
-        for i, c in enumerate(job.payload["coefficients"])
+        for i, c in enumerate(_as_list(job.payload["coefficients"], "$.payload.coefficients"))
     ]
-    mat = moduli.higher_rank_build(n, coeffs)
+    try:
+        mat = moduli.higher_rank_build(n, coeffs)
+    except ValueError as exc:
+        raise SchemaError("$.payload.coefficients", str(exc))
     ok = moduli.higher_rank_charcheck(mat)
     return {
         "verdicts": {"charcheck": ok},

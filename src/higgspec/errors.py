@@ -44,6 +44,10 @@ class ZeroInput(HiggspecError):
     """A nonzero input was required."""
 
 
+class VerificationFailure(HiggspecError):
+    """A result failed the identity it is re-checked against; the message names it."""
+
+
 class FactorizationInconsistent(HiggspecError):
     """Internal identity S = tau * alpha alpha^T failed after construction."""
 

@@ -15,6 +15,9 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, SpecialDivisorUndecidable
 
+# Largest genus of a factor curve of a product model.
+MAX_GENUS = 1000
+
 
 def _frac(x) -> Fraction:
     if type(x) is Fraction:
@@ -141,14 +144,18 @@ def degree(L: NSClass, against: NSClass, model: SurfaceModel) -> Fraction:
 
 @dataclass(frozen=True)
 class ProductOfCurves:
-    """C1 x C2 with fiber classes F1, F2: F1.F2 = 1, F1^2 = F2^2 = 0."""
+    """C1 x C2 with fiber classes F1, F2: F1.F2 = 1, F1^2 = F2^2 = 0.
+
+    Genera are capped at MAX_GENUS, so that the 2-torsion count
+    2^(2 g1 + 2 g2), an exact integer in every report, stays printable.
+    """
 
     g1: int
     g2: int
 
     def __post_init__(self):
-        if self.g1 < 0 or self.g2 < 0:
-            raise ValueError("genera must be nonnegative")
+        if not (0 <= self.g1 <= MAX_GENUS and 0 <= self.g2 <= MAX_GENUS):
+            raise ValueError(f"genera must be 0..{MAX_GENUS}")
 
     @property
     def model(self) -> SurfaceModel:

@@ -24,6 +24,7 @@ from .errors import (
     NilpotentDatum,
     NotApplicable,
     RankCap,
+    VerificationFailure,
     ZeroHiggsUnsupported,
 )
 from .geometry import NSClass, SurfaceModel, degree
@@ -144,7 +145,8 @@ def hitchin_section(d) -> HitchinSectionOutput:
     """Right inverse of the spectral morphism, on either backend.
 
     Chart backend (SpectralDatum): factor Q = s2 - s1 s1^T / 4 as tau alpha^2,
-    emit the section field and assert the roundtrip identity exactly.  A
+    emit the section field and re-check the roundtrip identity exactly
+    (VerificationFailure names the identity if it fails).  A
     datum with Q = 0 but s1 != 0 yields the diagonal field; the origin is
     rejected.  Lattice backend (LatticeSectionDatum): emit bundle classes and
     the stability / real-form verdicts.
@@ -168,7 +170,7 @@ def _hitchin_section_chart(d: SpectralDatum) -> HitchinSectionOutput:
         )
         field = HiggsField(mats)
         if hitchin_map(field) != d:
-            raise AssertionError("section identity failed on the diagonal branch")
+            raise VerificationFailure("section identity sh(chi(s)) = s failed on the diagonal branch")
         return HitchinSectionOutput(
             stability=Stability.POLYSTABLE,
             real=True,
@@ -179,7 +181,7 @@ def _hitchin_section_chart(d: SpectralDatum) -> HitchinSectionOutput:
     f = factor_rank_one(q)
     field = _section_field(d.s1, f)
     if hitchin_map(field) != d:
-        raise AssertionError("section identity sh(chi(s)) = s failed")
+        raise VerificationFailure("section identity sh(chi(s)) = s failed")
     unit_branch = f.tau.is_constant()
     return HitchinSectionOutput(
         stability=Stability.POLYSTABLE if unit_branch else Stability.STABLE,

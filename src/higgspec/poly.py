@@ -6,6 +6,14 @@ polynomials coincides with structural equality of objects.  Leading terms,
 normalisation and serialisation all use the graded lexicographic order.
 
 Floating point is rejected everywhere; the scalar field is Q.
+
+The gcd splits off the rational contents and runs the heuristic integer gcd
+GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989) on the primitive
+integer parts, with packed exponents, evaluating one variable at a time
+(Liao & Fateman, ISSAC 1995).  Every answer it gives is checked by exact
+trial division; when it gives up, primitive pseudo-remainder sequences
+answer instead.  Parsed polynomials are capped at total degree
+MAX_PARSED_DEGREE.
 """
 
 from __future__ import annotations
@@ -14,9 +22,15 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 
 from . import _core_py as _K
-from .errors import DivisionFailure, ZeroPolynomial
+from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial
+
+# Largest total degree a parsed polynomial may have.  Work in the squarefree
+# decomposition (one pass per multiplicity) and the size of the gcd's
+# evaluation images grow with the degree, so larger input is refused at once.
+MAX_PARSED_DEGREE = 1024
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
@@ -330,7 +344,7 @@ class Poly:
                     coeff *= _parse_rational(piece)
             e = tuple(exps)
             terms[e] = terms.get(e, Fraction(0)) + coeff
-        return cls(nvars, terms)
+        return _degree_capped(cls(nvars, terms))
 
     def to_tree(self):
         return {
@@ -347,7 +361,14 @@ class Poly:
         for t in tree["terms"]:
             e = tuple(t["exps"])
             terms[e] = terms.get(e, Fraction(0)) + Fraction(t["num"], t["den"])
-        return cls(tree["nvars"], terms)
+        return _degree_capped(cls(tree["nvars"], terms))
+
+
+def _degree_capped(p: Poly) -> Poly:
+    d = p.total_degree()
+    if d > MAX_PARSED_DEGREE:
+        raise DegreeCapExceeded(f"total degree {d} exceeds cap {MAX_PARSED_DEGREE}")
+    return p
 
 
 # -- division ---------------------------------------------------------------
@@ -442,11 +463,192 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
     return r
 
 
+# Evaluation points GCDHEU tries, per variable, before it gives up.
+_HEU_ATTEMPTS = 6
+# Largest evaluation image, in bits, GCDHEU builds before it gives up.
+_HEU_MAX_BITS = 1 << 16
+
+
+def _heu_eval(f, xi, shift, low):
+    """f with its top field set to xi; the other fields keep their packed keys."""
+    pw = [1]
+    for _ in range(max(f) >> shift):
+        pw.append(pw[-1] * xi)
+    out = {}
+    get = out.get
+    for k, c in f.items():
+        lk = k & low
+        out[lk] = get(lk, 0) + c * pw[k >> shift]
+    return {k: c for k, c in out.items() if c}
+
+
+def _heu_interpolate(h, xi, shift, cap):
+    """The polynomial whose balanced xi-adic digits are h's coefficients.
+
+    Digit i of every coefficient becomes the coefficient of (top field)^i;
+    None once the top degree would pass cap, which no divisor reaches.
+    """
+    out = {}
+    half = xi >> 1
+    i = 0
+    while h:
+        if i > cap:
+            return None
+        rest = {}
+        for k, c in h.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i << shift) | k] = d
+            c = (c - d) // xi
+            if c:
+                rest[k] = c
+        h = rest
+        i += 1
+    return out
+
+
+def _heu_box(f, n, w):
+    """Per-field maxima of f's exponents, packed."""
+    mask = (1 << w) - 1
+    box = 0
+    for s in range(w * (n - 1), -1, -w):
+        box = (box << w) | max([(k >> s) & mask for k in f])
+    return box
+
+
+def _heu_divides(a, b, n, w, guard):
+    """Whether b divides a in Z[x], for packed int dicts.
+
+    Keys compare as integers in lex order, so the largest remainder key is
+    the leading term; a heap holds the remainder keys.  Every field has a
+    spare top bit (guard): a quotient exponent that would go negative, or
+    past deg a - deg b, clears it, and the division fails at once.
+    """
+    room = (_heu_box(a, n, w) | guard) - _heu_box(b, n, w)
+    if room & guard != guard:
+        return False
+    room ^= guard
+    lb = max(b)
+    cb = b[lb]
+    rest = [(k, c) for k, c in b.items() if k != lb]
+    r = dict(a)
+    heap = [-k for k in r]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = r.pop(k)
+        if not c:
+            continue
+        m = (k | guard) - lb
+        if m & guard != guard:
+            return False
+        m ^= guard
+        if ((room | guard) - m) & guard != guard:
+            return False
+        qc, rem = divmod(c, cb)
+        if rem:
+            return False
+        # keys m + kb all lie below k: nothing popped comes back
+        for kb, c2 in rest:
+            kk = m + kb
+            old = r.get(kk)
+            if old is None:
+                r[kk] = -qc * c2
+                heappush(heap, -kk)
+            else:
+                r[kk] = old - qc * c2
+    return True
+
+
+def _heu_gcd(f, g, n, w, guard):
+    """GCDHEU on nonzero int dicts with n packed fields of w bits.
+
+    Returns a gcd in Z[x], up to sign, or None when every evaluation point
+    fails.  The top field is evaluated at xi, the remaining fields recurse
+    (Liao & Fateman), and the candidate is interpolated from the balanced
+    xi-adic digits of the image gcd (Char, Geddes & Gonnet).  It is
+    accepted only if its primitive part divides both operands exactly, and
+    then it is the gcd, because xi > 2 min(|f|, |g|) + 2: were the gcd
+    h k with k nonconstant, k(xi) would be a constant of size at most xi/2
+    (the digit bound), yet a divisor of f has its roots in x0 below 1 + |f|
+    in size, so either |k(xi)| > xi/2 or a coefficient of k in the other
+    variables vanishes at xi, which the same root bound forbids.
+    """
+    if n == 0:
+        return {0: math.gcd(f[0], g[0])}
+    shift = w * (n - 1)
+    low = (1 << shift) - 1
+    cap = max(max(f), max(g)) >> shift
+    if not cap:
+        return _heu_gcd(f, g, n - 1, w, guard & low)
+    c = math.gcd(*f.values(), *g.values())
+    if c > 1:
+        f = {k: v // c for k, v in f.items()}
+        g = {k: v // c for k, v in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
+    for _ in range(_HEU_ATTEMPTS):
+        if xi.bit_length() * cap > _HEU_MAX_BITS:
+            return None
+        ff = _heu_eval(f, xi, shift, low)
+        gg = _heu_eval(g, xi, shift, low)
+        if ff and gg:
+            image = _heu_gcd(ff, gg, n - 1, w, guard & low)
+            if image is None:
+                return None
+            h = _heu_interpolate(image, xi, shift, cap)
+            if h:
+                hc = math.gcd(*h.values())
+                h = {k: v // hc for k, v in h.items()}
+                if _heu_divides(f, h, n, w, guard) and _heu_divides(g, h, n, w, guard):
+                    return {k: v * c for k, v in h.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _heu_poly_gcd(a: Poly, b: Poly):
+    """poly_gcd by GCDHEU on the primitive integer parts, or None if it gives up.
+
+    Each operand's rational content is split off and its denominators
+    cleared; exponents are packed w bits per variable, one of them a guard
+    bit.  The primitive gcd is turned back into Fractions once, with a
+    positive grlex-leading coefficient, times frac_gcd of the contents.
+    """
+    w = max(map(max, (*a.terms, *b.terms))).bit_length() + 1
+    packed, conts = [], []
+    for p in (a, b):
+        cs = p.terms.values()
+        num = math.gcd(*[c.numerator for c in cs])
+        den = math.lcm(*[c.denominator for c in cs])
+        packed.append({k: v // num for k, v in _K._packed(p.terms, den, w)})
+        conts.append(Fraction(num, den))
+    n = a.nvars
+    guard = sum(1 << (w * i + w - 1) for i in range(n))
+    h = _heu_gcd(packed[0], packed[1], n, w, guard)
+    if h is None:
+        return None
+    mask = (1 << w) - 1
+    shifts = range(w * (n - 1), -1, -w)
+    exps = {tuple([(k >> s) & mask for s in shifts]): k for k in h}
+    cont = frac_gcd(*conts)
+    p, q = cont.numerator, cont.denominator
+    if h[exps[max(exps, key=_grlex_key)]] < 0:
+        p = -p
+    return Poly._raw(n, {e: Fraction(h[k] * p, q) for e, k in exps.items()})
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Q[x1..xn], rational content included, positive leading coefficient.
 
-    Primitive pseudo-remainder sequences on a common variable, with contents
-    handled recursively.  gcd(0, 0) = 0.
+    The result is frac_gcd(content a, content b) times the primitive gcd
+    with a positive grlex-leading coefficient.  The heuristic integer gcd
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989; one variable
+    at a time after Liao & Fateman, ISSAC 1995) computes it on the
+    primitive integer parts, and every answer it gives has been checked by
+    exact trial division.  If it gives up, primitive pseudo-remainder
+    sequences on a common variable, with contents handled recursively,
+    answer instead.  gcd(0, 0) = 0.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -470,6 +672,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not common:
         # a factor of both can only involve shared variables
         return Poly.constant(a.nvars, frac_gcd(a.content(), b.content()))
+    g = _heu_poly_gcd(a, b)
+    if g is not None:
+        return g
+    return _prs_gcd(a, b, common)
+
+
+def _prs_gcd(a: Poly, b: Poly, common) -> Poly:
+    """poly_gcd by primitive pseudo-remainder sequences in a common variable."""
     v = min(common, key=lambda u: min(a.degree_in(u), b.degree_in(u)))
 
     ca = _content_in(a, v)

@@ -5,8 +5,10 @@ are the stated wall-clock budgets.  The randomized criteria run the seeded
 suites from higgspec.selftest at (at least) their required sizes.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,9 @@ from higgspec import selftest as sf
 from higgspec.cli import main
 
 SEED = 42
+# sha256 of the `selftest --seed 42 --format machine` block, recorded once;
+# a change that alters any selftest output bytes must say so by updating it
+SELFTEST_SHA256 = (Path(__file__).parent / "data" / "selftest-seed42.sha256").read_text().strip()
 
 
 def report(number, label, suite, budget=None, elapsed=None):
@@ -95,8 +100,9 @@ def test_criterion_11_selftest_deterministic(tmp_path, capsys):
     out2 = capsys.readouterr().out
     elapsed = time.perf_counter() - t0
     ok = rc1 == rc2 == 0 and out1 == out2 and len(out1) > 0
+    ok = ok and hashlib.sha256(out1.encode()).hexdigest() == SELFTEST_SHA256
     verdicts = json.loads(out1)["verdicts"]
     ok = ok and verdicts["all_passed"] and verdicts["total_failures"] == 0
     status = "PASS" if ok and elapsed < 120.0 else "FAIL"
-    print(f"criterion 11 {status}: selftest byte-identical twice [{elapsed:.2f}s < 120s]")
+    print(f"criterion 11 {status}: selftest byte-identical twice and to the recorded hash [{elapsed:.2f}s < 120s]")
     assert status == "PASS"

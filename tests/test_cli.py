@@ -1,10 +1,16 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from higgspec import moduli
 from higgspec.cli import machine_block, main, parse_config, run
 from higgspec.errors import ParseError, SchemaError
-from higgspec.poly import Poly
+from higgspec.geometry import MAX_GENUS
+from higgspec.poly import MAX_PARSED_DEGREE, Poly
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -61,6 +67,7 @@ def test_payload_schema_path_reported():
 
 
 def test_base_check_member(capsys, tmp_path):
+    # the README example; its machine block is pinned by a recorded sha256
     doc = {
         "command": "base-check",
         "model": {"kind": "chart", "nvars": 2},
@@ -73,6 +80,8 @@ def test_base_check_member(capsys, tmp_path):
     }
     rc, out = run_machine(capsys, tmp_path, doc)
     assert rc == 0
+    want = (DATA / "readme-base-check.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == want
     report = json.loads(out)
     assert report["verdicts"]["membership"] == "member"
     alpha = [Poly.from_tree(t) for t in report["values"]["factorization"]["alpha"]]
@@ -281,7 +290,23 @@ def _tower_cap_doc():
     }
 
 
+def _cover_doc(command, tau="1 * x1", **extra):
+    doc = {
+        "command": command,
+        "model": {"kind": "chart", "nvars": 2},
+        "payload": {"factorization": {"alpha": ["1 * x1", "1 * x2"], "tau": tau}, **extra},
+    }
+    if command == "correspondence":
+        doc["payload"]["higgs"] = {"matrices": [[["0", "0"], ["0", "0"]]] * 2}
+    return doc
+
+
+def _higher_rank_doc(coefficients, nvars=1):
+    return {"command": "higher-rank", "payload": {"rank": 2, "nvars": nvars, "coefficients": coefficients}}
+
+
 UNIT = {"class": [1, 0], "multiplicity": 1}
+TOO_HIGH = f"1 * x1^{MAX_PARSED_DEGREE} * x2"
 
 REJECTED_INPUTS = {
     "decimal rational": (_sl2r_doc([], ["1.5", "0"]), 2, "$.payload.L[0]"),
@@ -301,6 +326,34 @@ REJECTED_INPUTS = {
     ),
     "sl2r tuple cap": (_sl2r_doc([UNIT] * 40, [20, 0]), 1, "$.payload.components"),
     "tower cover cap": (_tower_cap_doc(), 1, "$.payload.components"),
+    "cover components not a list": (_cover_doc("cover", components=5), 2, "$.payload.components"),
+    "tower components not a list": (_cover_doc("tower", components=5), 2, "$.payload.components"),
+    "correspondence components": (_cover_doc("correspondence", components=5), 2, "$.payload.components"),
+    "higher-rank coefficients not a list": (_higher_rank_doc(5), 2, "$.payload.coefficients"),
+    "higher-rank no coefficients": (_higher_rank_doc([]), 2, "$.payload.coefficients"),
+    "higher-rank nvars cap": (_higher_rank_doc(["1"], nvars=10**9), 2, "$.payload.nvars"),
+    "rigidity double covers not a list": (
+        {"command": "rigidity", "payload": {"picard_number_one": False, "b1": 3, "double_cover_b1s": 5}},
+        2,
+        "$.payload.double_cover_b1s",
+    ),
+    "g1 above genus cap": (_sl2r_doc([], [0, 0]) | {"model": {"kind": "product_curves", "g1": 10000, "g2": 0}}, 2, "$.model.g1"),
+    "g2 above genus cap": (
+        {"command": "bx-table", "model": {"kind": "product_curves", "g1": 0, "g2": MAX_GENUS + 1}},
+        2,
+        "$.model.g2",
+    ),
+    "degree cap on tau": (_cover_doc("cover", tau="1 * x1^8000"), 1, "$.payload.factorization.tau"),
+    "degree cap on a component": (
+        _cover_doc("tower", components=[{"factor": TOO_HIGH, "multiplicity": 1}]),
+        1,
+        "$.payload.components[0].factor",
+    ),
+    "degree cap on a tree": (
+        _factor_doc({"nvars": 2, "terms": [{"exps": [MAX_PARSED_DEGREE, 1], "num": 1, "den": 1}]}),
+        1,
+        "$.payload.s[0][0]",
+    ),
 }
 
 
@@ -314,6 +367,36 @@ def test_rejected_input_exits_cleanly(name, tmp_path, capsys):
     assert "Traceback" not in err
     if code == 1:
         assert "DegreeCapExceeded" in err
+
+
+def test_integer_past_digit_limit_is_parse_error(tmp_path, capsys):
+    # valid JSON, but past the interpreter's 4300-digit limit for int literals
+    path = tmp_path / "job.json"
+    path.write_text('{"command": "rigidity", "payload": {"picard_number_one": false, "b1": ' + "9" * 5000 + "}}")
+    rc = main(["--config", str(path), "--format", "machine"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "$: invalid JSON" in err and "Traceback" not in err
+
+
+def test_genus_cap_is_inclusive(capsys, tmp_path):
+    doc = {"command": "bx-table", "model": {"kind": "product_curves", "g1": MAX_GENUS, "g2": MAX_GENUS}}
+    rc, out = run_machine(capsys, tmp_path, doc)
+    assert rc == 0 and json.loads(out)["verdicts"]["component_count"] > 0
+
+
+def test_section_identity_failure_exits_1(capsys, tmp_path, monkeypatch):
+    doc = {
+        "command": "hitchin-section",
+        "model": {"kind": "chart", "nvars": 2},
+        "payload": {"datum": {"s1": ["0", "0"], "s2": [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]}},
+    }
+    monkeypatch.setattr(moduli, "hitchin_map", lambda field: None)
+    rc = main(["--config", write_job(tmp_path, doc), "--format", "machine"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "VerificationFailure: section identity sh(chi(s)) = s failed" in err
+    assert "Traceback" not in err
 
 
 # -- determinism and roundtrip -------------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from higgspec import moduli
 from higgspec.errors import (
     DegreeCapExceeded,
     DegreeOrderViolation,
@@ -13,6 +14,7 @@ from higgspec.errors import (
     NilpotentDatum,
     NotApplicable,
     RankCap,
+    VerificationFailure,
     ZeroHiggsUnsupported,
 )
 from higgspec.geometry import NSClass, ProductOfCurves, SurfaceModel, degree
@@ -148,6 +150,17 @@ def test_section_nilpotent_diagonal():
     for i, mat in enumerate(out.field.matrices):
         assert mat[0][1].is_zero() and mat[1][0].is_zero()
         assert mat[0][0] == s1[i] * Fraction(1, 2) == mat[1][1]
+
+
+@pytest.mark.parametrize("branch", ["generic", "nilpotent_diagonal"])
+def test_section_identity_failure_is_a_verification_failure(branch, monkeypatch):
+    s1 = OneForm((P("1 * x1 + 1", 2), P("3 * x2", 2)))
+    s2 = quarter(s1)
+    if branch == "generic":
+        s2 = s2.add(RankOneFactorization(OneForm((P("1 * x1", 2), P("1 * x2", 2))), P("1 * x1 + 2", 2)).symdiff())
+    monkeypatch.setattr(moduli, "hitchin_map", lambda field: SpectralDatum(OneForm.zero(2), SymDiff.zero(2)))
+    with pytest.raises(VerificationFailure, match=r"section identity sh\(chi\(s\)\) = s failed"):
+        hitchin_section(SpectralDatum(s1, s2))
 
 
 def test_section_rejects_origin():

@@ -1,0 +1,100 @@
+"""Differential oracle: poly_gcd and squarefree_decompose against sympy.
+
+sympy is an optional test dependency; without it this module is skipped.
+Both sides are compared up to a rational factor, and higgspec's
+normalisation (rational content of the operands, positive grlex-leading
+coefficient) is checked on its own.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from higgspec.poly import Poly, poly_gcd, squarefree_decompose
+
+sympy = pytest.importorskip("sympy")
+
+GENS = sympy.symbols("x1:5")
+
+
+def to_sympy(p: Poly):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *GENS[: p.nvars], domain="QQ")
+
+
+def from_sympy(q) -> dict:
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in q.terms() if c}
+
+
+def grlex_lead(terms):
+    return max(terms, key=lambda e: (sum(e), e))
+
+
+def assert_associates(mine: Poly, theirs: dict):
+    assert set(mine.terms) == set(theirs)
+    lead = grlex_lead(theirs)
+    ratio = mine.terms[lead] / theirs[lead]
+    assert all(mine.terms[e] == ratio * c for e, c in theirs.items())
+
+
+@st.composite
+def rational_polys(draw, n, max_deg, max_terms):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        e = tuple(draw(st.integers(0, max_deg)) for _ in range(n))
+        terms[e] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+    return Poly(n, terms)
+
+
+@st.composite
+def gcd_cases(draw):
+    n = draw(st.integers(1, 4))
+    deg = 3 if n <= 2 else 2
+    g, a, b = (draw(rational_polys(n, deg, 3)) for _ in range(3))
+    return g * a, g * g * b
+
+
+def rational_content(*polys) -> Fraction:
+    """gcd over Q of every coefficient, from sympy's integer gcd and lcm."""
+    cs = [c for p in polys for c in p.terms.values()]
+    num = sympy.gcd_list([sympy.Integer(c.numerator) for c in cs])
+    den = sympy.lcm_list([sympy.Integer(c.denominator) for c in cs])
+    return Fraction(int(num), int(den))
+
+
+@given(gcd_cases())
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_sympy(xy):
+    x, y = xy
+    if x.is_zero() or y.is_zero():
+        return
+    d = poly_gcd(x, y)
+    assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
+    assert d.terms[grlex_lead(d.terms)] > 0
+    assert rational_content(d) == rational_content(x, y)
+
+
+@st.composite
+def squarefree_cases(draw):
+    n = draw(st.integers(1, 3))
+    f = Poly.constant(n, Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4))))
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(rational_polys(n, 2, 3))
+        f = f * base ** draw(st.integers(1, 4))
+    return f
+
+
+@given(squarefree_cases())
+@settings(max_examples=100, deadline=None)
+def test_squarefree_matches_sympy(f):
+    if f.is_zero():
+        return
+    d = squarefree_decompose(f)
+    _, factors = sympy.sqf_list(to_sympy(f))
+    want = {m: from_sympy(q) for q, m in factors if q.total_degree() > 0}
+    assert sorted(d.multiplicities()) == sorted(want)
+    for fac, m in d.factors:
+        assert_associates(fac, want[m])
+        assert rational_content(fac) == 1 and fac.terms[grlex_lead(fac.terms)] > 0
+    assert d.reconstruct(f.nvars) == f

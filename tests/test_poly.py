@@ -1,11 +1,17 @@
 import json
+import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higgspec.errors import DivisionFailure, ZeroPolynomial
+from higgspec import poly
+from higgspec._core_py import _packed
+from higgspec.errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial
 from higgspec.poly import (
+    MAX_PARSED_DEGREE,
     Poly,
     exact_div,
     frac_gcd,
@@ -158,6 +164,127 @@ def test_gcd_divides_both(gab):
     exact_div(d, g)  # d contains the constructed common factor
 
 
+# -- heuristic gcd and its PRS fallback -----------------------------------------
+
+
+@contextmanager
+def prs_only():
+    """GCDHEU gets no evaluation point, so every gcd is the primitive PRS's."""
+    with mock.patch.object(poly, "_HEU_ATTEMPTS", 0):
+        yield
+
+
+def _count_prs(monkeypatch):
+    calls = []
+    prs = poly._prs_gcd
+
+    def counted(a, b, common):
+        calls.append((a, b))
+        return prs(a, b, common)
+
+    monkeypatch.setattr(poly, "_prs_gcd", counted)
+    return calls
+
+
+GCD_EXAMPLES = [
+    # (a, b, gcd) with contents, signs and variables absent from one side
+    ("-6 * x1^2 + 6", "4 * x1^2 + -8 * x1 + 4", 1, "2 * x1 + -2"),
+    ("1/2 * x1^2 + -1/2 * x2^2", "-3 * x1^2 + -6 * x1 * x2 + -3 * x2^2", 2, "1/2 * x1 + 1/2 * x2"),
+    ("1 * x1^2 * x3 + -1 * x2^2 * x3", "1 * x1 * x3 + 1 * x2 * x3 + 2 * x1 + 2 * x2", 3, "1 * x1 + 1 * x2"),
+    ("2 * x1^3 * x2 + 4 * x1 * x2", "3 * x1^2 + 6", 2, "1 * x1^2 + 2"),
+    ("1 * x1^4 + 1", "1 * x1^2 + 1", 1, "1"),
+]
+
+
+@pytest.mark.parametrize("a, b, n, want", GCD_EXAMPLES)
+def test_gcd_examples_without_fallback(a, b, n, want, monkeypatch):
+    calls = _count_prs(monkeypatch)
+    assert poly_gcd(P(a, n), P(b, n)) == P(want, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("knob, value", [("_HEU_ATTEMPTS", 0), ("_HEU_MAX_BITS", 1)])
+@pytest.mark.parametrize("a, b, n, want", GCD_EXAMPLES)
+def test_gcd_falls_back_to_prs(a, b, n, want, knob, value, monkeypatch):
+    # no evaluation point, or every evaluation image too large: GCDHEU gives up
+    calls = _count_prs(monkeypatch)
+    monkeypatch.setattr(poly, knob, value)
+    assert poly_gcd(P(a, n), P(b, n)) == P(want, n)
+    assert calls
+
+
+def test_gcd_unlucky_point_then_fallback(monkeypatch):
+    # (x+8)(x+4) and (x+3)(x+4): at the first point, xi = 2*12 + 3 = 27, the
+    # images 35*31 and 30*31 share 5*31, one factor 5 too many, and the
+    # interpolated candidate 6*x1 - 7 divides neither.  The next point
+    # succeeds; with one point allowed, the PRS answers instead.
+    a = P("1 * x1^2 + 12 * x1 + 32", 1)
+    b = P("1 * x1^2 + 7 * x1 + 12", 1)
+    calls = _count_prs(monkeypatch)
+    assert poly_gcd(a, b) == P("1 * x1 + 4", 1)
+    assert calls == []
+    monkeypatch.setattr(poly, "_HEU_ATTEMPTS", 1)
+    assert poly_gcd(a, b) == P("1 * x1 + 4", 1)
+    assert len(calls) == 1
+
+
+def _divides_in_z(b, a):
+    try:
+        q = exact_div(a, b)
+    except DivisionFailure:
+        return False
+    return all(c.denominator == 1 for c in q.terms.values())
+
+
+def test_gcd_trial_division_matches_exact_division():
+    # the trial division on packed ints that accepts a GCDHEU candidate,
+    # against exact_div over Q with an integral quotient
+    rng = random.Random(11)
+
+    def rand_poly(n, deg):
+        return Poly(n, {tuple(rng.randint(0, deg) for _ in range(n)): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+    # a quotient term would run past deg_x1 a - deg_x1 b: not a divisor
+    cases = [(P("3 * x1^2 * x2^3 + -3 * x2", 2), P("-1 * x1 + 1 * x2", 2))]
+    while len(cases) < 3000:
+        n = rng.randint(1, 3)
+        a, b = rand_poly(n, rng.randint(1, 5)), rand_poly(n, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            a = a * b
+        if a and b:
+            cases.append((a, b))
+    for a, b in cases:
+        w = max(map(max, (*a.terms, *b.terms))).bit_length() + 1
+        guard = sum(1 << (w * i + w - 1) for i in range(a.nvars))
+        pa, pb = (dict(_packed(p.terms, 1, w)) for p in (a, b))
+        assert poly._heu_divides(pa, pb, a.nvars, w, guard) == _divides_in_z(b, a), (a, b)
+
+
+@st.composite
+def gcd_triples(draw):
+    n = draw(st.integers(1, 3))
+    deg = 2 if n == 3 else 3
+    return tuple(draw(polys(nvars=n, max_deg=deg, max_terms=3)) for _ in range(3))
+
+
+@given(gcd_triples())
+@settings(max_examples=80, deadline=None)
+def test_gcd_properties_and_prs_normalisation(gab):
+    g, a, b = gab
+    x, y = g * a, g * b * b
+    if x.is_zero() or y.is_zero():
+        return
+    d = poly_gcd(x, y)
+    # divides both, coprime cofactors
+    cx, cy = exact_div(x, d), exact_div(y, d)
+    assert poly_gcd(cx, cy).is_constant()
+    # normalisation: rational content of both, positive grlex-leading coefficient
+    assert d.content() == frac_gcd(x.content(), y.content())
+    assert d.leading_coefficient() > 0
+    with prs_only():
+        assert poly_gcd(x, y) == d
+
+
 def test_frac_gcd():
     assert frac_gcd(Fraction(3, 2), Fraction(2)) == Fraction(1, 2)
     assert frac_gcd(Fraction(0), Fraction(-4)) == 4
@@ -285,6 +412,21 @@ def test_content_reads_every_coefficient():
     d = squarefree_decompose(a**2 * P("1 * x1", 2))
     assert all(f.content() == 1 for f, _ in d.factors)
     assert d.reconstruct() == a**2 * P("1 * x1", 2)
+
+
+def test_parse_degree_cap():
+    n = MAX_PARSED_DEGREE
+    assert P(f"1 * x1^{n}", 2).total_degree() == n
+    assert P(f"1 * x1^{n - 1} * x2 + 1 * x1^{n} * x2^0", 2).total_degree() == n
+    with pytest.raises(DegreeCapExceeded):
+        P(f"1 * x1^{n} * x2", 2)
+    with pytest.raises(DegreeCapExceeded):
+        P(f"1 * x1^{n + 1} + 1", 1)
+    tree = {"nvars": 2, "terms": [{"exps": [n, 1], "num": 1, "den": 1}]}
+    with pytest.raises(DegreeCapExceeded):
+        Poly.from_tree(tree)
+    tree["terms"][0]["exps"] = [n, 0]
+    assert Poly.from_tree(tree).total_degree() == n
 
 
 def test_gcd_many():

@@ -276,7 +276,9 @@ def test_tower_cap_checked_before_enumeration(alpha_xy):
         tower_enumerate(cover)
     assert MAX_TOWER_COVERS == 4096
     # exactly 4096 covers is allowed: x1^8190 has floor(8190 / 2) + 1 of them
-    chain = tower_enumerate(build_cover(RankOneFactorization(alpha_xy, P("1 * x1^8190", 2))))
+    # (built, not parsed: parsed text is capped at total degree MAX_PARSED_DEGREE)
+    tau = Poly.variable(2, 0) ** 8190
+    chain = tower_enumerate(build_cover(RankOneFactorization(alpha_xy, tau)))
     assert len(chain.covers) == 4096
 
 
