@@ -7,13 +7,15 @@ normalisation and serialisation all use the graded lexicographic order.
 
 Floating point is rejected everywhere; the scalar field is Q.
 
-The gcd splits off the rational contents and runs the heuristic integer gcd
-GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989) on the primitive
-integer parts, with packed exponents, evaluating one variable at a time
-(Liao & Fateman, ISSAC 1995).  Every answer it gives is checked by exact
-trial division; when it gives up, primitive pseudo-remainder sequences
-answer instead.  Parsed polynomials are capped at total degree
-MAX_PARSED_DEGREE.
+Multiplication, division and the gcd run on packed integer polynomials
+(_pack, _unpack): a rational content times a primitive integer part, each
+exponent vector packed into one int.  The one division, _div_packed, is a
+heap division on those ints; exact_div runs it on the primitive parts, which
+is exact over Q by Gauss's lemma.  The gcd is the heuristic integer gcd
+GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989), one variable at a
+time (Liao & Fateman, ISSAC 1995), and _div_packed checks every answer it
+gives; when it gives up, primitive pseudo-remainder sequences answer
+instead.  Parsed polynomials are capped at total degree MAX_PARSED_DEGREE.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import re
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from operator import add
 
-from . import _core_py as _K
 from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial
 
 # Largest total degree a parsed polynomial may have.  Work in the squarefree
@@ -70,6 +72,209 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 def _grlex_key(e):
     return (sum(e), e)
+
+
+# -- packed integer polynomials --------------------------------------------------
+#
+# The multiply, gcd and division kernels run on dicts mapping an int key to an
+# int coefficient.  A key packs an exponent vector w bits per variable, the
+# first variable highest, so keys add as monomials multiply and compare as the
+# exponent vectors do in lex order.
+
+
+def _pack(t, w):
+    """(ints, (num, den)) with t == num / den * ints for a nonzero term dict t.
+
+    ints maps packed exponent vectors to integer coefficients of gcd one;
+    the content num / den is gcd(numerators) / lcm(denominators), positive
+    and in lowest terms.
+    """
+    cs = t.values()
+    nums = [c.numerator for c in cs]
+    dens = [c.denominator for c in cs]
+    num, den = math.gcd(*nums), math.lcm(*dens)
+    if num > 1 or den > 1:
+        nums = [p * (den // q) // num for p, q in zip(nums, dens)]
+    keys = []
+    for e in t:
+        k = 0
+        for x in e:
+            k = (k << w) | x
+        keys.append(k)
+    return dict(zip(keys, nums)), (num, den)
+
+
+def _unpack(ints, n, w, p, q):
+    """The term dict of ints * p / q, ints packed in n fields of w bits; zeros are dropped."""
+    mask = (1 << w) - 1
+    shifts = range(w * (n - 1), -1, -w)
+    if p != 1:
+        ints = {k: v * p for k, v in ints.items()}
+    return {
+        tuple([(k >> s) & mask for s in shifts]): Fraction(v, q) if q > 1 else Fraction(v)
+        for k, v in ints.items()
+        if v
+    }
+
+
+def _pack_pair(a, b):
+    """(_pack(a), _pack(b), w, guard): every field gets a spare top bit, set in guard."""
+    w = max(map(max, (*a.terms, *b.terms))).bit_length() + 1
+    guard = sum(1 << (w * i + w - 1) for i in range(a.nvars))
+    return _pack(a.terms, w), _pack(b.terms, w), w, guard
+
+
+def _box(f, n, w):
+    """Per-field maxima of f's exponents, packed."""
+    mask = (1 << w) - 1
+    box = 0
+    for s in range(w * (n - 1), -1, -w):
+        box = (box << w) | max([(k >> s) & mask for k in f])
+    return box
+
+
+def _div_packed(a, b, n, w, guard):
+    """Divide a by b in Z[x], for packed int dicts: (quotient, divides).
+
+    Heap division (Johnson 1974; Monagan & Pearce, J. Symb. Comput. 2011):
+    keys compare as integers in lex order, so the largest remainder key is
+    the leading term, and a heap holds the remainder keys.  Every field has
+    a spare top bit (guard): a quotient exponent that would go negative, or
+    past deg a - deg b, clears it, and the division fails at once, as it
+    does when a leading coefficient of b does not divide one of the
+    remainder.  On failure the quotient is the partial one reached so far.
+    """
+    q = {}
+    room = (_box(a, n, w) | guard) - _box(b, n, w)
+    if room & guard != guard:
+        return q, False
+    room ^= guard
+    lb = max(b)
+    cb = b[lb]
+    rest = [(k, c) for k, c in b.items() if k != lb]
+    r = dict(a)
+    heap = [-k for k in r]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = r.pop(k)
+        if not c:
+            continue
+        m = (k | guard) - lb
+        if m & guard != guard:
+            return q, False
+        m ^= guard
+        if ((room | guard) - m) & guard != guard:
+            return q, False
+        qc, rem = divmod(c, cb)
+        if rem:
+            return q, False
+        q[m] = qc
+        # keys m + kb all lie below k: nothing popped comes back
+        for kb, c2 in rest:
+            kk = m + kb
+            old = r.get(kk)
+            if old is None:
+                r[kk] = -qc * c2
+                heappush(heap, -kk)
+            else:
+                r[kk] = old - qc * c2
+    return q, True
+
+
+# -- term kernels ----------------------------------------------------------------
+#
+# All operate on plain dicts mapping exponent tuples to nonzero Fraction
+# coefficients and never mutate their arguments.
+
+
+def _add_terms(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = prev + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _sub_terms(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        prev = out.get(e)
+        if prev is None:
+            out[e] = -c
+        else:
+            s = prev - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _scale_terms(a, c):
+    if not c:
+        return {}
+    return {e: k * c for e, k in a.items()}
+
+
+def _mul_terms(a, b):
+    """Product of two term dicts.
+
+    When the shorter operand has at most two terms, each term pair is formed
+    directly: packing both operands would cost more than it saves.  Otherwise
+    each operand is packed (_pack), with w wide enough for any exponent of
+    the product; a monomial product is then one int add, and the inner loop
+    touches ints only (Monagan & Pearce, CASC 2007).  Keys are unpacked and
+    coefficients turned back into Fractions once, at the end.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= 2:
+        out = {}
+        for ea, ca in a.items():
+            p, q = ca.numerator, ca.denominator
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                c = Fraction(p * cb.numerator, q * cb.denominator)
+                prev = out.get(e)
+                if prev is not None:
+                    c += prev
+                    if not c:
+                        del out[e]
+                        continue
+                out[e] = c
+        return out
+    w = (max(map(sum, a)) + max(map(sum, b))).bit_length()
+    pa, (na, da) = _pack(a, w)
+    pb, (nb, db) = _pack(b, w)
+    pb = list(pb.items())
+    p = na * nb
+    acc = {}
+    get = acc.get
+    for ka, va in pa.items():
+        va *= p
+        for kb, vb in pb:
+            k = ka + kb
+            acc[k] = get(k, 0) + va * vb
+    return _unpack(acc, len(next(iter(a))), w, 1, da * db)
+
+
+def _eval_terms(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v *= x**k
+        total += v
+    return total
 
 
 class Poly:
@@ -199,7 +404,7 @@ class Poly:
         if c == 1:
             return c, self
         inv = 1 / c
-        return c, Poly._raw(self.nvars, _K.scale_terms(self.terms, inv))
+        return c, Poly._raw(self.nvars, _scale_terms(self.terms, inv))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -216,7 +421,7 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _K.add_terms(self.terms, other.terms))
+        return Poly._raw(self.nvars, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -224,26 +429,26 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _K.sub_terms(self.terms, other.terms))
+        return Poly._raw(self.nvars, _sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _K.sub_terms(other.terms, self.terms))
+        return Poly._raw(self.nvars, _sub_terms(other.terms, self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Poly._raw(self.nvars, _K.scale_terms(self.terms, Fraction(other)))
+            return Poly._raw(self.nvars, _scale_terms(self.terms, Fraction(other)))
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _K.mul_terms(self.terms, other.terms))
+        return Poly._raw(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly._raw(self.nvars, _K.scale_terms(self.terms, Fraction(-1)))
+        return Poly._raw(self.nvars, _scale_terms(self.terms, Fraction(-1)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -271,7 +476,7 @@ class Poly:
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.nvars:
             raise ValueError("point length must equal nvars")
-        return _K.eval_terms(self.terms, point)
+        return _eval_terms(self.terms, point)
 
     def lift(self, extra=1):
         """Adjoin `extra` fresh trailing variables (used for charpoly in lambda)."""
@@ -377,9 +582,13 @@ def _degree_capped(p: Poly) -> Poly:
 def exact_div(a: Poly, b: Poly) -> Poly:
     """Exact quotient a / b in the polynomial ring.
 
-    Raises :class:`DivisionFailure` with the remainder witness when b does
-    not divide a.  Reduction is by leading terms in graded-lex order, which
-    is complete for exact division because the order is multiplicative.
+    A constant b just scales a.  Otherwise each operand is split into its
+    rational content times a primitive integer part, the parts are packed
+    and divided by _div_packed, and the quotient is content(a) / content(b)
+    times theirs.  This is exact over Q: by Gauss's lemma a primitive b
+    divides a over Q iff it divides over Z.  When b does not divide a,
+    :class:`DivisionFailure` carries the witness a - q*b, q the partial
+    quotient reached; the witness is nonzero and b divides a minus it.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -387,27 +596,14 @@ def exact_div(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return Poly.zero(a.nvars)
-    eb = b.leading_exponent()
-    cb = b.terms[eb]
-    q = {}
-    r = a.terms
-    while r:
-        er = max(r, key=_grlex_key)
-        diff = tuple(x - y for x, y in zip(er, eb))
-        if any(d < 0 for d in diff):
-            raise DivisionFailure(Poly._raw(a.nvars, r))
-        c = r[er] / cb
-        q[diff] = c
-        r = _K.submul_terms(r, c, diff, b.terms)
-    return Poly._raw(a.nvars, q)
-
-
-def divides(b: Poly, a: Poly) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except DivisionFailure:
-        return False
+    if b.is_constant():
+        return a * (1 / b.constant_value())
+    (fa, (na, da)), (fb, (nb, db)), w, guard = _pack_pair(a, b)
+    fq, divides = _div_packed(fa, fb, a.nvars, w, guard)
+    q = Poly._raw(a.nvars, _unpack(fq, a.nvars, w, na * db, da * nb))
+    if not divides:
+        raise DivisionFailure(a - q * b)
+    return q
 
 
 # -- gcd ---------------------------------------------------------------------
@@ -509,59 +705,6 @@ def _heu_interpolate(h, xi, shift, cap):
     return out
 
 
-def _heu_box(f, n, w):
-    """Per-field maxima of f's exponents, packed."""
-    mask = (1 << w) - 1
-    box = 0
-    for s in range(w * (n - 1), -1, -w):
-        box = (box << w) | max([(k >> s) & mask for k in f])
-    return box
-
-
-def _heu_divides(a, b, n, w, guard):
-    """Whether b divides a in Z[x], for packed int dicts.
-
-    Keys compare as integers in lex order, so the largest remainder key is
-    the leading term; a heap holds the remainder keys.  Every field has a
-    spare top bit (guard): a quotient exponent that would go negative, or
-    past deg a - deg b, clears it, and the division fails at once.
-    """
-    room = (_heu_box(a, n, w) | guard) - _heu_box(b, n, w)
-    if room & guard != guard:
-        return False
-    room ^= guard
-    lb = max(b)
-    cb = b[lb]
-    rest = [(k, c) for k, c in b.items() if k != lb]
-    r = dict(a)
-    heap = [-k for k in r]
-    heapify(heap)
-    while heap:
-        k = -heappop(heap)
-        c = r.pop(k)
-        if not c:
-            continue
-        m = (k | guard) - lb
-        if m & guard != guard:
-            return False
-        m ^= guard
-        if ((room | guard) - m) & guard != guard:
-            return False
-        qc, rem = divmod(c, cb)
-        if rem:
-            return False
-        # keys m + kb all lie below k: nothing popped comes back
-        for kb, c2 in rest:
-            kk = m + kb
-            old = r.get(kk)
-            if old is None:
-                r[kk] = -qc * c2
-                heappush(heap, -kk)
-            else:
-                r[kk] = old - qc * c2
-    return True
-
-
 def _heu_gcd(f, g, n, w, guard):
     """GCDHEU on nonzero int dicts with n packed fields of w bits.
 
@@ -601,7 +744,7 @@ def _heu_gcd(f, g, n, w, guard):
             if h:
                 hc = math.gcd(*h.values())
                 h = {k: v // hc for k, v in h.items()}
-                if _heu_divides(f, h, n, w, guard) and _heu_divides(g, h, n, w, guard):
+                if _div_packed(f, h, n, w, guard)[1] and _div_packed(g, h, n, w, guard)[1]:
                     return {k: v * c for k, v in h.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -610,32 +753,17 @@ def _heu_gcd(f, g, n, w, guard):
 def _heu_poly_gcd(a: Poly, b: Poly):
     """poly_gcd by GCDHEU on the primitive integer parts, or None if it gives up.
 
-    Each operand's rational content is split off and its denominators
-    cleared; exponents are packed w bits per variable, one of them a guard
-    bit.  The primitive gcd is turned back into Fractions once, with a
-    positive grlex-leading coefficient, times frac_gcd of the contents.
+    The operands are packed with _pack_pair; the primitive gcd is turned
+    back into Fractions once, times frac_gcd of the contents, with a
+    positive grlex-leading coefficient.
     """
-    w = max(map(max, (*a.terms, *b.terms))).bit_length() + 1
-    packed, conts = [], []
-    for p in (a, b):
-        cs = p.terms.values()
-        num = math.gcd(*[c.numerator for c in cs])
-        den = math.lcm(*[c.denominator for c in cs])
-        packed.append({k: v // num for k, v in _K._packed(p.terms, den, w)})
-        conts.append(Fraction(num, den))
-    n = a.nvars
-    guard = sum(1 << (w * i + w - 1) for i in range(n))
-    h = _heu_gcd(packed[0], packed[1], n, w, guard)
+    (fa, (na, da)), (fb, (nb, db)), w, guard = _pack_pair(a, b)
+    h = _heu_gcd(fa, fb, a.nvars, w, guard)
     if h is None:
         return None
-    mask = (1 << w) - 1
-    shifts = range(w * (n - 1), -1, -w)
-    exps = {tuple([(k >> s) & mask for s in shifts]): k for k in h}
-    cont = frac_gcd(*conts)
-    p, q = cont.numerator, cont.denominator
-    if h[exps[max(exps, key=_grlex_key)]] < 0:
-        p = -p
-    return Poly._raw(n, {e: Fraction(h[k] * p, q) for e, k in exps.items()})
+    # frac_gcd of the contents, which are in lowest terms
+    g = _unpack(h, a.nvars, w, math.gcd(na, nb), math.lcm(da, db))
+    return _positive_leading(Poly._raw(a.nvars, g))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -788,7 +916,7 @@ def squarefree_decompose(f: Poly) -> SquarefreeDecomposition:
     g = _squarefree_cofactor(prim)
     if g.is_constant():
         return SquarefreeDecomposition(content, [(prim, 1)])
-    g = exact_div(g, Poly.constant(f.nvars, g.content()))
+    _, g = g.primitive()
     w = exact_div(prim, g)
     _, w = w.primitive()
 

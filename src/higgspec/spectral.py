@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Optional
 
 from .errors import (
     CayleyHamiltonViolation,
     InconsistentBranchData,
     DegreeCapExceeded,
+    DivisionFailure,
     FactorizationInconsistent,
     FactorizationMismatch,
     NotRankOne,
@@ -227,7 +227,6 @@ class RankOneFactorization:
 
     alpha: OneForm
     tau: Poly
-    ell_degree_data: Optional[dict] = None
 
     def __post_init__(self):
         if self.alpha.is_zero():
@@ -383,7 +382,7 @@ def factor_rank_one(S: SymDiff) -> RankOneFactorization:
     alpha = _normalize_covector(tuple(S[i0][j] for j in range(n)))
     try:
         tau = exact_div(S[i0][i0], alpha[i0] * alpha[i0])
-    except Exception as exc:
+    except DivisionFailure as exc:
         raise FactorizationInconsistent(f"tau division failed: {exc}") from exc
     f = RankOneFactorization(OneForm(alpha), tau)
     if f.symdiff() != S:
@@ -496,7 +495,7 @@ def twisted_factor(phi: HiggsField, f: RankOneFactorization):
         phi0 = tuple(
             tuple(exact_div(p, f.alpha[i0]) for p in row) for row in traceless[i0]
         )
-    except Exception as exc:
+    except DivisionFailure as exc:
         raise FactorizationMismatch(f"division by alpha_{i0 + 1} failed: {exc}") from exc
     for i in range(n):
         expected = mat_scale(phi0, f.alpha[i])
@@ -614,7 +613,7 @@ def _declared_branch(tau: Poly, components) -> SquarefreeDecomposition:
         prod = prod * fct**m
     try:
         content = exact_div(tau, prod)
-    except Exception as exc:
+    except DivisionFailure as exc:
         raise InconsistentBranchData(f"declared components do not divide tau: {exc}") from exc
     if not content.is_constant():
         raise InconsistentBranchData("declared components miss a nonconstant factor of tau")

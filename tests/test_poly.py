@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from higgspec import poly
-from higgspec._core_py import _packed
 from higgspec.errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial
 from higgspec.poly import (
     MAX_PARSED_DEGREE,
@@ -228,36 +227,112 @@ def test_gcd_unlucky_point_then_fallback(monkeypatch):
     assert len(calls) == 1
 
 
-def _divides_in_z(b, a):
-    try:
-        q = exact_div(a, b)
-    except DivisionFailure:
-        return False
-    return all(c.denominator == 1 for c in q.terms.values())
+# -- exact division against a reference --------------------------------------------
 
 
-def test_gcd_trial_division_matches_exact_division():
-    # the trial division on packed ints that accepts a GCDHEU candidate,
-    # against exact_div over Q with an integral quotient
-    rng = random.Random(11)
+def _ref_lead(t):
+    return max(t, key=lambda e: (sum(e), e))
 
-    def rand_poly(n, deg):
-        return Poly(n, {tuple(rng.randint(0, deg) for _ in range(n)): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
 
+def _ref_sub_mul(r, c, e, b):
+    """r - c * x^e * b on term dicts of Fractions."""
+    out = dict(r)
+    for eb, cb in b.items():
+        k = tuple(x + y for x, y in zip(e, eb))
+        out[k] = out.get(k, Fraction(0)) - c * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_exact_div(a, b):
+    """Naive grlex long division over Fraction: the quotient, or None if b does not divide a."""
+    eb = _ref_lead(b)
+    q, r = {}, dict(a)
+    while r:
+        er = _ref_lead(r)
+        d = tuple(x - y for x, y in zip(er, eb))
+        if min(d) < 0:
+            return None
+        c = r[er] / b[eb]
+        q[d] = c
+        r = _ref_sub_mul(r, c, d, b)
+    return q
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e, c in a.items():
+        out = _ref_sub_mul(out, -c, e, b)
+    return out
+
+
+def _division_cases(seed, count=400):
+    """Seeded (a, b) pairs: nvars 1-4, rational contents, constant divisors,
+    exponents >= 2^20, divisors of larger degree than the dividend, and
+    non-divisible pairs next to divisible ones."""
+    rng = random.Random(seed)
+    big = 2**20
+
+    def exps(n, wide):
+        pool = [0, 0, 1, 2, 3] + ([big, big + 3] if wide else [])
+        return tuple(rng.choice(pool) for _ in range(n))
+
+    def coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.choice([1, 1, 2, 3, 10**9 + 7]))
+
+    def terms(n, k, wide):
+        return {exps(n, wide): coeff() for _ in range(k)}
+
+    for i in range(count):
+        n = 1 + i % 4
+        wide = i % 5 == 0
+        kind = i % 6
+        if kind == 0:
+            b = {(0,) * n: coeff()}
+        else:
+            b = terms(n, rng.randint(1, 4), wide)
+        q = terms(n, rng.randint(1, 4), wide)
+        a = _ref_mul(q, b)
+        if kind == 1:
+            # a stray term: usually not divisible any more
+            a = {**a, exps(n, wide): coeff()}
+        elif kind == 2:
+            # b has an exponent above every exponent of a
+            top = 1 + max(x for e in a for x in (0, *e))
+            b = {**b, (top,) + (0,) * (n - 1): coeff()}
+        a = {e: c for e, c in a.items() if c}
+        if a:
+            yield Poly(n, a), Poly(n, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_div_matches_reference_division(seed):
+    failures = 0
+    for a, b in _division_cases(seed):
+        want = _ref_exact_div(a.terms, b.terms)
+        if want is not None:
+            assert exact_div(a, b).terms == want, (a, b)
+            continue
+        failures += 1
+        with pytest.raises(DivisionFailure) as err:
+            exact_div(a, b)
+        witness = err.value.remainder
+        assert isinstance(witness, Poly) and witness, (a, b)
+        rest = _ref_sub_mul(a.terms, Fraction(1), (0,) * a.nvars, witness.terms)
+        assert _ref_exact_div(rest, b.terms) is not None, (a, b, witness)
+    assert failures > 50
+
+
+def test_packed_division_is_over_the_integers():
+    # the trial division of GCDHEU: x divides 2x over Z, 2x does not divide x
+    w, guard = 3, 1 << 2
+    assert poly._div_packed({1: 2}, {1: 1}, 1, w, guard) == ({0: 2}, True)
+    assert poly._div_packed({1: 1}, {1: 2}, 1, w, guard) == ({}, False)
     # a quotient term would run past deg_x1 a - deg_x1 b: not a divisor
-    cases = [(P("3 * x1^2 * x2^3 + -3 * x2", 2), P("-1 * x1 + 1 * x2", 2))]
-    while len(cases) < 3000:
-        n = rng.randint(1, 3)
-        a, b = rand_poly(n, rng.randint(1, 5)), rand_poly(n, rng.randint(1, 3))
-        if rng.random() < 0.5:
-            a = a * b
-        if a and b:
-            cases.append((a, b))
-    for a, b in cases:
-        w = max(map(max, (*a.terms, *b.terms))).bit_length() + 1
-        guard = sum(1 << (w * i + w - 1) for i in range(a.nvars))
-        pa, pb = (dict(_packed(p.terms, 1, w)) for p in (a, b))
-        assert poly._heu_divides(pa, pb, a.nvars, w, guard) == _divides_in_z(b, a), (a, b)
+    a, b = P("3 * x1^2 * x2^3 + -3 * x2", 2), P("-1 * x1 + 1 * x2", 2)
+    (fa, _), (fb, _), w, guard = poly._pack_pair(a, b)
+    assert not poly._div_packed(fa, fb, 2, w, guard)[1]
+    with pytest.raises(DivisionFailure):
+        exact_div(a, b)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from higgspec import spectral
 from higgspec.errors import (
     CayleyHamiltonViolation,
     DegreeCapExceeded,
@@ -317,6 +318,31 @@ def test_declared_components(alpha_xy):
         build_cover(f, components=[(x, 2)])  # misses y^2
     with pytest.raises(InconsistentBranchData):
         build_cover(f, components=[(x * y, 2), (x, 0)])
+
+
+@pytest.mark.parametrize("case", ["factor", "twisted", "declared"])
+def test_kernel_bug_in_division_is_not_a_domain_error(case, alpha_xy, monkeypatch):
+    # Only DivisionFailure means "does not divide"; any other exception from
+    # exact_div is a bug and must reach the caller unchanged.
+    x, y = P("1 * x1", 2), P("1 * x2", 2)
+    real = spectral.exact_div
+    if case == "factor":
+        trigger, run = x * x, lambda: factor_rank_one(sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]))
+    elif case == "twisted":
+        f = RankOneFactorization(alpha_xy, x)
+        trigger, run = x, lambda: twisted_factor(canonical_field(f), f)
+    else:
+        f = RankOneFactorization(alpha_xy, x**2 * y**2)
+        trigger, run = x**2 * y**2, lambda: build_cover(f, components=[(x, 2), (y, 2)])
+
+    def buggy(a, b):
+        if b == trigger:
+            raise TypeError("kernel bug")
+        return real(a, b)
+
+    monkeypatch.setattr(spectral, "exact_div", buggy)
+    with pytest.raises(TypeError, match="kernel bug"):
+        run()
 
 
 def test_canonical_module_and_pushforward():
