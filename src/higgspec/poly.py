@@ -38,8 +38,8 @@ _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
-def _parse_rational(text: str) -> Fraction:
-    """The one rational grammar of configs: [+-]?digits(/digits)?, q != 0."""
+def _rational_parts(text: str):
+    """(p, q) of the one rational grammar of configs: [+-]?digits(/digits)?, q != 0."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"bad rational {text!r}: expected p or p/q")
@@ -47,7 +47,11 @@ def _parse_rational(text: str) -> Fraction:
     den = int(den or 1)
     if not den:
         raise ValueError(f"bad rational {text!r}: zero denominator")
-    return Fraction(int(num), den)
+    return int(num), den
+
+
+def _parse_rational(text: str) -> Fraction:
+    return Fraction(*_rational_parts(text))
 
 
 def _coerce_coeff(c):
@@ -527,6 +531,7 @@ class Poly:
 
     @classmethod
     def from_text(cls, text: str, nvars: int) -> "Poly":
+        """Parse ``c * x1^2 * x3 + ...``; repeated monomials are merged, zeros dropped."""
         terms = {}
         body = text.strip()
         if not body:
@@ -535,21 +540,26 @@ class Poly:
             raw_term = raw_term.strip()
             if not raw_term:
                 raise ValueError(f"empty term in {text!r}")
-            coeff = Fraction(1)
+            num = den = 1
             exps = [0] * nvars
             for piece in raw_term.split("*"):
                 piece = piece.strip()
-                m = _VAR_RE.match(piece)
+                # only a piece starting with "x" can be a variable
+                m = _VAR_RE.match(piece) if piece[:1] == "x" else None
                 if m:
                     idx = int(m.group(1)) - 1
                     if not 0 <= idx < nvars:
                         raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
                     exps[idx] += int(m.group(2) or 1)
                 else:
-                    coeff *= _parse_rational(piece)
+                    p, q = _rational_parts(piece)
+                    num *= p
+                    den *= q
             e = tuple(exps)
-            terms[e] = terms.get(e, Fraction(0)) + coeff
-        return _degree_capped(cls(nvars, terms))
+            c = Fraction(num, den)
+            prev = terms.get(e)
+            terms[e] = c if prev is None else prev + c
+        return _degree_capped(cls._raw(nvars, {e: c for e, c in terms.items() if c}))
 
     def to_tree(self):
         return {

@@ -4,8 +4,12 @@ Everything is computed in a polynomial chart: a degree-two symmetric
 differential is a symmetric matrix of polynomials, a Higgs field is a tuple
 of coefficient matrices, and the double cover attached to a factorization
 s = tau * alpha alpha^T is tracked through its branch decomposition.  The
-global rank test (all 2x2 minors identically zero) agrees with the pointwise
-rank condition because the coefficient field is infinite.
+global rank test agrees with the pointwise rank condition because the
+coefficient field is infinite.  It checks the pivot identities
+S[p][p] S[i][j] = S[p][i] S[p][j] at the first nonzero diagonal entry
+S[p][p] (rank at most one iff all hold), and only when one fails, or the
+diagonal is zero, scans the 2x2 minors for the first nonzero one, the
+witness; both passes share one cache of entry products.
 """
 
 from __future__ import annotations
@@ -206,7 +210,14 @@ class SpectralDatum:
 
     def quarter_defect(self) -> SymDiff:
         """s2 - (1/4) s1 s1^T, the symmetric differential tested for rank one."""
-        return self.s2.sub(SymDiff.outer(self.s1, self.s1).scale(Fraction(1, 4)))
+        s1, s2 = self.s1, self.s2.S
+        n = len(s2)
+        quarter = Fraction(1, 4)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = s2[i][j] - s1[i] * s1[j] * quarter
+        return SymDiff(rows)
 
     def to_tree(self):
         return {"s1": self.s1.to_tree(), "s2": self.s2.to_tree()}
@@ -303,20 +314,47 @@ class HiggsField:
 # -- rank tests ----------------------------------------------------------------
 
 
-def _minor2(S, i, j, k, l):
-    return S[i][k] * S[j][l] - S[i][l] * S[j][k]
-
-
 def first_nonzero_minor(S: SymDiff):
-    """First (grlex-ordered indices) nonvanishing 2x2 minor, or None."""
-    n = S.dim
+    """First (grlex-ordered indices) nonvanishing 2x2 minor, or None.
+
+    Pivot test first: with p the first index where S[p][p] != 0, S has rank
+    at most one iff S[p][p] S[i][j] == S[p][i] S[p][j] for all i <= j other
+    than p (the Schur complement of S[p][p] vanishes over the fraction
+    field); then the answer is None.  Otherwise, or when the diagonal is zero
+    (rank two unless S = 0), the 2x2 minors (i < j, k < l) are scanned in
+    loop order for the first nonzero one.  Both passes read entry products
+    from one per-call cache keyed by the unordered pair of symmetric
+    positions, so a witness costs no product more than the scan alone.
+    """
+    S = S.S
+    n = len(S)
+    products = {}
+
+    def prod(a, b, c, d):
+        x = (a, b) if a <= b else (b, a)
+        y = (c, d) if c <= d else (d, c)
+        key = (x, y) if x <= y else (y, x)
+        v = products.get(key)
+        if v is None:
+            v = products[key] = S[a][b] * S[c][d]
+        return v
+
+    p = next((i for i in range(n) if S[i][i]), None)
+    if p is not None:
+        others = [i for i in range(n) if i != p]
+        if all(
+            prod(p, p, i, j) == prod(p, i, p, j)
+            for a, i in enumerate(others)
+            for j in others[a:]
+        ):
+            return None
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
                 for l in range(k + 1, n):
-                    m = _minor2(S.S, i, j, k, l)
-                    if not m.is_zero():
-                        return (i, j, k, l), m
+                    left, right = prod(i, k, j, l), prod(i, l, j, k)
+                    if left != right:
+                        return (i, j, k, l), left - right
     return None
 
 
@@ -422,7 +460,8 @@ def spectral_base_check(d: SpectralDatum) -> SpectralBaseVerdict:
 
     Computes Q = s2 - (1/4) s1 s1^T.  Q identically zero is the nilpotent
     locus; otherwise membership holds iff Q has rank at most one, and the
-    failure witness is a nonvanishing minor of 4 s2 - s1 s1^T.
+    failure witness is a nonvanishing minor of 4 s2 - s1 s1^T = 4 Q, which
+    is 16 times the same minor of Q.
     """
     q = d.quarter_defect()
     if q.is_zero():
@@ -430,9 +469,7 @@ def spectral_base_check(d: SpectralDatum) -> SpectralBaseVerdict:
     try:
         return Member(factor_rank_one(q))
     except NotRankOne as exc:
-        i, j, k, l = exc.indices
-    scaled = d.s2.scale(4).sub(SymDiff.outer(d.s1, d.s1))
-    return NotMember((i, j, k, l), _minor2(scaled.S, i, j, k, l))
+        return NotMember(exc.indices, exc.minor * 16)
 
 
 # -- Higgs fields ----------------------------------------------------------------
@@ -569,10 +606,16 @@ class SpectralCover:
         }
 
 
-def _effective_tau(branch: SquarefreeDecomposition, tuple_a, nvars) -> Poly:
+def _effective_tau(branch: SquarefreeDecomposition, tuple_a, nvars, powers) -> Poly:
+    """content * prod f_i^(m_i - 2 a_i); powers[i] maps e to f_i^e, shared across a tower."""
     out = Poly.constant(nvars, branch.content)
-    for (f, m), a in zip(branch.factors, tuple_a):
-        out = out * f ** (m - 2 * a)
+    for (f, m), a, cache in zip(branch.factors, tuple_a, powers):
+        e = m - 2 * a
+        if e:
+            fe = cache.get(e)
+            if fe is None:
+                fe = cache[e] = f**e
+            out = out * fe
     return out
 
 
@@ -589,8 +632,9 @@ def build_cover(f: RankOneFactorization, components=None) -> SpectralCover:
         branch = squarefree_decompose(f.tau)
     else:
         branch = _declared_branch(f.tau, components)
-    a = (0,) * len(branch.factors)
-    return SpectralCover(f, branch, a, _effective_tau(branch, a, f.tau.nvars))
+    # at a = 0 the effective tau is content * prod f_i^m_i, which is tau itself:
+    # both branch constructions reproduce tau exactly
+    return SpectralCover(f, branch, (0,) * len(branch.factors), f.tau)
 
 
 def _declared_branch(tau: Poly, components) -> SquarefreeDecomposition:
@@ -640,12 +684,18 @@ def tower_enumerate(c: SpectralCover) -> TowerResult:
     count = math.prod(m // 2 + 1 for m in ms)
     if count > MAX_TOWER_COVERS:
         raise DegreeCapExceeded(f"tower of {count} covers exceeds cap {MAX_TOWER_COVERS}")
-    nvars = c.factorization.tau.nvars
+    tau = c.factorization.tau
     ranges = [range(m // 2 + 1) for m in ms]
     tuples = list(_iproduct(*ranges)) if ms else [()]
     index = {t: i for i, t in enumerate(tuples)}
+    powers = [{} for _ in ms]
     covers = tuple(
-        SpectralCover(c.factorization, c.branch, t, _effective_tau(c.branch, t, nvars))
+        SpectralCover(
+            c.factorization,
+            c.branch,
+            t,
+            _effective_tau(c.branch, t, tau.nvars, powers) if any(t) else tau,
+        )
         for t in tuples
     )
     edges = []

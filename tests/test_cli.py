@@ -88,6 +88,21 @@ def test_base_check_member(capsys, tmp_path):
     assert [p.to_text() for p in alpha] == ["1 * x1", "1 * x2"]
 
 
+@pytest.mark.parametrize("name", ["factor-n3", "base-check-n3", "factor-n4", "base-check-n4"])
+def test_rank_two_witness_bytes(name, capsys, tmp_path):
+    # rank-two inputs tau1 alpha alpha^T + tau2 beta beta^T; at n = 4 rows 0
+    # vanish and the witness is minor (1, 3, 1, 3), past the first one.  The
+    # machine blocks, witness included, are pinned by recorded sha256s.
+    doc = json.loads((DATA / "witness-jobs.json").read_text())[name]
+    rc, out = run_machine(capsys, tmp_path, doc)
+    assert rc == 0
+    want = (DATA / f"witness-{name}.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+    report = json.loads(out)
+    assert report["verdicts"] in ({"rank_le_one": False}, {"membership": "not_member"})
+    assert report["witnesses"]["minor_indices"] == ([0, 1, 0, 1] if name.endswith("n3") else [1, 3, 1, 3])
+
+
 def test_bx_table_dims(capsys, tmp_path):
     doc = {"command": "bx-table", "model": {"kind": "product_curves", "g1": 2, "g2": 3}}
     rc, out = run_machine(capsys, tmp_path, doc)

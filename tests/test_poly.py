@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -446,6 +447,94 @@ def test_from_text_rejects_bad_input():
         P("", 2)
     with pytest.raises(ValueError):
         P("1 * y1", 2)
+
+
+def _ref_parse(text, nvars):
+    """Term-by-term reference parser: {exponents: Fraction}, zeros dropped, or None if malformed."""
+    if not text.strip():
+        return None
+    terms = {}
+    for term in text.split("+"):
+        if not term.strip():
+            return None
+        coeff, exps = Fraction(1), [0] * nvars
+        for factor in (f.strip() for f in term.split("*")):
+            var = re.fullmatch(r"x([0-9]+)(\^([0-9]+))?", factor)
+            num = re.fullmatch(r"([+-]?[0-9]+)(/([0-9]+))?", factor)
+            if var:
+                v = int(var.group(1))
+                if not 1 <= v <= nvars:
+                    return None
+                exps[v - 1] += int(var.group(3) or 1)
+            elif num and int(num.group(3) or 1):
+                coeff *= Fraction(int(num.group(1)), int(num.group(3) or 1))
+            else:
+                return None
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + coeff
+    return {e: c for e, c in terms.items() if c}
+
+
+def _parse_cases(seed, count=400):
+    """Seeded polynomial texts: several coefficient pieces, repeated variables,
+    repeated monomials that cancel, odd whitespace, and malformed pieces."""
+    rng = random.Random(seed)
+    space = lambda: rng.choice(["", " ", "  ", "\t"])
+    bad = ["", "1.5", "1/0", "x0", "x9", "y1", "x1^", "^2", "2x1", "--1", "1/-2", "x1^-1", "x 1"]
+
+    def piece(n):
+        r = rng.random()
+        if r < 0.4:
+            return f"x{rng.randint(1, n)}" + rng.choice(["", f"^{rng.randint(0, 4)}"])
+        if r < 0.97:
+            return rng.choice(["", "+", "-"]) + str(rng.randint(0, 12)) + rng.choice(["", f"/{rng.randint(1, 6)}"])
+        return rng.choice(bad)
+
+    for i in range(count):
+        n = 1 + i % 3
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            t = (space() + "*" + space()).join(piece(n) for _ in range(rng.randint(1, 4)))
+            terms.append(t)
+            if rng.random() < 0.3:
+                # the same monomial again with the opposite coefficient: cancels to zero
+                terms.append(f"-1 * {t}")
+        yield space() + (space() + "+" + space()).join(terms) + space(), n
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_from_text_matches_reference_parser(seed):
+    outcomes = set()
+    for text, n in _parse_cases(seed):
+        want = _ref_parse(text, n)
+        if want is None:
+            with pytest.raises(ValueError):
+                P(text, n)
+        else:
+            assert P(text, n).terms == want, text
+        outcomes.add("error" if want is None else "zero" if not want else "poly")
+    assert outcomes == {"error", "zero", "poly"}
+
+
+def test_from_text_examples():
+    assert P("2 * 3/4 * x1", 1) == Poly(1, {(1,): Fraction(3, 2)})
+    assert P("x1 * x1^2 * -1/2 * x2 * 4", 2) == Poly(2, {(3, 1): Fraction(-2)})
+    assert P("  1*x1\t+x1*  -1 + 3  ", 2) == Poly.constant(2, 3)
+    assert P("1 * x1^2000 + -1 * x1^2000", 1).is_zero()
+    assert P("0 * x1 + 0", 1).is_zero()
+    assert P("6/4 * x1 + 1/2 * x1", 1).terms == {(1,): Fraction(2)}
+    for text, n, message in [
+        ("1 + ", 1, "empty term"),
+        ("", 1, "empty polynomial"),
+        ("1/0 * x1", 1, "zero denominator"),
+        ("1.5", 1, "bad rational"),
+        ("1 * x3", 2, "out of range"),
+        ("1 * x0", 2, "out of range"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            P(text, n)
+    with pytest.raises(DegreeCapExceeded):
+        P(f"1 * x1^{MAX_PARSED_DEGREE} * x2 + 1", 2)
 
 
 @given(polys())

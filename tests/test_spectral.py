@@ -29,6 +29,7 @@ from higgspec.spectral import (
     build_cover,
     canonical_module,
     factor_rank_one,
+    first_nonzero_minor,
     higgs_integrable,
     hitchin_map,
     is_normal,
@@ -85,6 +86,176 @@ def test_rank_at():
     assert rank_at(s, (1, 2)) == 1
     ident = sym(2, [["1", "0"], ["0", "1"]])
     assert rank_at(ident, (Fraction(7, 3), -2)) == 2
+
+
+# -- first_nonzero_minor against a brute-force oracle ----------------------------
+#
+# Matrices are built and scanned as dicts {exponent tuple: Fraction} with their
+# own arithmetic; the oracle shares no code with spectral or poly.
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_first_minor(S):
+    """Every 2x2 minor, rows i < j and columns k < l in loop order: the first nonzero one."""
+    n = len(S)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    m = _ref_add(_ref_mul(S[i][k], S[j][l]), _ref_mul(S[i][l], S[j][k]), -1)
+                    if m:
+                        return (i, j, k, l), m
+    return None
+
+
+def _ref_poly(rng, n, degree, nterms):
+    t = {}
+    for _ in range(nterms):
+        e = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(n)] += 1
+        t = _ref_add(t, {tuple(e): Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 1, 2)))})
+    return t
+
+
+def _ref_sum_of_squares(n, parts):
+    """sum_k tau_k v_k v_k^T for parts [(tau_k, v_k)]."""
+    S = [[{} for _ in range(n)] for _ in range(n)]
+    for tau, v in parts:
+        for i in range(n):
+            for j in range(n):
+                S[i][j] = _ref_add(S[i][j], _ref_mul(tau, _ref_mul(v[i], v[j])))
+    return S
+
+
+def _rank_test_cases(seed, count=60):
+    """Seeded symmetric matrices, n = 1-4, as (label, term-dict matrix)."""
+    rng = random.Random(seed)
+
+    def vec(n, support):
+        return [_ref_poly(rng, n, 1, 2) if i in support else {} for i in range(n)]
+
+    for c in range(count):
+        n = 1 + c % 4
+        kind = c % 5
+        tau = lambda: _ref_poly(rng, n, 1, rng.randint(1, 2))
+        if kind == 0:
+            # rank one with zero rows: the pivot p is past them
+            support = set(rng.sample(range(n), rng.randint(1, n)))
+            yield "rank one, zero rows", _ref_sum_of_squares(n, [(tau(), vec(n, support))])
+        elif kind == 1 and n > 1:
+            # a b^T + b a^T with disjoint supports: zero diagonal, rank two
+            cut = rng.randint(1, n - 1)
+            a, b = vec(n, set(range(cut))), vec(n, set(range(cut, n)))
+            S = [[_ref_add(_ref_mul(a[i], b[j]), _ref_mul(b[i], a[j])) for j in range(n)] for i in range(n)]
+            yield "zero diagonal", S
+        elif kind == 2:
+            # tau1 alpha alpha^T + tau2 beta beta^T, alpha on coordinates >= q, beta on >= p:
+            # the pivot identities hold for several (i, j) before one fails
+            q, p = rng.randrange(n), rng.randrange(n)
+            parts = [(tau(), vec(n, set(range(q, n)))), (tau(), vec(n, set(range(p, n))))]
+            yield f"rank two q={q} p={p}", _ref_sum_of_squares(n, parts)
+        elif kind == 3:
+            parts = [(tau(), vec(n, set(range(n)))) for _ in range(rng.randint(0, 3))]
+            yield f"rank <= {len(parts)}", _ref_sum_of_squares(n, parts)
+        else:
+            S = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    S[i][j] = S[j][i] = _ref_poly(rng, n, 2, rng.randint(0, 3))
+            yield "random symmetric", S
+
+
+def _as_symdiff(S):
+    n = len(S)
+    return SymDiff(tuple(tuple(Poly(n, t) for t in row) for row in S))
+
+
+FIXED_RANK_TEST_CASES = [
+    [[{}, {(1, 0): Fraction(1)}], [{(1, 0): Fraction(1)}, {}]],
+    [[{}, {}, {}], [{}, {(0, 0, 0): Fraction(1)}, {}], [{}, {}, {(0, 1, 0): Fraction(2)}]],
+    [[{}, {}], [{}, {(0, 1): Fraction(3)}]],
+    [[{}, {}], [{}, {}]],
+    [[{(2,): Fraction(-1, 2)}]],
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_first_nonzero_minor_matches_brute_force(seed):
+    cases = list(_rank_test_cases(seed)) + [("fixed", S) for S in FIXED_RANK_TEST_CASES]
+    seen = set()
+    for label, S in cases:
+        want = _ref_first_minor(S)
+        got = first_nonzero_minor(_as_symdiff(S))
+        if want is None:
+            assert got is None, (label, S)
+        else:
+            assert got is not None and got[0] == want[0] and got[1].terms == want[1], (label, S)
+        seen.add((label.split(" q=")[0], want is None))
+    # both answers occur for the planted kinds
+    assert {("rank one, zero rows", True), ("zero diagonal", False), ("rank two", False)} <= seen
+
+
+def _symmetric_objects(T):
+    """SymDiff with one Poly object per symmetric position."""
+    n = len(T)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Poly(n, T[i][j])
+    return SymDiff(rows)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(tuple(sorted((id(a), id(b)))))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    return calls
+
+
+@pytest.mark.parametrize("q, p", [(0, 0), (1, 2), (2, 3), (1, 1)])
+def test_rank_test_computes_each_product_once(q, p, monkeypatch):
+    # a repeated pair of operands is the same product of entries computed twice
+    n = 4
+    rng = random.Random(f"{q} {p}")
+    vec = lambda lo: [_ref_poly(rng, n, 1, 2) if i >= lo else {} for i in range(n)]
+    T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), vec(q)), (_ref_poly(rng, n, 1, 2), vec(p))])
+    S = _symmetric_objects(T)
+    calls = _count_products(monkeypatch)
+    got = first_nonzero_minor(S)
+    assert got is not None and got[0] == _ref_first_minor(T)[0]
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_rank_one_member_costs_only_the_pivot_products(monkeypatch):
+    # S[p][p] S[i][j] and S[p][i] S[p][j] for i <= j other than p: 2 * 6 products at n = 4
+    n = 4
+    rng = random.Random(11)
+    T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])])
+    S = _symmetric_objects(T)
+    calls = _count_products(monkeypatch)
+    assert first_nonzero_minor(S) is None
+    assert len(calls) == n * (n - 1)
 
 
 # -- factorization ----------------------------------------------------------------
