@@ -2,7 +2,7 @@
 
     python3 benchmarks/bench.py --src DIR --out PATH [--repeats N]
 
-Builds the seed-1 ``rank-test`` and ``cover-tower`` rounds with
+Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
 CLI front door of the checkout at DIR (``DIR/src`` is imported), with
 ``Poly.from_text``, ``SpectralDatum.quarter_defect`` and
@@ -32,7 +32,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED = 1
-WORKLOADS = ("rank-test", "cover-tower")
+WORKLOADS = ("rank-test", "cover-tower", "lattice")
 
 
 def _commit(src):

@@ -3,14 +3,19 @@
     higgspec --config job.json [--seed N] [--format human|machine|both] [--out path]
 
 The config is ``{"command": ..., "model": ..., "payload": ..., "seed": ...}``.
-Models are either a polynomial chart ``{"kind": "chart", "nvars": n}``, a
-product of curves ``{"kind": "product_curves", "g1": .., "g2": ..}`` or a
-declared surface lattice ``{"kind": "surface", "generators": [..],
-"intersection": [row-major ints], "K": [..], "omega": [..], "b1": ..,
-"torsion2": ..}``.  Polynomials are text (``"3/2 * x1^2 * x2"``) or the
-serialized tree; rational numbers are ints, ``"p/q"`` strings or
-``{"num": p, "den": q}``, with a nonzero denominator.  Decimals and exponents
-are rejected.
+The tables at the end of this module are the single statement of what each
+command accepts: ``_MODEL`` holds one table per model kind (``chart``,
+``product_curves``, ``surface``), and ``_COMMANDS`` maps each command to its
+handler and, per model kind it takes, its payload table.  A table maps each
+key to its decoder (integer, boolean, rational, polynomial, NS class, list,
+matrix, object) and marks it required, or optional with the value it takes
+when absent.  ``parse_config`` walks the tables once and returns the decoded
+payload, so the handlers only compute and serialise.  Unknown, missing and
+ill-typed keys all exit 2 and name their ``$.path``.
+
+Polynomials are text (``"3/2 * x1^2 * x2"``) or the serialized tree;
+rational numbers are ints, ``"p/q"`` strings or ``{"num": p, "den": q}``,
+with a nonzero denominator.  Decimals and exponents are rejected.
 
 Exit codes: 0 success, 1 domain/precondition failure, 2 parse/schema failure.
 The machine block is canonical JSON: identical config and seed give
@@ -30,288 +35,281 @@ from . import geometry, moduli, spectral
 from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError
 from .geometry import NSClass, ProductOfCurves, SurfaceModel
 from .poly import Poly, _parse_rational
-from .selftest import run_selftest
 from .spectral import HiggsField, OneForm, RankOneFactorization, SpectralDatum, SymDiff
-
-COMMANDS = (
-    "factor",
-    "base-check",
-    "cover",
-    "tower",
-    "correspondence",
-    "bx-table",
-    "chern",
-    "stability",
-    "hitchin-section",
-    "sl2r-enum",
-    "milnor-wood",
-    "rigidity",
-    "higher-rank",
-    "selftest",
-)
-
-
-# -- config parsing -----------------------------------------------------------
-
-
-def _require_dict(obj, path, required=(), optional=()):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing required key")
-    return obj
-
-
-def _as_int(x, path):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(path, f"expected an integer, got {x!r}")
-    return x
-
-
-def _as_bool(x, path):
-    if not isinstance(x, bool):
-        raise SchemaError(path, f"expected a boolean, got {x!r}")
-    return x
-
-
-def _as_fraction(x, path) -> Fraction:
-    if isinstance(x, bool):
-        raise SchemaError(path, "expected a rational, got a boolean")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return _parse_rational(x)
-        except ValueError as exc:
-            raise SchemaError(path, str(exc))
-    if isinstance(x, dict):
-        _require_dict(x, path, required=("num", "den"))
-        num = _as_int(x["num"], f"{path}.num")
-        den = _as_int(x["den"], f"{path}.den")
-        if not den:
-            raise SchemaError(f"{path}.den", "zero denominator")
-        return Fraction(num, den)
-    raise SchemaError(path, f"expected a rational, got {type(x).__name__}")
-
-
-def _as_poly(x, nvars, path) -> Poly:
-    if isinstance(x, str):
-        try:
-            return Poly.from_text(x, nvars)
-        except DegreeCapExceeded as exc:
-            raise DegreeCapExceeded(f"{path}: {exc}") from None
-        except ValueError as exc:
-            raise SchemaError(path, f"bad polynomial text: {exc}")
-    if isinstance(x, dict):
-        _require_dict(x, path, required=("nvars", "terms"))
-        if x["nvars"] != nvars:
-            raise SchemaError(path, f"polynomial nvars {x['nvars']} != chart nvars {nvars}")
-        try:
-            return Poly.from_tree(x)
-        except DegreeCapExceeded as exc:
-            raise DegreeCapExceeded(f"{path}: {exc}") from None
-        except Exception as exc:
-            raise SchemaError(path, f"bad polynomial tree: {exc}")
-    raise SchemaError(path, "expected polynomial text or tree")
-
-
-def _as_list(x, path) -> list:
-    if not isinstance(x, list):
-        raise SchemaError(path, f"expected a list, got {type(x).__name__}")
-    return x
-
-
-def _as_class(x, rank, path) -> NSClass:
-    if not isinstance(x, list) or len(x) != rank:
-        raise SchemaError(path, f"expected a coordinate list of length {rank}")
-    return NSClass(tuple(_as_fraction(c, f"{path}[{i}]") for i, c in enumerate(x)))
 
 
 @dataclass
 class JobConfig:
     command: str
-    model: object  # None | ChartModel nvars | SurfaceModel | ProductOfCurves
+    model: object  # None, or the decoded model: {"kind", "nvars"} or {"kind", "rank", "surface"[, "curves"]}
     model_echo: object
-    payload: dict
+    payload: dict  # decoded by the command's payload table
     seed: int
 
 
-_CHART_COMMANDS = {"factor", "base-check", "cover", "tower", "correspondence", "hitchin-section"}
-_SURFACE_COMMANDS = {"chern", "stability", "sl2r-enum", "milnor-wood", "hitchin-section"}
-_MODELLESS = {"rigidity", "higher-rank", "selftest"}
+# -- the schema walker ------------------------------------------------------------
+#
+# A decoder is a function (value, ctx) -> decoded value.  ctx carries what a
+# key needs from keys decoded before it: the chart's nvars, the surface model
+# and its rank, the cover rank of a chern cover map.  A decoder rejects a value
+# by raising _Reject; every enclosing key and list index is appended as the
+# exception passes through, so a $.path string is built only for a rejected
+# input.
 
 
-def _parse_model(cfg, path):
-    _require_dict(cfg, path, required=("kind",), optional=("nvars", "g1", "g2", "generators", "intersection", "K", "omega", "b1", "torsion2"))
-    kind = cfg["kind"]
-    if kind == "chart":
-        _require_dict(cfg, path, required=("kind", "nvars"))
-        n = _as_int(cfg["nvars"], f"{path}.nvars")
-        if not 1 <= n <= spectral.MAX_CHART_DIM:
-            raise SchemaError(f"{path}.nvars", f"chart dimension must be 1..{spectral.MAX_CHART_DIM}")
-        return ("chart", n)
-    if kind == "product_curves":
-        _require_dict(cfg, path, required=("kind", "g1", "g2"), optional=("torsion2",))
-        for key in ("g1", "g2", "torsion2"):
-            if key in cfg and _as_int(cfg[key], f"{path}.{key}") < 0:
-                raise SchemaError(f"{path}.{key}", "must be nonnegative")
-        for key in ("g1", "g2"):
-            if cfg[key] > geometry.MAX_GENUS:
-                raise SchemaError(f"{path}.{key}", f"genus exceeds cap {geometry.MAX_GENUS}")
-        X = ProductOfCurves(cfg["g1"], cfg["g2"])
-        model = X.model
-        if "torsion2" in cfg:
-            model = SurfaceModel(
-                model.generators, model.Q, model.K, model.omega, model.b1,
-                _as_int(cfg["torsion2"], f"{path}.torsion2"),
-            )
-        return ("surface", model, X)
-    if kind == "surface":
-        _require_dict(
-            cfg,
-            path,
-            required=("kind", "generators", "intersection", "K", "omega"),
-            optional=("b1", "torsion2"),
-        )
-        gens = cfg["generators"]
-        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-            raise SchemaError(f"{path}.generators", "expected a list of names")
-        n = len(gens)
-        inter = cfg["intersection"]
-        if isinstance(inter, list) and all(isinstance(v, int) for v in inter):
-            if len(inter) != n * n:
-                raise SchemaError(f"{path}.intersection", f"expected {n * n} row-major entries")
-            Q = tuple(tuple(inter[i * n : (i + 1) * n]) for i in range(n))
-        elif isinstance(inter, list):
-            Q = tuple(tuple(_as_int(v, f"{path}.intersection") for v in row) for row in inter)
-        else:
-            raise SchemaError(f"{path}.intersection", "expected a row-major integer list")
+class _Reject(Exception):
+    def __init__(self, reason, key=None, error=SchemaError):
+        self.reason = reason
+        self.error = error
+        self.keys = [] if key is None else [key]
+
+    def raise_at_path(self):
+        path = "$" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(self.keys))
+        if self.error is SchemaError:
+            raise SchemaError(path, self.reason) from None
+        raise self.error(f"{path}: {self.reason}") from None
+
+
+def _expected(what, x):
+    return _Reject(f"expected {what}, got {type(x).__name__}")
+
+
+def _int(ok=None, why=None):
+    def dec(x, ctx):
+        if type(x) is not int:
+            raise _Reject(f"expected an integer, got {x!r}")
+        if ok is not None and not ok(x):
+            raise _Reject(why)
+        return x
+
+    return dec
+
+
+_INT = _int()
+_NONNEG = _int(lambda v: v >= 0, "must be nonnegative")
+_NONZERO = _int(bool, "zero denominator")
+
+
+def _bool(x, ctx):
+    if x is True or x is False:
+        return x
+    raise _Reject(f"expected a boolean, got {x!r}")
+
+
+def _str(x, ctx):
+    if type(x) is str:
+        return x
+    raise _expected("a string", x)
+
+
+def _raw(x, ctx):
+    return x
+
+
+def _command(x, ctx):
+    if type(x) is str and x in _COMMANDS:
+        return x
+    raise _Reject(f"unknown command {x!r}")
+
+
+def _list(item, size=None):
+    """A list of `item`s; with `size`, exactly ctx[size] of them."""
+
+    def dec(x, ctx):
+        if type(x) is not list:
+            raise _expected("a list", x)
+        if size is not None and len(x) != ctx[size]:
+            raise _Reject(f"expected {ctx[size]} entries, got {len(x)}")
+        out, i = [], 0
         try:
-            model = SurfaceModel(
-                generators=tuple(gens),
-                Q=Q,
-                K=_as_class(cfg["K"], n, f"{path}.K"),
-                omega=_as_class(cfg["omega"], n, f"{path}.omega"),
-                b1=_as_int(cfg.get("b1", 0), f"{path}.b1"),
-                torsion2_count=_as_int(cfg.get("torsion2", 1), f"{path}.torsion2"),
-            )
-        except (ValueError, HiggspecError) as exc:
-            raise SchemaError(path, f"bad surface model: {exc}")
-        return ("surface", model, None)
-    raise SchemaError(f"{path}.kind", f"unknown model kind {kind!r}")
+            for i, v in enumerate(x):
+                out.append(item(v, ctx))
+        except _Reject as exc:
+            exc.keys.append(i)
+            raise
+        return tuple(out)
+
+    return dec
 
 
-def parse_config(text: str) -> JobConfig:
+def _obj(fields):
+    """An object with the keys of `fields` and no others, decoded in table order.
+
+    A field is a decoder (a required key) or ``(decoder, default)`` (an
+    optional key that decodes to `default` when absent).
+    """
+    decoders = {k: v[0] if type(v) is tuple else v for k, v in fields.items()}
+    defaults = {k: v[1] for k, v in fields.items() if type(v) is tuple}
+    required = [k for k in fields if k not in defaults]
+
+    def dec(x, ctx):
+        if type(x) is not dict:
+            raise _expected("an object", x)
+        for key in x:
+            if key not in decoders:
+                raise _Reject("unknown key", key)
+        for key in required:
+            if key not in x:
+                raise _Reject("missing required key", key)
+        out, key = {}, None
+        try:
+            for key, d in decoders.items():
+                out[key] = d(x[key], ctx) if key in x else defaults[key]
+        except _Reject as exc:
+            exc.keys.append(key)
+            raise
+        return out
+
+    return dec
+
+
+def _variant(tables, default=None):
+    """An object whose "kind" key (`default` when absent) chooses its table."""
+    kinds = " or ".join(map(repr, tables))
+
+    def dec(x, ctx):
+        if type(x) is not dict:
+            raise _expected("an object", x)
+        kind = x.get("kind", default)
+        table = tables.get(kind) if type(kind) is str else None
+        if table is None:
+            raise _Reject(f"expected {kinds}, got {kind!r}", "kind")
+        return table(x, ctx)
+
+    return dec
+
+
+def _then(dec, build, catch=ValueError):
+    """`dec`, then build(value, ctx); a `catch` error from build rejects the value here."""
+
+    def then(x, ctx):
+        value = dec(x, ctx)
+        try:
+            return build(value, ctx)
+        except catch as exc:
+            raise _Reject(str(exc)) from None
+
+    return then
+
+
+def _into(name, dec, view=None):
+    """`dec`, also recording its value (or view(value)) as ctx[name] for later keys."""
+
+    def into(x, ctx):
+        value = dec(x, ctx)
+        ctx[name] = value if view is None else view(value)
+        return value
+
+    return into
+
+
+def _rational(x, ctx) -> Fraction:
+    t = type(x)
+    if t is int:
+        return Fraction(x)
+    if t is str:
+        try:
+            return _parse_rational(x)
+        except ValueError as exc:
+            raise _Reject(str(exc)) from None
+    if t is dict:
+        tree = _RATIONAL_TREE(x, ctx)
+        return Fraction(tree["num"], tree["den"])
+    raise _expected("a rational", x)
+
+
+def _cls(size="rank"):
+    """An NS class: ctx[size] rational coordinates."""
+    coords = _list(_rational, size)
+    return lambda x, ctx: NSClass(coords(x, ctx))
+
+
+def _poly(x, ctx) -> Poly:
+    """Polynomial text or tree in ctx["nvars"] variables."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer literal past Python's digit limit
-        raise ParseError("$", f"invalid JSON: {exc}")
-    _require_dict(doc, "$", required=("command",), optional=("model", "payload", "seed"))
-    command = doc["command"]
-    if command not in COMMANDS:
-        raise SchemaError("$.command", f"unknown command {command!r}")
-    seed = doc.get("seed", 0)
-    if seed is not None:
-        seed = _as_int(seed, "$.seed")
-    model = None
-    model_echo = doc.get("model")
-    if "model" in doc:
-        model = _parse_model(doc["model"], "$.model")
-    elif command not in _MODELLESS:
-        raise SchemaError("$.model", f"command {command!r} requires a model")
-    payload = doc.get("payload", {})
-    if not isinstance(payload, dict):
-        raise SchemaError("$.payload", "expected an object")
-    return JobConfig(command, model, model_echo, payload, seed)
+        if type(x) is str:
+            try:
+                return Poly.from_text(x, ctx["nvars"])
+            except ValueError as exc:
+                raise _Reject(f"bad polynomial text: {exc}") from None
+        if type(x) is dict:
+            return Poly.from_tree(_POLY_TREE(x, ctx))
+    except DegreeCapExceeded as exc:
+        raise _Reject(str(exc), error=DegreeCapExceeded) from None
+    raise _Reject("expected polynomial text or tree")
 
 
-def _chart_nvars(job) -> int:
-    if job.model is None or job.model[0] != "chart":
-        raise SchemaError("$.model", f"command {job.command!r} needs a chart model")
-    return job.model[1]
+def _tree_nvars(x, ctx):
+    if _INT(x, ctx) != ctx["nvars"]:
+        raise _Reject(f"polynomial nvars {x} != chart nvars {ctx['nvars']}")
+    return x
 
 
-def _surface(job) -> SurfaceModel:
-    if job.model is None or job.model[0] != "surface":
-        raise SchemaError("$.model", f"command {job.command!r} needs a surface model")
-    return job.model[1]
+def _values(d, ctx):
+    return tuple(d.values())
 
 
-def _product(job) -> ProductOfCurves:
-    if job.model is None or job.model[0] != "surface" or job.model[2] is None:
-        raise SchemaError("$.model", f"command {job.command!r} needs a product_curves model")
-    return job.model[2]
+_RATIONAL_TREE = _obj({"num": _INT, "den": _NONZERO})
+# after this table, Poly.from_tree can only raise DegreeCapExceeded
+_POLY_TREE = _obj({
+    "nvars": _tree_nvars, "terms": _list(_obj({"exps": _list(_NONNEG, "nvars"), "num": _INT, "den": _NONZERO})),
+})
+_INT_MATRIX = _list(_list(_INT))
+_ONEFORM = _then(_list(_poly, "nvars"), lambda entries, ctx: OneForm(entries))
+_SYMDIFF = _then(_list(_list(_poly), "nvars"), lambda rows, ctx: SymDiff(rows))
+_DATUM = _then(_obj({"s1": _ONEFORM, "s2": _SYMDIFF}), lambda d, ctx: SpectralDatum(d["s1"], d["s2"]))
+_FACTORIZATION = _then(_obj({"alpha": _ONEFORM, "tau": _poly}), lambda d, ctx: RankOneFactorization(d["alpha"], d["tau"]))
 
 
-# -- payload decoding ----------------------------------------------------------
+# -- model builders ------------------------------------------------------------------
 
 
-def _payload_symdiff(payload, nvars, path):
-    rows = payload
-    if not isinstance(rows, list) or len(rows) != nvars:
-        raise SchemaError(path, f"expected {nvars} rows")
-    try:
-        return SymDiff(
-            tuple(
-                tuple(_as_poly(p, nvars, f"{path}[{i}][{j}]") for j, p in enumerate(row))
-                for i, row in enumerate(rows)
-            )
-        )
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
+def _intersection(x, ctx):
+    """Row-major rank * rank integers, or a list of integer rows."""
+    if type(x) is list and all(type(v) is int for v in x):
+        n = ctx["rank"]
+        if len(x) != n * n:
+            raise _Reject(f"expected {n * n} row-major entries")
+        return tuple(tuple(x[i * n : (i + 1) * n]) for i in range(n))
+    return _INT_MATRIX(x, ctx)
 
 
-def _payload_oneform(entries, nvars, path):
-    if not isinstance(entries, list) or len(entries) != nvars:
-        raise SchemaError(path, f"expected {nvars} entries")
-    return OneForm(tuple(_as_poly(p, nvars, f"{path}[{i}]") for i, p in enumerate(entries)))
+def _product_curves_model(d, ctx):
+    X = ProductOfCurves(d["g1"], d["g2"])
+    model = X.model
+    if d["torsion2"] is not None:
+        model = SurfaceModel(model.generators, model.Q, model.K, model.omega, model.b1, d["torsion2"])
+    ctx.update(rank=model.rank, surface=model, curves=X)
+    return d
 
 
-def _payload_datum(obj, nvars, path):
-    _require_dict(obj, path, required=("s1", "s2"))
-    return SpectralDatum(
-        _payload_oneform(obj["s1"], nvars, f"{path}.s1"),
-        _payload_symdiff(obj["s2"], nvars, f"{path}.s2"),
+def _surface_model(d, ctx):
+    ctx["surface"] = SurfaceModel(d["generators"], d["intersection"], d["K"], d["omega"], d["b1"], d["torsion2"])
+    return d
+
+
+# -- payload builders ----------------------------------------------------------------
+
+
+def _cover_map(d, ctx):
+    return geometry.CoverMap(
+        P=d["P"], cover_Q=d["cover_intersection"], pullback=d["pullback"], L_class=d["L"], base=ctx["surface"]
     )
 
 
-def _payload_factorization(obj, nvars, path):
-    _require_dict(obj, path, required=("alpha", "tau"))
-    try:
-        return RankOneFactorization(
-            _payload_oneform(obj["alpha"], nvars, f"{path}.alpha"),
-            _as_poly(obj["tau"], nvars, f"{path}.tau"),
-        )
-    except HiggspecError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
+def _split_description(d, ctx):
+    desc = moduli.SplitHiggsDescription(
+        d["L1"], d["L2"], ctx["surface"], d["alpha_nonzero"], d["beta_nonzero"],
+        d["alpha_beta_proportional"], d["L1_iso_L2"],
+    )
+    return {"kind": d["kind"], "description": desc}
 
 
-def _payload_higgs(obj, nvars, path):
-    _require_dict(obj, path, required=("matrices",), optional=("rank",))
-    mats = obj["matrices"]
-    if not isinstance(mats, list) or len(mats) != nvars:
-        raise SchemaError(f"{path}.matrices", f"expected {nvars} coefficient matrices")
-    out = []
-    for i, m in enumerate(mats):
-        if not isinstance(m, list):
-            raise SchemaError(f"{path}.matrices[{i}]", "expected a matrix")
-        out.append(
-            tuple(
-                tuple(_as_poly(p, nvars, f"{path}.matrices[{i}][{r}][{c}]") for c, p in enumerate(row))
-                for r, row in enumerate(m)
-            )
-        )
-    try:
-        return HiggsField(tuple(out))
-    except ValueError as exc:
-        raise SchemaError(f"{path}.matrices", str(exc))
+def _companion(coeffs, ctx):
+    return moduli.higher_rank_build(ctx["companion_rank"], coeffs)
+
+
+# -- command handlers ------------------------------------------------------------------
 
 
 def _frac_tree(x: Fraction):
@@ -322,15 +320,9 @@ def _verdict_name(v):
     return v.value if hasattr(v, "value") else str(v)
 
 
-# -- command handlers ------------------------------------------------------------
-
-
 def _run_factor(job):
-    n = _chart_nvars(job)
-    _require_dict(job.payload, "$.payload", required=("s",))
-    S = _payload_symdiff(job.payload["s"], n, "$.payload.s")
     try:
-        f = spectral.factor_rank_one(S)
+        f = spectral.factor_rank_one(job.payload["s"])
     except spectral.NotRankOne as exc:
         return {
             "verdicts": {"rank_le_one": False},
@@ -343,39 +335,13 @@ def _run_factor(job):
 
 
 def _run_base_check(job):
-    n = _chart_nvars(job)
-    _require_dict(job.payload, "$.payload", required=("datum",))
-    d = _payload_datum(job.payload["datum"], n, "$.payload.datum")
-    v = spectral.spectral_base_check(d)
+    v = spectral.spectral_base_check(job.payload["datum"])
     out = {"verdicts": {"membership": v.kind}}
     if v.kind == "member":
         out["values"] = {"factorization": v.factorization.to_tree()}
     elif v.kind == "not_member":
         out["witnesses"] = {"minor_indices": list(v.indices), "minor": v.minor.to_tree()}
     return out
-
-
-def _parse_components(obj, nvars, path):
-    comps = []
-    for i, item in enumerate(_as_list(obj, path)):
-        _require_dict(item, f"{path}[{i}]", required=("factor", "multiplicity"))
-        comps.append(
-            (
-                _as_poly(item["factor"], nvars, f"{path}[{i}].factor"),
-                _as_int(item["multiplicity"], f"{path}[{i}].multiplicity"),
-            )
-        )
-    return comps
-
-
-def _cover_payload(job):
-    n = _chart_nvars(job)
-    _require_dict(job.payload, "$.payload", required=("factorization",), optional=("components",))
-    f = _payload_factorization(job.payload["factorization"], n, "$.payload.factorization")
-    comps = None
-    if "components" in job.payload:
-        comps = _parse_components(job.payload["components"], n, "$.payload.components")
-    return f, comps
 
 
 def _cover_tree(c):
@@ -388,14 +354,13 @@ def _cover_tree(c):
 
 
 def _run_cover(job):
-    f, comps = _cover_payload(job)
-    c = spectral.build_cover(f, components=comps)
+    c = spectral.build_cover(job.payload["factorization"], components=job.payload["components"])
     return {"values": {"cover": _cover_tree(c)}}
 
 
 def _run_tower(job):
-    f, comps = _cover_payload(job)
-    cover = spectral.build_cover(f, components=comps)
+    comps = job.payload["components"]
+    cover = spectral.build_cover(job.payload["factorization"], components=comps)
     try:
         tower = spectral.tower_enumerate(cover)
     except DegreeCapExceeded as exc:
@@ -411,12 +376,9 @@ def _run_tower(job):
 
 
 def _run_correspondence(job):
-    n = _chart_nvars(job)
-    _require_dict(job.payload, "$.payload", required=("higgs", "factorization"))
-    phi = _payload_higgs(job.payload["higgs"], n, "$.payload.higgs")
-    f = _payload_factorization(job.payload["factorization"], n, "$.payload.factorization")
-    module = spectral.module_from_higgs(phi, f)
-    back = spectral.pushforward(module, f)
+    phi = job.payload["higgs"]["matrices"]
+    module = spectral.module_from_higgs(phi, job.payload["factorization"])
+    back = spectral.pushforward(module, job.payload["factorization"])
     roundtrip = all(
         a == b
         for ma, mb in zip(back.matrices, phi.matrices)
@@ -432,8 +394,7 @@ def _run_correspondence(job):
 
 
 def _run_bx_table(job):
-    X = _product(job)
-    table = geometry.bx_decomposition(X)
+    table = geometry.bx_decomposition(job.model["curves"])
     return {
         "verdicts": {"component_count": len(table.components), "swapped": table.swapped},
         "values": {
@@ -456,32 +417,7 @@ def _run_bx_table(job):
 
 
 def _run_chern(job):
-    model = _surface(job)
-    _require_dict(job.payload, "$.payload", required=("cover_map", "M_c1"))
-    cm = job.payload["cover_map"]
-    _require_dict(
-        cm, "$.payload.cover_map", required=("P", "cover_intersection", "pullback", "L")
-    )
-    rank_b = model.rank
-
-    def int_matrix(x, path):
-        if not isinstance(x, list) or not all(isinstance(r, list) for r in x):
-            raise SchemaError(path, "expected a nested integer matrix")
-        return tuple(tuple(_as_int(v, path) for v in row) for row in x)
-
-    P = int_matrix(cm["P"], "$.payload.cover_map.P")
-    rank_c = len(P[0]) if P else 0
-    try:
-        cover = geometry.CoverMap(
-            P=P,
-            cover_Q=int_matrix(cm["cover_intersection"], "$.payload.cover_map.cover_intersection"),
-            pullback=int_matrix(cm["pullback"], "$.payload.cover_map.pullback"),
-            L_class=_as_class(cm["L"], rank_b, "$.payload.cover_map.L"),
-            base=model,
-        )
-    except (ValueError, HiggspecError) as exc:
-        raise SchemaError("$.payload.cover_map", str(exc))
-    m_c1 = _as_class(job.payload["M_c1"], rank_c, "$.payload.M_c1")
+    model, cover, m_c1 = job.model["surface"], job.payload["cover_map"], job.payload["M_c1"]
     c1 = geometry.pushforward_c1(m_c1, cover)
     c2 = geometry.pushforward_c2(m_c1, cover)
     return {
@@ -494,51 +430,18 @@ def _run_chern(job):
 
 
 def _run_stability(job):
-    model = _surface(job)
-    kind = job.payload.get("kind", "real")
-    if kind == "hodge":
-        _require_dict(job.payload, "$.payload", required=("kind", "d1", "d2", "alpha_nonzero"))
-        v = moduli.hodge_stability(
-            _as_fraction(job.payload["d1"], "$.payload.d1"),
-            _as_fraction(job.payload["d2"], "$.payload.d2"),
-            _as_bool(job.payload["alpha_nonzero"], "$.payload.alpha_nonzero"),
-        )
-        return {"verdicts": {"stability": _verdict_name(v)}}
-    if kind != "real":
-        raise SchemaError("$.payload.kind", "expected 'hodge' or 'real'")
-    _require_dict(
-        job.payload,
-        "$.payload",
-        required=("L1", "L2", "alpha_nonzero", "beta_nonzero", "alpha_beta_proportional", "L1_iso_L2"),
-        optional=("kind", "omega_diag_nonzero"),
-    )
-    try:
-        desc = moduli.SplitHiggsDescription(
-            L1=_as_class(job.payload["L1"], model.rank, "$.payload.L1"),
-            L2=_as_class(job.payload["L2"], model.rank, "$.payload.L2"),
-            model=model,
-            alpha_nonzero=_as_bool(job.payload["alpha_nonzero"], "$.payload.alpha_nonzero"),
-            beta_nonzero=_as_bool(job.payload["beta_nonzero"], "$.payload.beta_nonzero"),
-            alpha_beta_proportional=_as_bool(
-                job.payload["alpha_beta_proportional"], "$.payload.alpha_beta_proportional"
-            ),
-            L1_iso_L2=_as_bool(job.payload["L1_iso_L2"], "$.payload.L1_iso_L2"),
-            omega_diag_nonzero=_as_bool(
-                job.payload.get("omega_diag_nonzero", False), "$.payload.omega_diag_nonzero"
-            ),
-        )
-    except ValueError as exc:
-        raise SchemaError("$.payload", str(exc))
-    v = moduli.real_stability(desc)
+    p = job.payload
+    if p["kind"] == "hodge":
+        v = moduli.hodge_stability(p["d1"], p["d2"], p["alpha_nonzero"])
+    else:
+        v = moduli.real_stability(p["description"])
     return {"verdicts": {"stability": _verdict_name(v)}}
 
 
 def _run_hitchin_section(job):
-    if job.model is not None and job.model[0] == "chart":
-        n = _chart_nvars(job)
-        _require_dict(job.payload, "$.payload", required=("datum",))
-        d = _payload_datum(job.payload["datum"], n, "$.payload.datum")
-        out = moduli.hitchin_section(d)
+    p = job.payload
+    if job.model["kind"] == "chart":
+        out = moduli.hitchin_section(p["datum"])
         body = {
             "verdicts": {
                 "stability": _verdict_name(out.stability),
@@ -551,15 +454,7 @@ def _run_hitchin_section(job):
         if out.factorization is not None:
             body["values"]["factorization"] = out.factorization.to_tree()
         return body
-    model = _surface(job)
-    _require_dict(job.payload, "$.payload", required=("L", "D", "s1_nonzero"))
-    datum = moduli.LatticeSectionDatum(
-        L=_as_class(job.payload["L"], model.rank, "$.payload.L"),
-        D=_as_class(job.payload["D"], model.rank, "$.payload.D"),
-        s1_nonzero=_as_bool(job.payload["s1_nonzero"], "$.payload.s1_nonzero"),
-        model=model,
-    )
-    out = moduli.hitchin_section(datum)
+    out = moduli.hitchin_section(moduli.LatticeSectionDatum(p["L"], p["D"], job.model["surface"]))
     return {
         "verdicts": {
             "stability": _verdict_name(out.stability),
@@ -574,20 +469,9 @@ def _run_hitchin_section(job):
 
 
 def _run_sl2r_enum(job):
-    model = _surface(job)
-    _require_dict(job.payload, "$.payload", required=("components", "L"))
-    comps = []
-    for i, item in enumerate(_as_list(job.payload["components"], "$.payload.components")):
-        _require_dict(item, f"$.payload.components[{i}]", required=("class", "multiplicity"))
-        comps.append(
-            (
-                _as_class(item["class"], model.rank, f"$.payload.components[{i}].class"),
-                _as_int(item["multiplicity"], f"$.payload.components[{i}].multiplicity"),
-            )
-        )
-    L = _as_class(job.payload["L"], model.rank, "$.payload.L")
+    model = job.model["surface"]
     try:
-        data = moduli.sl2r_enumerate(comps, L, model)
+        data = moduli.sl2r_enumerate(job.payload["components"], job.payload["L"], model)
     except DegreeCapExceeded as exc:
         raise DegreeCapExceeded(f"$.payload.components: {exc}") from None
     return {
@@ -607,14 +491,8 @@ def _run_sl2r_enum(job):
 
 
 def _run_milnor_wood(job):
-    model = _surface(job)
-    _require_dict(job.payload, "$.payload", required=("W", "gamma"), optional=("K_pseff",))
-    rep = moduli.milnor_wood_check(
-        _as_class(job.payload["W"], model.rank, "$.payload.W"),
-        _as_class(job.payload["gamma"], model.rank, "$.payload.gamma"),
-        model,
-        K_pseff=_as_bool(job.payload.get("K_pseff", True), "$.payload.K_pseff"),
-    )
+    p = job.payload
+    rep = moduli.milnor_wood_check(p["W"], p["gamma"], job.model["surface"], K_pseff=p["K_pseff"])
     return {
         "verdicts": {"holds": rep.holds},
         "values": {"toledo": _frac_tree(rep.toledo), "bound": _frac_tree(rep.bound)},
@@ -622,46 +500,22 @@ def _run_milnor_wood(job):
 
 
 def _run_rigidity(job):
-    _require_dict(
-        job.payload,
-        "$.payload",
-        required=("picard_number_one", "b1"),
-        optional=("double_cover_b1s",),
-    )
-    t = moduli.TopologicalData(
-        picard_number_one=_as_bool(job.payload["picard_number_one"], "$.payload.picard_number_one"),
-        b1=_as_int(job.payload["b1"], "$.payload.b1"),
-        double_cover_b1s=tuple(
-            _as_int(b, f"$.payload.double_cover_b1s[{i}]")
-            for i, b in enumerate(_as_list(job.payload.get("double_cover_b1s", []), "$.payload.double_cover_b1s"))
-        ),
-    )
-    v = moduli.rigidity_verdict(t)
+    p = job.payload
+    v = moduli.rigidity_verdict(moduli.TopologicalData(p["picard_number_one"], p["b1"], p["double_cover_b1s"]))
     return {"verdicts": {"status": v.status, "reason": v.reason}}
 
 
 def _run_higher_rank(job):
-    _require_dict(job.payload, "$.payload", required=("rank", "coefficients", "nvars"))
-    n = _as_int(job.payload["rank"], "$.payload.rank")
-    nvars = _as_int(job.payload["nvars"], "$.payload.nvars")
-    if not 0 <= nvars <= spectral.MAX_CHART_DIM:
-        raise SchemaError("$.payload.nvars", f"must be 0..{spectral.MAX_CHART_DIM}")
-    coeffs = [
-        _as_poly(c, nvars, f"$.payload.coefficients[{i}]")
-        for i, c in enumerate(_as_list(job.payload["coefficients"], "$.payload.coefficients"))
-    ]
-    try:
-        mat = moduli.higher_rank_build(n, coeffs)
-    except ValueError as exc:
-        raise SchemaError("$.payload.coefficients", str(exc))
-    ok = moduli.higher_rank_charcheck(mat)
+    mat = job.payload["coefficients"]  # decoded into the companion field
     return {
-        "verdicts": {"charcheck": ok},
+        "verdicts": {"charcheck": moduli.higher_rank_charcheck(mat)},
         "values": {"field": [[p.to_tree() for p in row] for row in mat]},
     }
 
 
 def _run_selftest(job):
+    from .selftest import run_selftest  # the suites are compiled only when they run
+
     results = run_selftest(job.seed)
     return {
         "verdicts": {
@@ -678,26 +532,125 @@ def _run_selftest(job):
     }
 
 
-_HANDLERS = {
-    "factor": _run_factor,
-    "base-check": _run_base_check,
-    "cover": _run_cover,
-    "tower": _run_tower,
-    "correspondence": _run_correspondence,
-    "bx-table": _run_bx_table,
-    "chern": _run_chern,
-    "stability": _run_stability,
-    "hitchin-section": _run_hitchin_section,
-    "sl2r-enum": _run_sl2r_enum,
-    "milnor-wood": _run_milnor_wood,
-    "rigidity": _run_rigidity,
-    "higher-rank": _run_higher_rank,
-    "selftest": _run_selftest,
+# -- the tables -------------------------------------------------------------------
+#
+# An object table maps each key to its decoder (a required key) or to
+# (decoder, default) (an optional key).  The model's kind chooses its table;
+# the command and the model kind choose the payload table.
+
+_GENUS = _int(lambda v: 0 <= v <= geometry.MAX_GENUS, f"genus must be 0..{geometry.MAX_GENUS}")
+_NVARS = spectral.MAX_CHART_DIM
+_MODEL = _into("kind", _variant({
+    "chart": _obj({"kind": _str, "nvars": _into("nvars", _int(lambda v: 1 <= v <= _NVARS, f"chart dimension must be 1..{_NVARS}"))}),
+    "product_curves": _then(
+        _obj({"kind": _str, "g1": _GENUS, "g2": _GENUS, "torsion2": (_NONNEG, None)}), _product_curves_model
+    ),
+    "surface": _then(
+        _obj({
+            "kind": _str, "generators": _into("rank", _list(_str), len), "intersection": _intersection,
+            "K": _cls(), "omega": _cls(), "b1": (_NONNEG, 0), "torsion2": (_NONNEG, 1),
+        }),
+        _surface_model, (ValueError, HiggspecError),
+    ),
+}), lambda d: d["kind"])
+
+_CONFIG = _obj({
+    "command": _command,
+    "seed": (lambda x, ctx: None if x is None else _INT(x, ctx), 0),
+    "model": (_MODEL, None),
+    "payload": (_raw, {}),  # decoded by the command's table once the model is known
+})
+
+_COVER = _obj({
+    "factorization": _FACTORIZATION,
+    "components": (_list(_then(_obj({"factor": _poly, "multiplicity": _INT}), _values)), None),
+})
+_COVER_MAP = _then(
+    _obj({
+        "P": _into("cover_rank", _INT_MATRIX, lambda P: len(P[0]) if P else 0),
+        "cover_intersection": _INT_MATRIX, "pullback": _INT_MATRIX, "L": _cls(),
+    }),
+    _cover_map, (ValueError, HiggspecError),
+)
+_STABILITY = _variant({
+    "hodge": _obj({"kind": _str, "d1": _rational, "d2": _rational, "alpha_nonzero": _bool}),
+    "real": _then(_obj({
+        "kind": (_str, "real"), "L1": _cls(), "L2": _cls(), "alpha_nonzero": _bool, "beta_nonzero": _bool,
+        "alpha_beta_proportional": _bool, "L1_iso_L2": _bool,
+        "omega_diag_nonzero": (_bool, None),  # accepted and ignored
+    }), _split_description),
+}, default="real")
+_SURFACES = ("surface", "product_curves")
+
+# command -> (handler, {model kind, or None for no model: payload table})
+_COMMANDS = {
+    "factor": (_run_factor, {"chart": _obj({"s": _SYMDIFF})}),
+    "base-check": (_run_base_check, {"chart": _obj({"datum": _DATUM})}),
+    "cover": (_run_cover, {"chart": _COVER}),
+    "tower": (_run_tower, {"chart": _COVER}),
+    "correspondence": (_run_correspondence, {"chart": _obj({
+        "higgs": _obj({
+            "matrices": _then(_list(_list(_list(_poly)), "nvars"), lambda m, ctx: HiggsField(m)),
+            "rank": (_INT, None),  # accepted and ignored
+        }),
+        "factorization": _FACTORIZATION,
+    })}),
+    "bx-table": (_run_bx_table, {"product_curves": _obj({})}),
+    "chern": (_run_chern, dict.fromkeys(_SURFACES, _obj({"cover_map": _COVER_MAP, "M_c1": _cls("cover_rank")}))),
+    "stability": (_run_stability, dict.fromkeys(_SURFACES, _STABILITY)),
+    "hitchin-section": (_run_hitchin_section, {
+        "chart": _obj({"datum": _DATUM}),
+        # s1_nonzero is accepted and ignored
+        **dict.fromkeys(_SURFACES, _obj({"L": _cls(), "D": _cls(), "s1_nonzero": (_bool, None)})),
+    }),
+    "sl2r-enum": (_run_sl2r_enum, dict.fromkeys(_SURFACES, _obj({
+        "components": _list(_then(_obj({"class": _cls(), "multiplicity": _INT}), _values)), "L": _cls(),
+    }))),
+    "milnor-wood": (_run_milnor_wood, dict.fromkeys(_SURFACES, _obj({"W": _cls(), "gamma": _cls(), "K_pseff": (_bool, True)}))),
+    "rigidity": (_run_rigidity, {None: _obj({
+        "picard_number_one": _bool, "b1": _NONNEG, "double_cover_b1s": (_list(_NONNEG), ()),
+    })}),
+    "higher-rank": (_run_higher_rank, {None: _obj({
+        "rank": _into("companion_rank", _INT),
+        "nvars": _into("nvars", _int(lambda v: 0 <= v <= _NVARS, f"must be 0..{_NVARS}")),
+        "coefficients": _then(_list(_poly), _companion),  # decoded into the companion field
+    })}),
+    "selftest": (_run_selftest, {None: _obj({})}),
 }
+COMMANDS = tuple(_COMMANDS)
+
+
+def _decode(doc) -> JobConfig:
+    ctx = {}
+    top = _CONFIG(doc, ctx)
+    command = top["command"]
+    tables = _COMMANDS[command][1]
+    model = dict(ctx) if top["model"] is not None else None
+    table = tables.get(ctx.get("kind"))
+    if table is None:
+        kinds = " or ".join(k for k in tables if k)
+        raise _Reject(f"command {command!r} " + (f"needs a {kinds} model" if kinds else "takes no model"), "model")
+    try:
+        payload = table(top["payload"], ctx)
+    except _Reject as exc:
+        exc.keys.append("payload")
+        raise
+    return JobConfig(command, model, doc.get("model"), payload, top["seed"])
+
+
+def parse_config(text: str) -> JobConfig:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer literal past Python's digit limit
+        raise ParseError("$", f"invalid JSON: {exc}")
+    try:
+        return _decode(doc)
+    except _Reject as exc:
+        exc.raise_at_path()
 
 
 def run(job: JobConfig) -> dict:
-    body = _HANDLERS[job.command](job)
+    body = _COMMANDS[job.command][0](job)
     report = {
         "command": job.command,
         "seed": job.seed,

@@ -31,13 +31,20 @@ class DegreeCapExceeded(HiggspecError):
 
 
 class NotRankOne(HiggspecError):
-    """A symmetric differential has a nonvanishing 2x2 minor."""
+    """A symmetric differential has a nonvanishing 2x2 minor.
+
+    The message is rendered only when asked for: callers that catch the
+    witness read ``indices`` and ``minor`` and never format the minor.
+    """
 
     def __init__(self, indices, minor):
-        i, j, k, l = indices
-        super().__init__(f"2x2 minor (rows {i},{j} / cols {k},{l}) is nonzero: {minor}")
+        super().__init__(indices, minor)
         self.indices = indices
         self.minor = minor
+
+    def __str__(self):
+        i, j, k, l = self.indices
+        return f"2x2 minor (rows {i},{j} / cols {k},{l}) is nonzero: {self.minor}"
 
 
 class ZeroInput(HiggspecError):

@@ -70,7 +70,6 @@ class SplitHiggsDescription:
     beta_nonzero: bool
     alpha_beta_proportional: bool
     L1_iso_L2: bool
-    omega_diag_nonzero: bool = False
 
     def __post_init__(self):
         if self.L1_iso_L2:
@@ -105,11 +104,10 @@ def real_stability(desc: SplitHiggsDescription, polarization: Optional[NSClass] 
 
 @dataclass(frozen=True)
 class LatticeSectionDatum:
-    """Lattice-level input: the twisting class L, the branch class D = 2L, s1 flag."""
+    """Lattice-level input: the twisting class L and the branch class D = 2L."""
 
     L: NSClass
     D: NSClass
-    s1_nonzero: bool
     model: SurfaceModel
 
     def __post_init__(self):

@@ -503,9 +503,9 @@ def suite_hitchin_section(seed, cases=100) -> SuiteResult:
         )
     X = ProductOfCurves(2, 2)
     m = X.model
-    lat = hitchin_section(LatticeSectionDatum(NSClass((1, 1)), NSClass((2, 2)), False, m))
+    lat = hitchin_section(LatticeSectionDatum(NSClass((1, 1)), NSClass((2, 2)), m))
     res.check(lat.stability == Stability.STABLE, "lattice D != 0 should be stable")
-    lat0 = hitchin_section(LatticeSectionDatum(NSClass((0, 0)), NSClass((0, 0)), True, m))
+    lat0 = hitchin_section(LatticeSectionDatum(NSClass((0, 0)), NSClass((0, 0)), m))
     res.check(lat0.stability == Stability.POLYSTABLE, "lattice D = 0 should be polystable")
     res.elapsed = time.perf_counter() - t0
     return res

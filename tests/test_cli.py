@@ -320,8 +320,22 @@ def _higher_rank_doc(coefficients, nvars=1):
     return {"command": "higher-rank", "payload": {"rank": 2, "nvars": nvars, "coefficients": coefficients}}
 
 
+def _tree_doc(**term):
+    term = {"exps": [2], "num": 1, "den": 1, **term}
+    return {
+        "command": "factor",
+        "model": {"kind": "chart", "nvars": 1},
+        "payload": {"s": [[{"nvars": 1, "terms": [term]}]]},
+    }
+
+
+def _rigidity_doc(**payload):
+    return {"command": "rigidity", "payload": {"picard_number_one": True, "b1": 0, **payload}}
+
+
 UNIT = {"class": [1, 0], "multiplicity": 1}
 TOO_HIGH = f"1 * x1^{MAX_PARSED_DEGREE} * x2"
+RAGGED_SURFACE = {"kind": "surface", "generators": ["a", "b"], "intersection": [[1], 2], "K": [0, 0], "omega": [1, 0]}
 
 REJECTED_INPUTS = {
     "decimal rational": (_sl2r_doc([], ["1.5", "0"]), 2, "$.payload.L[0]"),
@@ -369,6 +383,41 @@ REJECTED_INPUTS = {
         1,
         "$.payload.s[0][0]",
     ),
+    "negative b1": (_rigidity_doc(b1=-2), 2, "$.payload.b1"),
+    "negative double-cover b1": (_rigidity_doc(double_cover_b1s=[-1]), 2, "$.payload.double_cover_b1s[0]"),
+    "symdiff row not a list": (
+        {"command": "factor", "model": {"kind": "chart", "nvars": 2}, "payload": {"s": [5, 6]}},
+        2,
+        "$.payload.s[0]",
+    ),
+    "s2 row not a list": (
+        {"command": "base-check", "model": {"kind": "chart", "nvars": 1}, "payload": {"datum": {"s1": ["0"], "s2": [7]}}},
+        2,
+        "$.payload.datum.s2[0]",
+    ),
+    "higgs matrix row not a list": (
+        {
+            "command": "correspondence",
+            "model": {"kind": "chart", "nvars": 1},
+            "payload": {"higgs": {"matrices": [[5, 6]]}, "factorization": {"alpha": ["1"], "tau": "1 * x1"}},
+        },
+        2,
+        "$.payload.higgs.matrices[0][0]",
+    ),
+    "intersection row not a list": (
+        {"command": "milnor-wood", "model": RAGGED_SURFACE, "payload": {"W": [1, 0], "gamma": [1, 0]}},
+        2,
+        "$.model.intersection[1]",
+    ),
+    "boolean tree coefficient": (_tree_doc(num=True), 2, "$.payload.s[0][0].terms[0].num"),
+    "unknown key in a tree term": (_tree_doc(junk=0), 2, "$.payload.s[0][0].terms[0].junk"),
+    "zero denominator in a tree term": (_tree_doc(den=0), 2, "$.payload.s[0][0].terms[0].den"),
+    "model on a modelless command": (_rigidity_doc() | {"model": {"kind": "chart", "nvars": 1}}, 2, "$.model"),
+    "payload on bx-table": (
+        {"command": "bx-table", "model": {"kind": "product_curves", "g1": 1, "g2": 1}, "payload": {"s": 1}},
+        2,
+        "$.payload.s",
+    ),
 }
 
 
@@ -412,6 +461,57 @@ def test_section_identity_failure_exits_1(capsys, tmp_path, monkeypatch):
     assert rc == 1
     assert "VerificationFailure: section identity sh(chi(s)) = s failed" in err
     assert "Traceback" not in err
+
+
+def test_rank_two_section_prints_the_witness(tmp_path, capsys):
+    # NotRankOne renders its message lazily; the stderr line stays the same
+    doc = {
+        "command": "hitchin-section",
+        "model": {"kind": "chart", "nvars": 2},
+        "payload": {"datum": {"s1": ["0", "0"], "s2": [["1 * x1^2", "0"], ["0", "1 * x2^2"]]}},
+    }
+    rc = main(["--config", write_job(tmp_path, doc), "--format", "machine"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: NotRankOne: 2x2 minor (rows 0,1 / cols 0,1) is nonzero: Poly(2, '1 * x1^2 * x2^2')\n"
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (
+            {
+                "command": "hitchin-section",
+                "model": {"kind": "product_curves", "g1": 2, "g2": 2},
+                "payload": {"L": [1, 0], "D": [2, 0]},
+            },
+            "s1_nonzero",
+        ),
+        (
+            {
+                "command": "stability",
+                "model": {"kind": "product_curves", "g1": 2, "g2": 2},
+                "payload": {
+                    "L1": [1, 0],
+                    "L2": [-1, 0],
+                    "alpha_nonzero": True,
+                    "beta_nonzero": False,
+                    "alpha_beta_proportional": True,
+                    "L1_iso_L2": False,
+                },
+            },
+            "omega_diag_nonzero",
+        ),
+    ],
+)
+def test_ignored_flags_do_not_change_the_output(doc, key, capsys, tmp_path):
+    rc, plain = run_machine(capsys, tmp_path, doc)
+    assert rc == 0
+    for flag in (True, False):
+        rc, out = run_machine(capsys, tmp_path, doc | {"payload": doc["payload"] | {key: flag}})
+        assert rc == 0 and out == plain
+    rc = main(["--config", write_job(tmp_path, doc | {"payload": doc["payload"] | {key: 1}}), "--format", "machine"])
+    assert rc == 2 and f"$.payload.{key}:" in capsys.readouterr().err
 
 
 # -- determinism and roundtrip -------------------------------------------------------

@@ -170,23 +170,23 @@ def test_section_rejects_origin():
 
 def test_section_lattice_verdicts(g22):
     m = g22.model
-    out = hitchin_section(LatticeSectionDatum(NSClass((2, 0)), NSClass((4, 0)), False, m))
+    out = hitchin_section(LatticeSectionDatum(NSClass((2, 0)), NSClass((4, 0)), m))
     assert out.stability == Stability.STABLE
     assert out.E_classes == (NSClass((0, 0)), NSClass((-2, 0)))
     assert out.psl2r_condition is True  # (4F1)^2 = 0
     assert out.sl2r_condition is True  # L = 2F1 divisible by two
 
-    odd = hitchin_section(LatticeSectionDatum(NSClass((1, 0)), NSClass((2, 0)), False, m))
+    odd = hitchin_section(LatticeSectionDatum(NSClass((1, 0)), NSClass((2, 0)), m))
     assert odd.psl2r_condition is True and odd.sl2r_condition is False
 
-    mixed = hitchin_section(LatticeSectionDatum(NSClass((2, 2)), NSClass((4, 4)), False, m))
+    mixed = hitchin_section(LatticeSectionDatum(NSClass((2, 2)), NSClass((4, 4)), m))
     assert mixed.psl2r_condition is False  # (4F1+4F2)^2 = 32
 
-    zero = hitchin_section(LatticeSectionDatum(NSClass((0, 0)), NSClass((0, 0)), True, m))
+    zero = hitchin_section(LatticeSectionDatum(NSClass((0, 0)), NSClass((0, 0)), m))
     assert zero.stability == Stability.POLYSTABLE
 
     with pytest.raises(InconsistentBranchData):
-        LatticeSectionDatum(NSClass((1, 0)), NSClass((1, 0)), False, m)
+        LatticeSectionDatum(NSClass((1, 0)), NSClass((1, 0)), m)
 
 
 def test_cstar_scale_preserves_verdict():
