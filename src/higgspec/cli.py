@@ -258,7 +258,9 @@ _INT_MATRIX = _list(_list(_INT))
 _ONEFORM = _then(_list(_poly, "nvars"), lambda entries, ctx: OneForm(entries))
 _SYMDIFF = _then(_list(_list(_poly), "nvars"), lambda rows, ctx: SymDiff(rows))
 _DATUM = _then(_obj({"s1": _ONEFORM, "s2": _SYMDIFF}), lambda d, ctx: SpectralDatum(d["s1"], d["s2"]))
-_FACTORIZATION = _then(_obj({"alpha": _ONEFORM, "tau": _poly}), lambda d, ctx: RankOneFactorization(d["alpha"], d["tau"]))
+_FACTORIZATION = _then(
+    _obj({"alpha": _ONEFORM, "tau": _poly}), lambda d, ctx: RankOneFactorization(d["alpha"], d["tau"])
+)
 
 
 # -- model builders ------------------------------------------------------------------
@@ -539,9 +541,12 @@ def _run_selftest(job):
 # the command and the model kind choose the payload table.
 
 _GENUS = _int(lambda v: 0 <= v <= geometry.MAX_GENUS, f"genus must be 0..{geometry.MAX_GENUS}")
-_NVARS = spectral.MAX_CHART_DIM
+_MAX_DIM = spectral.MAX_CHART_DIM
 _MODEL = _into("kind", _variant({
-    "chart": _obj({"kind": _str, "nvars": _into("nvars", _int(lambda v: 1 <= v <= _NVARS, f"chart dimension must be 1..{_NVARS}"))}),
+    "chart": _obj({
+        "kind": _str,
+        "nvars": _into("nvars", _int(lambda v: 1 <= v <= _MAX_DIM, f"chart dimension must be 1..{_MAX_DIM}")),
+    }),
     "product_curves": _then(
         _obj({"kind": _str, "g1": _GENUS, "g2": _GENUS, "torsion2": (_NONNEG, None)}), _product_curves_model
     ),
@@ -606,13 +611,15 @@ _COMMANDS = {
     "sl2r-enum": (_run_sl2r_enum, dict.fromkeys(_SURFACES, _obj({
         "components": _list(_then(_obj({"class": _cls(), "multiplicity": _INT}), _values)), "L": _cls(),
     }))),
-    "milnor-wood": (_run_milnor_wood, dict.fromkeys(_SURFACES, _obj({"W": _cls(), "gamma": _cls(), "K_pseff": (_bool, True)}))),
+    "milnor-wood": (
+        _run_milnor_wood, dict.fromkeys(_SURFACES, _obj({"W": _cls(), "gamma": _cls(), "K_pseff": (_bool, True)}))
+    ),
     "rigidity": (_run_rigidity, {None: _obj({
         "picard_number_one": _bool, "b1": _NONNEG, "double_cover_b1s": (_list(_NONNEG), ()),
     })}),
     "higher-rank": (_run_higher_rank, {None: _obj({
         "rank": _into("companion_rank", _INT),
-        "nvars": _into("nvars", _int(lambda v: 0 <= v <= _NVARS, f"must be 0..{_NVARS}")),
+        "nvars": _into("nvars", _int(lambda v: 0 <= v <= _MAX_DIM, f"must be 0..{_MAX_DIM}")),
         "coefficients": _then(_list(_poly), _companion),  # decoded into the companion field
     })}),
     "selftest": (_run_selftest, {None: _obj({})}),

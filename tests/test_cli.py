@@ -391,7 +391,11 @@ REJECTED_INPUTS = {
         "$.payload.s[0]",
     ),
     "s2 row not a list": (
-        {"command": "base-check", "model": {"kind": "chart", "nvars": 1}, "payload": {"datum": {"s1": ["0"], "s2": [7]}}},
+        {
+            "command": "base-check",
+            "model": {"kind": "chart", "nvars": 1},
+            "payload": {"datum": {"s1": ["0"], "s2": [7]}},
+        },
         2,
         "$.payload.datum.s2[0]",
     ),
