@@ -1,16 +1,25 @@
 """Per-layer timings of higgspec on recorded inputs.
 
-    python3 benchmarks/bench.py --src DIR --out PATH [--repeats N]
+    python3 benchmarks/bench.py --src DIR --out PATH [--repeats N] [--corpus FILE]
 
 Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
-CLI front door of the checkout at DIR (``DIR/src`` is imported), with
-``Poly.from_text``, ``SpectralDatum.quarter_defect`` and
-``spectral.first_nonzero_minor`` wrapped to record their arguments.  Each
-function is then timed alone over its recorded inputs, in CPU time, N times;
-``first_nonzero_minor`` is split into rank-one members (result None) and
-rank-two witnesses.  One in-process round of each workload is timed the same
-way.  Rows ``{layer, case, calls, best_s, median_s, repeats, python, commit,
+CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
+functions wrapped to record their arguments: ``Poly.from_text``,
+``Poly.__mul__`` (polynomial operands), ``exact_div``, top-level
+``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
+``SpectralDatum.quarter_defect``, ``spectral.first_nonzero_minor`` and
+``hitchin_map``.  Each function is then timed alone over its recorded
+inputs, in CPU time, N times; ``first_nonzero_minor`` is split into rank-one
+members (result None) and rank-two witnesses.  One in-process round of each
+workload is timed the same way.
+
+A change can alter which calls a round makes, so two checkouts record
+different inputs.  With ``--corpus FILE`` the inputs are written to FILE by
+the first run and read back from it by every later run, so runs at a parent
+checkout and at a change time the same inputs.
+
+Rows ``{layer, case, calls, best_s, median_s, repeats, python, commit,
 output_sha256}`` are merged into PATH (rows of the same commit are replaced),
 so two runs, at a parent checkout and at a change, leave both in one file.
 ``output_sha256`` hashes the timed calls' results: equal hashes mean equal
@@ -28,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -53,37 +63,84 @@ def _run_job(cli, errors, config):
         return f"error: {type(exc).__name__}: {exc}"
 
 
+def _rebind(old, new):
+    """Point every higgspec module attribute bound to function old at new; the undo list."""
+    undo = []
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "higgspec":
+            for attr, val in list(vars(mod).items()):
+                if val is old:
+                    undo.append((mod, attr, old))
+                    setattr(mod, attr, new)
+    return undo
+
+
 def _record(poly, spectral, run_round):
-    """Run the rounds once with the three functions wrapped; their recorded inputs."""
-    texts, datums, members, witnesses = [], [], [], []
-    from_text = poly.Poly.from_text.__func__
-    quarter_defect = spectral.SpectralDatum.quarter_defect
-    first_nonzero_minor = spectral.first_nonzero_minor
+    """Run the rounds once with the recorded functions wrapped; their inputs as JSON data."""
+    P, SD = poly.Poly, spectral.SpectralDatum
+    rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "mul",
+                           "exact_div", "poly_gcd", "squarefree", "hitchin_map")}
+    from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
+    fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
+    sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
+    depth = [0]
 
     def rec_from_text(cls, text, nvars):
-        texts.append((text, nvars))
+        rec["from_text"].append([text, nvars])
         return from_text(cls, text, nvars)
 
+    def rec_mul(self, other):
+        if isinstance(other, P):
+            rec["mul"].append([self.to_tree(), other.to_tree()])
+        return mul(self, other)
+
     def rec_quarter_defect(self):
-        datums.append(self)
+        rec["quarter_defect"].append(self.to_tree())
         return quarter_defect(self)
 
-    def rec_first_nonzero_minor(S):
-        out = first_nonzero_minor(S)
-        (members if out is None else witnesses).append(S)
+    def rec_fnm(S):
+        out = fnm(S)
+        rec["members" if out is None else "witnesses"].append(S.to_tree())
         return out
 
-    poly.Poly.from_text = classmethod(rec_from_text)
-    spectral.SpectralDatum.quarter_defect = rec_quarter_defect
-    spectral.first_nonzero_minor = rec_first_nonzero_minor
+    def rec_div(a, b):
+        rec["exact_div"].append([a.to_tree(), b.to_tree()])
+        return div(a, b)
+
+    def rec_gcd(a, b):
+        if not depth[0]:
+            rec["poly_gcd"].append([a.to_tree(), b.to_tree()])
+        depth[0] += 1
+        try:
+            return gcd(a, b)
+        finally:
+            depth[0] -= 1
+
+    def rec_sqf(f):
+        rec["squarefree"].append(f.to_tree())
+        return sqf(f)
+
+    def rec_hitchin(phi):
+        rec["hitchin_map"].append(phi.to_tree())
+        return hitchin(phi)
+
+    P.from_text = classmethod(rec_from_text)
+    P.__mul__ = rec_mul
+    SD.quarter_defect = rec_quarter_defect
+    undo = []
     try:
+        for old, new in ((fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
+                         (hitchin, rec_hitchin)):
+            undo += _rebind(old, new)
         for wl in WORKLOADS:
             run_round(wl)
     finally:
-        poly.Poly.from_text = classmethod(from_text)
-        spectral.SpectralDatum.quarter_defect = quarter_defect
-        spectral.first_nonzero_minor = first_nonzero_minor
-    return texts, datums, members, witnesses
+        P.from_text = classmethod(from_text)
+        P.__mul__ = mul
+        SD.quarter_defect = quarter_defect
+        for mod, attr, old in undo:
+            setattr(mod, attr, old)
+    return rec
 
 
 def _time(fn, render, repeats):
@@ -107,7 +164,11 @@ def _witness_text(out):
     return "None" if out is None else f"{out[0]} {out[1].to_text()}"
 
 
-def measure(src, repeats):
+def _poly_text(out):
+    return out.to_text() if hasattr(out, "to_text") else f"{type(out).__name__}: {out}"
+
+
+def measure(src, repeats, corpus=None):
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
@@ -118,17 +179,53 @@ def measure(src, repeats):
     def run_round(wl):
         return [_run_job(cli, errors, c) for c in rounds[wl]]
 
-    texts, datums, members, witnesses = _record(poly, spectral, run_round)
-    P, fnm = poly.Poly, spectral.first_nonzero_minor
+    if corpus and os.path.exists(corpus):
+        with open(corpus, encoding="utf-8") as fh:
+            rec = json.load(fh)
+        print(f"inputs read from {corpus}")
+    else:
+        rec = _record(poly, spectral, run_round)
+        if corpus:
+            with open(corpus, "w", encoding="utf-8") as fh:
+                json.dump(rec, fh)
+            print(f"inputs recorded at {src}, written to {corpus}")
+
+    P = poly.Poly
+
+    def poly_in(t):
+        # the constructor, not from_tree: recorded intermediate values may pass the parse cap
+        return P(t["nvars"], {tuple(x["exps"]): Fraction(x["num"], x["den"]) for x in t["terms"]})
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except errors.HiggspecError as exc:
+            return exc
+
+    texts = [tuple(t) for t in rec["from_text"]]
+    datums = [spectral.SpectralDatum.from_tree(t) for t in rec["quarter_defect"]]
+    members = [spectral.SymDiff.from_tree(t) for t in rec["members"]]
+    witnesses = [spectral.SymDiff.from_tree(t) for t in rec["witnesses"]]
+    muls, divs, gcds = ([(poly_in(a), poly_in(b)) for a, b in rec[k]]
+                        for k in ("mul", "exact_div", "poly_gcd"))
+    sqfs = [poly_in(t) for t in rec["squarefree"]]
+    fields = [spectral.HiggsField.from_tree(t) for t in rec["hitchin_map"]]
+    fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
+    sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
     cases = [
         ("poly", "Poly.from_text", len(texts),
          lambda: [P.from_text(t, n) for t, n in texts], P.to_text),
+        ("poly", "Poly.__mul__", len(muls), lambda: [a * b for a, b in muls], P.to_text),
+        ("poly", "exact_div", len(divs), lambda: [attempt(div, a, b) for a, b in divs], _poly_text),
+        ("poly", "poly_gcd top-level", len(gcds), lambda: [gcd(a, b) for a, b in gcds], P.to_text),
+        ("poly", "squarefree_decompose", len(sqfs), lambda: [sqf(f) for f in sqfs], repr),
         ("spectral", "quarter_defect", len(datums),
          lambda: [d.quarter_defect() for d in datums], repr),
         ("spectral", "first_nonzero_minor members", len(members),
          lambda: [fnm(S) for S in members], _witness_text),
         ("spectral", "first_nonzero_minor witnesses", len(witnesses),
          lambda: [fnm(S) for S in witnesses], _witness_text),
+        ("spectral", "hitchin_map", len(fields), lambda: [hitchin(phi) for phi in fields], repr),
     ]
     for wl in WORKLOADS:
         cases.append(("job", f"{wl} round (in-process CLI)", len(rounds[wl]),
@@ -149,13 +246,14 @@ def main(argv=None):
     ap.add_argument("--src", required=True, help="checkout whose src/higgspec is measured")
     ap.add_argument("--repeats", type=int, default=7, help="timed runs per case (default 7)")
     ap.add_argument("--out", required=True, help="JSON file the rows are merged into")
+    ap.add_argument("--corpus", help="recorded inputs: written if absent, read back if present")
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
     if not os.path.isdir(os.path.join(src, "src", "higgspec")):
         ap.error(f"{src} has no src/higgspec")
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    rows = measure(src, args.repeats)
+    rows = measure(src, args.repeats, args.corpus)
     kept = []
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

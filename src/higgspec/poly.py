@@ -1,27 +1,34 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero ``Fraction``
-coefficients, kept canonical at all times so that mathematical equality of
-polynomials coincides with structural equality of objects.  Leading terms,
-normalisation and serialisation all use the graded lexicographic order.
+A polynomial is stored in one canonical form: a positive rational content
+num / den in lowest terms times a primitive integer polynomial, a dict from
+exponent vectors to ints whose gcd is one (the zero polynomial has an empty
+dict).  Mathematical equality of polynomials therefore coincides with
+equality of (content, dict).  Leading terms, normalisation and serialisation
+all use the graded lexicographic order.  The public views (``terms``,
+``content``, ``leading_coefficient``, ...) give ``Fraction`` values; no
+arithmetic kernel builds one.
 
 Floating point is rejected everywhere; the scalar field is Q.
 
-Multiplication, division and the gcd run on packed integer polynomials
-(_pack, _unpack): a rational content times a primitive integer part, each
-exponent vector packed into one int.  The one division, _div_packed, is a
-heap division on those ints; exact_div runs it on the primitive parts, which
-is exact over Q by Gauss's lemma.  The gcd is the heuristic integer gcd
-GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989), one variable at a
-time (Liao & Fateman, ISSAC 1995), and _div_packed checks every answer it
-gives; when it gives up, primitive pseudo-remainder sequences answer
-instead.  Parsed polynomials are capped at total degree MAX_PARSED_DEGREE.
+A product of primitive polynomials is primitive (Gauss's lemma), so a
+multiply multiplies the contents and the integer parts and needs no gcd pass;
+a sum brings both operands to a common content and takes one gcd.
+Multiplication, division and the gcd pack each exponent vector into one int
+(_pack, _unpack).  The one division, _div_packed, is a heap division on
+those ints; exact_div runs it on the primitive parts, which is exact over Q
+by Gauss's lemma.  The gcd is the heuristic integer gcd GCDHEU (Char, Geddes
+& Gonnet, J. Symb. Comput. 7, 1989), one variable at a time (Liao & Fateman,
+ISSAC 1995), and _div_packed checks every answer it gives; when it gives up,
+primitive pseudo-remainder sequences answer instead.  Parsed polynomials are
+capped at total degree MAX_PARSED_DEGREE.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -62,6 +69,10 @@ def _coerce_coeff(c):
     raise TypeError(f"coefficients must be Fraction or int, got {type(c).__name__}")
 
 
+def _is_scalar(c):
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     """Nonnegative gcd on Q: gcd(p/q, r/s) = gcd(p*s, r*q) / (q*s)."""
     if not a:
@@ -78,6 +89,11 @@ def _grlex_key(e):
     return (sum(e), e)
 
 
+def _lowest(num, den):
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
 # -- packed integer polynomials --------------------------------------------------
 #
 # The multiply, gcd and division kernels run on dicts mapping an int key to an
@@ -86,46 +102,43 @@ def _grlex_key(e):
 # exponent vectors do in lex order.
 
 
-def _pack(t, w):
-    """(ints, (num, den)) with t == num / den * ints for a nonzero term dict t.
-
-    ints maps packed exponent vectors to integer coefficients of gcd one;
-    the content num / den is gcd(numerators) / lcm(denominators), positive
-    and in lowest terms.
-    """
-    cs = t.values()
-    nums = [c.numerator for c in cs]
-    dens = [c.denominator for c in cs]
-    num, den = math.gcd(*nums), math.lcm(*dens)
-    if num > 1 or den > 1:
-        nums = [p * (den // q) // num for p, q in zip(nums, dens)]
+def _pack(ints, w):
+    """ints with every exponent vector packed into w-bit fields."""
     keys = []
-    for e in t:
+    for e in ints:
         k = 0
         for x in e:
             k = (k << w) | x
         keys.append(k)
-    return dict(zip(keys, nums)), (num, den)
+    return dict(zip(keys, ints.values()))
 
 
-def _unpack(ints, n, w, p, q):
-    """The term dict of ints * p / q, ints packed in n fields of w bits; zeros are dropped."""
-    mask = (1 << w) - 1
+def _unpack(ints, n, w):
+    """ints with packed keys of n fields of w bits turned back into tuples; zeros are dropped.
+
+    Charts have at most four variables, and those key layouts are spelled
+    out: a tuple display is several times faster than a loop over shifts.
+    """
+    m = (1 << w) - 1
+    items = ints.items()
+    if n == 1:
+        return {(k,): v for k, v in items if v}
+    if n == 2:
+        return {(k >> w, k & m): v for k, v in items if v}
+    w2, w3 = 2 * w, 3 * w
+    if n == 3:
+        return {(k >> w2, k >> w & m, k & m): v for k, v in items if v}
+    if n == 4:
+        return {(k >> w3, k >> w2 & m, k >> w & m, k & m): v for k, v in items if v}
     shifts = range(w * (n - 1), -1, -w)
-    if p != 1:
-        ints = {k: v * p for k, v in ints.items()}
-    return {
-        tuple([(k >> s) & mask for s in shifts]): Fraction(v, q) if q > 1 else Fraction(v)
-        for k, v in ints.items()
-        if v
-    }
+    return {tuple([(k >> s) & m for s in shifts]): v for k, v in items if v}
 
 
 def _pack_pair(a, b):
-    """(_pack(a), _pack(b), w, guard): every field gets a spare top bit, set in guard."""
-    w = max(map(max, (*a.terms, *b.terms))).bit_length() + 1
+    """(packed a, packed b, w, guard): every field gets a spare top bit, set in guard."""
+    w = max(map(max, (*a._ints, *b._ints))).bit_length() + 1
     guard = sum(1 << (w * i + w - 1) for i in range(a.nvars))
-    return _pack(a.terms, w), _pack(b.terms, w), w, guard
+    return _pack(a._ints, w), _pack(b._ints, w), w, guard
 
 
 def _box(f, n, w):
@@ -188,103 +201,91 @@ def _div_packed(a, b, n, w, guard):
 
 # -- term kernels ----------------------------------------------------------------
 #
-# All operate on plain dicts mapping exponent tuples to nonzero Fraction
-# coefficients and never mutate their arguments.
+# All operate on integer parts (dicts mapping exponent tuples to nonzero ints)
+# and never mutate their arguments: a Poly's dict may be shared by others.
 
 
-def _add_terms(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        prev = out.get(e)
-        if prev is None:
-            out[e] = c
+def _combine(a, ka, b, kb):
+    """ka * a + kb * b for integer parts a, b and nonzero ints ka, kb."""
+    out = {e: v * ka for e, v in a.items()} if ka != 1 else dict(a)
+    get = out.get
+    for e, v in b.items():
+        s = get(e, 0) + v * kb
+        if s:
+            out[e] = s
         else:
-            s = prev + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            del out[e]
     return out
 
 
-def _sub_terms(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        prev = out.get(e)
-        if prev is None:
-            out[e] = -c
-        else:
-            s = prev - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def _scale_terms(a, c):
-    if not c:
-        return {}
-    return {e: k * c for e, k in a.items()}
-
-
-def _mul_terms(a, b):
-    """Product of two term dicts.
+def _mul_ints(a, b, n):
+    """Product of two nonempty integer parts in n variables.
 
     When the shorter operand has at most two terms, each term pair is formed
     directly: packing both operands would cost more than it saves.  Otherwise
     each operand is packed (_pack), with w wide enough for any exponent of
     the product; a monomial product is then one int add, and the inner loop
-    touches ints only (Monagan & Pearce, CASC 2007).  Keys are unpacked and
-    coefficients turned back into Fractions once, at the end.
+    touches ints only (Monagan & Pearce, CASC 2007).
     """
     if len(a) > len(b):
         a, b = b, a
     if len(a) <= 2:
         out = {}
-        for ea, ca in a.items():
-            p, q = ca.numerator, ca.denominator
-            for eb, cb in b.items():
+        get = out.get
+        for ea, va in a.items():
+            for eb, vb in b.items():
                 e = tuple(map(add, ea, eb))
-                c = Fraction(p * cb.numerator, q * cb.denominator)
-                prev = out.get(e)
-                if prev is not None:
-                    c += prev
-                    if not c:
-                        del out[e]
-                        continue
-                out[e] = c
+                c = get(e, 0) + va * vb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
         return out
     w = (max(map(sum, a)) + max(map(sum, b))).bit_length()
-    pa, (na, da) = _pack(a, w)
-    pb, (nb, db) = _pack(b, w)
-    pb = list(pb.items())
-    p = na * nb
+    pa = _pack(a, w)
+    pb = list(_pack(b, w).items())
     acc = {}
     get = acc.get
     for ka, va in pa.items():
-        va *= p
         for kb, vb in pb:
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
-    return _unpack(acc, len(next(iter(a))), w, 1, da * db)
+    return _unpack(acc, n, w)
 
 
-def _eval_terms(a, point):
-    total = Fraction(0)
-    for e, c in a.items():
-        v = c
-        for x, k in zip(point, e):
-            if k:
-                v *= x**k
-        total += v
-    return total
+class _Terms(Mapping):
+    """Read-only view of a Poly's terms: exponent tuple -> Fraction.
+
+    Length, iteration and membership read the integer part only; a
+    coefficient becomes a Fraction when it is looked up.
+    """
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p):
+        self._p = p
+
+    def __len__(self):
+        return len(self._p._ints)
+
+    def __iter__(self):
+        return iter(self._p._ints)
+
+    def __contains__(self, e):
+        return e in self._p._ints
+
+    def __getitem__(self, e):
+        p = self._p
+        return Fraction(p._ints[e] * p._num, p._den)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class Poly:
     """Canonical multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_ints", "_num", "_den", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
@@ -307,21 +308,38 @@ class Poly:
                         clean[e] = s
                     else:
                         del clean[e]
+        den = math.lcm(*[c.denominator for c in clean.values()])
+        ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._set(nvars, *_primitive_split(ints, 1, den))
+
+    def _set(self, nvars, ints, num, den):
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, nvars, terms):
-        # internal: terms already canonical (kernel output)
+    def _raw(cls, nvars, ints, num=1, den=1):
+        # internal: ints primitive with no zero value, num / den > 0 in lowest terms
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self._set(nvars, ints, num, den)
+        return self
+
+    @classmethod
+    def _make(cls, nvars, ints, num=1, den=1):
+        # internal: num / den * ints for any int dict with no zero value, num, den > 0
+        self = object.__new__(cls)
+        self._set(nvars, *_primitive_split(ints, num, den))
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only mapping exponent tuple -> nonzero Fraction coefficient."""
+        return _Terms(self)
 
     # -- constructors ------------------------------------------------------
 
@@ -331,19 +349,21 @@ class Poly:
 
     @classmethod
     def one(cls, nvars):
-        return cls.constant(nvars, 1)
+        return cls._raw(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars, c):
         c = _coerce_coeff(c)
-        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
+        if not c:
+            return cls._raw(nvars, {})
+        return cls._raw(nvars, {(0,) * nvars: 1 if c > 0 else -1}, abs(c.numerator), c.denominator)
 
     @classmethod
     def variable(cls, nvars, i):
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._raw(nvars, {e: Fraction(1)})
+        return cls._raw(nvars, {e: 1})
 
     @classmethod
     def monomial(cls, nvars, exps, c=1):
@@ -352,47 +372,47 @@ class Poly:
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._ints
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        t = self._ints
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._ints.values())) * self._num, self._den)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._ints))
 
     def degree_in(self, v):
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(e[v] for e in self.terms)
+        return max(e[v] for e in self._ints)
 
     def leading_exponent(self):
-        if not self.terms:
+        if not self._ints:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex_key)
+        return max(self._ints, key=_grlex_key)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_exponent()]
+        return Fraction(self._ints[self.leading_exponent()] * self._num, self._den)
 
     def content(self) -> Fraction:
         """Nonnegative gcd of all coefficients (0 for the zero polynomial).
 
-        Over Q this is gcd(numerators) / lcm(denominators); a running gcd of 1
-        can still drop below 1, so every coefficient is read.
+        Over Q this is gcd(numerators) / lcm(denominators): the stored
+        content, since the integer part has gcd one.
         """
-        cs = self.terms.values()
-        return Fraction(
-            math.gcd(*[c.numerator for c in cs]), math.lcm(*[c.denominator for c in cs])
-        )
+        if not self._ints:
+            return Fraction(0)
+        return Fraction(self._num, self._den)
 
     def primitive(self):
         """Split off the signed rational content.
@@ -402,13 +422,9 @@ class Poly:
         """
         if self.is_zero():
             return Fraction(0), self
-        c = self.content()
-        if self.leading_coefficient() < 0:
-            c = -c
-        if c == 1:
-            return c, self
-        inv = 1 / c
-        return c, Poly._raw(self.nvars, _scale_terms(self.terms, inv))
+        prim = _prim(self)
+        sign = 1 if prim._ints is self._ints else -1
+        return Fraction(sign * self._num, self._den), prim
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -417,15 +433,32 @@ class Poly:
             if other.nvars != self.nvars:
                 raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_scalar(other):
             return Poly.constant(self.nvars, other)
         return None
+
+    def _plus(self, other, sign):
+        """self + sign * other."""
+        if not other._ints:
+            return self
+        if not self._ints:
+            return other if sign > 0 else -other
+        na, da, nb, db = self._num, self._den, other._num, other._den
+        if na == nb and da == db:
+            g, den, ka, kb = na, da, 1, sign
+        else:
+            g, den = math.gcd(na, nb), math.lcm(da, db)
+            ka, kb = na // g * (den // da), sign * (nb // g) * (den // db)
+        ints = _combine(self._ints, ka, other._ints, kb)
+        if not ints:
+            return Poly._raw(self.nvars, ints)
+        return Poly._make(self.nvars, ints, g, den)
 
     def __add__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _add_terms(self.terms, other.terms))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -433,26 +466,43 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _sub_terms(self.terms, other.terms))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _sub_terms(other.terms, self.terms))
+        return other._plus(self, -1)
+
+    def _scaled(self, p, q):
+        """self * p / q for ints p and q > 0: only the content changes, and the signs if p < 0."""
+        if not p or not self._ints:
+            return Poly._raw(self.nvars, {})
+        ints = self._ints
+        if p < 0:
+            p = -p
+            ints = {e: -v for e, v in ints.items()}
+        num, den = _lowest(self._num * p, self._den * q)
+        return Poly._raw(self.nvars, ints, num, den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Poly._raw(self.nvars, _scale_terms(self.terms, Fraction(other)))
+        if _is_scalar(other):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return Poly._raw(self.nvars, _mul_terms(self.terms, other.terms))
+        if not self._ints or not other._ints:
+            return Poly._raw(self.nvars, {})
+        num, den = _lowest(self._num * other._num, self._den * other._den)
+        # Gauss's lemma: the product of primitive integer parts is primitive
+        return Poly._raw(self.nvars, _mul_ints(self._ints, other._ints, self.nvars), num, den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly._raw(self.nvars, _scale_terms(self.terms, Fraction(-1)))
+        return Poly._raw(self.nvars, {e: -v for e, v in self._ints.items()}, self._num, self._den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -469,58 +519,74 @@ class Poly:
     def partial(self, v):
         """Partial derivative with respect to variable v."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._ints.items():
             k = e[v]
             if k:
-                e2 = e[:v] + (k - 1,) + e[v + 1 :]
-                out[e2] = out.get(e2, Fraction(0)) + c * k
-        return Poly._raw(self.nvars, {e: c for e, c in out.items() if c})
+                out[e[:v] + (k - 1,) + e[v + 1 :]] = c * k
+        return Poly._make(self.nvars, out, self._num, self._den)
 
     def evaluate(self, point):
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.nvars:
             raise ValueError("point length must equal nvars")
-        return _eval_terms(self.terms, point)
+        total = Fraction(0)
+        for e, c in self._ints.items():
+            v = Fraction(c)
+            for x, k in zip(point, e):
+                if k:
+                    v *= x**k
+            total += v
+        return total * self._num / self._den
 
     def lift(self, extra=1):
         """Adjoin `extra` fresh trailing variables (used for charpoly in lambda)."""
         pad = (0,) * extra
-        return Poly._raw(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
+        ints = {e + pad: c for e, c in self._ints.items()}
+        return Poly._raw(self.nvars + extra, ints, self._num, self._den)
 
     # -- equality, ordering helpers ----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_scalar(other):
             other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self._num == other._num
+            and self._den == other._den
+            and self.nvars == other.nvars
+            and self._ints == other._ints
+        )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self.terms.items())))
+            h = hash((self.nvars, self._num, self._den, frozenset(self._ints.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._ints)
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.to_text()!r})"
 
     # -- serialization ------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+    def _sorted_parts(self):
+        """(exponents, p, q) per term, p / q the coefficient in lowest terms, descending grlex."""
+        ints, num, den = self._ints, self._num, self._den
+        keys = sorted(ints, key=_grlex_key, reverse=True)
+        if den == 1:
+            return [(e, ints[e] * num, 1) for e in keys]
+        return [(e, *_lowest(ints[e] * num, den)) for e in keys]
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self._ints:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
-            factors = [str(c)]
+        for e, p, q in self._sorted_parts():
+            factors = [str(p) if q == 1 else f"{p}/{q}"]
             for i, k in enumerate(e):
                 if k == 1:
                     factors.append(f"x{i + 1}")
@@ -532,7 +598,7 @@ class Poly:
     @classmethod
     def from_text(cls, text: str, nvars: int) -> "Poly":
         """Parse ``c * x1^2 * x3 + ...``; repeated monomials are merged, zeros dropped."""
-        terms = {}
+        parsed = []
         body = text.strip()
         if not body:
             raise ValueError("empty polynomial text")
@@ -555,18 +621,21 @@ class Poly:
                     p, q = _rational_parts(piece)
                     num *= p
                     den *= q
-            e = tuple(exps)
-            c = Fraction(num, den)
-            prev = terms.get(e)
-            terms[e] = c if prev is None else prev + c
-        return _degree_capped(cls._raw(nvars, {e: c for e, c in terms.items() if c}))
+            parsed.append((tuple(exps), num, den))
+        # over the common denominator every coefficient is an int, and
+        # repeated monomials merge by integer addition
+        den = math.lcm(*[q for _, _, q in parsed])
+        ints = {}
+        for e, p, q in parsed:
+            ints[e] = ints.get(e, 0) + p * (den // q)
+        ints = {e: c for e, c in ints.items() if c}
+        return _degree_capped(cls._make(nvars, ints, 1, den))
 
     def to_tree(self):
         return {
             "nvars": self.nvars,
             "terms": [
-                {"exps": list(e), "num": c.numerator, "den": c.denominator}
-                for e, c in self.sorted_terms()
+                {"exps": list(e), "num": p, "den": q} for e, p, q in self._sorted_parts()
             ],
         }
 
@@ -577,6 +646,17 @@ class Poly:
             e = tuple(t["exps"])
             terms[e] = terms.get(e, Fraction(0)) + Fraction(t["num"], t["den"])
         return _degree_capped(cls(tree["nvars"], terms))
+
+
+def _primitive_split(ints, num, den):
+    """(primitive ints, content num', den') with num' / den' * ints' == num / den * ints."""
+    if not ints:
+        return ints, 1, 1
+    g = math.gcd(*ints.values())
+    if g != 1:
+        ints = {e: v // g for e, v in ints.items()}
+        num *= g
+    return (ints, *_lowest(num, den))
 
 
 def _degree_capped(p: Poly) -> Poly:
@@ -592,13 +672,13 @@ def _degree_capped(p: Poly) -> Poly:
 def exact_div(a: Poly, b: Poly) -> Poly:
     """Exact quotient a / b in the polynomial ring.
 
-    A constant b just scales a.  Otherwise each operand is split into its
-    rational content times a primitive integer part, the parts are packed
-    and divided by _div_packed, and the quotient is content(a) / content(b)
-    times theirs.  This is exact over Q: by Gauss's lemma a primitive b
-    divides a over Q iff it divides over Z.  When b does not divide a,
-    :class:`DivisionFailure` carries the witness a - q*b, q the partial
-    quotient reached; the witness is nonzero and b divides a minus it.
+    A constant b just scales a.  Otherwise the primitive integer parts are
+    packed and divided by _div_packed, and the quotient is content(a) /
+    content(b) times theirs, itself primitive by Gauss's lemma.  This is
+    exact over Q: a primitive b divides a over Q iff it divides over Z.
+    When b does not divide a, :class:`DivisionFailure` carries the witness
+    a - q*b, q the partial quotient reached; the witness is nonzero and b
+    divides a minus it.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -607,35 +687,42 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return Poly.zero(a.nvars)
     if b.is_constant():
-        return a * (1 / b.constant_value())
-    (fa, (na, da)), (fb, (nb, db)), w, guard = _pack_pair(a, b)
-    fq, divides = _div_packed(fa, fb, a.nvars, w, guard)
-    q = Poly._raw(a.nvars, _unpack(fq, a.nvars, w, na * db, da * nb))
+        sign = next(iter(b._ints.values()))
+        return a._scaled(sign * b._den, b._num)
+    n = a.nvars
+    fa, fb, w, guard = _pack_pair(a, b)
+    fq, divides = _div_packed(fa, fb, n, w, guard)
+    num, den = _lowest(a._num * b._den, a._den * b._num)
     if not divides:
-        raise DivisionFailure(a - q * b)
-    return q
+        raise DivisionFailure(a - Poly._make(n, _unpack(fq, n, w), num, den) * b)
+    return Poly._raw(n, _unpack(fq, n, w), num, den)
 
 
 # -- gcd ---------------------------------------------------------------------
 
 
 def _positive_leading(p: Poly) -> Poly:
-    if not p.is_zero() and p.leading_coefficient() < 0:
+    if p._ints and p._ints[p.leading_exponent()] < 0:
         return -p
     return p
+
+
+def _prim(p: Poly) -> Poly:
+    """The primitive part of a nonzero p: content one, positive leading coefficient."""
+    return _positive_leading(p if p._num == p._den == 1 else Poly._raw(p.nvars, p._ints))
+
+
+def _gcd_content(a: Poly, b: Poly):
+    """frac_gcd of the contents of nonzero a and b, as (num, den) in lowest terms."""
+    return math.gcd(a._num, b._num), math.lcm(a._den, b._den)
 
 
 def _univariate_coeffs(p: Poly, v: int):
     """Coefficients of p viewed in the variable v: map v-degree -> Poly."""
     out = {}
-    for e, c in p.terms.items():
-        k = e[v]
-        e2 = e[:v] + (0,) + e[v + 1 :]
-        d = out.setdefault(k, {})
-        d[e2] = d.get(e2, Fraction(0)) + c
-    return {
-        k: Poly._raw(p.nvars, {e: c for e, c in d.items() if c}) for k, d in out.items()
-    }
+    for e, c in p._ints.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
+    return {k: Poly._make(p.nvars, d, p._num, p._den) for k, d in out.items()}
 
 
 def _content_in(p: Poly, v: int) -> Poly:
@@ -645,16 +732,13 @@ def _content_in(p: Poly, v: int) -> Poly:
 
 def _lead_in(p: Poly, v: int) -> Poly:
     d = p.degree_in(v)
-    out = {}
-    for e, c in p.terms.items():
-        if e[v] == d:
-            out[e[:v] + (0,) + e[v + 1 :]] = c
-    return Poly._raw(p.nvars, out)
+    out = {e[:v] + (0,) + e[v + 1 :]: c for e, c in p._ints.items() if e[v] == d}
+    return Poly._make(p.nvars, out, p._num, p._den)
 
 
 def _var_monomial(nvars, v, k):
     e = tuple(k if j == v else 0 for j in range(nvars))
-    return Poly._raw(nvars, {e: Fraction(1)})
+    return Poly._raw(nvars, {e: 1})
 
 
 def _prem(a: Poly, b: Poly, v: int) -> Poly:
@@ -763,17 +847,15 @@ def _heu_gcd(f, g, n, w, guard):
 def _heu_poly_gcd(a: Poly, b: Poly):
     """poly_gcd by GCDHEU on the primitive integer parts, or None if it gives up.
 
-    The operands are packed with _pack_pair; the primitive gcd is turned
-    back into Fractions once, times frac_gcd of the contents, with a
-    positive grlex-leading coefficient.
+    The operands' integer parts are primitive, so the gcd GCDHEU returns is
+    too; it is unpacked once, with the gcd of the contents and a positive
+    grlex-leading coefficient.
     """
-    (fa, (na, da)), (fb, (nb, db)), w, guard = _pack_pair(a, b)
+    fa, fb, w, guard = _pack_pair(a, b)
     h = _heu_gcd(fa, fb, a.nvars, w, guard)
     if h is None:
         return None
-    # frac_gcd of the contents, which are in lowest terms
-    g = _unpack(h, a.nvars, w, math.gcd(na, nb), math.lcm(da, db))
-    return _positive_leading(Poly._raw(a.nvars, g))
+    return _positive_leading(Poly._raw(a.nvars, _unpack(h, a.nvars, w), *_gcd_content(a, b)))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -795,21 +877,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return _positive_leading(a)
     if a.is_constant() or b.is_constant():
-        return Poly.constant(a.nvars, frac_gcd(a.content(), b.content()))
-    if a.terms == b.terms:
-        return _positive_leading(a)
-    if len(a.terms) == 1 and len(b.terms) == 1:
-        (ea,) = a.terms
-        (eb,) = b.terms
+        return Poly._raw(a.nvars, {(0,) * a.nvars: 1}, *_gcd_content(a, b))
+    if a._ints == b._ints:
+        return _positive_leading(Poly._raw(a.nvars, a._ints, *_gcd_content(a, b)))
+    if len(a._ints) == 1 and len(b._ints) == 1:
+        (ea,) = a._ints
+        (eb,) = b._ints
         e = tuple(min(x, y) for x, y in zip(ea, eb))
-        return Poly._raw(a.nvars, {e: frac_gcd(a.terms[ea], b.terms[eb])})
+        return Poly._raw(a.nvars, {e: 1}, *_gcd_content(a, b))
 
     common = [
         v for v in range(a.nvars) if a.degree_in(v) > 0 and b.degree_in(v) > 0
     ]
     if not common:
         # a factor of both can only involve shared variables
-        return Poly.constant(a.nvars, frac_gcd(a.content(), b.content()))
+        return Poly._raw(a.nvars, {(0,) * a.nvars: 1}, *_gcd_content(a, b))
     g = _heu_poly_gcd(a, b)
     if g is not None:
         return g
@@ -847,7 +929,7 @@ def poly_gcd_many(polys) -> Poly:
         raise ValueError("gcd of an empty collection")
     for p in it:
         g = poly_gcd(g, p)
-        if g.is_constant() and not g.is_zero() and g.constant_value() == 1:
+        if g == 1:
             break
     return _positive_leading(g)
 
@@ -905,7 +987,7 @@ def _squarefree_cofactor(p: Poly) -> Poly:
 def is_squarefree(f: Poly) -> bool:
     if f.is_zero():
         raise ZeroPolynomial("squarefree test of the zero polynomial")
-    _, prim = f.primitive()
+    prim = _prim(f)
     if prim.is_constant():
         return True
     return _squarefree_cofactor(prim).is_constant()
@@ -926,22 +1008,18 @@ def squarefree_decompose(f: Poly) -> SquarefreeDecomposition:
     g = _squarefree_cofactor(prim)
     if g.is_constant():
         return SquarefreeDecomposition(content, [(prim, 1)])
-    _, g = g.primitive()
-    w = exact_div(prim, g)
-    _, w = w.primitive()
+    g = _prim(g)
+    w = _prim(exact_div(prim, g))
 
     factors = []
     i = 1
     while not w.is_constant():
-        y = poly_gcd(w, g)
-        _, y = y.primitive()
-        fi = exact_div(w, y)
-        _, fi = fi.primitive()
+        y = _prim(poly_gcd(w, g))
+        fi = _prim(exact_div(w, y))
         if not fi.is_constant():
             factors.append((fi, i))
         w = y
         if not g.is_constant():
-            g = exact_div(g, y)
-            _, g = g.primitive()
+            g = _prim(exact_div(g, y))
         i += 1
     return SquarefreeDecomposition(content, factors)

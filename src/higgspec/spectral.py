@@ -54,6 +54,7 @@ from .poly import (
 
 MAX_CHART_DIM = 4
 MAX_TOWER_COVERS = 4096
+_ZERO_TAU = "tau must be nonzero to define a double cover"
 
 
 def _check_chart_dim(n):
@@ -492,22 +493,23 @@ def hitchin_map(phi: HiggsField) -> SpectralDatum:
 
     With phi = sum B_i dz_i the determinant is the quadratic form with matrix
     S[i][j] = (tr B_i tr B_j - tr(B_i B_j)) / 2, whose diagonal is det B_i.
+    S is symmetric, so only i <= j is formed, and tr(B_i B_j) is summed from
+    its four products, with no matrix product.
     """
     if phi.rank != 2:
         raise RankUnsupported(f"hitchin_map needs rank 2, got {phi.rank}")
     mats = phi.matrices
     n = len(mats)
-    nvars = mats[0][0][0].nvars
     traces = [mat_trace(m) for m in mats]
     s1 = OneForm(tuple(traces))
     half = Fraction(1, 2)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append((traces[i] * traces[j] - mat_trace(mat_mul(mats[i], mats[j]))) * half)
-        rows.append(tuple(row))
-    return SpectralDatum(s1, SymDiff(tuple(rows)))
+    rows = [[None] * n for _ in range(n)]
+    for i, a in enumerate(mats):
+        for j in range(i, n):
+            b = mats[j]
+            tr_ab = a[0][0] * b[0][0] + a[0][1] * b[1][0] + a[1][0] * b[0][1] + a[1][1] * b[1][1]
+            rows[i][j] = rows[j][i] = (traces[i] * traces[j] - tr_ab) * half
+    return SpectralDatum(s1, SymDiff(rows))
 
 
 def twisted_factor(phi: HiggsField, f: RankOneFactorization):
@@ -627,7 +629,7 @@ def build_cover(f: RankOneFactorization, components=None) -> SpectralCover:
     rational content.
     """
     if f.tau.is_zero():
-        raise ZeroPolynomial("tau must be nonzero to define a double cover")
+        raise ZeroPolynomial(_ZERO_TAU)
     if components is None:
         branch = squarefree_decompose(f.tau)
     else:
@@ -652,6 +654,14 @@ def _declared_branch(tau: Poly, components) -> SquarefreeDecomposition:
         for j in range(i + 1, len(norm)):
             if not poly_gcd(norm[i][0], norm[j][0]).is_constant():
                 raise InconsistentBranchData("declared components are not pairwise coprime")
+    # degrees add under products: a product of larger degree cannot divide
+    # tau, and is refused before any power is formed
+    degree = sum(fct.total_degree() * m for fct, m in norm)
+    if degree > tau.total_degree():
+        raise InconsistentBranchData(
+            f"declared components do not divide tau: their product has total degree "
+            f"{degree}, tau has {tau.total_degree()}"
+        )
     prod = Poly.one(tau.nvars)
     for fct, m in norm:
         prod = prod * fct**m
@@ -721,25 +731,47 @@ def is_normal(c: SpectralCover) -> bool:
 # -- modules on covers and the correspondence --------------------------------------
 
 
-@dataclass(frozen=True)
 class CoverModule:
-    """A free rank-one module on a cover, presented by the eta-action matrix."""
+    """A free rank-one module on a cover, presented by the eta-action matrix.
 
-    cover: SpectralCover
-    eta_action: tuple
+    The constructor checks eta^2 = -effective_tau * Id.  A module built by
+    :func:`module_from_higgs` lives on the base cover of its factorization;
+    that cover, with the squarefree decomposition of tau, is built the first
+    time ``cover`` is read.
+    """
 
-    def __post_init__(self):
-        mat = as_matrix(self.eta_action)
+    __slots__ = ("eta_action", "_cover", "_factorization")
+
+    def __init__(self, cover: SpectralCover, eta_action):
+        mat = as_matrix(eta_action)
         if len(mat) != 2:
             raise ValueError("eta action must be 2x2")
-        nvars = self.cover.factorization.tau.nvars
+        nvars = cover.factorization.tau.nvars
         if mat[0][0].nvars != nvars:
             raise ValueError("eta action must live in the chart ring")
         sq = mat_mul(mat, mat)
-        want = mat_scale(identity_matrix(2, nvars), -self.cover.effective_tau)
+        want = mat_scale(identity_matrix(2, nvars), -cover.effective_tau)
         if not mat_eq(sq, want):
             raise CayleyHamiltonViolation("Phi^2 != -effective_tau * Id")
-        object.__setattr__(self, "eta_action", mat)
+        self.eta_action = mat
+        self._cover = cover
+        self._factorization = cover.factorization
+
+    @classmethod
+    def _on_base_cover(cls, f: RankOneFactorization, eta_action):
+        # eta_action is a 2x2 matrix in the chart ring of f whose square is
+        # already known to be -tau * Id
+        m = object.__new__(cls)
+        m.eta_action = eta_action
+        m._cover = None
+        m._factorization = f
+        return m
+
+    @property
+    def cover(self) -> SpectralCover:
+        if self._cover is None:
+            self._cover = build_cover(self._factorization)
+        return self._cover
 
 
 def canonical_module(c: SpectralCover) -> CoverModule:
@@ -760,17 +792,17 @@ def module_from_higgs(phi: HiggsField, f: RankOneFactorization) -> CoverModule:
     """Inverse direction of the correspondence for trace-free fields.
 
     Requires tr(phi) = 0 and det(phi) = tau * alpha alpha^T for the supplied
-    factorization; eta acts by the twisted factor of phi.
+    factorization; eta acts by the twisted factor Phi0 of phi, whose square
+    :func:`twisted_factor` has checked against -tau * Id.  The module lives
+    on the base cover of f, so tau must be nonzero.
     """
-    nvars = phi.dim
     for m in phi.matrices:
         if not mat_trace(m).is_zero():
             raise FactorizationMismatch("module_from_higgs requires a trace-free field")
     phi0 = twisted_factor(phi, f)
-    sq = mat_mul(phi0, phi0)
-    if not mat_eq(sq, mat_scale(identity_matrix(2, nvars), -f.tau)):
-        raise CayleyHamiltonViolation("eta action does not satisfy eta^2 = -tau")
-    return CoverModule(build_cover(f), phi0)
+    if f.tau.is_zero():
+        raise ZeroPolynomial(_ZERO_TAU)
+    return CoverModule._on_base_cover(f, phi0)
 
 
 # -- annihilator of a rank-one differential -----------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,41 @@ def test_rejected_input_exits_cleanly(name, tmp_path, capsys):
     assert "Traceback" not in err
     if code == 1:
         assert "DegreeCapExceeded" in err
+
+
+DOMAIN_ERRORS = {
+    # every check on the field passes, since Phi0 = [[0, 1], [0, 0]] squares to
+    # 0 = -tau * Id; the base cover then refuses tau = 0
+    "correspondence with zero tau": (
+        {
+            "command": "correspondence",
+            "model": {"kind": "chart", "nvars": 2},
+            "payload": {
+                "factorization": {"alpha": ["1", "0"], "tau": "0"},
+                "higgs": {"matrices": [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+            },
+        },
+        "ZeroPolynomial: tau must be nonzero to define a double cover",
+    ),
+    # refused on degrees, before the millionth power of the component is formed
+    "declared multiplicity past deg tau": (
+        _cover_doc("cover", tau="1 * x1 + 1", components=[{"factor": "1 * x1 + 1 * x2 + 1", "multiplicity": 10**6}]),
+        "InconsistentBranchData: declared components do not divide tau: "
+        "their product has total degree 1000000, tau has 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOMAIN_ERRORS))
+def test_domain_error_exits_1_with_its_message(name, tmp_path, capsys):
+    doc, message = DOMAIN_ERRORS[name]
+    t0 = time.process_time()
+    rc = main(["--config", write_job(tmp_path, doc), "--format", "machine"])
+    assert time.process_time() - t0 < 10
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_integer_past_digit_limit_is_parse_error(tmp_path, capsys):

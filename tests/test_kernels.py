@@ -1,7 +1,11 @@
-"""The term kernels against a naive dict-of-Fraction reference.
+"""Poly arithmetic against a naive dict-of-Fraction reference.
 
 The reference below shares no code with ``higgspec.poly``: it sums every
-term (pair) into a zero-initialised dict and drops zeros at the end.
+term (pair) into a zero-initialised dict and drops zeros at the end.  The
+operands go through ``Poly`` (content times primitive integer part) and the
+results are read back through the ``terms`` view, so every kernel behind
+``+``, ``-``, scalar and polynomial ``*`` and ``evaluate`` is compared, and
+every result is checked to be in canonical form.
 """
 
 import math
@@ -12,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from higgspec import poly as K
+from higgspec.poly import Poly
 
 BIG = 2**20
 
@@ -71,8 +76,17 @@ def cases(seed, count=60):
         yield rng, nvars, rand_terms(rng, nvars, na, big), rand_terms(rng, nvars, nb, big)
 
 
-def canonical(t, nvars):
-    return all(c and isinstance(c, Fraction) and len(e) == nvars for e, c in t.items())
+def canonical(p, nvars):
+    """Primitive int part with no zero, positive content in lowest terms, Fraction views."""
+    ints, num, den = p._ints, p._num, p._den
+    if not ints:
+        return (num, den) == (1, 1)
+    return (
+        all(v and type(v) is int and len(e) == nvars for e, v in ints.items())
+        and math.gcd(*ints.values()) == 1
+        and num > 0 and den > 0 and math.gcd(num, den) == 1
+        and all(type(c) is Fraction for c in p.terms.values())
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -81,38 +95,41 @@ def test_kernels_match_reference(seed):
         snap_a, snap_b = dict(a), dict(b)
         c = rand_coeff(rng) if rng.random() < 0.8 else Fraction(0)
         point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nvars))
+        pa, pb = Poly(nvars, a), Poly(nvars, b)
         results = {
-            "add": (K._add_terms(a, b), ref_combine((1, a), (1, b))),
-            "sub": (K._sub_terms(a, b), ref_combine((1, a), (-1, b))),
-            "scale": (K._scale_terms(a, c), ref_combine((c, a))),
-            "mul": (K._mul_terms(a, b), ref_mul(a, b)),
-            "mul_swapped": (K._mul_terms(b, a), ref_mul(a, b)),
+            "add": (pa + pb, ref_combine((1, a), (1, b))),
+            "sub": (pa - pb, ref_combine((1, a), (-1, b))),
+            "scale": (pa * c, ref_combine((c, a))),
+            "mul": (pa * pb, ref_mul(a, b)),
+            "mul_swapped": (pb * pa, ref_mul(a, b)),
         }
         for name, (got, want) in results.items():
-            assert got == want, name
+            assert got.terms == want, name
             assert canonical(got, nvars), name
         if not any(k >= BIG for ex in a for k in ex):
-            assert K._eval_terms(a, point) == ref_eval(a, point)
+            assert pa.evaluate(point) == ref_eval(a, point)
         if a:
             w = max(k for ex in a for k in (0, *ex)).bit_length() + 1
-            ints, (num, den) = K._pack(a, w)
-            assert K._unpack(ints, nvars, w, num, den) == a
-            assert math.gcd(*ints.values()) == 1 and math.gcd(num, den) == 1
+            assert K._unpack(K._pack(pa._ints, w), nvars, w) == pa._ints
         assert a == snap_a and b == snap_b
+
+
+def mul(nvars, a, b):
+    return (Poly(nvars, a) * Poly(nvars, b)).terms
 
 
 def test_mul_cancellation():
     x, y = (1, 0), (0, 1)
     plus = {x: Fraction(1), y: Fraction(1)}
     minus = {x: Fraction(1), y: Fraction(-1)}
-    assert K._mul_terms(plus, minus) == {(2, 0): 1, (0, 2): -1}
+    assert mul(2, plus, minus) == {(2, 0): 1, (0, 2): -1}
     # c (1 + t^s + ... + t^((k-1)s)) * (1 - t^s) / c = 1 - t^(ks): every middle term cancels
     for k in range(1, 13):
         for s in (1, 3, BIG):
             for c in (Fraction(1), Fraction(-2, 9)):
                 geo = {(0, i * s, 0): c for i in range(k)}
                 step = {(0, 0, 0): 1 / c, (0, s, 0): -1 / c}
-                assert K._mul_terms(geo, step) == {(0, 0, 0): 1, (0, k * s, 0): -1}
+                assert mul(3, geo, step) == {(0, 0, 0): 1, (0, k * s, 0): -1}
     # (P + Q)(P - Q) = P^2 - Q^2 with every cross term cancelling, on operands
     # long enough for the packed path
     rng = random.Random(7)
@@ -121,14 +138,15 @@ def test_mul_cancellation():
             big = rng.random() < 0.5
             P, Q = rand_terms(rng, nvars, rng.randint(1, 6), big), rand_terms(rng, nvars, 3, big)
             Q = {e: c for e, c in Q.items() if e not in P}
-            got = K._mul_terms(K._add_terms(P, Q), K._sub_terms(P, Q))
-            assert got == ref_combine((1, ref_mul(P, P)), (-1, ref_mul(Q, Q)))
-            assert all(got.values())
+            p, q = Poly(nvars, P), Poly(nvars, Q)
+            got = (p + q) * (p - q)
+            assert got.terms == ref_combine((1, ref_mul(P, P)), (-1, ref_mul(Q, Q)))
+            assert canonical(got, nvars)
     big = {(k * BIG, 1): Fraction(1, 2 + k) for k in range(4)}
     for k in (1, 2):
         f = ref_mul(big, {(k, 0): Fraction(1, 7)})
-        assert K._sub_terms(f, K._mul_terms(big, {(k, 0): Fraction(1, 7)})) == {}
-    assert K._mul_terms(big, {}) == {} == K._mul_terms({}, {})
+        assert (Poly(2, f) - Poly(2, big) * Poly(2, {(k, 0): Fraction(1, 7)})).is_zero()
+    assert mul(2, big, {}) == {} == mul(2, {}, {})
 
 
 def test_mul_field_width_boundary():
@@ -136,9 +154,9 @@ def test_mul_field_width_boundary():
     for da, db in ((3, 5), (1, 1), (7, 1), (BIG, BIG), (BIG - 1, BIG + 1)):
         a = {(da, 0, 0): Fraction(2), (0, 1, 0): Fraction(-1, 3), (0, 0, 0): Fraction(5)}
         b = {(0, 0, db): Fraction(1, 4), (db, 0, 0): Fraction(3), (0, 2, 1): Fraction(-7)}
-        assert K._mul_terms(a, b) == ref_mul(a, b)
+        assert mul(3, a, b) == ref_mul(a, b)
 
 
 def test_mul_constants_and_nvars_zero():
-    assert K._mul_terms({(): Fraction(2, 3)}, {(): Fraction(9, 4)}) == {(): Fraction(3, 2)}
-    assert K._mul_terms({(): Fraction(1)}, {}) == {}
+    assert mul(0, {(): Fraction(2, 3)}, {(): Fraction(9, 4)}) == {(): Fraction(3, 2)}
+    assert mul(0, {(): Fraction(1)}, {}) == {}

@@ -1,9 +1,11 @@
-"""Differential oracle: poly_gcd and squarefree_decompose against sympy.
+"""Differential oracle: polynomial and matrix arithmetic against sympy.
 
 sympy is an optional test dependency; without it this module is skipped.
-Both sides are compared up to a rational factor, and higgspec's
-normalisation (rational content of the operands, positive grlex-leading
-coefficient) is checked on its own.
+``+``, ``-``, ``*``, ``exact_div``, ``mat_det`` and ``charpoly_cofactor``
+must agree with sympy term for term.  ``poly_gcd`` and
+``squarefree_decompose`` are compared up to a rational factor, and
+higgspec's normalisation (rational content of the operands, positive
+grlex-leading coefficient) is checked on its own.
 """
 
 from fractions import Fraction
@@ -11,9 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higgspec.poly import Poly, poly_gcd, squarefree_decompose
+from higgspec.errors import DivisionFailure
+from higgspec.matrix import charpoly_cofactor, mat_det
+from higgspec.poly import Poly, exact_div, poly_gcd, squarefree_decompose
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 GENS = sympy.symbols("x1:5")
 
@@ -45,6 +50,55 @@ def rational_polys(draw, n, max_deg, max_terms):
         e = tuple(draw(st.integers(0, max_deg)) for _ in range(n))
         terms[e] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
     return Poly(n, terms)
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 4))
+    deg = 3 if n <= 2 else 2
+    return draw(rational_polys(n, deg, 5)), draw(rational_polys(n, deg, 5))
+
+
+@given(poly_pairs())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_sympy(ab):
+    a, b = ab
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert (a + b).terms == from_sympy(sa + sb)
+    assert (a - b).terms == from_sympy(sa - sb)
+    assert (a * b).terms == from_sympy(sa * sb)
+    if b.is_zero():
+        return
+    assert exact_div(a * b, b).terms == from_sympy((sa * sb).exquo(sb))
+    try:
+        want = from_sympy(sa.exquo(sb))
+    except sympy.polys.polyerrors.ExactQuotientFailed:
+        with pytest.raises(DivisionFailure):
+            exact_div(a, b)
+    else:
+        assert exact_div(a, b).terms == want
+
+
+@st.composite
+def poly_matrices(draw):
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 4))
+    return n, tuple(tuple(draw(rational_polys(n, 2, 3)) for _ in range(r)) for _ in range(r))
+
+
+@given(poly_matrices())
+@settings(max_examples=40, deadline=None)
+def test_det_and_charpoly_match_sympy(nm):
+    n, rows = nm
+    ring = sympy.QQ[GENS[:n]]
+    entries = [[ring.from_sympy(to_sympy(p).as_expr()) for p in row] for row in rows]
+    m = DomainMatrix(entries, (len(rows),) * 2, ring)
+    assert mat_det(rows).terms == from_sympy(sympy.Poly(ring.to_sympy(m.det()), *GENS[:n], domain="QQ"))
+    # det(tI - M) = sum c_k t^(r-k) for sympy's coefficients [1, c_1, ..., c_r]
+    t = sympy.Symbol("t")
+    coeffs = m.charpoly()
+    char = sum(ring.to_sympy(c) * t ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs))
+    assert charpoly_cofactor(rows).terms == from_sympy(sympy.Poly(char, *GENS[:n], t, domain="QQ"))
 
 
 @st.composite

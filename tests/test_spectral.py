@@ -542,6 +542,8 @@ def test_roundtrip_with_conjugation(alpha_xy):
     m = CoverModule(cover, phi0)
     back = module_from_higgs(pushforward(m, f), f)
     assert mat_eq(back.eta_action, phi0)
+    # the base cover, built when first read
+    assert back.cover == cover
 
 
 def test_module_from_higgs_requires_traceless(alpha_xy):
