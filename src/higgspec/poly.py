@@ -449,10 +449,7 @@ class Poly:
         else:
             g, den = math.gcd(na, nb), math.lcm(da, db)
             ka, kb = na // g * (den // da), sign * (nb // g) * (den // db)
-        ints = _combine(self._ints, ka, other._ints, kb)
-        if not ints:
-            return Poly._raw(self.nvars, ints)
-        return Poly._make(self.nvars, ints, g, den)
+        return Poly._make(self.nvars, _combine(self._ints, ka, other._ints, kb), g, den)
 
     def __add__(self, other):
         other = self._coerce_other(other)
