@@ -14,6 +14,13 @@ inputs, in CPU time, N times; ``first_nonzero_minor`` is split into rank-one
 members (result None) and rank-two witnesses.  One in-process round of each
 workload is timed the same way.
 
+One stress row times a gcd no round takes: the first covector gcd of
+``factor`` on S = tau alpha alpha^T in 4 variables, alpha_i dense of degree
+3 with coefficients 1..9, written in ascending exponent order.  Every timed
+run of a row is stopped after CPU_LIMIT_S seconds of CPU (ITIMER_PROF on
+this process), and the row is then recorded as over the limit, with null
+times and hash.
+
 A change can alter which calls a round makes, so two checkouts record
 different inputs.  With ``--corpus FILE`` the inputs are written to FILE by
 the first run and read back from it by every later run, so runs at a parent
@@ -30,9 +37,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
+import random
+import signal
 import statistics
 import subprocess
 import sys
@@ -43,6 +53,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED = 1
 WORKLOADS = ("rank-test", "cover-tower", "lattice")
+# CPU seconds one timed run of a row may take; a gcd with no bound would hang the harness
+CPU_LIMIT_S = 20
+
+
+class _OverLimit(Exception):
+    pass
+
+
+def _over_limit(signum, frame):
+    raise _OverLimit
 
 
 def _commit(src):
@@ -144,20 +164,46 @@ def _record(poly, spectral, run_round):
 
 
 def _time(fn, render, repeats):
-    """(best_s, median_s, output_sha256) of fn() over `repeats` runs.
+    """(best_s, median_s, output_sha256) of fn() over `repeats` runs; None if a run passes CPU_LIMIT_S.
 
     fn returns a list of results; render turns one into text, outside the timed region.
     """
     times, digest = [], None
     for _ in range(repeats):
+        signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
         t0 = time.process_time()
-        out = fn()
+        try:
+            out = fn()
+        except _OverLimit:
+            return None
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
         times.append(time.process_time() - t0)
         h = hashlib.sha256("\n".join(map(render, out)).encode()).hexdigest()
         if digest is not None and h != digest:
             raise SystemExit("error: outputs differ between repeats")
         digest = h
     return min(times), statistics.median(times), digest
+
+
+def _ascending_text(terms):
+    return " + ".join(
+        f"{c}" + "".join(f" * x{i + 1}^{k}" for i, k in enumerate(e) if k) for e, c in sorted(terms.items())
+    )
+
+
+def _dense_gcd_pair(P):
+    """The first gcd _normalize_covector takes on the 4-variable degree-3 factor job: (S00, S01)."""
+    rng, n = random.Random(SEED), 4
+
+    def dense(deg):
+        exps = (e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg)
+        return P.from_text(_ascending_text({e: rng.randint(1, 9) for e in exps}), n)
+
+    alpha = [dense(3) for _ in range(n)]
+    tau = dense(rng.randint(1, 2))
+    row = (tau * alpha[0] * alpha[j] for j in range(2))
+    return [P.from_text(_ascending_text({e: int(c) for e, c in p.terms.items()}), n) for p in row]
 
 
 def _witness_text(out):
@@ -210,6 +256,7 @@ def measure(src, repeats, corpus=None):
                         for k in ("mul", "exact_div", "poly_gcd"))
     sqfs = [poly_in(t) for t in rec["squarefree"]]
     fields = [spectral.HiggsField.from_tree(t) for t in rec["hitchin_map"]]
+    dense_pair = _dense_gcd_pair(P)
     fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
     cases = [
@@ -226,14 +273,24 @@ def measure(src, repeats, corpus=None):
         ("spectral", "first_nonzero_minor witnesses", len(witnesses),
          lambda: [fnm(S) for S in witnesses], _witness_text),
         ("spectral", "hitchin_map", len(fields), lambda: [hitchin(phi) for phi in fields], repr),
+        ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
+         lambda: [attempt(gcd, *dense_pair)], _poly_text),
     ]
     for wl in WORKLOADS:
         cases.append(("job", f"{wl} round (in-process CLI)", len(rounds[wl]),
                       lambda wl=wl: run_round(wl), str))
     common = {"repeats": repeats, "python": platform.python_version(), "commit": _commit(src)}
     rows = []
+    signal.signal(signal.SIGPROF, _over_limit)
     for layer, case, calls, fn, render in cases:
-        best, median, digest = _time(fn, render, repeats)
+        timed = _time(fn, render, repeats)
+        if timed is None:
+            rows.append({"layer": layer, "case": f"{case}, seed {SEED}", "calls": calls,
+                         "best_s": None, "median_s": None, **common, "output_sha256": None,
+                         "over_cpu_limit_s": CPU_LIMIT_S})
+            print(f"{layer:9s} {case:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
+            continue
+        best, median, digest = timed
         rows.append({"layer": layer, "case": f"{case}, seed {SEED}", "calls": calls,
                      "best_s": round(best, 4), "median_s": round(median, 4), **common,
                      "output_sha256": digest})

@@ -24,9 +24,10 @@ class ZeroPolynomial(HiggspecError):
 class DegreeCapExceeded(HiggspecError):
     """Desk-scale cap violated before the work starts.
 
-    Covers chart dimension, matrix size and entry degree, and the size of an
+    Covers chart dimension, matrix size and entry degree, the size of an
     enumeration: sl2r tuples (MAX_SL2R_TUPLES) and tower covers
-    (MAX_TOWER_COVERS).
+    (MAX_TOWER_COVERS), and the gcd's evaluation images (poly._HEU_MAX_BITS),
+    checked before each image is built.
     """
 
 

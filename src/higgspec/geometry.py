@@ -47,9 +47,6 @@ class NSClass:
     def is_zero(self):
         return not any(self.coords)
 
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
-
     def divisible_by_two(self):
         return all(c.denominator == 1 and c.numerator % 2 == 0 for c in self.coords)
 

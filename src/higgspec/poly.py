@@ -19,9 +19,10 @@ Multiplication, division and the gcd pack each exponent vector into one int
 those ints; exact_div runs it on the primitive parts, which is exact over Q
 by Gauss's lemma.  The gcd is the heuristic integer gcd GCDHEU (Char, Geddes
 & Gonnet, J. Symb. Comput. 7, 1989), one variable at a time (Liao & Fateman,
-ISSAC 1995), and _div_packed checks every answer it gives; when it gives up,
-primitive pseudo-remainder sequences answer instead.  Parsed polynomials are
-capped at total degree MAX_PARSED_DEGREE.
+ISSAC 1995), the one gcd route, and _div_packed checks every answer it
+gives; when it gives up at its image cap _HEU_MAX_BITS, the gcd raises
+DegreeCapExceeded.  Parsed polynomials are capped at total degree
+MAX_PARSED_DEGREE.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import add
 
@@ -714,46 +714,9 @@ def _gcd_content(a: Poly, b: Poly):
     return math.gcd(a._num, b._num), math.lcm(a._den, b._den)
 
 
-def _univariate_coeffs(p: Poly, v: int):
-    """Coefficients of p viewed in the variable v: map v-degree -> Poly."""
-    out = {}
-    for e, c in p._ints.items():
-        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
-    return {k: Poly._make(p.nvars, d, p._num, p._den) for k, d in out.items()}
-
-
-def _content_in(p: Poly, v: int) -> Poly:
-    coeffs = list(_univariate_coeffs(p, v).values())
-    return reduce(poly_gcd, coeffs)
-
-
-def _lead_in(p: Poly, v: int) -> Poly:
-    d = p.degree_in(v)
-    out = {e[:v] + (0,) + e[v + 1 :]: c for e, c in p._ints.items() if e[v] == d}
-    return Poly._make(p.nvars, out, p._num, p._den)
-
-
-def _var_monomial(nvars, v, k):
-    e = tuple(k if j == v else 0 for j in range(nvars))
-    return Poly._raw(nvars, {e: 1})
-
-
-def _prem(a: Poly, b: Poly, v: int) -> Poly:
-    """Pseudo-remainder of a by b in the variable v."""
-    db = b.degree_in(v)
-    lb = _lead_in(b, v)
-    r = a
-    while not r.is_zero() and r.degree_in(v) >= db:
-        lr = _lead_in(r, v)
-        shift = _var_monomial(a.nvars, v, r.degree_in(v) - db)
-        r = lb * r - lr * shift * b
-    return r
-
-
-# Evaluation points GCDHEU tries, per variable, before it gives up.
-_HEU_ATTEMPTS = 6
-# Largest evaluation image, in bits, GCDHEU builds before it gives up.
-_HEU_MAX_BITS = 1 << 16
+# Largest evaluation image, in bits, GCDHEU builds before it gives up:
+# math.gcd on two 2^20-bit ints takes seconds, on 2^22-bit ints half a minute.
+_HEU_MAX_BITS = 1 << 20
 
 
 def _heu_eval(f, xi, shift, low):
@@ -799,16 +762,18 @@ def _heu_interpolate(h, xi, shift, cap):
 def _heu_gcd(f, g, n, w, guard):
     """GCDHEU on nonzero int dicts with n packed fields of w bits.
 
-    Returns a gcd in Z[x], up to sign, or None when every evaluation point
-    fails.  The top field is evaluated at xi, the remaining fields recurse
-    (Liao & Fateman), and the candidate is interpolated from the balanced
-    xi-adic digits of the image gcd (Char, Geddes & Gonnet).  It is
-    accepted only if its primitive part divides both operands exactly, and
-    then it is the gcd, because xi > 2 min(|f|, |g|) + 2: were the gcd
-    h k with k nonconstant, k(xi) would be a constant of size at most xi/2
-    (the digit bound), yet a divisor of f has its roots in x0 below 1 + |f|
-    in size, so either |k(xi)| > xi/2 or a coefficient of k in the other
-    variables vanishes at xi, which the same root bound forbids.
+    Returns a gcd in Z[x], up to sign, or None once the next evaluation
+    image would pass _HEU_MAX_BITS.  The top field is evaluated at xi, the
+    remaining fields recurse (Liao & Fateman), and the candidate is
+    interpolated from the balanced xi-adic digits of the image gcd (Char,
+    Geddes & Gonnet).  It is accepted only if its primitive part divides
+    both operands exactly, and then it is the gcd, because
+    xi > 2 min(|f|, |g|) + 2: were the gcd h k with k nonconstant, k(xi)
+    would be a constant of size at most xi/2 (the digit bound), yet a
+    divisor of f has its roots in x0 below 1 + |f| in size, so either
+    |k(xi)| > xi/2 or a coefficient of k in the other variables vanishes
+    at xi, which the same root bound forbids.  Otherwise xi grows at least
+    2.6-fold and the next point is tried, so the loop ends at the image cap.
     """
     if n == 0:
         return {0: math.gcd(f[0], g[0])}
@@ -822,9 +787,7 @@ def _heu_gcd(f, g, n, w, guard):
         f = {k: v // c for k, v in f.items()}
         g = {k: v // c for k, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
-    for _ in range(_HEU_ATTEMPTS):
-        if xi.bit_length() * cap > _HEU_MAX_BITS:
-            return None
+    while xi.bit_length() * cap <= _HEU_MAX_BITS:
         ff = _heu_eval(f, xi, shift, low)
         gg = _heu_eval(g, xi, shift, low)
         if ff and gg:
@@ -841,31 +804,17 @@ def _heu_gcd(f, g, n, w, guard):
     return None
 
 
-def _heu_poly_gcd(a: Poly, b: Poly):
-    """poly_gcd by GCDHEU on the primitive integer parts, or None if it gives up.
-
-    The operands' integer parts are primitive, so the gcd GCDHEU returns is
-    too; it is unpacked once, with the gcd of the contents and a positive
-    grlex-leading coefficient.
-    """
-    fa, fb, w, guard = _pack_pair(a, b)
-    h = _heu_gcd(fa, fb, a.nvars, w, guard)
-    if h is None:
-        return None
-    return _positive_leading(Poly._raw(a.nvars, _unpack(h, a.nvars, w), *_gcd_content(a, b)))
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Q[x1..xn], rational content included, positive leading coefficient.
 
     The result is frac_gcd(content a, content b) times the primitive gcd
-    with a positive grlex-leading coefficient.  The heuristic integer gcd
-    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989; one variable
-    at a time after Liao & Fateman, ISSAC 1995) computes it on the
-    primitive integer parts, and every answer it gives has been checked by
-    exact trial division.  If it gives up, primitive pseudo-remainder
-    sequences on a common variable, with contents handled recursively,
-    answer instead.  gcd(0, 0) = 0.
+    with a positive grlex-leading coefficient.  There is one route: the
+    heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7,
+    1989; one variable at a time after Liao & Fateman, ISSAC 1995) on the
+    packed primitive integer parts, whose gcd is primitive too, and every
+    answer it gives has been checked by exact trial division.  When it gives
+    up at its image cap, _HEU_MAX_BITS, :class:`DegreeCapExceeded` is
+    raised.  gcd(0, 0) = 0.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -882,40 +831,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         (eb,) = b._ints
         e = tuple(min(x, y) for x, y in zip(ea, eb))
         return Poly._raw(a.nvars, {e: 1}, *_gcd_content(a, b))
-
-    common = [
-        v for v in range(a.nvars) if a.degree_in(v) > 0 and b.degree_in(v) > 0
-    ]
-    if not common:
+    if not any(a.degree_in(v) > 0 and b.degree_in(v) > 0 for v in range(a.nvars)):
         # a factor of both can only involve shared variables
         return Poly._raw(a.nvars, {(0,) * a.nvars: 1}, *_gcd_content(a, b))
-    g = _heu_poly_gcd(a, b)
-    if g is not None:
-        return g
-    return _prs_gcd(a, b, common)
-
-
-def _prs_gcd(a: Poly, b: Poly, common) -> Poly:
-    """poly_gcd by primitive pseudo-remainder sequences in a common variable."""
-    v = min(common, key=lambda u: min(a.degree_in(u), b.degree_in(u)))
-
-    ca = _content_in(a, v)
-    cb = _content_in(b, v)
-    pa = exact_div(a, ca)
-    pb = exact_div(b, cb)
-    cg = poly_gcd(ca, cb)
-
-    f, g = (pa, pb) if pa.degree_in(v) >= pb.degree_in(v) else (pb, pa)
-    while True:
-        r = _prem(f, g, v)
-        if r.is_zero():
-            prim = exact_div(g, _content_in(g, v))
-            break
-        if r.degree_in(v) == 0:
-            prim = Poly.one(a.nvars)
-            break
-        f, g = g, exact_div(r, _content_in(r, v))
-    return _positive_leading(cg * prim)
+    fa, fb, w, guard = _pack_pair(a, b)
+    h = _heu_gcd(fa, fb, a.nvars, w, guard)
+    if h is None:
+        raise DegreeCapExceeded(f"gcd: evaluation image past the cap of {_HEU_MAX_BITS} bits")
+    return _positive_leading(Poly._raw(a.nvars, _unpack(h, a.nvars, w), *_gcd_content(a, b)))
 
 
 def poly_gcd_many(polys) -> Poly:

@@ -41,7 +41,15 @@ from .moduli import (
     milnor_wood_check,
     sl2r_enumerate,
 )
-from .poly import Poly, exact_div, is_squarefree, poly_gcd, poly_gcd_many, squarefree_decompose
+from .poly import (
+    Poly,
+    exact_div,
+    frac_gcd,
+    is_squarefree,
+    poly_gcd,
+    poly_gcd_many,
+    squarefree_decompose,
+)
 from .spectral import (
     CoverModule,
     annihilator_distribution,
@@ -153,19 +161,13 @@ def _rand_alpha(rng, nvars):
             continue
         content = Fraction(0)
         for p in entries:
-            content = _fgcd(content, p.content())
+            content = frac_gcd(content, p.content())
         if content != 1:
             entries = [p * Fraction(1, content) for p in entries]
         lead = next(p for p in entries if not p.is_zero())
         if lead.leading_coefficient() < 0:
             entries = [-p for p in entries]
         return OneForm(tuple(entries))
-
-
-def _fgcd(a, b):
-    from .poly import frac_gcd
-
-    return frac_gcd(a, b)
 
 
 def _rand_tau(rng, nvars, squarefree=False):

@@ -251,11 +251,13 @@ class RankOneFactorization:
         return self.alpha.dim
 
     def symdiff(self) -> SymDiff:
-        n = self.dim
-        rows = tuple(
-            tuple(self.tau * self.alpha[i] * self.alpha[j] for j in range(n))
-            for i in range(n)
-        )
+        """tau * alpha alpha^T: tau * alpha_i formed once, entries (i, j) for i <= j only."""
+        n, alpha = self.dim, self.alpha
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            ta = self.tau * alpha[i]
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = ta * alpha[j]
         return SymDiff(rows)
 
     def to_tree(self):
@@ -570,11 +572,6 @@ class SpectralCover:
         for a, m in zip(self.tuple_a, ms):
             if not 0 <= a <= m // 2:
                 raise ValueError(f"tuple entry {a} outside 0..floor({m}/2)")
-
-    @property
-    def is_top(self):
-        """True when this is the base cover (a = 0, effective tau = tau)."""
-        return all(a == 0 for a in self.tuple_a)
 
     def effective_multiplicities(self):
         return tuple(m - 2 * a for (_, m), a in zip(self.branch.factors, self.tuple_a))

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 import time
 from pathlib import Path
 
@@ -87,6 +89,41 @@ def test_base_check_member(capsys, tmp_path):
     assert report["verdicts"]["membership"] == "member"
     alpha = [Poly.from_tree(t) for t in report["values"]["factorization"]["alpha"]]
     assert [p.to_text() for p in alpha] == ["1 * x1", "1 * x2"]
+
+
+def _ascending_text(terms):
+    """Text of {exponents: int coefficient}, terms in ascending exponent order."""
+    return " + ".join(
+        f"{c}" + "".join(f" * x{i + 1}^{k}" for i, k in enumerate(e) if k) for e, c in sorted(terms.items())
+    )
+
+
+def _dense(rng, n, deg):
+    """Dense of total degree deg, coefficients 1..9 drawn in ascending exponent order."""
+    exps = (e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg)
+    return Poly.from_text(_ascending_text({e: rng.randint(1, 9) for e in exps}), n)
+
+
+def test_factor_dense_four_variables_within_budget():
+    # S = tau alpha alpha^T in 4 variables, alpha_i dense of degree 3, written
+    # term by term in ascending exponent order.  GCDHEU needs a 66,608-bit
+    # image for the covector gcd (8,326 bits times degree 8); the primitive
+    # PRS that once answered past 2^16 bits ran for minutes on this input.
+    rng = random.Random(1)
+    n = 4
+    alpha = [_dense(rng, n, 3) for _ in range(n)]
+    tau = _dense(rng, n, rng.randint(1, 2))
+    S = [[tau * alpha[i] * alpha[j] for j in range(n)] for i in range(n)]
+    rows = [[_ascending_text({e: int(c) for e, c in p.terms.items()}) for p in row] for row in S]
+    t0 = time.process_time()
+    report = json.loads(machine_block(run(parse_config(json.dumps(
+        {"command": "factor", "model": {"kind": "chart", "nvars": n}, "payload": {"s": rows}})))))
+    assert time.process_time() - t0 < 20
+    assert report["verdicts"] == {"rank_le_one": True}
+    fac = report["values"]["factorization"]
+    got_alpha = [Poly.from_tree(t) for t in fac["alpha"]]
+    got_tau = Poly.from_tree(fac["tau"])
+    assert all(got_tau * got_alpha[i] * got_alpha[j] == S[i][j] for i in range(n) for j in range(n))
 
 
 @pytest.mark.parametrize("name", ["factor-n3", "base-check-n3", "factor-n4", "base-check-n4"])
@@ -438,6 +475,13 @@ def test_rejected_input_exits_cleanly(name, tmp_path, capsys):
         assert "DegreeCapExceeded" in err
 
 
+def _big_gcd_factor_doc():
+    """S = alpha alpha^T for alpha = (x1^300 + 3^1262, x1^300 + 1)."""
+    p, q = Poly.from_text("1 * x1^300", 2) + 3**1262, Poly.from_text("1 * x1^300 + 1", 2)
+    rows = [[(p * p).to_text(), (p * q).to_text()], [(p * q).to_text(), (q * q).to_text()]]
+    return {"command": "factor", "model": {"kind": "chart", "nvars": 2}, "payload": {"s": rows}}
+
+
 DOMAIN_ERRORS = {
     # every check on the field passes, since Phi0 = [[0, 1], [0, 0]] squares to
     # 0 = -tau * Id; the base cover then refuses tau = 0
@@ -457,6 +501,12 @@ DOMAIN_ERRORS = {
         _cover_doc("cover", tau="1 * x1 + 1", components=[{"factor": "1 * x1 + 1 * x2 + 1", "multiplicity": 10**6}]),
         "InconsistentBranchData: declared components do not divide tau: "
         "their product has total degree 1000000, tau has 1",
+    ),
+    # rank one, but the covector gcd needs an image of 2,002 bits times degree
+    # 600, past the 2^20-bit cap of GCDHEU
+    "factor whose gcd passes the image cap": (
+        _big_gcd_factor_doc(),
+        "DegreeCapExceeded: gcd: evaluation image past the cap of 1048576 bits",
     ),
 }
 

@@ -223,4 +223,3 @@ def test_half_classes():
     assert not c.divisible_by_two()
     assert (c * 2).divisible_by_two()
     assert c.half() == NSClass((Fraction(1, 2), Fraction(3, 2)))
-    assert not c.half().is_integral()

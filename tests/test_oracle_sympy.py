@@ -8,6 +8,7 @@ higgspec's normalisation (rational content of the operands, positive
 grlex-leading coefficient) is checked on its own.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,31 @@ def test_gcd_matches_sympy(xy):
     d = poly_gcd(x, y)
     assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
     assert d.terms[grlex_lead(d.terms)] > 0
+    assert rational_content(d) == rational_content(x, y)
+
+
+@st.composite
+def dense_polys(draw, n, deg):
+    """Every exponent vector of total degree <= deg, nonzero integer coefficients in -9..9."""
+    exps = [e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg]
+    return Poly(n, {e: draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))) for e in exps})
+
+
+@st.composite
+def dense_gcd_cases(draw):
+    n = draw(st.integers(2, 4))
+    deg = {2: 4, 3: 3, 4: 2}[n]
+    g, a, b = (draw(dense_polys(n, deg)) for _ in range(3))
+    return g * a, g * b
+
+
+@given(dense_gcd_cases())
+@settings(max_examples=40, deadline=None)
+def test_gcd_matches_sympy_on_dense_pairs(xy):
+    # a planted common factor of 15-20 terms, cofactors as dense
+    x, y = xy
+    d = poly_gcd(x, y)
+    assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
     assert rational_content(d) == rational_content(x, y)
 
 

@@ -1,9 +1,9 @@
+import itertools
 import json
 import random
 import re
-from contextlib import contextmanager
+import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,25 +164,19 @@ def test_gcd_divides_both(gab):
     exact_div(d, g)  # d contains the constructed common factor
 
 
-# -- heuristic gcd and its PRS fallback -----------------------------------------
+# -- heuristic gcd and its image cap ---------------------------------------------
 
 
-@contextmanager
-def prs_only():
-    """GCDHEU gets no evaluation point, so every gcd is the primitive PRS's."""
-    with mock.patch.object(poly, "_HEU_ATTEMPTS", 0):
-        yield
-
-
-def _count_prs(monkeypatch):
+def _count_points(monkeypatch):
+    """The evaluation points GCDHEU tries, at every level: one interpolation each."""
     calls = []
-    prs = poly._prs_gcd
+    interpolate = poly._heu_interpolate
 
-    def counted(a, b, common):
-        calls.append((a, b))
-        return prs(a, b, common)
+    def counted(h, xi, shift, cap):
+        calls.append(xi)
+        return interpolate(h, xi, shift, cap)
 
-    monkeypatch.setattr(poly, "_prs_gcd", counted)
+    monkeypatch.setattr(poly, "_heu_interpolate", counted)
     return calls
 
 
@@ -198,34 +192,52 @@ GCD_EXAMPLES = [
 
 @pytest.mark.parametrize("a, b, n, want", GCD_EXAMPLES)
 def test_gcd_examples_without_fallback(a, b, n, want, monkeypatch):
-    calls = _count_prs(monkeypatch)
+    # GCDHEU answers, not one of the shortcuts for constants and monomials
+    points = _count_points(monkeypatch)
     assert poly_gcd(P(a, n), P(b, n)) == P(want, n)
-    assert calls == []
+    assert points
 
 
-@pytest.mark.parametrize("knob, value", [("_HEU_ATTEMPTS", 0), ("_HEU_MAX_BITS", 1)])
 @pytest.mark.parametrize("a, b, n, want", GCD_EXAMPLES)
-def test_gcd_falls_back_to_prs(a, b, n, want, knob, value, monkeypatch):
-    # no evaluation point, or every evaluation image too large: GCDHEU gives up
-    calls = _count_prs(monkeypatch)
-    monkeypatch.setattr(poly, knob, value)
-    assert poly_gcd(P(a, n), P(b, n)) == P(want, n)
-    assert calls
+def test_gcd_past_image_cap_raises(a, b, n, want, monkeypatch):
+    # every evaluation image too large: GCDHEU gives up, and so does the gcd
+    monkeypatch.setattr(poly, "_HEU_MAX_BITS", 1)
+    with pytest.raises(DegreeCapExceeded, match="evaluation image"):
+        poly_gcd(P(a, n), P(b, n))
 
 
 def test_gcd_unlucky_point_then_fallback(monkeypatch):
     # (x+8)(x+4) and (x+3)(x+4): at the first point, xi = 2*12 + 3 = 27, the
     # images 35*31 and 30*31 share 5*31, one factor 5 too many, and the
-    # interpolated candidate 6*x1 - 7 divides neither.  The next point
-    # succeeds; with one point allowed, the PRS answers instead.
+    # interpolated candidate 6*x1 - 7 divides neither.  GCDHEU falls back to
+    # its next point, xi = 147, which answers; a cap that admits the first
+    # image (5 bits times degree 2) but not the second (8 bits) refuses.
     a = P("1 * x1^2 + 12 * x1 + 32", 1)
     b = P("1 * x1^2 + 7 * x1 + 12", 1)
-    calls = _count_prs(monkeypatch)
+    points = _count_points(monkeypatch)
     assert poly_gcd(a, b) == P("1 * x1 + 4", 1)
-    assert calls == []
-    monkeypatch.setattr(poly, "_HEU_ATTEMPTS", 1)
-    assert poly_gcd(a, b) == P("1 * x1 + 4", 1)
-    assert len(calls) == 1
+    assert points == [27, 147]
+    monkeypatch.setattr(poly, "_HEU_MAX_BITS", 10)
+    with pytest.raises(DegreeCapExceeded):
+        poly_gcd(a, b)
+    assert points == [27, 147, 27]
+
+
+def test_gcd_past_image_cap_refuses_quickly():
+    # tau alpha0^2 and tau alpha0 alpha1, alpha_i dense in 4 variables of
+    # degree 7: the innermost images pass the 2^20-bit cap, and GCDHEU stops
+    rng = random.Random(1)
+
+    def dense(deg):
+        exps = (e for e in itertools.product(range(deg + 1), repeat=4) if sum(e) <= deg)
+        return Poly(4, {e: rng.randint(1, 9) for e in exps})
+
+    alpha0, alpha1, tau = dense(7), dense(7), dense(2)
+    a, b = tau * alpha0 * alpha0, tau * alpha0 * alpha1
+    t0 = time.process_time()
+    with pytest.raises(DegreeCapExceeded):
+        poly_gcd(a, b)
+    assert time.process_time() - t0 < 5
 
 
 # -- exact division against a reference --------------------------------------------
@@ -357,8 +369,6 @@ def test_gcd_properties_and_prs_normalisation(gab):
     # normalisation: rational content of both, positive grlex-leading coefficient
     assert d.content() == frac_gcd(x.content(), y.content())
     assert d.leading_coefficient() > 0
-    with prs_only():
-        assert poly_gcd(x, y) == d
 
 
 def test_frac_gcd():

@@ -275,6 +275,21 @@ def test_factor_examples(alpha_xy):
     assert f3.tau == Poly.one(2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symdiff_is_every_product(n):
+    # symdiff forms tau * alpha_i once and the entries i <= j; the oracle forms all n^2
+    rng = random.Random(n)
+
+    def rand_poly():
+        terms = {tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.randint(1, 9), rng.randint(1, 3))
+                 for _ in range(3)}
+        return Poly(n, terms)
+
+    alpha, tau = OneForm(tuple(rand_poly() for _ in range(n))), rand_poly()
+    S = RankOneFactorization(alpha, tau).symdiff()
+    assert all(S[i][j] == tau * alpha[i] * alpha[j] for i in range(n) for j in range(n))
+
+
 def test_factor_zero_rejected():
     with pytest.raises(ZeroInput):
         factor_rank_one(SymDiff.zero(2))
