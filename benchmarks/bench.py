@@ -164,9 +164,10 @@ def _record(poly, spectral, run_round):
 
 
 def _time(fn, render, repeats):
-    """(best_s, median_s, output_sha256) of fn() over `repeats` runs; None if a run passes CPU_LIMIT_S.
+    """(best_s, median_s, output_sha256) of fn() over `repeats` runs.
 
     fn returns a list of results; render turns one into text, outside the timed region.
+    None once a run passes CPU_LIMIT_S seconds of CPU.
     """
     times, digest = [], None
     for _ in range(repeats):

@@ -107,8 +107,8 @@ def _dense(rng, n, deg):
 def test_factor_dense_four_variables_within_budget():
     # S = tau alpha alpha^T in 4 variables, alpha_i dense of degree 3, written
     # term by term in ascending exponent order.  GCDHEU needs a 66,608-bit
-    # image for the covector gcd (8,326 bits times degree 8); the primitive
-    # PRS that once answered past 2^16 bits ran for minutes on this input.
+    # image for the covector gcd (8,326 bits times degree 8); a gcd fallback
+    # with no bound ran past 60 s of CPU on this input.
     rng = random.Random(1)
     n = 4
     alpha = [_dense(rng, n, 3) for _ in range(n)]
