@@ -8,10 +8,12 @@ CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
 functions wrapped to record their arguments: ``Poly.from_text``,
 ``Poly.__mul__`` (polynomial operands), ``exact_div``, top-level
 ``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
-``SpectralDatum.quarter_defect``, ``spectral.first_nonzero_minor`` and
-``hitchin_map``.  Each function is then timed alone over its recorded
-inputs, in CPU time, N times; ``first_nonzero_minor`` is split into rank-one
-members (result None) and rank-two witnesses.  One in-process round of each
+``SpectralDatum.quarter_defect``, ``spectral.first_nonzero_minor``,
+``hitchin_map``, ``moduli.sl2r_enumerate`` and the construction of a
+``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
+Each function is then timed alone over its recorded inputs, in CPU time, N
+times; ``first_nonzero_minor`` is split into rank-one members (result None)
+and rank-two witnesses.  One in-process round of each
 workload is timed the same way.
 
 One stress row times a gcd no round takes: the first covector gcd of
@@ -95,14 +97,21 @@ def _rebind(old, new):
     return undo
 
 
-def _record(poly, spectral, run_round):
+def _model_tree(m):
+    return {"generators": list(m.generators), "Q": [list(r) for r in m.Q], "K": m.K.to_tree(),
+            "omega": m.omega.to_tree(), "b1": m.b1, "torsion2_count": m.torsion2_count}
+
+
+def _record(poly, spectral, moduli, geometry, run_round):
     """Run the rounds once with the recorded functions wrapped; their inputs as JSON data."""
-    P, SD = poly.Poly, spectral.SpectralDatum
+    P, SD, CM = poly.Poly, spectral.SpectralDatum, geometry.CoverMap
     rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "mul",
-                           "exact_div", "poly_gcd", "squarefree", "hitchin_map")}
+                           "exact_div", "poly_gcd", "squarefree", "hitchin_map", "sl2r_enumerate",
+                           "cover_map")}
     from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
     fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
+    sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
     depth = [0]
 
     def rec_from_text(cls, text, nvars):
@@ -144,13 +153,27 @@ def _record(poly, spectral, run_round):
         rec["hitchin_map"].append(phi.to_tree())
         return hitchin(phi)
 
+    def rec_sl2r(components, L, model):
+        rec["sl2r_enumerate"].append(
+            [[[c.to_tree(), int(m)] for c, m in components], L.to_tree(), _model_tree(model)]
+        )
+        return sl2r(components, L, model)
+
+    def rec_cover_check(self):
+        # the fields as the caller passed them, before __post_init__ converts them
+        rec["cover_map"].append([[list(r) for r in self.P], [list(r) for r in self.cover_Q],
+                                 [list(r) for r in self.pullback], self.L_class.to_tree(),
+                                 _model_tree(self.base)])
+        return cover_check(self)
+
     P.from_text = classmethod(rec_from_text)
     P.__mul__ = rec_mul
     SD.quarter_defect = rec_quarter_defect
+    CM.__post_init__ = rec_cover_check
     undo = []
     try:
         for old, new in ((fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
-                         (hitchin, rec_hitchin)):
+                         (hitchin, rec_hitchin), (sl2r, rec_sl2r)):
             undo += _rebind(old, new)
         for wl in WORKLOADS:
             run_round(wl)
@@ -158,6 +181,7 @@ def _record(poly, spectral, run_round):
         P.from_text = classmethod(from_text)
         P.__mul__ = mul
         SD.quarter_defect = quarter_defect
+        CM.__post_init__ = cover_check
         for mod, attr, old in undo:
             setattr(mod, attr, old)
     return rec
@@ -215,11 +239,22 @@ def _poly_text(out):
     return out.to_text() if hasattr(out, "to_text") else f"{type(out).__name__}: {out}"
 
 
+def _sl2r_text(out):
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}"
+    return json.dumps([[list(d.tuple_a), d.D1.to_tree(), d.D2.to_tree(), d.N_class.to_tree(),
+                        d.torsion_multiplicity] for d in out])
+
+
+def _cover_map_text(c):
+    return json.dumps([c.P, c.cover_Q, c.pullback, c.L_class.to_tree()])
+
+
 def measure(src, repeats, corpus=None):
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
-    from higgspec import cli, errors, poly, spectral
+    from higgspec import cli, errors, geometry, moduli, poly, spectral
 
     rounds = {wl: [j.config for j in gen.generate(wl, SEED)] for wl in WORKLOADS}
 
@@ -231,7 +266,7 @@ def measure(src, repeats, corpus=None):
             rec = json.load(fh)
         print(f"inputs read from {corpus}")
     else:
-        rec = _record(poly, spectral, run_round)
+        rec = _record(poly, spectral, moduli, geometry, run_round)
         if corpus:
             with open(corpus, "w", encoding="utf-8") as fh:
                 json.dump(rec, fh)
@@ -257,6 +292,15 @@ def measure(src, repeats, corpus=None):
                         for k in ("mul", "exact_div", "poly_gcd"))
     sqfs = [poly_in(t) for t in rec["squarefree"]]
     fields = [spectral.HiggsField.from_tree(t) for t in rec["hitchin_map"]]
+    NS = geometry.NSClass
+
+    def model_in(t):
+        return geometry.SurfaceModel(tuple(t["generators"]), tuple(map(tuple, t["Q"])), NS.from_tree(t["K"]),
+                                     NS.from_tree(t["omega"]), t["b1"], t["torsion2_count"])
+
+    sl2r_calls = [([(NS.from_tree(c), m) for c, m in comps], NS.from_tree(L), model_in(model))
+                  for comps, L, model in rec["sl2r_enumerate"]]
+    cover_maps = [(Pm, cQ, pb, NS.from_tree(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
     dense_pair = _dense_gcd_pair(P)
     fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
@@ -274,6 +318,10 @@ def measure(src, repeats, corpus=None):
         ("spectral", "first_nonzero_minor witnesses", len(witnesses),
          lambda: [fnm(S) for S in witnesses], _witness_text),
         ("spectral", "hitchin_map", len(fields), lambda: [hitchin(phi) for phi in fields], repr),
+        ("moduli", "sl2r_enumerate", len(sl2r_calls),
+         lambda: [attempt(moduli.sl2r_enumerate, *args) for args in sl2r_calls], _sl2r_text),
+        ("geometry", "CoverMap construction", len(cover_maps),
+         lambda: [geometry.CoverMap(*args) for args in cover_maps], _cover_map_text),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
          lambda: [attempt(gcd, *dense_pair)], _poly_text),
     ]

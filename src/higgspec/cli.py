@@ -322,9 +322,22 @@ def _verdict_name(v):
     return v.value if hasattr(v, "value") else str(v)
 
 
+def _at(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with `path` put in front of a DegreeCapExceeded it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except DegreeCapExceeded as exc:
+        raise DegreeCapExceeded(f"{path}: {exc}") from None
+
+
+def _branch_path(comps):
+    """Where a cover's branch data came from: the declared components, or tau."""
+    return "$.payload.components" if comps is not None else "$.payload.factorization.tau"
+
+
 def _run_factor(job):
     try:
-        f = spectral.factor_rank_one(job.payload["s"])
+        f = _at("$.payload.s", spectral.factor_rank_one, job.payload["s"])
     except spectral.NotRankOne as exc:
         return {
             "verdicts": {"rank_le_one": False},
@@ -337,7 +350,7 @@ def _run_factor(job):
 
 
 def _run_base_check(job):
-    v = spectral.spectral_base_check(job.payload["datum"])
+    v = _at("$.payload.datum", spectral.spectral_base_check, job.payload["datum"])
     out = {"verdicts": {"membership": v.kind}}
     if v.kind == "member":
         out["values"] = {"factorization": v.factorization.to_tree()}
@@ -356,18 +369,16 @@ def _cover_tree(c):
 
 
 def _run_cover(job):
-    c = spectral.build_cover(job.payload["factorization"], components=job.payload["components"])
+    comps = job.payload["components"]
+    c = _at(_branch_path(comps), spectral.build_cover, job.payload["factorization"], components=comps)
     return {"values": {"cover": _cover_tree(c)}}
 
 
 def _run_tower(job):
     comps = job.payload["components"]
-    cover = spectral.build_cover(job.payload["factorization"], components=comps)
-    try:
-        tower = spectral.tower_enumerate(cover)
-    except DegreeCapExceeded as exc:
-        path = "$.payload.components" if comps is not None else "$.payload.factorization.tau"
-        raise DegreeCapExceeded(f"{path}: {exc}") from None
+    path = _branch_path(comps)
+    cover = _at(path, spectral.build_cover, job.payload["factorization"], components=comps)
+    tower = _at(path, spectral.tower_enumerate, cover)
     return {
         "verdicts": {"count": len(tower.covers), "normalization_index": tower.normalization_index},
         "values": {
@@ -379,7 +390,7 @@ def _run_tower(job):
 
 def _run_correspondence(job):
     phi = job.payload["higgs"]["matrices"]
-    module = spectral.module_from_higgs(phi, job.payload["factorization"])
+    module = _at("$.payload.factorization.tau", spectral.module_from_higgs, phi, job.payload["factorization"])
     back = spectral.pushforward(module, job.payload["factorization"])
     roundtrip = all(
         a == b
@@ -443,7 +454,7 @@ def _run_stability(job):
 def _run_hitchin_section(job):
     p = job.payload
     if job.model["kind"] == "chart":
-        out = moduli.hitchin_section(p["datum"])
+        out = _at("$.payload.datum", moduli.hitchin_section, p["datum"])
         body = {
             "verdicts": {
                 "stability": _verdict_name(out.stability),
@@ -472,10 +483,7 @@ def _run_hitchin_section(job):
 
 def _run_sl2r_enum(job):
     model = job.model["surface"]
-    try:
-        data = moduli.sl2r_enumerate(job.payload["components"], job.payload["L"], model)
-    except DegreeCapExceeded as exc:
-        raise DegreeCapExceeded(f"$.payload.components: {exc}") from None
+    data = _at("$.payload.components", moduli.sl2r_enumerate, job.payload["components"], job.payload["L"], model)
     return {
         "verdicts": {"count": len(data), "torsion_multiplicity": model.torsion2_count},
         "values": {

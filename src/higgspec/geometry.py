@@ -1,17 +1,22 @@
 """Divisor-class arithmetic on a declared Neron-Severi lattice.
 
 A surface is presented by named generators, a symmetric integer intersection
-matrix, a canonical class and a polarization.  Coordinates are rational so
-half-classes (square roots of declared line bundles) are representable;
-honest divisibility by two is checked where a square root is required.
+matrix, a canonical class and a polarization.  A class is an int vector over
+one positive common denominator, in lowest terms, so half-classes (square
+roots of declared line bundles) are representable and every pairing,
+push-forward and pull-back runs on ints; a Fraction is built only where a
+caller reads a coordinate or a pairing.  Honest divisibility by two is
+checked where a square root is required.
 Torsion is never modelled structurally: only the declared count of order-two
 elements enters, as a multiplicity on enumeration results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, SpecialDivisorUndecidable
 
@@ -19,62 +24,117 @@ from .errors import DimensionMismatch, SpecialDivisorUndecidable
 MAX_GENUS = 1000
 
 
-def _frac(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
+def _num_den(x):
+    """(numerator, denominator) of an int or a rational coordinate."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, float):
         raise TypeError("floating point coordinates are not supported")
-    return Fraction(x)
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
-@dataclass(frozen=True)
 class NSClass:
-    """A divisor class: a coordinate vector over the lattice generators."""
+    """A divisor class: a coordinate vector over the lattice generators.
 
-    coords: tuple
+    Stored as an int vector `v` over one positive denominator `den`, in lowest
+    terms (gcd(den, *v) == 1).  That is the one canonical form, so equality
+    and hashing compare (v, den); `coords` builds the Fractions on demand.
+    Instances are immutable.
+    """
+
+    __slots__ = ("v", "den")
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
+        pairs = [_num_den(c) for c in coords]
+        den = math.lcm(*(d for _, d in pairs))
+        # over the lcm of reduced denominators the vector is already in lowest terms
+        object.__setattr__(self, "v", tuple(n * (den // d) for n, d in pairs))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _raw(cls, v, den):
+        """The class v / den from an int tuple and a positive int, reduced here."""
+        if den != 1:
+            g = math.gcd(den, *v)
+            if g != 1:
+                v = tuple(x // g for x in v)
+                den //= g
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "v", v)
+        object.__setattr__(obj, "den", den)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NSClass is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not NSClass:
+            return NotImplemented
+        return self.den == other.den and self.v == other.v
+
+    def __hash__(self):
+        return hash((self.v, self.den))
+
+    def __repr__(self):
+        return f"NSClass(coords={self.coords!r})"
+
+    @property
+    def coords(self):
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.v)
 
     @classmethod
     def zero(cls, n):
-        return cls((0,) * n)
+        return cls._raw((0,) * n, 1)
 
     @property
     def dim(self):
-        return len(self.coords)
+        return len(self.v)
 
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.v)
 
     def divisible_by_two(self):
-        return all(c.denominator == 1 and c.numerator % 2 == 0 for c in self.coords)
+        return self.den == 1 and not any(x & 1 for x in self.v)
 
     def __add__(self, other):
         self._check(other)
-        return NSClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d = math.lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return NSClass._raw(tuple(a * s + b * t for a, b in zip(self.v, other.v)), d)
 
     def __sub__(self, other):
         self._check(other)
-        return NSClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        d = math.lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return NSClass._raw(tuple(a * s - b * t for a, b in zip(self.v, other.v)), d)
 
     def __mul__(self, c):
-        return NSClass(tuple(a * _frac(c) for a in self.coords))
+        n, d = _num_den(c)
+        return NSClass._raw(tuple(a * n for a in self.v), self.den * d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return NSClass(tuple(-a for a in self.coords))
+        return NSClass._raw(tuple(-a for a in self.v), self.den)
 
     def half(self):
-        return NSClass(tuple(a / 2 for a in self.coords))
+        return NSClass._raw(self.v, 2 * self.den)
 
     def _check(self, other):
         if not isinstance(other, NSClass) or other.dim != self.dim:
             raise DimensionMismatch(f"class dimensions disagree: {self} vs {other}")
 
     def to_tree(self):
-        return [{"num": c.numerator, "den": c.denominator} for c in self.coords]
+        den, gcd = self.den, math.gcd
+        if den == 1:
+            return [{"num": x, "den": 1} for x in self.v]
+        out = []
+        for x in self.v:
+            g = gcd(x, den)
+            out.append({"num": x // g, "den": den // g})
+        return out
 
     @classmethod
     def from_tree(cls, tree):
@@ -117,18 +177,16 @@ class SurfaceModel:
     def pair(self, x: NSClass, y: NSClass) -> Fraction:
         if x.dim != self.rank or y.dim != self.rank:
             raise DimensionMismatch("classes do not live in this lattice")
-        total = Fraction(0)
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            row = self.Q[i]
-            for j, yj in enumerate(y.coords):
-                if yj:
-                    total += xi * row[j] * yj
-        return total
+        return Fraction(_bilinear(self.Q, x.v, y.v), x.den * y.den)
 
-    def basis(self, i):
-        return NSClass(tuple(1 if j == i else 0 for j in range(self.rank)))
+
+def _bilinear(Q, xv, yv) -> int:
+    """x^T Q y on int vectors."""
+    total = 0
+    for xi, row in zip(xv, Q):
+        if xi:
+            total += xi * sum(map(mul, row, yv))
+    return total
 
 
 def degree(L: NSClass, against: NSClass, model: SurfaceModel) -> Fraction:
@@ -338,11 +396,12 @@ class CoverMap:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "cover_Q", cQ)
         object.__setattr__(self, "pullback", pb)
-        for x in range(nc):
+        # (P x) . y = x .' (pullback y) on basis classes: (Q_base P)^T = cover_Q pullback
+        base_Q = self.base.Q
+        pb_cols = tuple(zip(*pb))
+        for x, P_col in enumerate(zip(*P)):
             for y in range(nb):
-                lhs = self.base.pair(self.push(self._cover_basis(x)), self.base.basis(y))
-                rhs = self.cover_pair(self._cover_basis(x), self.pull(self.base.basis(y)))
-                if lhs != rhs:
+                if sum(map(mul, base_Q[y], P_col)) != sum(map(mul, cQ[x], pb_cols[y])):
                     raise ValueError(
                         f"projection formula fails on cover basis {x}, base basis {y}"
                     )
@@ -351,34 +410,20 @@ class CoverMap:
     def cover_rank(self):
         return len(self.cover_Q)
 
-    def _cover_basis(self, i):
-        return NSClass(tuple(1 if j == i else 0 for j in range(self.cover_rank)))
-
     def push(self, x: NSClass) -> NSClass:
         if x.dim != self.cover_rank:
             raise DimensionMismatch("pushforward expects a cover class")
-        return NSClass(
-            tuple(sum(Fraction(self.P[i][j]) * x.coords[j] for j in range(self.cover_rank)) for i in range(len(self.P)))
-        )
+        return NSClass._raw(tuple(sum(map(mul, row, x.v)) for row in self.P), x.den)
 
     def pull(self, y: NSClass) -> NSClass:
         if y.dim != self.base.rank:
             raise DimensionMismatch("pullback expects a base class")
-        return NSClass(
-            tuple(sum(Fraction(self.pullback[i][j]) * y.coords[j] for j in range(self.base.rank)) for i in range(self.cover_rank))
-        )
+        return NSClass._raw(tuple(sum(map(mul, row, y.v)) for row in self.pullback), y.den)
 
     def cover_pair(self, x: NSClass, y: NSClass) -> Fraction:
         if x.dim != self.cover_rank or y.dim != self.cover_rank:
             raise DimensionMismatch("classes do not live on the cover")
-        total = Fraction(0)
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            for j, yj in enumerate(y.coords):
-                if yj:
-                    total += xi * self.cover_Q[i][j] * yj
-        return total
+        return Fraction(_bilinear(self.cover_Q, x.v, y.v), x.den * y.den)
 
 
 def pushforward_c1(M_c1: NSClass, cover: CoverMap) -> NSClass:

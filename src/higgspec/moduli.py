@@ -13,8 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import (
@@ -238,10 +237,16 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
 
     Both tests run on integers.  With G_ij = c_i . c_j the Gram matrix of the
     components and b_i = 2 a_i - m_i, (D1 - D2)^2 = b^T G b.  With d the
-    common denominator of the c_i and L, D1 - L = (sum a_i d c_i - d L) / d,
-    which is even iff every coordinate of the numerator is 0 mod 2 d.  The
-    prod(m_i + 1) tuples are walked in itertools.product order; more than
-    MAX_SL2R_TUPLES raises DegreeCapExceeded before the first one.
+    common denominator of the c_i and L, x = d (D1 - L) = sum a_i d c_i - d L,
+    and D1 - L is even iff every coordinate of x is 0 mod 2 d.  The
+    prod(m_i + 1) tuples are walked in itertools.product order as an
+    odometer, the last digit fastest, keeping x, G b and b^T G b as running
+    values: stepping a_i by one adds d c_i to x, 2 G_i to G b and
+    4 ((G b)_i + G_ii) to b^T G b; resetting a_i from m_i to 0 takes m_i
+    times the same steps back (the square term then reads 4 m_i^2 G_ii).  So
+    a step costs O(rank + k), not O(k rank).  D1, D2 and N are built from
+    x.  More than MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the
+    first one.
     """
     components = [(c, int(m)) for c, m in components]
     total = NSClass.zero(model.rank)
@@ -259,30 +264,47 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     gram = [[model.pair(x, y) for y in classes] for x in classes]
     g = math.lcm(*(v.denominator for row in gram for v in row))
     G = [[int(v * g) for v in row] for row in gram]
-    d = math.lcm(*(x.denominator for c in classes + [L] for x in c.coords))
-    C = [[int(x * d) for x in c.coords] for c in classes]
-    dL = [int(x * d) for x in L.coords]
-    columns = [[c[j] for c in C] for j in range(model.rank)]
+    d = math.lcm(L.den, *(c.den for c in classes))
+    C = [[x * (d // c.den) for x in c.v] for c in classes]
+    dL = tuple(x * (d // L.den) for x in L.v)
     two_d = 2 * d
     torsion = model.torsion2_count
+    k = len(ms)
+    # per digit: the step of x and of G b, and m_i times each for the reset
+    steps = [(C[i], [2 * v for v in G[i]], 4 * G[i][i]) for i in range(k)]
+    resets = [([m * v for v in C[i]], [2 * m * v for v in G[i]], 4 * m * m * G[i][i], 4 * m)
+              for i, m in enumerate(ms)]
+    a = [0] * k
+    x = [-v for v in dL]
+    Gb = [-sum(map(mul, row, ms)) for row in G]
+    q = -sum(map(mul, ms, Gb))
     out = []
-    for a in _iproduct(*[range(m + 1) for m in ms]):
-        x = [sum(map(mul, a, col)) - l for col, l in zip(columns, dL)]  # d (D1 - L)
-        if any(xj % two_d for xj in x):
-            continue
-        b = [2 * ai - m for ai, m in zip(a, ms)]
-        if sum(bi * sum(map(mul, row, b)) for bi, row in zip(b, G)):
-            continue
-        out.append(
-            SL2RDatum(
-                D1=NSClass(tuple(Fraction(xj + l, d) for xj, l in zip(x, dL))),
-                D2=NSClass(tuple(Fraction(l - xj, d) for xj, l in zip(x, dL))),
-                N_class=NSClass(tuple(Fraction(xj, two_d) for xj in x)),
-                torsion_multiplicity=torsion,
-                tuple_a=a,
+    while True:
+        if not q and not any(xj % two_d for xj in x):
+            out.append(
+                SL2RDatum(
+                    D1=NSClass._raw(tuple(map(add, x, dL)), d),
+                    D2=NSClass._raw(tuple(map(sub, dL, x)), d),
+                    N_class=NSClass._raw(tuple(xj // two_d for xj in x), 1),  # x is 0 mod 2 d
+                    torsion_multiplicity=torsion,
+                    tuple_a=tuple(a),
+                )
             )
-        )
-    return out
+        i = k - 1
+        while i >= 0 and a[i] == ms[i]:
+            dx, dGb, sq, scale = resets[i]
+            q += sq - scale * Gb[i]
+            x = list(map(sub, x, dx))
+            Gb = list(map(sub, Gb, dGb))
+            a[i] = 0
+            i -= 1
+        if i < 0:
+            return out
+        dx, dGb, sq = steps[i]
+        q += sq + 4 * Gb[i]
+        x = list(map(add, x, dx))
+        Gb = list(map(add, Gb, dGb))
+        a[i] += 1
 
 
 # -- Toledo / Milnor-Wood -------------------------------------------------------------

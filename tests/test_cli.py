@@ -475,11 +475,17 @@ def test_rejected_input_exits_cleanly(name, tmp_path, capsys):
         assert "DegreeCapExceeded" in err
 
 
-def _big_gcd_factor_doc():
-    """S = alpha alpha^T for alpha = (x1^300 + 3^1262, x1^300 + 1)."""
+def _big_gcd_doc(command):
+    """S = alpha alpha^T for alpha = (p, x1^300 + 1), p = x1^300 + 3^1262; a cover's tau is p^2."""
     p, q = Poly.from_text("1 * x1^300", 2) + 3**1262, Poly.from_text("1 * x1^300 + 1", 2)
     rows = [[(p * p).to_text(), (p * q).to_text()], [(p * q).to_text(), (q * q).to_text()]]
-    return {"command": "factor", "model": {"kind": "chart", "nvars": 2}, "payload": {"s": rows}}
+    payload = {
+        "factor": {"s": rows},
+        "base-check": {"datum": {"s1": ["0", "0"], "s2": rows}},
+        "hitchin-section": {"datum": {"s1": ["0", "0"], "s2": rows}},
+        "cover": {"factorization": {"alpha": ["1", "0"], "tau": (p * p).to_text()}},
+    }[command]
+    return {"command": command, "model": {"kind": "chart", "nvars": 2}, "payload": payload}
 
 
 DOMAIN_ERRORS = {
@@ -503,10 +509,23 @@ DOMAIN_ERRORS = {
         "their product has total degree 1000000, tau has 1",
     ),
     # rank one, but the covector gcd needs an image of 2,002 bits times degree
-    # 600, past the 2^20-bit cap of GCDHEU
+    # 600, past the 2^20-bit cap of GCDHEU; the message names the payload entry
     "factor whose gcd passes the image cap": (
-        _big_gcd_factor_doc(),
-        "DegreeCapExceeded: gcd: evaluation image past the cap of 1048576 bits",
+        _big_gcd_doc("factor"),
+        "DegreeCapExceeded: $.payload.s: gcd: evaluation image past the cap of 1048576 bits",
+    ),
+    "base-check whose gcd passes the image cap": (
+        _big_gcd_doc("base-check"),
+        "DegreeCapExceeded: $.payload.datum: gcd: evaluation image past the cap of 1048576 bits",
+    ),
+    "section whose gcd passes the image cap": (
+        _big_gcd_doc("hitchin-section"),
+        "DegreeCapExceeded: $.payload.datum: gcd: evaluation image past the cap of 1048576 bits",
+    ),
+    # the squarefree gcd of tau = p^2 and its derivative
+    "cover whose squarefree gcd passes the image cap": (
+        _big_gcd_doc("cover"),
+        "DegreeCapExceeded: $.payload.factorization.tau: gcd: evaluation image past the cap of 1048576 bits",
     ),
 }
 

@@ -141,14 +141,16 @@ def test_h0_special_needs_declaration():
 
 
 def test_projection_formula_validated(g22):
-    with pytest.raises(ValueError):
-        CoverMap(
-            P=((1, 0), (0, 2)),
-            cover_Q=((0, 1), (1, 0)),
-            pullback=((1, 0), (0, 1)),  # inconsistent with P
-            L_class=NSClass((0, 0)),
-            base=g22.model,
-        )
+    # the first failing (x, y), x outermost, as the basis-class loop found it
+    cases = [
+        (((1, 0), (0, 2)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), "cover basis 1, base basis 0"),
+        (((1, 0), (0, 2)), ((0, 1), (1, 0)), ((2, 1), (0, 1)), "cover basis 1, base basis 1"),
+        (((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (2, 0, 0), (0, 0, -1)), ((1, 0), (0, 1), (0, 1)),
+         "cover basis 2, base basis 1"),
+    ]
+    for P, cover_Q, pullback, where in cases:
+        with pytest.raises(ValueError, match=f"^projection formula fails on {where}$"):
+            CoverMap(P=P, cover_Q=cover_Q, pullback=pullback, L_class=NSClass((0, 0)), base=g22.model)
 
 
 def test_pushforward_examples(etale_cover):
@@ -223,3 +225,56 @@ def test_half_classes():
     assert not c.divisible_by_two()
     assert (c * 2).divisible_by_two()
     assert c.half() == NSClass((Fraction(1, 2), Fraction(3, 2)))
+
+
+# -- the canonical form: an int vector over one denominator, in lowest terms ----------
+
+
+def test_spellings_of_one_class_are_equal():
+    a, b = NSClass((Fraction(2, 4), 1)), NSClass((Fraction(1, 2), 1))
+    assert a == b and hash(a) == hash(b)
+    assert (a.v, a.den) == ((1, 2), 2)
+    assert NSClass((Fraction(4, 2), 6)) == NSClass((2, 6)) and NSClass((2, 6)).den == 1
+    assert NSClass((1, 0)) != NSClass((Fraction(1, 2), 0))
+    assert NSClass((0, 0)) == NSClass.zero(2) and NSClass.zero(2).den == 1
+
+
+def test_to_tree_reduces_each_coordinate():
+    c = NSClass((Fraction(1, 2), Fraction(1, 3), 2))
+    assert (c.v, c.den) == ((3, 2, 12), 6)
+    assert c.to_tree() == [{"num": 1, "den": 2}, {"num": 1, "den": 3}, {"num": 2, "den": 1}]
+    assert NSClass((0, Fraction(-3, 4))).to_tree() == [{"num": 0, "den": 1}, {"num": -3, "den": 4}]
+    assert c.coords == (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+    assert NSClass.from_tree(c.to_tree()) == c
+
+
+def test_arithmetic_keeps_lowest_terms():
+    x, y = NSClass((Fraction(1, 2), Fraction(1, 3))), NSClass((Fraction(1, 6), Fraction(2, 3)))
+    s, d = x + y, x - y
+    assert s.coords == (Fraction(2, 3), Fraction(1)) and s.den == 3
+    assert d.coords == (Fraction(1, 3), Fraction(-1, 3)) and d.den == 3
+    assert x + (-x) == NSClass.zero(2) and (x + (-x)).den == 1
+    t = x * Fraction(2, 3)
+    assert t.coords == (Fraction(1, 3), Fraction(2, 9)) and t.den == 9
+    assert Fraction(2, 3) * x == t and 3 * x == x * 3
+    z = x * 0
+    assert z == NSClass.zero(2) and (z.v, z.den) == ((0, 0), 1) and z.is_zero()
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
+def test_half_and_divisibility_on_half_classes():
+    h = NSClass((1, 3)).half()
+    assert (h.v, h.den) == ((1, 3), 2)
+    assert not h.divisible_by_two() and not (h * 2).divisible_by_two()
+    assert (h * 4).divisible_by_two() and (h * 4).half().half() == h
+    assert NSClass((2, -4)).half() == NSClass((1, -2)) and NSClass((2, -4)).half().den == 1
+    assert NSClass((Fraction(4, 2), 0)).divisible_by_two()
+
+
+def test_classes_are_immutable():
+    c = NSClass((1, 2))
+    for name, value in (("v", (3, 4)), ("den", 2), ("coords", (1,)), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    assert c == NSClass((1, 2))
