@@ -10,7 +10,8 @@ functions wrapped to record their arguments: ``Poly.from_text``,
 ``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
 ``SpectralDatum.quarter_defect``, ``spectral.first_nonzero_minor``,
 ``hitchin_map``, ``moduli.sl2r_enumerate`` and the construction of a
-``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
+``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs,
+timed as COVER_MAP_PASSES passes).
 Each function is then timed alone over its recorded inputs, in CPU time, N
 times; ``first_nonzero_minor`` is split into rank-one members (result None)
 and rank-two witnesses.  One in-process round of each
@@ -57,6 +58,9 @@ SEED = 1
 WORKLOADS = ("rank-test", "cover-tower", "lattice")
 # CPU seconds one timed run of a row may take; a gcd with no bound would hang the harness
 CPU_LIMIT_S = 20
+# passes over the recorded CoverMap payloads per timed run: one pass of integer
+# checks takes about 1 ms, too short for the process CPU clock of a shared host
+COVER_MAP_PASSES = 50
 
 
 class _OverLimit(Exception):
@@ -320,8 +324,9 @@ def measure(src, repeats, corpus=None):
         ("spectral", "hitchin_map", len(fields), lambda: [hitchin(phi) for phi in fields], repr),
         ("moduli", "sl2r_enumerate", len(sl2r_calls),
          lambda: [attempt(moduli.sl2r_enumerate, *args) for args in sl2r_calls], _sl2r_text),
-        ("geometry", "CoverMap construction", len(cover_maps),
-         lambda: [geometry.CoverMap(*args) for args in cover_maps], _cover_map_text),
+        ("geometry", f"CoverMap construction x{COVER_MAP_PASSES}", COVER_MAP_PASSES * len(cover_maps),
+         lambda: [geometry.CoverMap(*args) for _ in range(COVER_MAP_PASSES) for args in cover_maps],
+         _cover_map_text),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
          lambda: [attempt(gcd, *dense_pair)], _poly_text),
     ]
