@@ -127,12 +127,10 @@ class NSClass:
             raise DimensionMismatch(f"class dimensions disagree: {self} vs {other}")
 
     def to_tree(self):
-        den, gcd = self.den, math.gcd
-        if den == 1:
-            return [{"num": x, "den": 1} for x in self.v]
+        den = self.den
         out = []
         for x in self.v:
-            g = gcd(x, den)
+            g = math.gcd(x, den)
             out.append({"num": x // g, "den": den // g})
         return out
 

@@ -225,6 +225,12 @@ def test_half_classes():
     assert not c.divisible_by_two()
     assert (c * 2).divisible_by_two()
     assert c.half() == NSClass((Fraction(1, 2), Fraction(3, 2)))
+    h = c.half()
+    assert (h.v, h.den) == ((1, 3), 2)
+    assert not h.divisible_by_two() and not (h * 2).divisible_by_two()
+    assert (h * 4).divisible_by_two() and (h * 4).half().half() == h
+    assert NSClass((2, -4)).half() == NSClass((1, -2)) and NSClass((2, -4)).half().den == 1
+    assert NSClass((Fraction(4, 2), 0)).divisible_by_two()
 
 
 # -- the canonical form: an int vector over one denominator, in lowest terms ----------
@@ -261,15 +267,6 @@ def test_arithmetic_keeps_lowest_terms():
     assert z == NSClass.zero(2) and (z.v, z.den) == ((0, 0), 1) and z.is_zero()
     with pytest.raises(TypeError):
         x * 0.5
-
-
-def test_half_and_divisibility_on_half_classes():
-    h = NSClass((1, 3)).half()
-    assert (h.v, h.den) == ((1, 3), 2)
-    assert not h.divisible_by_two() and not (h * 2).divisible_by_two()
-    assert (h * 4).divisible_by_two() and (h * 4).half().half() == h
-    assert NSClass((2, -4)).half() == NSClass((1, -2)) and NSClass((2, -4)).half().den == 1
-    assert NSClass((Fraction(4, 2), 0)).divisible_by_two()
 
 
 def test_classes_are_immutable():
