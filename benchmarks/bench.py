@@ -5,32 +5,40 @@
 Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
 CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
-functions wrapped to record their arguments: ``Poly.from_text``,
+functions wrapped to record their arguments: ``Poly.from_text`` (or
+``poly._parse_text``, where every parse goes, in a checkout that has it),
 ``Poly.__mul__`` (polynomial operands), ``exact_div``, top-level
 ``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
-``SpectralDatum.quarter_defect``, ``spectral.first_nonzero_minor``,
+``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
+``spectral.first_nonzero_minor`` (the calls that find a witness),
 ``hitchin_map``, ``moduli.sl2r_enumerate`` and the construction of a
-``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs,
-timed as COVER_MAP_PASSES passes).
-Each function is then timed alone over its recorded inputs, in CPU time, N
-times; ``first_nonzero_minor`` is split into rank-one members (result None)
-and rank-two witnesses.  One in-process round of each
-workload is timed the same way.
+``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
+The ``rank-test`` configs are recorded too.  Each function is then timed
+alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
+is split into rank-one members (it returns) and rank-two witnesses (it
+raises NotRankOne), and ``parse_config`` is timed over the recorded
+``rank-test`` configs.  One in-process round of each workload is timed the
+same way.
 
-One stress row times a gcd no round takes: the first covector gcd of
-``factor`` on S = tau alpha alpha^T in 4 variables, alpha_i dense of degree
-3 with coefficients 1..9, written in ascending exponent order.  Every timed
-run of a row is stopped after CPU_LIMIT_S seconds of CPU (ITIMER_PROF on
-this process), and the row is then recorded as over the limit, with null
-times and hash.
+Two stress rows time work no round does, on S = tau alpha alpha^T in 4
+variables, alpha_i dense of degree d with coefficients 1..9, written in
+ascending exponent order: the first covector gcd of ``factor`` at d = 3,
+and the whole ``factor`` job at d = 4.
+
+A timed run makes `passes` passes over a row's calls: passes doubles from 1
+until one run lasts at least MIN_RUN_S of CPU, so no row is only a few
+steps of the process CPU clock long, and the times are per pass.  Every
+timed run is stopped after CPU_LIMIT_S seconds of CPU (ITIMER_PROF on this
+process), and the row is then recorded as over the limit, with null times
+and hash.
 
 A change can alter which calls a round makes, so two checkouts record
 different inputs.  With ``--corpus FILE`` the inputs are written to FILE by
 the first run and read back from it by every later run, so runs at a parent
 checkout and at a change time the same inputs.
 
-Rows ``{layer, case, calls, best_s, median_s, repeats, python, commit,
-output_sha256}`` are merged into PATH (rows of the same commit are replaced),
+Rows ``{layer, case, calls, best_s, median_s, passes, repeats, python,
+commit, output_sha256}`` are merged into PATH (rows of the same commit are replaced),
 so two runs, at a parent checkout and at a change, leave both in one file.
 ``output_sha256`` hashes the timed calls' results: equal hashes mean equal
 outputs.
@@ -58,9 +66,9 @@ SEED = 1
 WORKLOADS = ("rank-test", "cover-tower", "lattice")
 # CPU seconds one timed run of a row may take; a gcd with no bound would hang the harness
 CPU_LIMIT_S = 20
-# passes over the recorded CoverMap payloads per timed run: one pass of integer
-# checks takes about 1 ms, too short for the process CPU clock of a shared host
-COVER_MAP_PASSES = 50
+# CPU seconds one timed run lasts at least: the process CPU clock of a shared
+# host steps by milliseconds, so a 1-ms row read 0.0000 s
+MIN_RUN_S = 0.05
 
 
 class _OverLimit(Exception):
@@ -109,11 +117,12 @@ def _model_tree(m):
 def _record(poly, spectral, moduli, geometry, run_round):
     """Run the rounds once with the recorded functions wrapped; their inputs as JSON data."""
     P, SD, CM = poly.Poly, spectral.SpectralDatum, geometry.CoverMap
-    rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "mul",
-                           "exact_div", "poly_gcd", "squarefree", "hitchin_map", "sl2r_enumerate",
+    rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "minor_witnesses",
+                           "mul", "exact_div", "poly_gcd", "squarefree", "hitchin_map", "sl2r_enumerate",
                            "cover_map")}
     from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
-    fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
+    fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
+    div, gcd = poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
     sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
     depth = [0]
@@ -121,6 +130,10 @@ def _record(poly, spectral, moduli, geometry, run_round):
     def rec_from_text(cls, text, nvars):
         rec["from_text"].append([text, nvars])
         return from_text(cls, text, nvars)
+
+    def rec_parse_text(text, nvars, pieces):
+        rec["from_text"].append([text, nvars])
+        return parse_text(text, nvars, pieces)
 
     def rec_mul(self, other):
         if isinstance(other, P):
@@ -131,9 +144,19 @@ def _record(poly, spectral, moduli, geometry, run_round):
         rec["quarter_defect"].append(self.to_tree())
         return quarter_defect(self)
 
-    def rec_fnm(S):
-        out = fnm(S)
-        rec["members" if out is None else "witnesses"].append(S.to_tree())
+    def rec_fro(S):
+        try:
+            out = fro(S)
+        except spectral.NotRankOne:
+            rec["witnesses"].append(S.to_tree())
+            raise
+        rec["members"].append(S.to_tree())
+        return out
+
+    def rec_fnm(S, *values):
+        out = fnm(S, *values)
+        if out is not None:
+            rec["minor_witnesses"].append(S.to_tree())
         return out
 
     def rec_div(a, b):
@@ -170,14 +193,19 @@ def _record(poly, spectral, moduli, geometry, run_round):
                                  _model_tree(self.base)])
         return cover_check(self)
 
-    P.from_text = classmethod(rec_from_text)
+    wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
+               (hitchin, rec_hitchin), (sl2r, rec_sl2r)]
+    parse_text = getattr(poly, "_parse_text", None)
+    if parse_text is None:
+        P.from_text = classmethod(rec_from_text)
+    else:
+        wrapped.append((parse_text, rec_parse_text))
     P.__mul__ = rec_mul
     SD.quarter_defect = rec_quarter_defect
     CM.__post_init__ = rec_cover_check
     undo = []
     try:
-        for old, new in ((fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
-                         (hitchin, rec_hitchin), (sl2r, rec_sl2r)):
+        for old, new in wrapped:
             undo += _rebind(old, new)
         for wl in WORKLOADS:
             run_round(wl)
@@ -192,27 +220,33 @@ def _record(poly, spectral, moduli, geometry, run_round):
 
 
 def _time(fn, render, repeats):
-    """(best_s, median_s, output_sha256) of fn() over `repeats` runs.
+    """(best_s, median_s, passes, output_sha256) of fn() over `repeats` runs, times per pass.
 
     fn returns a list of results; render turns one into text, outside the timed region.
-    None once a run passes CPU_LIMIT_S seconds of CPU.
+    Runs shorter than MIN_RUN_S double `passes` and are not kept.  None once
+    a run passes CPU_LIMIT_S seconds of CPU.
     """
-    times, digest = [], None
-    for _ in range(repeats):
+    times, digest, passes = [], None, 1
+    while len(times) < repeats:
         signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
         t0 = time.process_time()
         try:
-            out = fn()
+            for _ in range(passes):
+                out = fn()
         except _OverLimit:
             return None
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0)
-        times.append(time.process_time() - t0)
+        elapsed = time.process_time() - t0
+        if not times and elapsed < MIN_RUN_S:
+            passes *= 2
+            continue
+        times.append(elapsed / passes)
         h = hashlib.sha256("\n".join(map(render, out)).encode()).hexdigest()
         if digest is not None and h != digest:
             raise SystemExit("error: outputs differ between repeats")
         digest = h
-    return min(times), statistics.median(times), digest
+    return min(times), statistics.median(times), passes, digest
 
 
 def _ascending_text(terms):
@@ -221,18 +255,22 @@ def _ascending_text(terms):
     )
 
 
-def _dense_gcd_pair(P):
-    """The first gcd _normalize_covector takes on the 4-variable degree-3 factor job: (S00, S01)."""
+def _dense_factor_s(P, deg):
+    """S = tau alpha alpha^T in 4 variables, alpha_i dense of degree deg, as the ascending texts of its rows."""
     rng, n = random.Random(SEED), 4
 
-    def dense(deg):
-        exps = (e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg)
+    def dense(d):
+        exps = (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d)
         return P.from_text(_ascending_text({e: rng.randint(1, 9) for e in exps}), n)
 
-    alpha = [dense(3) for _ in range(n)]
+    alpha = [dense(deg) for _ in range(n)]
     tau = dense(rng.randint(1, 2))
-    row = (tau * alpha[0] * alpha[j] for j in range(2))
-    return [P.from_text(_ascending_text({e: int(c) for e, c in p.terms.items()}), n) for p in row]
+    return [[_ascending_text({e: int(c) for e, c in (tau * alpha[i] * alpha[j]).terms.items()}) for j in range(n)]
+            for i in range(n)]
+
+
+def _factor_text(out):
+    return json.dumps(out.to_tree()) if hasattr(out, "to_tree") else f"{type(out).__name__}: {out}"
 
 
 def _witness_text(out):
@@ -271,6 +309,7 @@ def measure(src, repeats, corpus=None):
         print(f"inputs read from {corpus}")
     else:
         rec = _record(poly, spectral, moduli, geometry, run_round)
+        rec["rank_test_configs"] = rounds["rank-test"]
         if corpus:
             with open(corpus, "w", encoding="utf-8") as fh:
                 json.dump(rec, fh)
@@ -292,6 +331,8 @@ def measure(src, repeats, corpus=None):
     datums = [spectral.SpectralDatum.from_tree(t) for t in rec["quarter_defect"]]
     members = [spectral.SymDiff.from_tree(t) for t in rec["members"]]
     witnesses = [spectral.SymDiff.from_tree(t) for t in rec["witnesses"]]
+    minor_witnesses = [spectral.SymDiff.from_tree(t) for t in rec["minor_witnesses"]]
+    configs = rec["rank_test_configs"]
     muls, divs, gcds = ([(poly_in(a), poly_in(b)) for a, b in rec[k]]
                         for k in ("mul", "exact_div", "poly_gcd"))
     sqfs = [poly_in(t) for t in rec["squarefree"]]
@@ -305,8 +346,11 @@ def measure(src, repeats, corpus=None):
     sl2r_calls = [([(NS.from_tree(c), m) for c, m in comps], NS.from_tree(L), model_in(model))
                   for comps, L, model in rec["sl2r_enumerate"]]
     cover_maps = [(Pm, cQ, pb, NS.from_tree(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
-    dense_pair = _dense_gcd_pair(P)
-    fnm, div, gcd = spectral.first_nonzero_minor, poly.exact_div, poly.poly_gcd
+    dense_pair = [P.from_text(t, 4) for t in _dense_factor_s(P, 3)[0][:2]]
+    dense_job = json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 4},
+                            "payload": {"s": _dense_factor_s(P, 4)}})
+    fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
+    div, gcd = poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
     cases = [
         ("poly", "Poly.from_text", len(texts),
@@ -317,18 +361,23 @@ def measure(src, repeats, corpus=None):
         ("poly", "squarefree_decompose", len(sqfs), lambda: [sqf(f) for f in sqfs], repr),
         ("spectral", "quarter_defect", len(datums),
          lambda: [d.quarter_defect() for d in datums], repr),
-        ("spectral", "first_nonzero_minor members", len(members),
-         lambda: [fnm(S) for S in members], _witness_text),
-        ("spectral", "first_nonzero_minor witnesses", len(witnesses),
-         lambda: [fnm(S) for S in witnesses], _witness_text),
+        ("spectral", "factor_rank_one members", len(members),
+         lambda: [fro(S) for S in members], _factor_text),
+        ("spectral", "factor_rank_one witnesses", len(witnesses),
+         lambda: [attempt(fro, S) for S in witnesses], _factor_text),
+        ("spectral", "first_nonzero_minor witnesses", len(minor_witnesses),
+         lambda: [fnm(S) for S in minor_witnesses], _witness_text),
         ("spectral", "hitchin_map", len(fields), lambda: [hitchin(phi) for phi in fields], repr),
         ("moduli", "sl2r_enumerate", len(sl2r_calls),
          lambda: [attempt(moduli.sl2r_enumerate, *args) for args in sl2r_calls], _sl2r_text),
-        ("geometry", f"CoverMap construction x{COVER_MAP_PASSES}", COVER_MAP_PASSES * len(cover_maps),
-         lambda: [geometry.CoverMap(*args) for _ in range(COVER_MAP_PASSES) for args in cover_maps],
-         _cover_map_text),
+        ("geometry", "CoverMap construction", len(cover_maps),
+         lambda: [geometry.CoverMap(*args) for args in cover_maps], _cover_map_text),
+        ("cli", "parse_config, rank-test configs", len(configs),
+         lambda: [cli.parse_config(c) for c in configs], repr),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
          lambda: [attempt(gcd, *dense_pair)], _poly_text),
+        ("job", "factor stress, dense n=4 deg 4", 1,
+         lambda: [_run_job(cli, errors, dense_job)], str),
     ]
     for wl in WORKLOADS:
         cases.append(("job", f"{wl} round (in-process CLI)", len(rounds[wl]),
@@ -344,11 +393,11 @@ def measure(src, repeats, corpus=None):
                          "over_cpu_limit_s": CPU_LIMIT_S})
             print(f"{layer:9s} {case:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
             continue
-        best, median, digest = timed
+        best, median, passes, digest = timed
         rows.append({"layer": layer, "case": f"{case}, seed {SEED}", "calls": calls,
-                     "best_s": round(best, 4), "median_s": round(median, 4), **common,
+                     "best_s": round(best, 6), "median_s": round(median, 6), "passes": passes, **common,
                      "output_sha256": digest})
-        print(f"{layer:9s} {case:36s} calls={calls:5d} best={best:.4f}s median={median:.4f}s")
+        print(f"{layer:9s} {case:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s passes={passes}")
     return rows
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import geometry, moduli, spectral
 from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError
 from .geometry import NSClass, ProductOfCurves, SurfaceModel
-from .poly import Poly, _parse_rational
+from .poly import Poly, _parse_rational, _parse_text
 from .spectral import HiggsField, OneForm, RankOneFactorization, SpectralDatum, SymDiff
 
 
@@ -224,14 +224,29 @@ def _cls(size="rank"):
     return lambda x, ctx: NSClass(coords(x, ctx))
 
 
+# the ctx key of the per-config parse memos (see _poly)
+_PARSED = "parsed texts"
+
+
 def _poly(x, ctx) -> Poly:
-    """Polynomial text or tree in ctx["nvars"] variables."""
+    """Polynomial text or tree in ctx["nvars"] variables.
+
+    A config parses each distinct text once: ctx[_PARSED] maps nvars to a
+    memo text -> Poly and the memo of `*`-pieces all its texts share (a
+    symmetric matrix spells out both S[i][j] and S[j][i]).  Only parsed
+    polynomials are kept, so a bad text is rejected where it first appears.
+    """
     try:
         if type(x) is str:
-            try:
-                return Poly.from_text(x, ctx["nvars"])
-            except ValueError as exc:
-                raise _Reject(f"bad polynomial text: {exc}") from None
+            nvars = ctx["nvars"]
+            texts, pieces = ctx[_PARSED].setdefault(nvars, ({}, {}))
+            p = texts.get(x)
+            if p is None:
+                try:
+                    p = texts[x] = _parse_text(x, nvars, pieces)
+                except ValueError as exc:
+                    raise _Reject(f"bad polynomial text: {exc}") from None
+            return p
         if type(x) is dict:
             return Poly.from_tree(_POLY_TREE(x, ctx))
     except DegreeCapExceeded as exc:
@@ -636,11 +651,11 @@ COMMANDS = tuple(_COMMANDS)
 
 
 def _decode(doc) -> JobConfig:
-    ctx = {}
+    ctx = {_PARSED: {}}
     top = _CONFIG(doc, ctx)
     command = top["command"]
     tables = _COMMANDS[command][1]
-    model = dict(ctx) if top["model"] is not None else None
+    model = {k: v for k, v in ctx.items() if k != _PARSED} if top["model"] is not None else None
     table = tables.get(ctx.get("kind"))
     if table is None:
         kinds = " or ".join(k for k in tables if k)

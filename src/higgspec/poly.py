@@ -523,17 +523,22 @@ class Poly:
         return Poly._make(self.nvars, out, self._num, self._den)
 
     def evaluate(self, point):
-        point = tuple(Fraction(x) for x in point)
+        """The value at a rational point, exactly, summed on ints.
+
+        With d the lcm of the point's denominators, x_i = a_i / d and D the
+        total degree, a term c x^e is c a^e d^(D - |e|) / d^D.
+        """
+        point = [Fraction(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError("point length must equal nvars")
-        total = Fraction(0)
-        for e, c in self._ints.items():
-            v = Fraction(c)
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total * self._num / self._den
+        d = math.lcm(*[x.denominator for x in point])
+        a = [x.numerator * (d // x.denominator) for x in point]
+        items = self._ints.items()
+        if d == 1 or not items:
+            return Fraction(sum([c * math.prod(map(pow, a, e)) for e, c in items]) * self._num, self._den)
+        top = self.total_degree()
+        total = sum([c * d ** (top - sum(e)) * math.prod(map(pow, a, e)) for e, c in items])
+        return Fraction(total * self._num, self._den * d**top)
 
     def lift(self, extra=1):
         """Adjoin `extra` fresh trailing variables (used for charpoly in lambda)."""
@@ -595,38 +600,7 @@ class Poly:
     @classmethod
     def from_text(cls, text: str, nvars: int) -> "Poly":
         """Parse ``c * x1^2 * x3 + ...``; repeated monomials are merged, zeros dropped."""
-        parsed = []
-        body = text.strip()
-        if not body:
-            raise ValueError("empty polynomial text")
-        for raw_term in body.split("+"):
-            raw_term = raw_term.strip()
-            if not raw_term:
-                raise ValueError(f"empty term in {text!r}")
-            num = den = 1
-            exps = [0] * nvars
-            for piece in raw_term.split("*"):
-                piece = piece.strip()
-                # only a piece starting with "x" can be a variable
-                m = _VAR_RE.match(piece) if piece[:1] == "x" else None
-                if m:
-                    idx = int(m.group(1)) - 1
-                    if not 0 <= idx < nvars:
-                        raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
-                    exps[idx] += int(m.group(2) or 1)
-                else:
-                    p, q = _rational_parts(piece)
-                    num *= p
-                    den *= q
-            parsed.append((tuple(exps), num, den))
-        # over the common denominator every coefficient is an int, and
-        # repeated monomials merge by integer addition
-        den = math.lcm(*[q for _, _, q in parsed])
-        ints = {}
-        for e, p, q in parsed:
-            ints[e] = ints.get(e, 0) + p * (den // q)
-        ints = {e: c for e, c in ints.items() if c}
-        return _degree_capped(cls._make(nvars, ints, 1, den))
+        return _parse_text(text, nvars, {})
 
     def to_tree(self):
         return {
@@ -643,6 +617,55 @@ class Poly:
             e = tuple(t["exps"])
             terms[e] = terms.get(e, Fraction(0)) + Fraction(t["num"], t["den"])
         return _degree_capped(cls(tree["nvars"], terms))
+
+
+def _parse_piece(piece, nvars):
+    """One `*`-piece of a term: (variable index, exponent, None) or (None, p, q) for p / q."""
+    piece = piece.strip()
+    # only a piece starting with "x" can be a variable
+    m = _VAR_RE.match(piece) if piece[:1] == "x" else None
+    if m is None:
+        return (None, *_rational_parts(piece))
+    idx = int(m.group(1)) - 1
+    if not 0 <= idx < nvars:
+        raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
+    return idx, int(m.group(2) or 1), None
+
+
+def _parse_text(text, nvars, pieces):
+    """Poly.from_text, with `pieces` a memo raw `*`-piece -> _parse_piece(piece, nvars).
+
+    A caller that parses many texts in the same nvars passes one memo to all
+    of them, so each distinct piece goes through its regex once.
+    """
+    parsed = []
+    body = text.strip()
+    if not body:
+        raise ValueError("empty polynomial text")
+    for raw_term in body.split("+"):
+        if not raw_term.strip():
+            raise ValueError(f"empty term in {text!r}")
+        num = den = 1
+        exps = [0] * nvars
+        for piece in raw_term.split("*"):
+            got = pieces.get(piece)
+            if got is None:
+                got = pieces[piece] = _parse_piece(piece, nvars)
+            v, p, q = got
+            if v is None:
+                num *= p
+                den *= q
+            else:
+                exps[v] += p
+        parsed.append((tuple(exps), num, den))
+    # over the common denominator every coefficient is an int, and
+    # repeated monomials merge by integer addition
+    den = math.lcm(*[q for _, _, q in parsed])
+    ints = {}
+    for e, p, q in parsed:
+        ints[e] = ints.get(e, 0) + p * (den // q)
+    ints = {e: c for e, c in ints.items() if c}
+    return _degree_capped(Poly._make(nvars, ints, 1, den))
 
 
 def _primitive_split(ints, num, den):

@@ -5,11 +5,12 @@ differential is a symmetric matrix of polynomials, a Higgs field is a tuple
 of coefficient matrices, and the double cover attached to a factorization
 s = tau * alpha alpha^T is tracked through its branch decomposition.  The
 global rank test agrees with the pointwise rank condition because the
-coefficient field is infinite.  It checks the pivot identities
-S[p][p] S[i][j] = S[p][i] S[p][j] at the first nonzero diagonal entry
-S[p][p] (rank at most one iff all hold), and only when one fails, or the
-diagonal is zero, scans the 2x2 minors for the first nonzero one, the
-witness; both passes share one cache of entry products.
+coefficient field is infinite.  It evaluates S once, exactly, at one fixed
+integer point, and the values only choose the route.  When every 2x2 minor
+vanishes there, factor_rank_one builds tau * alpha alpha^T and proves it
+equal to S; otherwise, or when that construction fails, the 2x2 minors are
+scanned for the first nonzero one, the witness, and a minor nonzero at the
+point is nonzero as a polynomial with no product compared.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import combinations, product as _iproduct
 
 from .errors import (
     CayleyHamiltonViolation,
@@ -317,20 +318,47 @@ class HiggsField:
 # -- rank tests ----------------------------------------------------------------
 
 
-def first_nonzero_minor(S: SymDiff):
+# The one point at which the rank test evaluates S (an n-variable chart takes
+# the first n coordinates).  The coordinates are large and far apart, so no
+# linear form with coefficients in +-{1, 2, 3} and a constant term below 1009
+# in size vanishes there (x1 - x2 + 1 vanishes at (2, 3)).  A luckless point
+# costs time, never an answer.
+ROUTE_POINT = (1009, 10007, 100003, 1000003)
+
+
+# chart dimension -> (i, j, k, l) of the 2x2 minors, rows i < j and columns k < l, in grlex order
+_MINORS = {
+    n: [(i, j, k, l) for i, j in combinations(range(n), 2) for k, l in combinations(range(n), 2)]
+    for n in range(1, MAX_CHART_DIM + 1)
+}
+
+
+def _values_at_point(S):
+    """S at ROUTE_POINT, exactly, times one common denominator: an int matrix of the same rank."""
+    n = len(S)
+    point = ROUTE_POINT[:n]
+    vals = {(i, j): S[i][j].evaluate(point) for i in range(n) for j in range(i, n)}
+    den = math.lcm(*[v.denominator for v in vals.values()])
+    M = [[0] * n for _ in range(n)]
+    for (i, j), v in vals.items():
+        M[i][j] = M[j][i] = v.numerator * (den // v.denominator)
+    return M
+
+
+def first_nonzero_minor(S: SymDiff, values=None):
     """First (grlex-ordered indices) nonvanishing 2x2 minor, or None.
 
-    Pivot test first: with p the first index where S[p][p] != 0, S has rank
-    at most one iff S[p][p] S[i][j] == S[p][i] S[p][j] for all i <= j other
-    than p (the Schur complement of S[p][p] vanishes over the fraction
-    field); then the answer is None.  Otherwise, or when the diagonal is zero
-    (rank two unless S = 0), the 2x2 minors (i < j, k < l) are scanned in
-    loop order for the first nonzero one.  Both passes read entry products
-    from one per-call cache keyed by the unordered pair of symmetric
-    positions, so a witness costs no product more than the scan alone.
+    The minors (i < j, k < l) are scanned in loop order, each compared
+    exactly as S[i][k] S[j][l] == S[i][l] S[j][k], until the first one that
+    is nonzero at ROUTE_POINT.  Evaluation at a point is a ring
+    homomorphism, so that minor is nonzero as a polynomial and is returned
+    with no comparison; the point never changes the answer, only how many
+    products are formed.  Products come from one per-call cache keyed by
+    the unordered pair of symmetric positions, so none is formed twice.
+    ``values`` is _values_at_point(S) when the caller has it already.
     """
     S = S.S
-    n = len(S)
+    M = _values_at_point(S) if values is None else values
     products = {}
 
     def prod(a, b, c, d):
@@ -342,22 +370,11 @@ def first_nonzero_minor(S: SymDiff):
             v = products[key] = S[a][b] * S[c][d]
         return v
 
-    p = next((i for i in range(n) if S[i][i]), None)
-    if p is not None:
-        others = [i for i in range(n) if i != p]
-        if all(
-            prod(p, p, i, j) == prod(p, i, p, j)
-            for a, i in enumerate(others)
-            for j in others[a:]
-        ):
-            return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    left, right = prod(i, k, j, l), prod(i, l, j, k)
-                    if left != right:
-                        return (i, j, k, l), left - right
+    for i, j, k, l in _MINORS[len(S)]:
+        at_point = M[i][k] * M[j][l] != M[i][l] * M[j][k]
+        left, right = prod(i, k, j, l), prod(i, l, j, k)
+        if at_point or left != right:
+            return (i, j, k, l), left - right
     return None
 
 
@@ -411,13 +428,8 @@ def _normalize_covector(entries):
     return entries
 
 
-def factor_rank_one(S: SymDiff) -> RankOneFactorization:
-    """Factor a nonzero rank-at-most-one symmetric differential as tau * alpha alpha^T."""
-    if S.is_zero():
-        raise ZeroInput("cannot factor the zero differential")
-    witness = first_nonzero_minor(S)
-    if witness is not None:
-        raise NotRankOne(*witness)
+def _construct_rank_one(S: SymDiff) -> RankOneFactorization:
+    """tau * alpha alpha^T from the first nonzero diagonal entry's row, proved equal to S."""
     n = S.dim
     i0 = next(i for i in range(n) if not S[i][i].is_zero())
     alpha = _normalize_covector(tuple(S[i0][j] for j in range(n)))
@@ -429,6 +441,39 @@ def factor_rank_one(S: SymDiff) -> RankOneFactorization:
     if f.symdiff() != S:
         raise FactorizationInconsistent("S != tau * alpha alpha^T after construction")
     return f
+
+
+def factor_rank_one(S: SymDiff) -> RankOneFactorization:
+    """Factor a nonzero rank-at-most-one symmetric differential as tau * alpha alpha^T.
+
+    S is evaluated once at ROUTE_POINT.  When every 2x2 minor vanishes there
+    and some diagonal entry is nonzero, alpha is built from the first
+    nonzero diagonal entry's row and tau by exact division, and the check
+    tau * alpha alpha^T == S proves rank at most one: no product of two S
+    entries is formed.  When a minor is nonzero at the point, or the
+    construction fails, first_nonzero_minor decides, and a witness raises
+    NotRankOne.  If it finds none, S has rank at most one and the
+    construction's own error (FactorizationInconsistent, or a gcd's
+    DegreeCapExceeded) is raised.  The point therefore changes no answer,
+    exit code or message.
+    """
+    if S.is_zero():
+        raise ZeroInput("cannot factor the zero differential")
+    M = _values_at_point(S.S)
+    error = None
+    if any(S[i][i] for i in range(S.dim)) and all(
+        M[i][k] * M[j][l] == M[i][l] * M[j][k] for i, j, k, l in _MINORS[S.dim]
+    ):
+        try:
+            return _construct_rank_one(S)
+        except (FactorizationInconsistent, DegreeCapExceeded) as exc:
+            error = exc
+    witness = first_nonzero_minor(S, M)
+    if witness is not None:
+        raise NotRankOne(*witness)
+    # reached only after a construction: a nonzero S with a zero diagonal, or
+    # with a minor nonzero at the point, has a witness
+    raise error
 
 
 # -- spectral base membership ----------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from higgspec import moduli
+from higgspec import cli, moduli, spectral
 from higgspec.cli import machine_block, main, parse_config, run
 from higgspec.errors import ParseError, SchemaError
 from higgspec.geometry import MAX_GENUS
@@ -66,6 +66,50 @@ def test_payload_schema_path_reported():
     assert "s1" in str(err.value)
 
 
+def _parse_counting(monkeypatch):
+    texts = []
+    parse = cli._parse_text
+
+    def counting(text, nvars, pieces):
+        texts.append((text, nvars))
+        return parse(text, nvars, pieces)
+
+    monkeypatch.setattr(cli, "_parse_text", counting)
+    return texts
+
+
+def test_symmetric_texts_are_parsed_once(monkeypatch):
+    s = [["1 * x1^2", "2 * x1 * x2 + 1"], ["2 * x1 * x2 + 1", "1 * x2^2"]]
+    texts = _parse_counting(monkeypatch)
+    job = parse_config(json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 2}, "payload": {"s": s}}))
+    assert sorted(texts) == sorted({(t, 2) for row in s for t in row})
+    S = job.payload["s"]
+    assert S[0][1] is S[1][0]
+    assert S[0][1] == Poly.from_text("2 * x1 * x2 + 1", 2)
+
+
+def test_repeated_bad_text_reports_its_first_path():
+    s = [["1", "1 * y1"], ["1 * y1", "1"]]
+    with pytest.raises(SchemaError) as err:
+        parse_config(json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 2}, "payload": {"s": s}}))
+    assert err.value.path == "$.payload.s[0][1]"
+    assert "bad rational 'y1'" in str(err.value)
+
+
+def test_parse_memo_is_keyed_on_nvars():
+    # a text or a piece parsed in one chart dimension is parsed again in another
+    ctx = {cli._PARSED: {}, "nvars": 3}
+    p3 = cli._poly("1 * x2 + 1", ctx)
+    assert p3.nvars == 3
+    ctx["nvars"] = 2
+    p2 = cli._poly("1 * x2 + 1", ctx)
+    assert p2 == Poly.from_text("1 * x2 + 1", 2) and p2.nvars == 2
+    ctx["nvars"] = 1
+    with pytest.raises(cli._Reject, match="x2 out of range for nvars=1"):
+        cli._poly("3 * x2", ctx)
+    assert set(ctx[cli._PARSED]) == {1, 2, 3}
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -104,26 +148,40 @@ def _dense(rng, n, deg):
     return Poly.from_text(_ascending_text({e: rng.randint(1, 9) for e in exps}), n)
 
 
+def _dense_factor(n, deg):
+    """(S, factor config): S = tau alpha alpha^T, alpha_i dense of degree deg, entries in ascending exponent order."""
+    rng = random.Random(1)
+    alpha = [_dense(rng, n, deg) for _ in range(n)]
+    tau = _dense(rng, n, rng.randint(1, 2))
+    S = [[tau * alpha[i] * alpha[j] for j in range(n)] for i in range(n)]
+    rows = [[_ascending_text({e: int(c) for e, c in p.terms.items()}) for p in row] for row in S]
+    return S, {"command": "factor", "model": {"kind": "chart", "nvars": n}, "payload": {"s": rows}}
+
+
 def test_factor_dense_four_variables_within_budget():
     # S = tau alpha alpha^T in 4 variables, alpha_i dense of degree 3, written
     # term by term in ascending exponent order.  GCDHEU needs a 66,608-bit
     # image for the covector gcd (8,326 bits times degree 8); a gcd fallback
     # with no bound ran past 60 s of CPU on this input.
-    rng = random.Random(1)
     n = 4
-    alpha = [_dense(rng, n, 3) for _ in range(n)]
-    tau = _dense(rng, n, rng.randint(1, 2))
-    S = [[tau * alpha[i] * alpha[j] for j in range(n)] for i in range(n)]
-    rows = [[_ascending_text({e: int(c) for e, c in p.terms.items()}) for p in row] for row in S]
+    S, doc = _dense_factor(n, 3)
     t0 = time.process_time()
-    report = json.loads(machine_block(run(parse_config(json.dumps(
-        {"command": "factor", "model": {"kind": "chart", "nvars": n}, "payload": {"s": rows}})))))
+    report = json.loads(machine_block(run(parse_config(json.dumps(doc)))))
     assert time.process_time() - t0 < 20
     assert report["verdicts"] == {"rank_le_one": True}
     fac = report["values"]["factorization"]
     got_alpha = [Poly.from_tree(t) for t in fac["alpha"]]
     got_tau = Poly.from_tree(fac["tau"])
     assert all(got_tau * got_alpha[i] * got_alpha[j] == S[i][j] for i in range(n) for j in range(n))
+
+
+def test_factor_dense_degree_four_bytes(capsys, tmp_path):
+    # the same recipe at degree 4; its machine block is pinned by a sha256
+    # recorded with the pivot rank test, which spent 4.4 s on its products
+    rc, out = run_machine(capsys, tmp_path, _dense_factor(4, 4)[1])
+    assert rc == 0
+    want = (DATA / "factor-dense-n4-d4.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("name", ["factor-n3", "base-check-n3", "factor-n4", "base-check-n4"])
@@ -540,6 +598,36 @@ def test_domain_error_exits_1_with_its_message(name, tmp_path, capsys):
     assert rc == 1
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_route_point_changes_no_output(tmp_path, capsys, monkeypatch):
+    # machine blocks, errors and exit codes at the default route point and at
+    # the origin, where the homogeneous entries below all vanish
+    chart = {"kind": "chart", "nvars": 2}
+    docs = [
+        *json.loads((DATA / "witness-jobs.json").read_text()).values(),
+        *(DOMAIN_ERRORS[f"{c} whose gcd passes the image cap"][0] for c in ("factor", "base-check", "section")),
+        {"command": "factor", "model": chart, "payload": {"s": [["1 * x1", "1 * x2"], ["1 * x2", "1 * x1"]]}},
+        {"command": "factor", "model": chart, "payload": {"s": [["0", "1 * x1"], ["1 * x1", "0"]]}},
+        {"command": "base-check", "model": chart, "payload": {"datum": {
+            "s1": ["2 * x1", "0"], "s2": [["2 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]}}},
+        {"command": "selftest"},
+    ]
+
+    def outcomes():
+        out = []
+        for doc in docs:
+            rc = main(["--config", write_job(tmp_path, doc), "--format", "machine", "--seed", "42"])
+            cap = capsys.readouterr()
+            out.append((rc, cap.out, cap.err))
+        return out
+
+    want = outcomes()
+    assert [rc for rc, _, _ in want] == [0] * 4 + [1] * 3 + [0] * 4
+    selftest = (DATA / "selftest-seed42.sha256").read_text().strip()
+    assert hashlib.sha256(want[-1][1].encode()).hexdigest() == selftest
+    monkeypatch.setattr(spectral, "ROUTE_POINT", (0, 0, 0, 0))
+    assert outcomes() == want
 
 
 def test_integer_past_digit_limit_is_parse_error(tmp_path, capsys):

@@ -531,6 +531,24 @@ def test_from_text_matches_reference_parser(seed):
     assert outcomes == {"error", "zero", "poly"}
 
 
+def test_shared_piece_memo_parses_as_from_text():
+    # one memo per nvars across all texts, as a config shares it: the same
+    # polynomials and the same error messages as a fresh memo per text
+    memos = {}
+    for seed in range(3):
+        for text, n in _parse_cases(seed):
+            pieces = memos.setdefault(n, {})
+            try:
+                want = P(text, n)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    poly._parse_text(text, n, pieces)
+                assert str(err.value) == str(exc)
+            else:
+                assert poly._parse_text(text, n, pieces) == want
+    assert all(len(m) > 20 for m in memos.values())
+
+
 def test_from_text_examples():
     assert P("2 * 3/4 * x1", 1) == Poly(1, {(1,): Fraction(3, 2)})
     assert P("x1 * x1^2 * -1/2 * x2 * 4", 2) == Poly(2, {(3, 1): Fraction(-2)})

@@ -9,6 +9,7 @@ from higgspec.errors import (
     CayleyHamiltonViolation,
     DegreeCapExceeded,
     FactorizationMismatch,
+    HiggspecError,
     NotRankOne,
     ZeroInput,
 )
@@ -247,15 +248,123 @@ def test_rank_test_computes_each_product_once(q, p, monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_rank_one_member_costs_only_the_pivot_products(monkeypatch):
-    # S[p][p] S[i][j] and S[p][i] S[p][j] for i <= j other than p: 2 * 6 products at n = 4
+def test_rank_one_member_forms_no_entry_product(monkeypatch):
+    # a member is proved by its construction, tau * alpha alpha^T == S, so no
+    # product of two S entries is formed; a witness forms each at most once
     n = 4
     rng = random.Random(11)
     T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])])
     S = _symmetric_objects(T)
+    entries = {id(p) for row in S.S for p in row}
     calls = _count_products(monkeypatch)
-    assert first_nonzero_minor(S) is None
-    assert len(calls) == n * (n - 1)
+    f = factor_rank_one(S)
+    assert not [c for c in calls if set(c) <= entries]
+    assert f.symdiff() == S
+
+    T2 = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])
+                                 for _ in range(2)])
+    S2 = _symmetric_objects(T2)
+    entries = {id(p) for row in S2.S for p in row}
+    calls.clear()
+    with pytest.raises(NotRankOne) as err:
+        factor_rank_one(S2)
+    assert (err.value.indices, err.value.minor.terms) == _ref_first_minor(T2)
+    pairs = [c for c in calls if set(c) <= entries]
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+# -- the route point cannot change an answer --------------------------------------
+
+
+def _outcome(S):
+    """What factor_rank_one answers: the factorization, the witness, or the error and its message."""
+    try:
+        f = factor_rank_one(S)
+    except NotRankOne as exc:
+        return "witness", exc.indices, exc.minor
+    except HiggspecError as exc:
+        return type(exc).__name__, str(exc)
+    return "member", f.alpha, f.tau
+
+
+def _check_against_oracle(T, outcome):
+    want = _ref_first_minor(T)
+    if want is None:
+        assert outcome[0] == "member"
+        assert RankOneFactorization(outcome[1], outcome[2]).symdiff() == _as_symdiff(T)
+    else:
+        assert outcome[0] == "witness" and (outcome[1], outcome[2].terms) == want
+
+
+def test_rank_two_whose_minors_vanish_at_the_point():
+    # tau1 alpha alpha^T + tau2 beta beta^T with tau2 = x1 - ROUTE_POINT[0]: rank one at the point
+    for n in (2, 3, 4):
+        rng = random.Random(n)
+        tau2 = _ref_add({(1,) + (0,) * (n - 1): Fraction(1)}, {(0,) * n: Fraction(-spectral.ROUTE_POINT[0])})
+        vec = lambda: [_ref_poly(rng, n, 1, 2) for _ in range(n)]
+        T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), vec()), (tau2, vec())])
+        S = _as_symdiff(T)
+        M = spectral._values_at_point(S.S)
+        assert all(M[i][k] * M[j][l] == M[i][l] * M[j][k] for i, j, k, l in spectral._MINORS[n])
+        got = _outcome(S)
+        _check_against_oracle(T, got)
+        assert first_nonzero_minor(S)[0] == got[1]
+
+
+def test_rank_one_whose_entries_vanish_at_the_point():
+    # S = tau alpha alpha^T with tau = x_n - ROUTE_POINT[n - 1]: every entry is zero at the point
+    for n in (1, 2, 3, 4):
+        rng = random.Random(10 + n)
+        tau = _ref_add({(0,) * (n - 1) + (1,): Fraction(1)}, {(0,) * n: Fraction(-spectral.ROUTE_POINT[n - 1])})
+        T = _ref_sum_of_squares(n, [(tau, [_ref_poly(rng, n, 1, 2) for _ in range(n)])])
+        if not any(T[i][i] for i in range(n)):
+            continue
+        S = _as_symdiff(T)
+        assert not any(any(row) for row in spectral._values_at_point(S.S))
+        _check_against_oracle(T, _outcome(S))
+        assert first_nonzero_minor(S) is None
+
+
+def test_zero_diagonal_goes_to_the_witness_scan():
+    x1 = {(1, 0): Fraction(1)}
+    T = [[{}, x1], [x1, {}]]
+    got = _outcome(_as_symdiff(T))
+    _check_against_oracle(T, got)
+    assert got[2] == P("-1 * x1^2", 2)
+
+
+def test_failed_construction_on_rank_two_gives_the_witness(monkeypatch):
+    # at (1, 1) the minor x1 x2 - 1 vanishes: tau = x1 / x1^2 fails to divide, and the scan decides
+    monkeypatch.setattr(spectral, "ROUTE_POINT", (1, 1, 1, 1))
+    T = [[{(1, 0): Fraction(1)}, {(0, 0): Fraction(1)}], [{(0, 0): Fraction(1)}, {(0, 1): Fraction(1)}]]
+    got = _outcome(_as_symdiff(T))
+    _check_against_oracle(T, got)
+
+
+def test_gcd_cap_in_the_construction(monkeypatch):
+    # row 0 is (p^2, p q): its gcd passes the GCDHEU image cap.  On rank one the
+    # cap is the answer; on rank two (x2 added to S[1][1], so the minor p^2 x2
+    # vanishes at the patched point) the scan finds the witness
+    monkeypatch.setattr(spectral, "ROUTE_POINT", (1, 0, 0, 0))
+    p, q = P("1 * x1^300", 2) + 3**1262, P("1 * x1^300 + 1", 2)
+    one = SymDiff(((p * p, p * q), (p * q, q * q)))
+    two = SymDiff(((p * p, p * q), (p * q, q * q + P("1 * x2", 2))))
+    assert _outcome(one) == ("DegreeCapExceeded", "gcd: evaluation image past the cap of 1048576 bits")
+    assert _outcome(two) == ("witness", (0, 1, 0, 1), p * p * P("1 * x2", 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_route_point_changes_no_answer(seed, monkeypatch):
+    # the same answers at the default point and at points that are roots of the
+    # seeded entries (they have small coefficients and low degree)
+    cases = list(_rank_test_cases(100 + seed)) + [("fixed", S) for S in FIXED_RANK_TEST_CASES]
+    cases = [(label, T) for label, T in cases if any(T[i][j] for i in range(len(T)) for j in range(len(T)))]
+    answers = [_outcome(_as_symdiff(T)) for _, T in cases]
+    for (_, T), got in zip(cases, answers):
+        _check_against_oracle(T, got)
+    for point in [(0, 0, 0, 0), (1, 1, 1, 1), (-1, 1, 2, -2), (1, -1, 0, 1)]:
+        monkeypatch.setattr(spectral, "ROUTE_POINT", point)
+        assert [_outcome(_as_symdiff(T)) for _, T in cases] == answers, point
 
 
 # -- factorization ----------------------------------------------------------------
