@@ -5,8 +5,7 @@
 Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
 CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
-functions wrapped to record their arguments: ``Poly.from_text`` (or
-``poly._parse_text``, where every parse goes, in a checkout that has it),
+functions wrapped to record their arguments: ``Poly.from_text``,
 ``Poly.__mul__`` (polynomial operands), ``exact_div``, top-level
 ``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
 ``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
@@ -127,13 +126,9 @@ def _record(poly, spectral, moduli, geometry, run_round):
     sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
     depth = [0]
 
-    def rec_from_text(cls, text, nvars):
+    def rec_from_text(cls, text, nvars, **kw):
         rec["from_text"].append([text, nvars])
-        return from_text(cls, text, nvars)
-
-    def rec_parse_text(text, nvars, pieces):
-        rec["from_text"].append([text, nvars])
-        return parse_text(text, nvars, pieces)
+        return from_text(cls, text, nvars, **kw)
 
     def rec_mul(self, other):
         if isinstance(other, P):
@@ -153,8 +148,8 @@ def _record(poly, spectral, moduli, geometry, run_round):
         rec["members"].append(S.to_tree())
         return out
 
-    def rec_fnm(S, *values):
-        out = fnm(S, *values)
+    def rec_fnm(S, *args):
+        out = fnm(S, *args)
         if out is not None:
             rec["minor_witnesses"].append(S.to_tree())
         return out
@@ -195,11 +190,7 @@ def _record(poly, spectral, moduli, geometry, run_round):
 
     wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
                (hitchin, rec_hitchin), (sl2r, rec_sl2r)]
-    parse_text = getattr(poly, "_parse_text", None)
-    if parse_text is None:
-        P.from_text = classmethod(rec_from_text)
-    else:
-        wrapped.append((parse_text, rec_parse_text))
+    P.from_text = classmethod(rec_from_text)
     P.__mul__ = rec_mul
     SD.quarter_defect = rec_quarter_defect
     CM.__post_init__ = rec_cover_check

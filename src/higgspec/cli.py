@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import geometry, moduli, spectral
 from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError
 from .geometry import NSClass, ProductOfCurves, SurfaceModel
-from .poly import Poly, _parse_rational, _parse_text
+from .poly import Poly, _parse_rational
 from .spectral import HiggsField, OneForm, RankOneFactorization, SpectralDatum, SymDiff
 
 
@@ -243,7 +243,7 @@ def _poly(x, ctx) -> Poly:
             p = texts.get(x)
             if p is None:
                 try:
-                    p = texts[x] = _parse_text(x, nvars, pieces)
+                    p = texts[x] = Poly.from_text(x, nvars, pieces=pieces)
                 except ValueError as exc:
                     raise _Reject(f"bad polynomial text: {exc}") from None
             return p

@@ -533,11 +533,8 @@ class Poly:
             raise ValueError("point length must equal nvars")
         d = math.lcm(*[x.denominator for x in point])
         a = [x.numerator * (d // x.denominator) for x in point]
-        items = self._ints.items()
-        if d == 1 or not items:
-            return Fraction(sum([c * math.prod(map(pow, a, e)) for e, c in items]) * self._num, self._den)
-        top = self.total_degree()
-        total = sum([c * d ** (top - sum(e)) * math.prod(map(pow, a, e)) for e, c in items])
+        top = max(self.total_degree(), 0)
+        total = sum([c * d ** (top - sum(e)) * math.prod(map(pow, a, e)) for e, c in self._ints.items()])
         return Fraction(total * self._num, self._den * d**top)
 
     def lift(self, extra=1):
@@ -598,9 +595,43 @@ class Poly:
         return " + ".join(parts)
 
     @classmethod
-    def from_text(cls, text: str, nvars: int) -> "Poly":
-        """Parse ``c * x1^2 * x3 + ...``; repeated monomials are merged, zeros dropped."""
-        return _parse_text(text, nvars, {})
+    def from_text(cls, text: str, nvars: int, *, pieces=None) -> "Poly":
+        """Parse ``c * x1^2 * x3 + ...``; repeated monomials are merged, zeros dropped.
+
+        ``pieces`` is a memo raw `*`-piece -> _parse_piece(piece, nvars).  A
+        caller that parses many texts in the same nvars passes one memo to
+        all of them, so each distinct piece goes through its regex once.
+        """
+        if pieces is None:
+            pieces = {}
+        parsed = []
+        body = text.strip()
+        if not body:
+            raise ValueError("empty polynomial text")
+        for raw_term in body.split("+"):
+            if not raw_term.strip():
+                raise ValueError(f"empty term in {text!r}")
+            num = den = 1
+            exps = [0] * nvars
+            for piece in raw_term.split("*"):
+                got = pieces.get(piece)
+                if got is None:
+                    got = pieces[piece] = _parse_piece(piece, nvars)
+                v, p, q = got
+                if v is None:
+                    num *= p
+                    den *= q
+                else:
+                    exps[v] += p
+            parsed.append((tuple(exps), num, den))
+        # over the common denominator every coefficient is an int, and
+        # repeated monomials merge by integer addition
+        den = math.lcm(*[q for _, _, q in parsed])
+        ints = {}
+        for e, p, q in parsed:
+            ints[e] = ints.get(e, 0) + p * (den // q)
+        ints = {e: c for e, c in ints.items() if c}
+        return _degree_capped(cls._make(nvars, ints, 1, den))
 
     def to_tree(self):
         return {
@@ -630,42 +661,6 @@ def _parse_piece(piece, nvars):
     if not 0 <= idx < nvars:
         raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
     return idx, int(m.group(2) or 1), None
-
-
-def _parse_text(text, nvars, pieces):
-    """Poly.from_text, with `pieces` a memo raw `*`-piece -> _parse_piece(piece, nvars).
-
-    A caller that parses many texts in the same nvars passes one memo to all
-    of them, so each distinct piece goes through its regex once.
-    """
-    parsed = []
-    body = text.strip()
-    if not body:
-        raise ValueError("empty polynomial text")
-    for raw_term in body.split("+"):
-        if not raw_term.strip():
-            raise ValueError(f"empty term in {text!r}")
-        num = den = 1
-        exps = [0] * nvars
-        for piece in raw_term.split("*"):
-            got = pieces.get(piece)
-            if got is None:
-                got = pieces[piece] = _parse_piece(piece, nvars)
-            v, p, q = got
-            if v is None:
-                num *= p
-                den *= q
-            else:
-                exps[v] += p
-        parsed.append((tuple(exps), num, den))
-    # over the common denominator every coefficient is an int, and
-    # repeated monomials merge by integer addition
-    den = math.lcm(*[q for _, _, q in parsed])
-    ints = {}
-    for e, p, q in parsed:
-        ints[e] = ints.get(e, 0) + p * (den // q)
-    ints = {e: c for e, c in ints.items() if c}
-    return _degree_capped(Poly._make(nvars, ints, 1, den))
 
 
 def _primitive_split(ints, num, den):

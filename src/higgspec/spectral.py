@@ -7,10 +7,10 @@ s = tau * alpha alpha^T is tracked through its branch decomposition.  The
 global rank test agrees with the pointwise rank condition because the
 coefficient field is infinite.  It evaluates S once, exactly, at one fixed
 integer point, and the values only choose the route.  When every 2x2 minor
-vanishes there, factor_rank_one builds tau * alpha alpha^T and proves it
-equal to S; otherwise, or when that construction fails, the 2x2 minors are
-scanned for the first nonzero one, the witness, and a minor nonzero at the
-point is nonzero as a polynomial with no product compared.
+vanishes there, it builds tau * alpha alpha^T and proves it equal to S;
+otherwise, or when that construction fails, the 2x2 minors are scanned for
+the first nonzero one, the witness, and a minor nonzero at the point is
+nonzero as a polynomial with no product compared.
 """
 
 from __future__ import annotations
@@ -345,20 +345,40 @@ def _values_at_point(S):
     return M
 
 
-def first_nonzero_minor(S: SymDiff, values=None):
+def first_nonzero_minor(S: SymDiff, outcome=None):
     """First (grlex-ordered indices) nonvanishing 2x2 minor, or None.
 
-    The minors (i < j, k < l) are scanned in loop order, each compared
-    exactly as S[i][k] S[j][l] == S[i][l] S[j][k], until the first one that
-    is nonzero at ROUTE_POINT.  Evaluation at a point is a ring
-    homomorphism, so that minor is nonzero as a polynomial and is returned
-    with no comparison; the point never changes the answer, only how many
-    products are formed.  Products come from one per-call cache keyed by
-    the unordered pair of symmetric positions, so none is formed twice.
-    ``values`` is _values_at_point(S) when the caller has it already.
+    S is evaluated once at ROUTE_POINT.  When every 2x2 minor vanishes there
+    and some diagonal entry is nonzero, tau * alpha alpha^T is built from
+    the first nonzero diagonal entry's row and checked equal to S; that
+    proves rank at most one, so the answer is None and no product of two S
+    entries is formed.  Otherwise, or when the construction raises
+    (FactorizationInconsistent, or a gcd's DegreeCapExceeded), the minors
+    (i < j, k < l) are scanned in loop order, each compared exactly as
+    S[i][k] S[j][l] == S[i][l] S[j][k], until the first one that is nonzero
+    at ROUTE_POINT.  Evaluation at a point is a ring homomorphism, so that
+    minor is nonzero as a polynomial and is returned with no comparison.
+    The point therefore changes no answer, only how many products are
+    formed.  Products come from one per-call cache keyed by the unordered
+    pair of symmetric positions, so none is formed twice.
+
+    ``outcome``, when given, is a list that receives the construction's
+    result, the RankOneFactorization or the error it raised, if it ran.
     """
+    M = _values_at_point(S.S)
+    minors = _MINORS[S.dim]
+    if any(S[i][i] for i in range(S.dim)) and all(
+        M[i][k] * M[j][l] == M[i][l] * M[j][k] for i, j, k, l in minors
+    ):
+        try:
+            built = _construct_rank_one(S)
+        except (FactorizationInconsistent, DegreeCapExceeded) as exc:
+            built = exc
+        if outcome is not None:
+            outcome.append(built)
+        if not isinstance(built, Exception):
+            return None
     S = S.S
-    M = _values_at_point(S) if values is None else values
     products = {}
 
     def prod(a, b, c, d):
@@ -370,7 +390,7 @@ def first_nonzero_minor(S: SymDiff, values=None):
             v = products[key] = S[a][b] * S[c][d]
         return v
 
-    for i, j, k, l in _MINORS[len(S)]:
+    for i, j, k, l in minors:
         at_point = M[i][k] * M[j][l] != M[i][l] * M[j][k]
         left, right = prod(i, k, j, l), prod(i, l, j, k)
         if at_point or left != right:
@@ -446,34 +466,23 @@ def _construct_rank_one(S: SymDiff) -> RankOneFactorization:
 def factor_rank_one(S: SymDiff) -> RankOneFactorization:
     """Factor a nonzero rank-at-most-one symmetric differential as tau * alpha alpha^T.
 
-    S is evaluated once at ROUTE_POINT.  When every 2x2 minor vanishes there
-    and some diagonal entry is nonzero, alpha is built from the first
-    nonzero diagonal entry's row and tau by exact division, and the check
-    tau * alpha alpha^T == S proves rank at most one: no product of two S
-    entries is formed.  When a minor is nonzero at the point, or the
-    construction fails, first_nonzero_minor decides, and a witness raises
-    NotRankOne.  If it finds none, S has rank at most one and the
-    construction's own error (FactorizationInconsistent, or a gcd's
-    DegreeCapExceeded) is raised.  The point therefore changes no answer,
-    exit code or message.
+    One call of first_nonzero_minor decides: a witness raises NotRankOne;
+    otherwise its construction from the first nonzero diagonal entry's row
+    is the answer.  A nonzero S with no witness has a nonzero diagonal entry
+    and every minor zero at ROUTE_POINT, so that construction ran; if it
+    raised (FactorizationInconsistent, or a gcd's DegreeCapExceeded), that
+    error is raised here, whatever the point.
     """
     if S.is_zero():
         raise ZeroInput("cannot factor the zero differential")
-    M = _values_at_point(S.S)
-    error = None
-    if any(S[i][i] for i in range(S.dim)) and all(
-        M[i][k] * M[j][l] == M[i][l] * M[j][k] for i, j, k, l in _MINORS[S.dim]
-    ):
-        try:
-            return _construct_rank_one(S)
-        except (FactorizationInconsistent, DegreeCapExceeded) as exc:
-            error = exc
-    witness = first_nonzero_minor(S, M)
+    outcome = []
+    witness = first_nonzero_minor(S, outcome)
     if witness is not None:
         raise NotRankOne(*witness)
-    # reached only after a construction: a nonzero S with a zero diagonal, or
-    # with a minor nonzero at the point, has a witness
-    raise error
+    (built,) = outcome
+    if isinstance(built, Exception):
+        raise built
+    return built
 
 
 # -- spectral base membership ----------------------------------------------------

@@ -68,13 +68,13 @@ def test_payload_schema_path_reported():
 
 def _parse_counting(monkeypatch):
     texts = []
-    parse = cli._parse_text
+    parse = Poly.from_text.__func__
 
-    def counting(text, nvars, pieces):
+    def counting(cls, text, nvars, **kw):
         texts.append((text, nvars))
-        return parse(text, nvars, pieces)
+        return parse(cls, text, nvars, **kw)
 
-    monkeypatch.setattr(cli, "_parse_text", counting)
+    monkeypatch.setattr(Poly, "from_text", classmethod(counting))
     return texts
 
 

@@ -542,10 +542,10 @@ def test_shared_piece_memo_parses_as_from_text():
                 want = P(text, n)
             except ValueError as exc:
                 with pytest.raises(ValueError) as err:
-                    poly._parse_text(text, n, pieces)
+                    P(text, n, pieces=pieces)
                 assert str(err.value) == str(exc)
             else:
-                assert poly._parse_text(text, n, pieces) == want
+                assert P(text, n, pieces=pieces) == want
     assert all(len(m) > 20 for m in memos.values())
 
 

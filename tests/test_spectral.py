@@ -250,7 +250,8 @@ def test_rank_test_computes_each_product_once(q, p, monkeypatch):
 
 def test_rank_one_member_forms_no_entry_product(monkeypatch):
     # a member is proved by its construction, tau * alpha alpha^T == S, so no
-    # product of two S entries is formed; a witness forms each at most once
+    # product of two S entries is formed, by factor_rank_one or by
+    # rank_le_one; a witness forms each at most once
     n = 4
     rng = random.Random(11)
     T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])])
@@ -260,6 +261,9 @@ def test_rank_one_member_forms_no_entry_product(monkeypatch):
     f = factor_rank_one(S)
     assert not [c for c in calls if set(c) <= entries]
     assert f.symdiff() == S
+    calls.clear()
+    assert rank_le_one(S)
+    assert not [c for c in calls if set(c) <= entries]
 
     T2 = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])
                                  for _ in range(2)])
