@@ -1,6 +1,6 @@
 """Per-layer timings of higgspec on recorded inputs.
 
-    python3 benchmarks/bench.py --src DIR --out PATH [--repeats N] [--corpus FILE]
+    python3 benchmarks/bench.py --src DIR --out PATH [--parent DIR] [--repeats N] [--corpus FILE]
 
 Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
@@ -16,8 +16,9 @@ The ``rank-test`` configs are recorded too.  Each function is then timed
 alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
 is split into rank-one members (it returns) and rank-two witnesses (it
 raises NotRankOne), and ``parse_config`` is timed over the recorded
-``rank-test`` configs.  One in-process round of each workload is timed the
-same way.
+``rank-test`` configs.  ``machine_block`` is timed over the reports of the
+``lattice`` and ``cover-tower`` rounds, made once before it is timed.  One
+in-process round of each workload is timed the same way.
 
 Two stress rows time work no round does, on S = tau alpha alpha^T in 4
 variables, alpha_i dense of degree d with coefficients 1..9, written in
@@ -36,9 +37,15 @@ different inputs.  With ``--corpus FILE`` the inputs are written to FILE by
 the first run and read back from it by every later run, so runs at a parent
 checkout and at a change time the same inputs.
 
+With ``--parent DIR`` the checkout at DIR is measured too, on the same
+inputs: each side runs in a process of its own, and every row is timed on
+both sides in turn, the side that goes first alternating from row to row,
+so a burst of load on a shared host does not fall on one side only.
+
 Rows ``{layer, case, calls, best_s, median_s, passes, repeats, python,
 commit, output_sha256}`` are merged into PATH (rows of the same commit are replaced),
-so two runs, at a parent checkout and at a change, leave both in one file.
+so a parent checkout and a change, measured together or in two runs, leave
+both in one file.
 ``output_sha256`` hashes the timed calls' results: equal hashes mean equal
 outputs.
 """
@@ -56,6 +63,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -108,6 +116,24 @@ def _rebind(old, new):
     return undo
 
 
+def _plain(x):
+    """x as JSON data: what to_tree gives, with Poly, NSClass and Fraction leaves made trees.
+
+    A composite's to_tree (SymDiff, SpectralDatum, HiggsField,
+    RankOneFactorization) may leave such objects at its leaves; a checkout
+    whose to_tree already gives JSON data passes through unchanged.
+    """
+    if hasattr(x, "to_tree"):
+        x = x.to_tree()
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
 def _model_tree(m):
     return {"generators": list(m.generators), "Q": [list(r) for r in m.Q], "K": m.K.to_tree(),
             "omega": m.omega.to_tree(), "b1": m.b1, "torsion2_count": m.torsion2_count}
@@ -136,22 +162,22 @@ def _record(poly, spectral, moduli, geometry, run_round):
         return mul(self, other)
 
     def rec_quarter_defect(self):
-        rec["quarter_defect"].append(self.to_tree())
+        rec["quarter_defect"].append(_plain(self))
         return quarter_defect(self)
 
     def rec_fro(S):
         try:
             out = fro(S)
         except spectral.NotRankOne:
-            rec["witnesses"].append(S.to_tree())
+            rec["witnesses"].append(_plain(S))
             raise
-        rec["members"].append(S.to_tree())
+        rec["members"].append(_plain(S))
         return out
 
     def rec_fnm(S, *args):
         out = fnm(S, *args)
         if out is not None:
-            rec["minor_witnesses"].append(S.to_tree())
+            rec["minor_witnesses"].append(_plain(S))
         return out
 
     def rec_div(a, b):
@@ -172,7 +198,7 @@ def _record(poly, spectral, moduli, geometry, run_round):
         return sqf(f)
 
     def rec_hitchin(phi):
-        rec["hitchin_map"].append(phi.to_tree())
+        rec["hitchin_map"].append(_plain(phi))
         return hitchin(phi)
 
     def rec_sl2r(components, L, model):
@@ -261,7 +287,7 @@ def _dense_factor_s(P, deg):
 
 
 def _factor_text(out):
-    return json.dumps(out.to_tree()) if hasattr(out, "to_tree") else f"{type(out).__name__}: {out}"
+    return json.dumps(_plain(out)) if hasattr(out, "to_tree") else f"{type(out).__name__}: {out}"
 
 
 def _witness_text(out):
@@ -283,7 +309,8 @@ def _cover_map_text(c):
     return json.dumps([c.P, c.cover_Q, c.pullback, c.L_class.to_tree()])
 
 
-def measure(src, repeats, corpus=None):
+def _cases(src, corpus=None):
+    """The rows (layer, case, calls, fn, render) on the checkout at src, on recorded inputs."""
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
@@ -340,6 +367,12 @@ def measure(src, repeats, corpus=None):
     dense_pair = [P.from_text(t, 4) for t in _dense_factor_s(P, 3)[0][:2]]
     dense_job = json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 4},
                             "payload": {"s": _dense_factor_s(P, 4)}})
+    reports = []  # the machine_block row writes the reports of these rounds, made here once
+    for c in rounds["lattice"] + rounds["cover-tower"]:
+        try:
+            reports.append(cli.run(cli.parse_config(c)))
+        except errors.HiggspecError:
+            pass
     fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
     div, gcd = poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
@@ -365,6 +398,8 @@ def measure(src, repeats, corpus=None):
          lambda: [geometry.CoverMap(*args) for args in cover_maps], _cover_map_text),
         ("cli", "parse_config, rank-test configs", len(configs),
          lambda: [cli.parse_config(c) for c in configs], repr),
+        ("cli", "machine_block, lattice+cover-tower", len(reports),
+         lambda: [cli.machine_block(r) for r in reports], str),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
          lambda: [attempt(gcd, *dense_pair)], _poly_text),
         ("job", "factor stress, dense n=4 deg 4", 1,
@@ -373,42 +408,113 @@ def measure(src, repeats, corpus=None):
     for wl in WORKLOADS:
         cases.append(("job", f"{wl} round (in-process CLI)", len(rounds[wl]),
                       lambda wl=wl: run_round(wl), str))
-    common = {"repeats": repeats, "python": platform.python_version(), "commit": _commit(src)}
-    rows = []
+    return cases
+
+
+def _row(case, repeats, commit):
+    """One BENCH row: case timed `repeats` times on the checkout whose commit is `commit`."""
+    layer, name, calls, fn, render = case
+    common = {"repeats": repeats, "python": platform.python_version(), "commit": commit}
     signal.signal(signal.SIGPROF, _over_limit)
-    for layer, case, calls, fn, render in cases:
-        timed = _time(fn, render, repeats)
-        if timed is None:
-            rows.append({"layer": layer, "case": f"{case}, seed {SEED}", "calls": calls,
-                         "best_s": None, "median_s": None, **common, "output_sha256": None,
-                         "over_cpu_limit_s": CPU_LIMIT_S})
-            print(f"{layer:9s} {case:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
-            continue
-        best, median, passes, digest = timed
-        rows.append({"layer": layer, "case": f"{case}, seed {SEED}", "calls": calls,
-                     "best_s": round(best, 6), "median_s": round(median, 6), "passes": passes, **common,
-                     "output_sha256": digest})
-        print(f"{layer:9s} {case:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s passes={passes}")
+    timed = _time(fn, render, repeats)
+    if timed is None:
+        print(f"{commit:18s} {layer:9s} {name:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
+        return {"layer": layer, "case": f"{name}, seed {SEED}", "calls": calls, "best_s": None,
+                "median_s": None, **common, "output_sha256": None, "over_cpu_limit_s": CPU_LIMIT_S}
+    best, median, passes, digest = timed
+    print(f"{commit:18s} {layer:9s} {name:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s"
+          f" passes={passes}")
+    return {"layer": layer, "case": f"{name}, seed {SEED}", "calls": calls, "best_s": round(best, 6),
+            "median_s": round(median, 6), "passes": passes, **common, "output_sha256": digest}
+
+
+def measure(src, repeats, corpus=None):
+    commit = _commit(src)
+    return [_row(case, repeats, commit) for case in _cases(src, corpus)]
+
+
+def _serve(src, repeats, corpus):
+    """The worker of measure_pair: row names first, then row i as one JSON line per line "i" read."""
+    channel, sys.stdout = sys.stdout, sys.stderr  # progress lines go to stderr
+    cases, commit = _cases(src, corpus), _commit(src)
+    channel.write(json.dumps([name for _, name, _, _, _ in cases]) + "\n")
+    channel.flush()
+    for line in sys.stdin:
+        channel.write(json.dumps(_row(cases[int(line)], repeats, commit)) + "\n")
+        channel.flush()
+
+
+def measure_pair(parent, change, repeats, corpus=None):
+    """Rows of both checkouts on the same inputs, each row timed on both sides in turn.
+
+    Each side runs in a worker process of its own (both import `higgspec`);
+    the parent's worker starts first and records the corpus when there is
+    none.  Row i runs on the parent first when i is even and on the change
+    first when it is odd, so a burst of host load lands on both sides.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = corpus or os.path.join(tmp, "corpus.json")
+        workers, names = [], None
+        try:
+            for src in (parent, change):
+                workers.append(subprocess.Popen(
+                    [sys.executable, os.path.abspath(__file__), "--serve", "--src", src,
+                     "--repeats", str(repeats), "--corpus", corpus],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                ))
+                got = json.loads(_answer(workers[-1], src))
+                if names is not None and got != names:
+                    raise SystemExit(f"error: {parent} and {change} time different rows")
+                names = got
+            sides, rows = list(zip(workers, (parent, change))), []
+            for i in range(len(names)):
+                for w, src in sides if i % 2 == 0 else sides[::-1]:
+                    w.stdin.write(f"{i}\n")
+                    w.stdin.flush()
+                    rows.append(json.loads(_answer(w, src)))
+        finally:
+            for w in workers:
+                w.stdin.close()
+                w.wait()
     return rows
+
+
+def _answer(worker, src):
+    line = worker.stdout.readline()
+    if not line:
+        raise SystemExit(f"error: the worker timing {src} stopped")
+    return line
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="checkout whose src/higgspec is measured")
+    ap.add_argument("--parent", help="also measure this checkout, each row on both sides in turn")
     ap.add_argument("--repeats", type=int, default=7, help="timed runs per case (default 7)")
-    ap.add_argument("--out", required=True, help="JSON file the rows are merged into")
+    ap.add_argument("--out", help="JSON file the rows are merged into")
     ap.add_argument("--corpus", help="recorded inputs: written if absent, read back if present")
+    ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
-    if not os.path.isdir(os.path.join(src, "src", "higgspec")):
-        ap.error(f"{src} has no src/higgspec")
+    for path in (src, args.parent and os.path.abspath(args.parent)):
+        if path and not os.path.isdir(os.path.join(path, "src", "higgspec")):
+            ap.error(f"{path} has no src/higgspec")
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    rows = measure(src, args.repeats, args.corpus)
+    if args.serve:
+        _serve(src, args.repeats, args.corpus)
+        return
+    if not args.out:
+        ap.error("the following arguments are required: --out")
+    if args.parent:
+        rows = measure_pair(os.path.abspath(args.parent), src, args.repeats, args.corpus)
+    else:
+        rows = measure(src, args.repeats, args.corpus)
     kept = []
     if os.path.exists(args.out):
+        commits = {r["commit"] for r in rows}
         with open(args.out, encoding="utf-8") as fh:
-            kept = [r for r in json.load(fh)["rows"] if r["commit"] != rows[0]["commit"]]
+            kept = [r for r in json.load(fh)["rows"] if r["commit"] not in commits]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"rows": kept + rows}, fh, indent=1)
         fh.write("\n")

@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import geometry, moduli, spectral
 from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError
 from .geometry import NSClass, ProductOfCurves, SurfaceModel
-from .poly import Poly, _parse_rational
+from .poly import Poly, _rational_parts
 from .spectral import HiggsField, OneForm, RankOneFactorization, SpectralDatum, SymDiff
 
 
@@ -203,25 +203,30 @@ def _into(name, dec, view=None):
     return into
 
 
-def _rational(x, ctx) -> Fraction:
+def _ratio(x, ctx):
+    """A rational as ints (p, q), q != 0, not necessarily in lowest terms."""
     t = type(x)
     if t is int:
-        return Fraction(x)
+        return x, 1
     if t is str:
         try:
-            return _parse_rational(x)
+            return _rational_parts(x)
         except ValueError as exc:
             raise _Reject(str(exc)) from None
     if t is dict:
         tree = _RATIONAL_TREE(x, ctx)
-        return Fraction(tree["num"], tree["den"])
+        return tree["num"], tree["den"]
     raise _expected("a rational", x)
+
+
+def _rational(x, ctx) -> Fraction:
+    return Fraction(*_ratio(x, ctx))
 
 
 def _cls(size="rank"):
     """An NS class: ctx[size] rational coordinates."""
-    coords = _list(_rational, size)
-    return lambda x, ctx: NSClass(coords(x, ctx))
+    coords = _list(_ratio, size)
+    return lambda x, ctx: NSClass.from_parts(coords(x, ctx))
 
 
 # the ctx key of the per-config parse memos (see _poly)
@@ -329,10 +334,6 @@ def _companion(coeffs, ctx):
 # -- command handlers ------------------------------------------------------------------
 
 
-def _frac_tree(x: Fraction):
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def _verdict_name(v):
     return v.value if hasattr(v, "value") else str(v)
 
@@ -356,7 +357,7 @@ def _run_factor(job):
     except spectral.NotRankOne as exc:
         return {
             "verdicts": {"rank_le_one": False},
-            "witnesses": {"minor_indices": list(exc.indices), "minor": exc.minor.to_tree()},
+            "witnesses": {"minor_indices": list(exc.indices), "minor": exc.minor},
         }
     return {
         "verdicts": {"rank_le_one": True},
@@ -370,7 +371,7 @@ def _run_base_check(job):
     if v.kind == "member":
         out["values"] = {"factorization": v.factorization.to_tree()}
     elif v.kind == "not_member":
-        out["witnesses"] = {"minor_indices": list(v.indices), "minor": v.minor.to_tree()}
+        out["witnesses"] = {"minor_indices": list(v.indices), "minor": v.minor}
     return out
 
 
@@ -416,7 +417,7 @@ def _run_correspondence(job):
     return {
         "verdicts": {"cayley_hamilton": True, "roundtrip_identity": roundtrip},
         "values": {
-            "eta_action": [[p.to_tree() for p in row] for row in module.eta_action],
+            "eta_action": [list(row) for row in module.eta_action],
         },
     }
 
@@ -431,7 +432,7 @@ def _run_bx_table(job):
                     "label": c.label,
                     "kind": c.kind,
                     "dim": c.dim,
-                    "line_class": c.line_class.to_tree(),
+                    "line_class": c.line_class,
                     "h0_omega_twist": c.h0_omega_twist,
                     "h0_Lsq": c.h0_Lsq,
                 }
@@ -450,9 +451,9 @@ def _run_chern(job):
     c2 = geometry.pushforward_c2(m_c1, cover)
     return {
         "values": {
-            "c1": c1.to_tree(),
-            "c2": _frac_tree(c2),
-            "discriminant": _frac_tree(geometry.discriminant(c1, c2, model)),
+            "c1": c1,
+            "c2": c2,
+            "discriminant": geometry.discriminant(c1, c2, model),
         }
     }
 
@@ -491,7 +492,7 @@ def _run_hitchin_section(job):
             "sl2r_condition": out.sl2r_condition,
         },
         "values": {
-            "E_classes": [c.to_tree() for c in out.E_classes],
+            "E_classes": list(out.E_classes),
         },
     }
 
@@ -505,9 +506,9 @@ def _run_sl2r_enum(job):
             "data": [
                 {
                     "tuple_a": list(d.tuple_a),
-                    "D1": d.D1.to_tree(),
-                    "D2": d.D2.to_tree(),
-                    "N": d.N_class.to_tree(),
+                    "D1": d.D1,
+                    "D2": d.D2,
+                    "N": d.N_class,
                 }
                 for d in data
             ]
@@ -520,7 +521,7 @@ def _run_milnor_wood(job):
     rep = moduli.milnor_wood_check(p["W"], p["gamma"], job.model["surface"], K_pseff=p["K_pseff"])
     return {
         "verdicts": {"holds": rep.holds},
-        "values": {"toledo": _frac_tree(rep.toledo), "bound": _frac_tree(rep.bound)},
+        "values": {"toledo": rep.toledo, "bound": rep.bound},
     }
 
 
@@ -534,7 +535,7 @@ def _run_higher_rank(job):
     mat = job.payload["coefficients"]  # decoded into the companion field
     return {
         "verdicts": {"charcheck": moduli.higher_rank_charcheck(mat)},
-        "values": {"field": [[p.to_tree() for p in row] for row in mat]},
+        "values": {"field": [list(row) for row in mat]},
     }
 
 
@@ -695,9 +696,60 @@ def run(job: JobConfig) -> dict:
     return report
 
 
+# -- the canonical writer ---------------------------------------------------------
+#
+# A report is JSON data whose "values" and "witnesses" may also hold Poly,
+# NSClass and Fraction leaves.  The machine block is the text json.dumps
+# gives with sorted keys and no spaces, a leaf written as its tree would be.
+# The plain parts go through one C encoder; the rest is walked here, and
+# each distinct Poly or NSClass object is written once per block.
+
+_PLAIN = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_STR = json.encoder.encode_basestring_ascii
+_OBJECT_KEYS = ("values", "witnesses")
+
+
+def _write(x, memo):
+    """x as canonical JSON.
+
+    memo, one per block, maps id(leaf) to the text of a Poly or NSClass
+    leaf, and a dict's key tuple to its keys in sorted order, each with its
+    written prefix.  A container writes an int item, or a leaf already in
+    memo, in place, with no call: the objects of a report stay alive while
+    its block is written, so no other object has a memoized id.
+    """
+    t = type(x)
+    if t is dict:
+        keys = tuple(x)
+        layout = memo.get(keys)
+        if layout is None:
+            layout = memo[keys] = [(k, _STR(k) + ":") for k in sorted(keys)]
+        return "{" + ",".join([
+            prefix + (int.__repr__(v) if type(v) is int else memo.get(id(v)) or _write(v, memo))
+            for k, prefix in layout for v in [x[k]]
+        ]) + "}"
+    if t is list or t is tuple:
+        return "[" + ",".join([
+            int.__repr__(v) if type(v) is int else memo.get(id(v)) or _write(v, memo) for v in x
+        ]) + "]"
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return _STR(x)
+    if t is Poly or t is NSClass:
+        memo[id(x)] = text = x.to_json()
+        return text
+    if t is Fraction:
+        return f'{{"den":{x.denominator},"num":{x.numerator}}}'
+    return _PLAIN.encode(x)  # bool, None, float; a TypeError for anything else
+
+
 def machine_block(report: dict) -> str:
-    clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, sort_keys=True, separators=(",", ":")) + "\n"
+    memo = {}
+    return "{" + ",".join([
+        _STR(k) + ":" + (_write(report[k], memo) if k in _OBJECT_KEYS else _PLAIN.encode(report[k]))
+        for k in sorted(report) if not k.startswith("_")
+    ]) + "}\n"
 
 
 def human_block(report: dict, elapsed: float) -> str:
@@ -705,7 +757,9 @@ def human_block(report: dict, elapsed: float) -> str:
     for key, value in report.get("verdicts", {}).items():
         lines.append(f"  {key}: {value}")
     if report.get("witnesses"):
-        lines.append(f"  witnesses: {json.dumps(report['witnesses'], sort_keys=True)}")
+        # json.dumps spacing, from the same canonical text
+        witnesses = json.loads(_write(report["witnesses"], {}))
+        lines.append(f"  witnesses: {json.dumps(witnesses, sort_keys=True)}")
     lines.extend(report.get("_human_extra", []))
     if report.get("values"):
         keys = ", ".join(sorted(report["values"]))

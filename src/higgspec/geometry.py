@@ -26,8 +26,11 @@ MAX_GENUS = 1000
 
 def _num_den(x):
     """(numerator, denominator) of an int or a rational coordinate."""
-    if type(x) is int:
+    t = type(x)
+    if t is int:
         return x, 1
+    if t is Fraction:
+        return x.numerator, x.denominator
     if isinstance(x, float):
         raise TypeError("floating point coordinates are not supported")
     x = Fraction(x)
@@ -51,6 +54,12 @@ class NSClass:
         # over the lcm of reduced denominators the vector is already in lowest terms
         object.__setattr__(self, "v", tuple(n * (den // d) for n, d in pairs))
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def from_parts(cls, pairs):
+        """The class with coordinates p / q, from int pairs (p, q) in any terms, q != 0."""
+        den = math.lcm(*[q for _, q in pairs])
+        return cls._raw(tuple(p * (den // q) for p, q in pairs), den)
 
     @classmethod
     def _raw(cls, v, den):
@@ -126,17 +135,25 @@ class NSClass:
         if not isinstance(other, NSClass) or other.dim != self.dim:
             raise DimensionMismatch(f"class dimensions disagree: {self} vs {other}")
 
-    def to_tree(self):
+    def _parts(self):
+        """(p, q) per coordinate, p / q in lowest terms."""
         den = self.den
         out = []
         for x in self.v:
             g = math.gcd(x, den)
-            out.append({"num": x // g, "den": den // g})
+            out.append((x // g, den // g))
         return out
+
+    def to_tree(self):
+        return [{"num": p, "den": q} for p, q in self._parts()]
+
+    def to_json(self) -> str:
+        """to_tree() as canonical JSON text: sorted keys, no spaces."""
+        return "[" + ",".join([f'{{"den":{q},"num":{p}}}' for p, q in self._parts()]) + "]"
 
     @classmethod
     def from_tree(cls, tree):
-        return cls(tuple(Fraction(t["num"], t["den"]) for t in tree))
+        return cls.from_parts([(t["num"], t["den"]) for t in tree])
 
 
 @dataclass(frozen=True)

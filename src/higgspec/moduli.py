@@ -245,8 +245,8 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     4 ((G b)_i + G_ii) to b^T G b; resetting a_i from m_i to 0 takes m_i
     times the same steps back (the square term then reads 4 m_i^2 G_ii).  So
     a step costs O(rank + k), not O(k rank).  D1, D2 and N are built from
-    x.  More than MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the
-    first one.
+    x, once per distinct x: kept tuples with equal x share them.  More than
+    MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the first one.
     """
     components = [(c, int(m)) for c, m in components]
     total = NSClass.zero(model.rank)
@@ -279,17 +279,18 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     Gb = [-sum(map(mul, row, ms)) for row in G]
     q = -sum(map(mul, ms, Gb))
     out = []
+    classes_at = {}  # x -> (D1, D2, N): tuples with the same x share one set of classes
     while True:
         if not q and not any(xj % two_d for xj in x):
-            out.append(
-                SL2RDatum(
-                    D1=NSClass._raw(tuple(map(add, x, dL)), d),
-                    D2=NSClass._raw(tuple(map(sub, dL, x)), d),
-                    N_class=NSClass._raw(tuple(xj // two_d for xj in x), 1),  # x is 0 mod 2 d
-                    torsion_multiplicity=torsion,
-                    tuple_a=tuple(a),
+            key = tuple(x)
+            D = classes_at.get(key)
+            if D is None:
+                D = classes_at[key] = (
+                    NSClass._raw(tuple(map(add, x, dL)), d),
+                    NSClass._raw(tuple(map(sub, dL, x)), d),
+                    NSClass._raw(tuple(xj // two_d for xj in x), 1),  # x is 0 mod 2 d
                 )
-            )
+            out.append(SL2RDatum(D1=D[0], D2=D[1], N_class=D[2], torsion_multiplicity=torsion, tuple_a=tuple(a)))
         i = k - 1
         while i >= 0 and a[i] == ms[i]:
             dx, dGb, sq, scale = resets[i]

@@ -57,10 +57,6 @@ def _rational_parts(text: str):
     return int(num), den
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(*_rational_parts(text))
-
-
 def _coerce_coeff(c):
     if isinstance(c, Fraction):
         return c
@@ -640,6 +636,13 @@ class Poly:
                 {"exps": list(e), "num": p, "den": q} for e, p, q in self._sorted_parts()
             ],
         }
+
+    def to_json(self) -> str:
+        """to_tree() as canonical JSON text: sorted keys, no spaces."""
+        terms = ",".join(
+            f'{{"den":{q},"exps":[{",".join(map(str, e))}],"num":{p}}}' for e, p, q in self._sorted_parts()
+        )
+        return f'{{"nvars":{self.nvars},"terms":[{terms}]}}'
 
     @classmethod
     def from_tree(cls, tree) -> "Poly":

@@ -11,6 +11,11 @@ vanishes there, it builds tau * alpha alpha^T and proves it equal to S;
 otherwise, or when that construction fails, the 2x2 minors are scanned for
 the first nonzero one, the witness, and a minor nonzero at the point is
 nonzero as a polynomial with no product compared.
+
+The to_tree of a value (OneForm, SymDiff, SpectralDatum,
+RankOneFactorization, HiggsField, SpectralCover) is JSON data whose leaves
+may be Poly and Fraction objects; cli.machine_block writes each leaf as its
+tree.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class OneForm:
         return cls(tuple(Poly.zero(n) for _ in range(n)))
 
     def to_tree(self):
-        return [p.to_tree() for p in self.entries]
+        return list(self.entries)
 
     @classmethod
     def from_tree(cls, tree):
@@ -188,7 +193,7 @@ class SymDiff:
         return cls(rows)
 
     def to_tree(self):
-        return [[p.to_tree() for p in row] for row in self.S]
+        return [list(row) for row in self.S]
 
     @classmethod
     def from_tree(cls, tree):
@@ -262,7 +267,7 @@ class RankOneFactorization:
         return SymDiff(rows)
 
     def to_tree(self):
-        return {"alpha": self.alpha.to_tree(), "tau": self.tau.to_tree()}
+        return {"alpha": self.alpha.to_tree(), "tau": self.tau}
 
     @classmethod
     def from_tree(cls, tree):
@@ -302,7 +307,7 @@ class HiggsField:
     def to_tree(self):
         return {
             "rank": self.rank,
-            "matrices": [[[p.to_tree() for p in row] for row in m] for m in self.matrices],
+            "matrices": [[list(row) for row in m] for m in self.matrices],
         }
 
     @classmethod
@@ -333,43 +338,50 @@ _MINORS = {
 }
 
 
-def _values_at_point(S):
-    """S at ROUTE_POINT, exactly, times one common denominator: an int matrix of the same rank."""
-    n = len(S)
-    point = ROUTE_POINT[:n]
-    vals = {(i, j): S[i][j].evaluate(point) for i in range(n) for j in range(i, n)}
-    den = math.lcm(*[v.denominator for v in vals.values()])
-    M = [[0] * n for _ in range(n)]
-    for (i, j), v in vals.items():
-        M[i][j] = M[j][i] = v.numerator * (den // v.denominator)
-    return M
-
-
 def first_nonzero_minor(S: SymDiff, outcome=None):
     """First (grlex-ordered indices) nonvanishing 2x2 minor, or None.
 
-    S is evaluated once at ROUTE_POINT.  When every 2x2 minor vanishes there
-    and some diagonal entry is nonzero, tau * alpha alpha^T is built from
-    the first nonzero diagonal entry's row and checked equal to S; that
-    proves rank at most one, so the answer is None and no product of two S
-    entries is formed.  Otherwise, or when the construction raises
-    (FactorizationInconsistent, or a gcd's DegreeCapExceeded), the minors
-    (i < j, k < l) are scanned in loop order, each compared exactly as
-    S[i][k] S[j][l] == S[i][l] S[j][k], until the first one that is nonzero
-    at ROUTE_POINT.  Evaluation at a point is a ring homomorphism, so that
-    minor is nonzero as a polynomial and is returned with no comparison.
-    The point therefore changes no answer, only how many products are
-    formed.  Products come from one per-call cache keyed by the unordered
-    pair of symmetric positions, so none is formed twice.
+    The minors are first tested at ROUTE_POINT, exactly, in loop order; an
+    entry of S is evaluated there when a minor first needs it, so a minor
+    nonzero at the point is found after as few evaluations as it takes.
+    When every 2x2 minor vanishes there and some diagonal entry is nonzero,
+    tau * alpha alpha^T is built from the first nonzero diagonal entry's
+    row and checked equal to S; that proves rank at most one, so the answer
+    is None and no product of two S entries is formed.  Otherwise, or when
+    the construction raises (FactorizationInconsistent, or a gcd's
+    DegreeCapExceeded), the minors (i < j, k < l) are scanned in loop
+    order, each compared exactly as S[i][k] S[j][l] == S[i][l] S[j][k],
+    until the first one that is nonzero at ROUTE_POINT.  Evaluation at a
+    point is a ring homomorphism, so that minor is nonzero as a polynomial
+    and is returned with no comparison.  The point therefore changes no
+    answer, only how many products are formed.  Products come from one
+    per-call cache keyed by the unordered pair of symmetric positions, so
+    none is formed twice.
 
     ``outcome``, when given, is a list that receives the construction's
     result, the RankOneFactorization or the error it raised, if it ran.
     """
-    M = _values_at_point(S.S)
-    minors = _MINORS[S.dim]
-    if any(S[i][i] for i in range(S.dim)) and all(
-        M[i][k] * M[j][l] == M[i][l] * M[j][k] for i, j, k, l in minors
-    ):
+    rows, n = S.S, S.dim
+    point = ROUTE_POINT[:n]
+    values = {}
+
+    def at(a, b):
+        """S[a][b] at the point as ints (num, den), evaluated on first use."""
+        key = (a, b) if a <= b else (b, a)
+        v = values.get(key)
+        if v is None:
+            x = rows[a][b].evaluate(point)
+            v = values[key] = (x.numerator, x.denominator)
+        return v
+
+    def vanishes_at_point(i, j, k, l):
+        (a, p), (b, q), (c, r), (d, s) = at(i, k), at(j, l), at(i, l), at(j, k)
+        return a * b * r * s == c * d * p * q
+
+    minors = _MINORS[n]
+    # the index of the first minor nonzero at the point, len(minors) if none is
+    first = next((m for m, ijkl in enumerate(minors) if not vanishes_at_point(*ijkl)), len(minors))
+    if first == len(minors) and any(rows[i][i] for i in range(n)):
         try:
             built = _construct_rank_one(S)
         except (FactorizationInconsistent, DegreeCapExceeded) as exc:
@@ -378,7 +390,6 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
             outcome.append(built)
         if not isinstance(built, Exception):
             return None
-    S = S.S
     products = {}
 
     def prod(a, b, c, d):
@@ -387,13 +398,12 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
         key = (x, y) if x <= y else (y, x)
         v = products.get(key)
         if v is None:
-            v = products[key] = S[a][b] * S[c][d]
+            v = products[key] = rows[a][b] * rows[c][d]
         return v
 
-    for i, j, k, l in minors:
-        at_point = M[i][k] * M[j][l] != M[i][l] * M[j][k]
+    for m, (i, j, k, l) in enumerate(minors[: first + 1]):
         left, right = prod(i, k, j, l), prod(i, l, j, k)
-        if at_point or left != right:
+        if m == first or left != right:
             return (i, j, k, l), left - right
     return None
 
@@ -647,15 +657,10 @@ class SpectralCover:
     def to_tree(self):
         return {
             "factorization": self.factorization.to_tree(),
-            "content": {
-                "num": self.branch.content.numerator,
-                "den": self.branch.content.denominator,
-            },
-            "components": [
-                {"factor": f.to_tree(), "multiplicity": m} for f, m in self.branch.factors
-            ],
+            "content": self.branch.content,
+            "components": [{"factor": f, "multiplicity": m} for f, m in self.branch.factors],
             "tuple_a": list(self.tuple_a),
-            "effective_tau": self.effective_tau.to_tree(),
+            "effective_tau": self.effective_tau,
         }
 
 

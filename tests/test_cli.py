@@ -3,14 +3,16 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from higgspec import cli, moduli, spectral
 from higgspec.cli import machine_block, main, parse_config, run
 from higgspec.errors import ParseError, SchemaError
-from higgspec.geometry import MAX_GENUS
+from higgspec.geometry import MAX_GENUS, NSClass
 from higgspec.poly import MAX_PARSED_DEGREE, Poly
 
 DATA = Path(__file__).parent / "data"
@@ -728,6 +730,74 @@ def test_machine_block_deterministic_and_reparses(capsys, tmp_path):
     assert machine_block(report) == out1
     tau = Poly.from_tree(report["values"]["factorization"]["tau"])
     assert tau == Poly.one(2)
+
+
+# -- the canonical writer against json.dumps -----------------------------------------
+
+
+def _as_json_data(x):
+    """x with its Poly, NSClass and Fraction leaves replaced by their JSON trees, built here."""
+    if isinstance(x, Poly):
+        terms = sorted(x.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return {"nvars": x.nvars, "terms": [
+            {"exps": list(e), "num": c.numerator, "den": c.denominator} for e, c in terms
+        ]}
+    if isinstance(x, NSClass):
+        return [{"num": c.numerator, "den": c.denominator} for c in x.coords]
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, dict):
+        return {k: _as_json_data(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_as_json_data(v) for v in x]
+    return x
+
+
+_FRACTIONS = st.fractions(max_denominator=10**4)
+_POLYS = st.integers(1, 3).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * n), _FRACTIONS, max_size=5,
+).map(lambda terms: Poly(n, terms)))
+_CLASSES = st.lists(_FRACTIONS, min_size=1, max_size=4).map(NSClass)
+_TEXT = st.text(st.sampled_from('a"\\\x00\n\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=6)
+_PLAIN = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _TEXT
+
+
+def _reports(pool):
+    leaf = _PLAIN | st.sampled_from(pool)
+    tree = st.recursive(leaf, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+                        max_leaves=20)
+    return st.fixed_dictionaries({
+        "command": _TEXT, "seed": st.integers(), "verdicts": st.dictionaries(_TEXT, _PLAIN, max_size=3),
+        "values": st.dictionaries(_TEXT, tree, max_size=4), "witnesses": st.dictionaries(_TEXT, tree, max_size=2),
+        "_human_extra": st.just(["not written"]),
+    })
+
+
+_REPORTS = st.lists(_POLYS | _CLASSES | _FRACTIONS, min_size=1, max_size=4).flatmap(_reports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REPORTS)
+@example({"command": "c", "seed": 0, "verdicts": {}, "values": {"a": [True, 1, False, 0, None, {}, []]},
+          "witnesses": {}})
+def test_machine_block_is_json_dumps_of_the_trees(report):
+    # the leaves are written from their objects, each repeated object once
+    plain = {k: _as_json_data(v) for k, v in report.items() if not k.startswith("_")}
+    assert machine_block(report) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_human_block_prints_the_witness(tmp_path, capsys):
+    # json.dumps spacing, as in the human block before witnesses held Poly objects
+    doc = {"command": "factor", "model": {"kind": "chart", "nvars": 2},
+           "payload": {"s": [["1 * x1^2", "0"], ["0", "1 * x2^2"]]}}
+    rc = main(["--config", write_job(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[2] == (
+        '  witnesses: {"minor": {"nvars": 2, "terms": [{"den": 1, "exps": [2, 2], "num": 1}]}, '
+        '"minor_indices": [0, 1, 0, 1]}'
+    )
+    assert out.endswith(machine_block(run(parse_config(json.dumps(doc)))))
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -252,6 +252,10 @@ def test_to_tree_reduces_each_coordinate():
     assert NSClass((0, Fraction(-3, 4))).to_tree() == [{"num": 0, "den": 1}, {"num": -3, "den": 4}]
     assert c.coords == (Fraction(1, 2), Fraction(1, 3), Fraction(2))
     assert NSClass.from_tree(c.to_tree()) == c
+    assert c.to_json() == '[{"den":2,"num":1},{"den":3,"num":1},{"den":1,"num":2}]'
+    # pairs in any terms, a negative denominator included, reach the same canonical form
+    d = NSClass.from_parts([(2, 4), (-1, -3), (4, 2)])
+    assert d == c and (d.v, d.den) == (c.v, c.den)
 
 
 def test_arithmetic_keeps_lowest_terms():

@@ -563,6 +563,7 @@ def test_from_text_examples():
 def test_serialization_roundtrips(p):
     assert P(p.to_text(), p.nvars) == p
     assert Poly.from_tree(p.to_tree()) == p
+    assert p.to_json() == json.dumps(p.to_tree(), sort_keys=True, separators=(",", ":"))
 
 
 # -- misc --------------------------------------------------------------------------

@@ -308,11 +308,27 @@ def test_rank_two_whose_minors_vanish_at_the_point():
         vec = lambda: [_ref_poly(rng, n, 1, 2) for _ in range(n)]
         T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), vec()), (tau2, vec())])
         S = _as_symdiff(T)
-        M = spectral._values_at_point(S.S)
+        M = [[p.evaluate(spectral.ROUTE_POINT[:n]) for p in row] for row in S.S]
         assert all(M[i][k] * M[j][l] == M[i][l] * M[j][k] for i, j, k, l in spectral._MINORS[n])
         got = _outcome(S)
         _check_against_oracle(T, got)
         assert first_nonzero_minor(S)[0] == got[1]
+
+
+def test_witness_at_the_first_minor_evaluates_three_entries(monkeypatch):
+    # the entries are evaluated at the point on demand, in minor order: the
+    # minor (0, 1, 0, 1) needs S[0][0], S[1][1] and S[0][1] only
+    n = 4
+    rng = random.Random(5)
+    T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])
+                                for _ in range(2)])
+    assert _ref_first_minor(T)[0] == (0, 1, 0, 1)
+    S = _as_symdiff(T)
+    evaluated = []
+    evaluate = Poly.evaluate
+    monkeypatch.setattr(Poly, "evaluate", lambda p, point: evaluated.append(p) or evaluate(p, point))
+    assert first_nonzero_minor(S)[0] == (0, 1, 0, 1)
+    assert sorted(map(id, evaluated)) == sorted({id(S[0][0]), id(S[1][1]), id(S[0][1])})
 
 
 def test_rank_one_whose_entries_vanish_at_the_point():
@@ -324,7 +340,7 @@ def test_rank_one_whose_entries_vanish_at_the_point():
         if not any(T[i][i] for i in range(n)):
             continue
         S = _as_symdiff(T)
-        assert not any(any(row) for row in spectral._values_at_point(S.S))
+        assert not any(p.evaluate(spectral.ROUTE_POINT[:n]) for row in S.S for p in row)
         _check_against_oracle(T, _outcome(S))
         assert first_nonzero_minor(S) is None
 
