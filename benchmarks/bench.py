@@ -117,12 +117,13 @@ def _rebind(old, new):
 
 
 def _plain(x):
-    """x as JSON data: what to_tree gives, with Poly, NSClass and Fraction leaves made trees.
+    """x as JSON data: Poly and NSClass leaves read back from their to_json text, Fraction leaves as trees.
 
-    A composite's to_tree (SymDiff, SpectralDatum, HiggsField,
-    RankOneFactorization) may leave such objects at its leaves; a checkout
-    whose to_tree already gives JSON data passes through unchanged.
+    A composite (SymDiff, SpectralDatum, HiggsField, RankOneFactorization)
+    goes through its to_tree, which may leave such objects at its leaves.
     """
+    if hasattr(x, "to_json"):
+        return json.loads(x.to_json())
     if hasattr(x, "to_tree"):
         x = x.to_tree()
     if isinstance(x, Fraction):
@@ -135,8 +136,8 @@ def _plain(x):
 
 
 def _model_tree(m):
-    return {"generators": list(m.generators), "Q": [list(r) for r in m.Q], "K": m.K.to_tree(),
-            "omega": m.omega.to_tree(), "b1": m.b1, "torsion2_count": m.torsion2_count}
+    return {"generators": list(m.generators), "Q": [list(r) for r in m.Q], "K": _plain(m.K),
+            "omega": _plain(m.omega), "b1": m.b1, "torsion2_count": m.torsion2_count}
 
 
 def _record(poly, spectral, moduli, geometry, run_round):
@@ -203,14 +204,14 @@ def _record(poly, spectral, moduli, geometry, run_round):
 
     def rec_sl2r(components, L, model):
         rec["sl2r_enumerate"].append(
-            [[[c.to_tree(), int(m)] for c, m in components], L.to_tree(), _model_tree(model)]
+            [[[_plain(c), int(m)] for c, m in components], _plain(L), _model_tree(model)]
         )
         return sl2r(components, L, model)
 
     def rec_cover_check(self):
         # the fields as the caller passed them, before __post_init__ converts them
         rec["cover_map"].append([[list(r) for r in self.P], [list(r) for r in self.cover_Q],
-                                 [list(r) for r in self.pullback], self.L_class.to_tree(),
+                                 [list(r) for r in self.pullback], _plain(self.L_class),
                                  _model_tree(self.base)])
         return cover_check(self)
 
@@ -301,12 +302,12 @@ def _poly_text(out):
 def _sl2r_text(out):
     if isinstance(out, Exception):
         return f"{type(out).__name__}: {out}"
-    return json.dumps([[list(d.tuple_a), d.D1.to_tree(), d.D2.to_tree(), d.N_class.to_tree(),
+    return json.dumps([[list(d.tuple_a), _plain(d.D1), _plain(d.D2), _plain(d.N_class),
                         d.torsion_multiplicity] for d in out])
 
 
 def _cover_map_text(c):
-    return json.dumps([c.P, c.cover_Q, c.pullback, c.L_class.to_tree()])
+    return json.dumps([c.P, c.cover_Q, c.pullback, _plain(c.L_class)])
 
 
 def _cases(src, corpus=None):
@@ -345,25 +346,35 @@ def _cases(src, corpus=None):
         except errors.HiggspecError as exc:
             return exc
 
+    def symdiff_in(t):
+        return spectral.SymDiff([[poly_in(p) for p in row] for row in t])
+
+    def datum_in(t):
+        return spectral.SpectralDatum(spectral.OneForm([poly_in(p) for p in t["s1"]]), symdiff_in(t["s2"]))
+
+    def field_in(t):
+        return spectral.HiggsField(tuple(tuple(tuple(map(poly_in, row)) for row in m) for m in t["matrices"]))
+
+    def class_in(t):
+        return geometry.NSClass.from_parts([(x["num"], x["den"]) for x in t])
+
+    def model_in(t):
+        return geometry.SurfaceModel(tuple(t["generators"]), tuple(map(tuple, t["Q"])), class_in(t["K"]),
+                                     class_in(t["omega"]), t["b1"], t["torsion2_count"])
+
     texts = [tuple(t) for t in rec["from_text"]]
-    datums = [spectral.SpectralDatum.from_tree(t) for t in rec["quarter_defect"]]
-    members = [spectral.SymDiff.from_tree(t) for t in rec["members"]]
-    witnesses = [spectral.SymDiff.from_tree(t) for t in rec["witnesses"]]
-    minor_witnesses = [spectral.SymDiff.from_tree(t) for t in rec["minor_witnesses"]]
+    datums = [datum_in(t) for t in rec["quarter_defect"]]
+    members = [symdiff_in(t) for t in rec["members"]]
+    witnesses = [symdiff_in(t) for t in rec["witnesses"]]
+    minor_witnesses = [symdiff_in(t) for t in rec["minor_witnesses"]]
     configs = rec["rank_test_configs"]
     muls, divs, gcds = ([(poly_in(a), poly_in(b)) for a, b in rec[k]]
                         for k in ("mul", "exact_div", "poly_gcd"))
     sqfs = [poly_in(t) for t in rec["squarefree"]]
-    fields = [spectral.HiggsField.from_tree(t) for t in rec["hitchin_map"]]
-    NS = geometry.NSClass
-
-    def model_in(t):
-        return geometry.SurfaceModel(tuple(t["generators"]), tuple(map(tuple, t["Q"])), NS.from_tree(t["K"]),
-                                     NS.from_tree(t["omega"]), t["b1"], t["torsion2_count"])
-
-    sl2r_calls = [([(NS.from_tree(c), m) for c, m in comps], NS.from_tree(L), model_in(model))
+    fields = [field_in(t) for t in rec["hitchin_map"]]
+    sl2r_calls = [([(class_in(c), m) for c, m in comps], class_in(L), model_in(model))
                   for comps, L, model in rec["sl2r_enumerate"]]
-    cover_maps = [(Pm, cQ, pb, NS.from_tree(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
+    cover_maps = [(Pm, cQ, pb, class_in(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
     dense_pair = [P.from_text(t, 4) for t in _dense_factor_s(P, 3)[0][:2]]
     dense_job = json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 4},
                             "payload": {"s": _dense_factor_s(P, 4)}})

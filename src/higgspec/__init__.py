@@ -11,20 +11,17 @@ from .errors import HiggspecError
 from .geometry import (
     BxComponent,
     BxTable,
-    CanonicalPower,
     CoverMap,
-    GenericDegree,
     NSClass,
     ProductOfCurves,
     SurfaceModel,
     bx_decomposition,
-    degree,
     discriminant,
     h0_curve,
     pushforward_c1,
     pushforward_c2,
 )
-from .matrix import charpoly, charpoly_cofactor, mat_det, mat_mul, mat_trace, matrix_ops
+from .matrix import charpoly, charpoly_cofactor, mat_det, mat_mul, mat_trace
 from .moduli import (
     HitchinSectionOutput,
     LatticeSectionDatum,
@@ -72,8 +69,6 @@ from .spectral import (
     is_normal,
     module_from_higgs,
     pushforward,
-    rank_at,
-    rank_le_one,
     spectral_base_check,
     tower_enumerate,
     twisted_factor,

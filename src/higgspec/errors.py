@@ -76,10 +76,6 @@ class DimensionMismatch(HiggspecError):
     """Lattice / chart dimensions of the operands disagree."""
 
 
-class SpecialDivisorUndecidable(HiggspecError):
-    """h^0 of a possibly-special divisor was requested without a declaration."""
-
-
 class ZeroHiggsUnsupported(HiggspecError):
     """The fixed-point stability criterion requires a nonzero Higgs field."""
 

@@ -3,10 +3,10 @@
 A surface is presented by named generators, a symmetric integer intersection
 matrix, a canonical class and a polarization.  A class is an int vector over
 one positive common denominator, in lowest terms, so half-classes (square
-roots of declared line bundles) are representable and every pairing,
-push-forward and pull-back runs on ints; a Fraction is built only where a
-caller reads a coordinate or a pairing.  Honest divisibility by two is
-checked where a square root is required.
+roots of declared line bundles) are representable and every pairing and
+push-forward runs on ints; a Fraction is built only where a caller reads a
+coordinate or a pairing.  Honest divisibility by two is checked where a
+square root is required.
 Torsion is never modelled structurally: only the declared count of order-two
 elements enters, as a multiplicity on enumeration results.
 """
@@ -18,23 +18,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatch, SpecialDivisorUndecidable
+from .errors import DimensionMismatch
 
 # Largest genus of a factor curve of a product model.
 MAX_GENUS = 1000
 
 
 def _num_den(x):
-    """(numerator, denominator) of an int or a rational coordinate."""
+    """(numerator, denominator) of an int or a Fraction; anything else, bool included, is a TypeError."""
     t = type(x)
     if t is int:
         return x, 1
     if t is Fraction:
         return x.numerator, x.denominator
-    if isinstance(x, float):
-        raise TypeError("floating point coordinates are not supported")
-    x = Fraction(x)
-    return x.numerator, x.denominator
+    raise TypeError(f"a class coordinate or factor must be an int or a Fraction, got {x!r}")
+
+
+def _int_matrix(name, rows):
+    """rows as a tuple of int tuples; a ValueError names the matrix and any entry that is not an int."""
+    rows = tuple(tuple(row) for row in rows)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"{name}[{i}][{j}] must be an int, got {x!r}")
+    return rows
 
 
 class NSClass:
@@ -135,25 +142,14 @@ class NSClass:
         if not isinstance(other, NSClass) or other.dim != self.dim:
             raise DimensionMismatch(f"class dimensions disagree: {self} vs {other}")
 
-    def _parts(self):
-        """(p, q) per coordinate, p / q in lowest terms."""
+    def to_json(self) -> str:
+        """The coordinates as canonical JSON text: [{"den": q, "num": p}, ...], p / q in lowest terms."""
         den = self.den
-        out = []
+        parts = []
         for x in self.v:
             g = math.gcd(x, den)
-            out.append((x // g, den // g))
-        return out
-
-    def to_tree(self):
-        return [{"num": p, "den": q} for p, q in self._parts()]
-
-    def to_json(self) -> str:
-        """to_tree() as canonical JSON text: sorted keys, no spaces."""
-        return "[" + ",".join([f'{{"den":{q},"num":{p}}}' for p, q in self._parts()]) + "]"
-
-    @classmethod
-    def from_tree(cls, tree):
-        return cls.from_parts([(t["num"], t["den"]) for t in tree])
+            parts.append(f'{{"den":{den // g},"num":{x // g}}}')
+        return "[" + ",".join(parts) + "]"
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ class SurfaceModel:
 
     def __post_init__(self):
         n = len(self.generators)
-        Q = tuple(tuple(int(x) for x in row) for row in self.Q)
+        Q = _int_matrix("Q", self.Q)
         if len(Q) != n or any(len(r) != n for r in Q):
             raise DimensionMismatch("intersection matrix must match generator count")
         for i in range(n):
@@ -202,11 +198,6 @@ def _bilinear(Q, xv, yv) -> int:
         if xi:
             total += xi * sum(map(mul, row, yv))
     return total
-
-
-def degree(L: NSClass, against: NSClass, model: SurfaceModel) -> Fraction:
-    """Intersection number L . against in the declared lattice."""
-    return model.pair(L, against)
 
 
 # -- products of curves -------------------------------------------------------
@@ -250,50 +241,19 @@ class ProductOfCurves:
 # -- h^0 on curves -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalPower:
-    """omega_C^m on a curve."""
-
-    m: int
-
-
-@dataclass(frozen=True)
-class GenericDegree:
-    """A generic line bundle of degree d; h^0 declared for the special range."""
-
-    d: int
-    declared_h0: int | None = None
-
-
-def h0_curve(g: int, bundle) -> int:
-    """h^0 of a canonical power or a generic divisor on a genus-g curve."""
+def h0_curve(g: int, m: int) -> int:
+    """h^0 of the canonical power omega_C^m on a genus-g curve."""
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if isinstance(bundle, CanonicalPower):
-        m = bundle.m
-        if m < 0:
-            raise ValueError("canonical powers need m >= 0")
-        if m == 0:
-            return 1
-        if g == 0:
-            return 0
-        if g == 1:
-            return 1
-        return g if m == 1 else (2 * m - 1) * (g - 1)
-    if isinstance(bundle, GenericDegree):
-        d = bundle.d
-        if d > 2 * g - 2:
-            return d - g + 1
-        if d < 0:
-            return 0
-        if d == 0:
-            return 0
-        if bundle.declared_h0 is not None:
-            return bundle.declared_h0
-        raise SpecialDivisorUndecidable(
-            f"degree {d} on genus {g} is special; declare h^0 explicitly"
-        )
-    raise TypeError("bundle must be CanonicalPower or GenericDegree")
+    if m < 0:
+        raise ValueError("canonical powers need m >= 0")
+    if m == 0:
+        return 1
+    if g == 0:
+        return 0
+    if g == 1:
+        return 1
+    return g if m == 1 else (2 * m - 1) * (g - 1)
 
 
 # -- structure of the rank-one locus over a product of curves -------------------
@@ -360,13 +320,13 @@ def bx_decomposition(X: ProductOfCurves) -> BxTable:
     if g2 == 1:
         comps.append(BxComponent("O", O, "V", g1 + 1, g1 + 1, 1))
         comps.append(BxComponent("L1", L1, "L", 3 * g1 - 3, 1, 3 * g1 - 3))
-        inters.append((("O", "L1"), h0_curve(g1, CanonicalPower(1))))
+        inters.append((("O", "L1"), h0_curve(g1, 1)))
         return BxTable(tuple(comps), tuple(inters), swapped)
     comps.append(BxComponent("O", O, "V", g1 + g2, g1 + g2, 1))
     comps.append(BxComponent("L1", L1, "L", 3 * g1 - 3, 1, 3 * g1 - 3))
     comps.append(BxComponent("L2", L2, "L", 3 * g2 - 3, 1, 3 * g2 - 3))
-    inters.append((("O", "L1"), h0_curve(g1, CanonicalPower(1))))
-    inters.append((("O", "L2"), h0_curve(g2, CanonicalPower(1))))
+    inters.append((("O", "L1"), h0_curve(g1, 1)))
+    inters.append((("O", "L2"), h0_curve(g2, 1)))
     inters.append((("L1", "L2"), 0))
     return BxTable(tuple(comps), tuple(inters), swapped)
 
@@ -392,18 +352,18 @@ class CoverMap:
 
     def __post_init__(self):
         nb = self.base.rank
-        P = tuple(tuple(int(x) for x in row) for row in self.P)
+        P = _int_matrix("P", self.P)
         nc = len(P[0]) if P else 0
         if len(P) != nb or any(len(r) != nc for r in P):
             raise DimensionMismatch("P must be (base rank) x (cover rank)")
-        cQ = tuple(tuple(int(x) for x in row) for row in self.cover_Q)
+        cQ = _int_matrix("cover_Q", self.cover_Q)
         if len(cQ) != nc or any(len(r) != nc for r in cQ):
             raise DimensionMismatch("cover intersection matrix has the wrong size")
         for i in range(nc):
             for j in range(nc):
                 if cQ[i][j] != cQ[j][i]:
                     raise ValueError("cover intersection matrix must be symmetric")
-        pb = tuple(tuple(int(x) for x in row) for row in self.pullback)
+        pb = _int_matrix("pullback", self.pullback)
         if len(pb) != nc or any(len(r) != nb for r in pb):
             raise DimensionMismatch("pullback must be (cover rank) x (base rank)")
         if self.L_class.dim != nb:
@@ -429,11 +389,6 @@ class CoverMap:
         if x.dim != self.cover_rank:
             raise DimensionMismatch("pushforward expects a cover class")
         return NSClass._raw(tuple(sum(map(mul, row, x.v)) for row in self.P), x.den)
-
-    def pull(self, y: NSClass) -> NSClass:
-        if y.dim != self.base.rank:
-            raise DimensionMismatch("pullback expects a base class")
-        return NSClass._raw(tuple(sum(map(mul, row, y.v)) for row in self.pullback), y.den)
 
     def cover_pair(self, x: NSClass, y: NSClass) -> Fraction:
         if x.dim != self.cover_rank or y.dim != self.cover_rank:

@@ -46,8 +46,8 @@ def zero_matrix(r, nvars):
     return tuple((z,) * r for _ in range(r))
 
 
-def identity_matrix(r, nvars, scale=1):
-    c = Poly.constant(nvars, scale)
+def identity_matrix(r, nvars):
+    c = Poly.one(nvars)
     z = Poly.zero(nvars)
     return tuple(tuple(c if i == j else z for j in range(r)) for i in range(r))
 
@@ -172,12 +172,3 @@ def charpoly_from_coeffs(coeffs, nvars):
         acc = acc + c.lift() * t ** (r - k)
     return acc
 
-
-def matrix_ops(rows):
-    """Bundle of the exact matrix invariants of a square Poly matrix."""
-    rows = as_matrix(rows)
-    return {
-        "det": mat_det(rows),
-        "trace": mat_trace(rows),
-        "charpoly": charpoly(rows),
-    }

@@ -26,7 +26,7 @@ from .errors import (
     VerificationFailure,
     ZeroHiggsUnsupported,
 )
-from .geometry import NSClass, SurfaceModel, degree
+from .geometry import NSClass, SurfaceModel
 from .matrix import identity_matrix, mat_scale
 from .poly import Poly
 from .spectral import (
@@ -72,19 +72,18 @@ class SplitHiggsDescription:
 
     def __post_init__(self):
         if self.L1_iso_L2:
-            d1 = degree(self.L1, self.model.omega, self.model)
-            d2 = degree(self.L2, self.model.omega, self.model)
-            if d1 != d2:
+            omega = self.model.omega
+            if self.model.pair(self.L1, omega) != self.model.pair(self.L2, omega):
                 raise ValueError("isomorphic summands must have equal degrees")
         if (not self.alpha_nonzero or not self.beta_nonzero) and not self.alpha_beta_proportional:
             raise ValueError("a vanishing entry is proportional to anything")
 
 
-def real_stability(desc: SplitHiggsDescription, polarization: Optional[NSClass] = None) -> Stability:
-    """Case analysis for real split shapes, ordered with deg L1 >= deg L2."""
-    pol = polarization if polarization is not None else desc.model.omega
-    d1 = degree(desc.L1, pol, desc.model)
-    d2 = degree(desc.L2, pol, desc.model)
+def real_stability(desc: SplitHiggsDescription) -> Stability:
+    """Case analysis for real split shapes, ordered with deg L1 >= deg L2 against the polarization."""
+    model = desc.model
+    d1 = model.pair(desc.L1, model.omega)
+    d2 = model.pair(desc.L2, model.omega)
     if d1 < d2:
         raise DegreeOrderViolation("order the summands so that deg L1 >= deg L2")
     if d1 > d2:
@@ -193,7 +192,7 @@ def _hitchin_section_chart(d: SpectralDatum) -> HitchinSectionOutput:
 def _hitchin_section_lattice(d: LatticeSectionDatum) -> HitchinSectionOutput:
     model = d.model
     zero = NSClass.zero(model.rank)
-    psl2r = degree(d.D, d.D, model) == 0
+    psl2r = model.pair(d.D, d.D) == 0
     sl2r = psl2r and d.L.divisible_by_two()
     return HitchinSectionOutput(
         stability=Stability.STABLE if not d.D.is_zero() else Stability.POLYSTABLE,
@@ -324,8 +323,8 @@ def milnor_wood_check(
     """|deg_gamma W| <= deg_gamma(K)/2 for a declared non-uniruled model."""
     if not K_pseff:
         raise NotApplicable("the degree bound needs K pseudoeffective (non-uniruled)")
-    toledo = degree(W, gamma, model)
-    bound = degree(model.K, gamma, model) / 2
+    toledo = model.pair(W, gamma)
+    bound = model.pair(model.K, gamma) / 2
     return MilnorWoodReport(toledo, bound, abs(toledo) <= bound)
 
 

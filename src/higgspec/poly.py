@@ -27,6 +27,7 @@ MAX_PARSED_DEGREE.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections.abc import Mapping
@@ -361,10 +362,6 @@ class Poly:
         e = tuple(1 if j == i else 0 for j in range(nvars))
         return cls._raw(nvars, {e: 1})
 
-    @classmethod
-    def monomial(cls, nvars, exps, c=1):
-        return cls(nvars, {tuple(exps): c})
-
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self):
@@ -630,15 +627,14 @@ class Poly:
         return _degree_capped(cls._make(nvars, ints, 1, den))
 
     def to_tree(self):
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"exps": list(e), "num": p, "den": q} for e, p, q in self._sorted_parts()
-            ],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """to_tree() as canonical JSON text: sorted keys, no spaces."""
+        """The tree {"nvars": n, "terms": [{"den": q, "exps": [...], "num": p}, ...]} as canonical JSON text.
+
+        Keys are sorted, there are no spaces, terms come in descending grlex
+        order and each p / q is in lowest terms.  to_tree parses this text.
+        """
         terms = ",".join(
             f'{{"den":{q},"exps":[{",".join(map(str, e))}],"num":{p}}}' for e, p, q in self._sorted_parts()
         )

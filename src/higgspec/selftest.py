@@ -18,13 +18,11 @@ from importlib import resources
 from itertools import product as _iproduct
 
 from .geometry import (
-    CanonicalPower,
     CoverMap,
     NSClass,
     ProductOfCurves,
     SurfaceModel,
     bx_decomposition,
-    degree,
     discriminant,
     h0_curve,
     pushforward_c1,
@@ -559,7 +557,7 @@ def suite_bx_table(seed) -> SuiteResult:
                     res.check(c.h0_omega_twist == 1, "L-type h0(Omega x L^-1) != 1")
                 if c.kind == "both":
                     res.check(c.dim == 1, "both-type component not one dimensional")
-    res.check(h0_curve(2, CanonicalPower(2)) == 3, "h0(omega^2) wrong at genus 2")
+    res.check(h0_curve(2, 2) == 3, "h0(omega^2) wrong at genus 2")
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -664,7 +662,7 @@ def suite_chern(seed, cases=200) -> SuiteResult:
         ell = NSClass(tuple(rng.randint(-5, 5) for _ in range(n)))
         c2 = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2]))
         lhs = discriminant(
-            c1 + 2 * ell, c2 + degree(c1, ell, model) + degree(ell, ell, model), model
+            c1 + 2 * ell, c2 + model.pair(c1, ell) + model.pair(ell, ell), model
         )
         res.check(lhs == discriminant(c1, c2, model), "twist invariance failed")
     base = ProductOfCurves(2, 2).model
@@ -748,7 +746,7 @@ def suite_sl2r_milnor_wood(seed) -> SuiteResult:
             rep = milnor_wood_check(d.N_class, gamma, model, K_pseff=True)
             res.check(rep.holds, f"degree bound failed for W={d.N_class.coords}")
             res.check(
-                rep.bound == degree(model.K, gamma, model) / 2,
+                rep.bound == model.pair(model.K, gamma) / 2,
                 "bound is not half the canonical degree",
             )
     # single component of multiplicity two with nonzero square: balanced split only

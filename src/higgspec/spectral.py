@@ -120,10 +120,6 @@ class OneForm:
     def to_tree(self):
         return list(self.entries)
 
-    @classmethod
-    def from_tree(cls, tree):
-        return cls(tuple(Poly.from_tree(t) for t in tree))
-
 
 class SymDiff:
     """A degree-two symmetric differential as q(z) = z^T S z."""
@@ -171,9 +167,6 @@ class SymDiff:
     def add(self, other):
         return SymDiff(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.S, other.S)))
 
-    def sub(self, other):
-        return SymDiff(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.S, other.S)))
-
     def scale(self, c):
         return SymDiff(tuple(tuple(p * c for p in row) for row in self.S))
 
@@ -194,10 +187,6 @@ class SymDiff:
 
     def to_tree(self):
         return [list(row) for row in self.S]
-
-    @classmethod
-    def from_tree(cls, tree):
-        return cls(tuple(tuple(Poly.from_tree(t) for t in row) for row in tree))
 
 
 @dataclass(frozen=True)
@@ -228,10 +217,6 @@ class SpectralDatum:
 
     def to_tree(self):
         return {"s1": self.s1.to_tree(), "s2": self.s2.to_tree()}
-
-    @classmethod
-    def from_tree(cls, tree):
-        return cls(OneForm.from_tree(tree["s1"]), SymDiff.from_tree(tree["s2"]))
 
 
 @dataclass(frozen=True)
@@ -269,10 +254,6 @@ class RankOneFactorization:
     def to_tree(self):
         return {"alpha": self.alpha.to_tree(), "tau": self.tau}
 
-    @classmethod
-    def from_tree(cls, tree):
-        return cls(OneForm.from_tree(tree["alpha"]), Poly.from_tree(tree["tau"]))
-
 
 @dataclass(frozen=True)
 class HiggsField:
@@ -301,26 +282,14 @@ class HiggsField:
     def rank(self):
         return len(self.matrices[0])
 
-    def is_zero(self):
-        return all(p.is_zero() for m in self.matrices for row in m for p in row)
-
     def to_tree(self):
         return {
             "rank": self.rank,
             "matrices": [[list(row) for row in m] for m in self.matrices],
         }
 
-    @classmethod
-    def from_tree(cls, tree):
-        return cls(
-            tuple(
-                tuple(tuple(Poly.from_tree(p) for p in row) for row in m)
-                for m in tree["matrices"]
-            )
-        )
 
-
-# -- rank tests ----------------------------------------------------------------
+# -- the rank test --------------------------------------------------------------
 
 
 # The one point at which the rank test evaluates S (an n-variable chart takes
@@ -406,35 +375,6 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
         if m == first or left != right:
             return (i, j, k, l), left - right
     return None
-
-
-def rank_le_one(S: SymDiff) -> bool:
-    """True iff every 2x2 minor vanishes identically."""
-    return first_nonzero_minor(S) is None
-
-
-def rank_at(S: SymDiff, point) -> int:
-    """Rank of the numeric matrix S(p) by exact Gaussian elimination."""
-    n = S.dim
-    rows = [[S[i][j].evaluate(point) for j in range(n)] for i in range(n)]
-    rank = 0
-    col = 0
-    row = 0
-    while row < n and col < n:
-        pivot = next((r for r in range(row, n) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        pv = rows[row][col]
-        for r in range(row + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        rank += 1
-        row += 1
-        col += 1
-    return rank
 
 
 # -- the rank-one factorization -------------------------------------------------

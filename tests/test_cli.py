@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -135,6 +136,14 @@ def test_base_check_member(capsys, tmp_path):
     assert report["verdicts"]["membership"] == "member"
     alpha = [Poly.from_tree(t) for t in report["values"]["factorization"]["alpha"]]
     assert [p.to_text() for p in alpha] == ["1 * x1", "1 * x2"]
+
+
+def test_readme_library_example():
+    # the python block of the README's "Library" section, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def _ascending_text(terms):

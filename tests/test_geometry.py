@@ -1,18 +1,17 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higgspec.errors import DimensionMismatch, SpecialDivisorUndecidable
+from higgspec.errors import DimensionMismatch
 from higgspec.geometry import (
-    CanonicalPower,
     CoverMap,
-    GenericDegree,
     NSClass,
     ProductOfCurves,
     SurfaceModel,
     bx_decomposition,
-    degree,
     discriminant,
     h0_curve,
     pushforward_c1,
@@ -42,14 +41,14 @@ def etale_cover(g22):
 
 def test_degree_examples(g22):
     m = g22.model
-    assert degree(m.K, g22.F1 + g22.F2, m) == 4
-    assert degree(g22.F1, g22.F1, m) == 0
-    assert degree(NSClass.zero(2), g22.F2, m) == 0
+    assert m.pair(m.K, g22.F1 + g22.F2) == 4
+    assert m.pair(g22.F1, g22.F1) == 0
+    assert m.pair(NSClass.zero(2), g22.F2) == 0
 
 
 def test_degree_dimension_mismatch(g22):
     with pytest.raises(DimensionMismatch):
-        degree(NSClass((1, 2, 3)), g22.F1, g22.model)
+        g22.model.pair(NSClass((1, 2, 3)), g22.F1)
 
 
 @given(st.data())
@@ -59,9 +58,9 @@ def test_degree_bilinear_symmetric(data):
     draw = lambda: NSClass((data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))))
     x, y, z = draw(), draw(), draw()
     c = data.draw(st.integers(-3, 3))
-    assert degree(x, y, m) == degree(y, x, m)
-    assert degree(x + z, y, m) == degree(x, y, m) + degree(z, y, m)
-    assert degree(x * c, y, m) == c * degree(x, y, m)
+    assert m.pair(x, y) == m.pair(y, x)
+    assert m.pair(x + z, y) == m.pair(x, y) + m.pair(z, y)
+    assert m.pair(x * c, y) == c * m.pair(x, y)
 
 
 def test_polarization_must_be_positive():
@@ -72,6 +71,19 @@ def test_polarization_must_be_positive():
             K=NSClass((0,)),
             omega=NSClass((1,)),
         )
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", True])
+def test_integer_matrices_refuse_other_entries(g22, bad):
+    # no entry is coerced: 1.7, "1" and True would all read as the int 1
+    with pytest.raises(ValueError, match=re.escape("Q[0][1]")):
+        SurfaceModel(("F1", "F2"), ((0, bad), (1, 0)), NSClass((0, 0)), NSClass((1, 1)))
+    good = {"P": ((1, 0), (0, 2)), "cover_Q": ((0, 1), (1, 0)), "pullback": ((2, 0), (0, 1))}
+    for name in good:
+        rows = [list(r) for r in good[name]]
+        rows[1][0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{name}[1][0]")):
+            CoverMap(**{**good, name: rows}, L_class=NSClass((0, 0)), base=g22.model)
 
 
 # -- products and the component table ----------------------------------------------
@@ -120,21 +132,15 @@ def test_bx_component_invariants():
 
 
 def test_h0_examples():
-    assert h0_curve(2, CanonicalPower(2)) == 3
-    assert h0_curve(3, CanonicalPower(1)) == 3
-    assert h0_curve(2, GenericDegree(5)) == 4
-    assert h0_curve(5, CanonicalPower(0)) == 1
-    assert h0_curve(1, CanonicalPower(7)) == 1
-    assert h0_curve(0, CanonicalPower(3)) == 0
-    assert h0_curve(0, GenericDegree(4)) == 5
-    assert h0_curve(3, GenericDegree(-2)) == 0
-    assert h0_curve(2, GenericDegree(0)) == 0
-
-
-def test_h0_special_needs_declaration():
-    with pytest.raises(SpecialDivisorUndecidable):
-        h0_curve(3, GenericDegree(4))
-    assert h0_curve(3, GenericDegree(4, declared_h0=2)) == 2
+    assert h0_curve(2, 2) == 3
+    assert h0_curve(3, 1) == 3
+    assert h0_curve(5, 0) == 1
+    assert h0_curve(1, 7) == 1
+    assert h0_curve(0, 3) == 0
+    with pytest.raises(ValueError):
+        h0_curve(2, -1)
+    with pytest.raises(ValueError):
+        h0_curve(-1, 1)
 
 
 # -- covers and Chern classes -----------------------------------------------------------
@@ -215,7 +221,7 @@ def test_discriminant_twist_invariance(data):
     ell = NSClass(tuple(data.draw(st.integers(-5, 5)) for _ in range(n)))
     c2 = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.sampled_from([1, 2])))
     twisted = discriminant(
-        c1 + 2 * ell, c2 + degree(c1, ell, model) + degree(ell, ell, model), model
+        c1 + 2 * ell, c2 + model.pair(c1, ell) + model.pair(ell, ell), model
     )
     assert twisted == discriminant(c1, c2, model)
 
@@ -245,17 +251,28 @@ def test_spellings_of_one_class_are_equal():
     assert NSClass((0, 0)) == NSClass.zero(2) and NSClass.zero(2).den == 1
 
 
-def test_to_tree_reduces_each_coordinate():
+def test_to_json_reduces_each_coordinate():
     c = NSClass((Fraction(1, 2), Fraction(1, 3), 2))
     assert (c.v, c.den) == ((3, 2, 12), 6)
-    assert c.to_tree() == [{"num": 1, "den": 2}, {"num": 1, "den": 3}, {"num": 2, "den": 1}]
-    assert NSClass((0, Fraction(-3, 4))).to_tree() == [{"num": 0, "den": 1}, {"num": -3, "den": 4}]
-    assert c.coords == (Fraction(1, 2), Fraction(1, 3), Fraction(2))
-    assert NSClass.from_tree(c.to_tree()) == c
     assert c.to_json() == '[{"den":2,"num":1},{"den":3,"num":1},{"den":1,"num":2}]'
+    assert NSClass((0, Fraction(-3, 4))).to_json() == '[{"den":1,"num":0},{"den":4,"num":-3}]'
+    assert c.coords == (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+    # the CLI reads a class back from its (num, den) pairs
+    assert NSClass.from_parts([(t["num"], t["den"]) for t in json.loads(c.to_json())]) == c
     # pairs in any terms, a negative denominator included, reach the same canonical form
     d = NSClass.from_parts([(2, 4), (-1, -3), (4, 2)])
     assert d == c and (d.v, d.den) == (c.v, c.den)
+
+
+@pytest.mark.parametrize("bad", ["1.5", "2/4", True, 1.5, None])
+def test_class_coordinates_and_factors_are_int_or_fraction(bad):
+    with pytest.raises(TypeError):
+        NSClass((bad, 2))
+    with pytest.raises(TypeError):
+        NSClass((1, 2)) * bad
+    with pytest.raises(TypeError):
+        bad * NSClass((1, 2))
+    assert NSClass((1, 2)) * Fraction(1, 2) == 2 * NSClass((Fraction(1, 4), Fraction(1, 2)))
 
 
 def test_arithmetic_keeps_lowest_terms():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +12,6 @@ from higgspec.matrix import (
     mat_eq,
     mat_mul,
     mat_trace,
-    matrix_ops,
     zero_matrix,
 )
 from higgspec.poly import Poly
@@ -77,10 +74,9 @@ def test_det_multiplicative_on_constants():
 
 def test_trace_and_ops_bundle():
     m = consts(1, [[1, 2], [3, 4]])
-    ops = matrix_ops(m)
-    assert ops["trace"] == Poly.constant(1, 5)
-    assert ops["det"] == Poly.constant(1, -2)
-    assert ops["charpoly"] == [Poly.one(1), Poly.constant(1, -5), Poly.constant(1, -2)]
+    assert mat_trace(m) == Poly.constant(1, 5)
+    assert mat_det(m) == Poly.constant(1, -2)
+    assert charpoly(m) == [Poly.one(1), Poly.constant(1, -5), Poly.constant(1, -2)]
 
 
 def test_size_cap():
@@ -96,8 +92,3 @@ def test_degree_cap():
         mat_det(m)
     with pytest.raises(DegreeCapExceeded):
         charpoly(m)
-
-
-def test_identity_scale():
-    m = identity_matrix(3, 2, scale=Fraction(1, 2))
-    assert mat_trace(m) == Poly.constant(2, Fraction(3, 2))

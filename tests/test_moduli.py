@@ -17,7 +17,7 @@ from higgspec.errors import (
     VerificationFailure,
     ZeroHiggsUnsupported,
 )
-from higgspec.geometry import NSClass, ProductOfCurves, SurfaceModel, degree
+from higgspec.geometry import NSClass, ProductOfCurves, SurfaceModel
 from higgspec.matrix import charpoly_cofactor
 from higgspec.moduli import (
     MAX_SL2R_TUPLES,
@@ -104,7 +104,7 @@ def test_real_stability_total_over_flag_table(g22):
         assert verdict in (Stability.STABLE, Stability.POLYSTABLE, Stability.NOT_STABLE)
         if iso:
             assert (verdict == Stability.STABLE) == (not prop)
-        elif degree(NSClass(l1), m.omega, m) == degree(NSClass(l2), m.omega, m):
+        elif m.pair(NSClass(l1), m.omega) == m.pair(NSClass(l2), m.omega):
             assert (verdict == Stability.STABLE) == (a and b)
         else:
             assert (verdict == Stability.STABLE) == a
@@ -341,7 +341,7 @@ def test_milnor_wood_on_enumerated_data(g22):
         for gamma in (g22.F1, g22.F2, g22.F1 + g22.F2):
             rep = milnor_wood_check(d.N_class, gamma, m, True)
             assert rep.holds
-            assert rep.bound == degree(m.K, gamma, m) / 2
+            assert rep.bound == m.pair(m.K, gamma) / 2
 
 
 # -- rigidity ------------------------------------------------------------------------------

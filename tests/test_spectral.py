@@ -36,8 +36,6 @@ from higgspec.spectral import (
     is_normal,
     module_from_higgs,
     pushforward,
-    rank_at,
-    rank_le_one,
     spectral_base_check,
     tower_enumerate,
     twisted_factor,
@@ -72,21 +70,13 @@ def canonical_field(f):
 
 
 def test_rank_le_one_examples(alpha_xy):
-    assert rank_le_one(sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]))
-    assert not rank_le_one(sym(2, [["1", "0"], ["0", "1"]]))
+    assert first_nonzero_minor(sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]])) is None
+    assert first_nonzero_minor(sym(2, [["1", "0"], ["0", "1"]])) is not None
     s = sym(2, [["1 * x1", "1 * x2"], ["1 * x2", "1 * x1"]])
-    assert not rank_le_one(s)
+    assert first_nonzero_minor(s) is not None
     with pytest.raises(NotRankOne) as err:
         factor_rank_one(s)
     assert err.value.minor == P("1 * x1^2 + -1 * x2^2", 2)
-
-
-def test_rank_at():
-    s = sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]])
-    assert rank_at(s, (0, 0)) == 0
-    assert rank_at(s, (1, 2)) == 1
-    ident = sym(2, [["1", "0"], ["0", "1"]])
-    assert rank_at(ident, (Fraction(7, 3), -2)) == 2
 
 
 # -- first_nonzero_minor against a brute-force oracle ----------------------------
@@ -251,7 +241,7 @@ def test_rank_test_computes_each_product_once(q, p, monkeypatch):
 def test_rank_one_member_forms_no_entry_product(monkeypatch):
     # a member is proved by its construction, tau * alpha alpha^T == S, so no
     # product of two S entries is formed, by factor_rank_one or by
-    # rank_le_one; a witness forms each at most once
+    # first_nonzero_minor; a witness forms each at most once
     n = 4
     rng = random.Random(11)
     T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])])
@@ -262,7 +252,7 @@ def test_rank_one_member_forms_no_entry_product(monkeypatch):
     assert not [c for c in calls if set(c) <= entries]
     assert f.symdiff() == S
     calls.clear()
-    assert rank_le_one(S)
+    assert first_nonzero_minor(S) is None
     assert not [c for c in calls if set(c) <= entries]
 
     T2 = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])
