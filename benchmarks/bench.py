@@ -10,7 +10,8 @@ functions wrapped to record their arguments: ``Poly.from_text``,
 ``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
 ``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
 ``spectral.first_nonzero_minor`` (the calls that find a witness),
-``hitchin_map``, ``moduli.sl2r_enumerate`` and the construction of a
+``spectral._normalize_covector``, ``hitchin_map``,
+``moduli.sl2r_enumerate`` and the construction of a
 ``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
 The ``rank-test`` configs are recorded too.  Each function is then timed
 alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
@@ -144,12 +145,13 @@ def _record(poly, spectral, moduli, geometry, run_round):
     """Run the rounds once with the recorded functions wrapped; their inputs as JSON data."""
     P, SD, CM = poly.Poly, spectral.SpectralDatum, geometry.CoverMap
     rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "minor_witnesses",
-                           "mul", "exact_div", "poly_gcd", "squarefree", "hitchin_map", "sl2r_enumerate",
-                           "cover_map")}
+                           "mul", "exact_div", "poly_gcd", "squarefree", "normalize_covector", "hitchin_map",
+                           "sl2r_enumerate", "cover_map")}
     from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
     fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
     div, gcd = poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
+    norm = spectral._normalize_covector
     sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
     depth = [0]
 
@@ -198,6 +200,10 @@ def _record(poly, spectral, moduli, geometry, run_round):
         rec["squarefree"].append(f.to_tree())
         return sqf(f)
 
+    def rec_norm(entries):
+        rec["normalize_covector"].append([p.to_tree() for p in entries])
+        return norm(entries)
+
     def rec_hitchin(phi):
         rec["hitchin_map"].append(_plain(phi))
         return hitchin(phi)
@@ -216,7 +222,7 @@ def _record(poly, spectral, moduli, geometry, run_round):
         return cover_check(self)
 
     wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
-               (hitchin, rec_hitchin), (sl2r, rec_sl2r)]
+               (norm, rec_norm), (hitchin, rec_hitchin), (sl2r, rec_sl2r)]
     P.from_text = classmethod(rec_from_text)
     P.__mul__ = rec_mul
     SD.quarter_defect = rec_quarter_defect
@@ -371,6 +377,7 @@ def _cases(src, corpus=None):
     muls, divs, gcds = ([(poly_in(a), poly_in(b)) for a, b in rec[k]]
                         for k in ("mul", "exact_div", "poly_gcd"))
     sqfs = [poly_in(t) for t in rec["squarefree"]]
+    covectors = [tuple(map(poly_in, t)) for t in rec["normalize_covector"]]
     fields = [field_in(t) for t in rec["hitchin_map"]]
     sl2r_calls = [([(class_in(c), m) for c, m in comps], class_in(L), model_in(model))
                   for comps, L, model in rec["sl2r_enumerate"]]
@@ -394,6 +401,8 @@ def _cases(src, corpus=None):
         ("poly", "exact_div", len(divs), lambda: [attempt(div, a, b) for a, b in divs], _poly_text),
         ("poly", "poly_gcd top-level", len(gcds), lambda: [gcd(a, b) for a, b in gcds], P.to_text),
         ("poly", "squarefree_decompose", len(sqfs), lambda: [sqf(f) for f in sqfs], repr),
+        ("spectral", "_normalize_covector", len(covectors),
+         lambda: [spectral._normalize_covector(e) for e in covectors], lambda e: " ; ".join(map(P.to_text, e))),
         ("spectral", "quarter_defect", len(datums),
          lambda: [d.quarter_defect() for d in datums], repr),
         ("spectral", "factor_rank_one members", len(members),

@@ -1,8 +1,15 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one type rule.
 
 Every domain failure derives from :class:`HiggspecError` so callers (and the
 CLI) can separate precondition violations from genuine bugs.
 """
+
+
+def _typed(name, x, *types):
+    """x when its type is one of types exactly, so a bool is no int; otherwise a TypeError that names x."""
+    if type(x) not in types:
+        raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {x!r}")
+    return x
 
 
 class HiggspecError(Exception):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, _typed
 
 # Largest genus of a factor curve of a product model.
 MAX_GENUS = 1000
@@ -176,6 +176,8 @@ class SurfaceModel:
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.K.dim != n or self.omega.dim != n:
             raise DimensionMismatch("K and omega must live in the declared lattice")
+        _typed("b1", self.b1, int)
+        _typed("torsion2_count", self.torsion2_count, int)
         if self.b1 < 0 or self.torsion2_count < 0:
             raise ValueError("b1 and torsion2_count must be nonnegative")
         if self.pair(self.omega, self.omega) <= 0:

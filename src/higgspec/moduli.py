@@ -25,6 +25,7 @@ from .errors import (
     RankCap,
     VerificationFailure,
     ZeroHiggsUnsupported,
+    _typed,
 )
 from .geometry import NSClass, SurfaceModel
 from .matrix import identity_matrix, mat_scale
@@ -247,7 +248,7 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     x, once per distinct x: kept tuples with equal x share them.  More than
     MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the first one.
     """
-    components = [(c, int(m)) for c, m in components]
+    components = [(c, _typed("multiplicity", m, int)) for c, m in components]
     total = NSClass.zero(model.rank)
     for c, m in components:
         if m < 0:

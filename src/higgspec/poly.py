@@ -21,7 +21,9 @@ by Gauss's lemma.  The gcd is the heuristic integer gcd GCDHEU (Char, Geddes
 & Gonnet, J. Symb. Comput. 7, 1989), one variable at a time (Liao & Fateman,
 ISSAC 1995), the one gcd route, and _div_packed checks every answer it
 gives; when it gives up at its image cap _HEU_MAX_BITS, the gcd raises
-DegreeCapExceeded.  Parsed polynomials are capped at total degree
+DegreeCapExceeded.  The quotients of those checks are the gcd's cofactors,
+and the squarefree decomposition (Yun's algorithm) takes its quotients
+from them.  Parsed polynomials are capped at total degree
 MAX_PARSED_DEGREE.
 """
 
@@ -35,7 +37,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add
 
-from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial
+from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial, _typed
 
 # Largest total degree a parsed polynomial may have.  Work in the squarefree
 # decomposition (one pass per multiplicity) and the size of the gcd's
@@ -777,15 +779,16 @@ def _heu_interpolate(h, xi, shift, cap):
 
 
 def _heu_gcd(f, g, n, w, guard):
-    """GCDHEU on nonzero int dicts with n packed fields of w bits.
+    """GCDHEU on nonzero int dicts with n packed fields of w bits: (h, f/h, g/h).
 
-    Returns a gcd in Z[x], up to sign, or None once the next evaluation
-    image would pass _HEU_MAX_BITS.  The top field is evaluated at xi, the
-    remaining fields recurse (Liao & Fateman), and the candidate is
-    interpolated from the balanced xi-adic digits of the image gcd (Char,
-    Geddes & Gonnet).  It is accepted only if its primitive part divides
-    both operands exactly, and then it is the gcd, because
-    xi > 2 min(|f|, |g|) + 2: were the gcd h k with k nonconstant, k(xi)
+    h is a gcd in Z[x], up to sign, and f/h and g/h are its cofactors, the
+    quotients of the two trial divisions that accept h (None for n == 0,
+    where there are no fields); None once the next evaluation image would
+    pass _HEU_MAX_BITS.  The top field is evaluated at xi, the remaining
+    fields recurse (Liao & Fateman), and the candidate is interpolated from
+    the balanced xi-adic digits of the image gcd (Char, Geddes & Gonnet).
+    It is accepted only if its primitive part divides both operands
+    exactly, and then it is the gcd, because xi > 2 min(|f|, |g|) + 2: were the gcd h k with k nonconstant, k(xi)
     would be a constant of size at most xi/2 (the digit bound), yet a
     divisor of f has its roots in x0 below 1 + |f| in size, so either
     |k(xi)| > xi/2 or a coefficient of k in the other variables vanishes
@@ -793,7 +796,10 @@ def _heu_gcd(f, g, n, w, guard):
     2.6-fold and the next point is tried, so the loop ends at the image cap.
     """
     if n == 0:
-        return {0: math.gcd(f[0], g[0])}
+        # only the image recursion gets here, and it reads h alone; dividing
+        # the images, the largest ints of the gcd, would cost a quarter of a
+        # dense 4-variable gcd
+        return {0: math.gcd(f[0], g[0])}, None, None
     shift = w * (n - 1)
     low = (1 << shift) - 1
     cap = max(max(f), max(g)) >> shift
@@ -811,27 +817,75 @@ def _heu_gcd(f, g, n, w, guard):
             image = _heu_gcd(ff, gg, n - 1, w, guard & low)
             if image is None:
                 return None
-            h = _heu_interpolate(image, xi, shift, cap)
+            h = _heu_interpolate(image[0], xi, shift, cap)
             if h:
                 hc = math.gcd(*h.values())
                 h = {k: v // hc for k, v in h.items()}
-                if _div_packed(f, h, n, w, guard)[1] and _div_packed(g, h, n, w, guard)[1]:
-                    return {k: v * c for k, v in h.items()}
+                qf, ok = _div_packed(f, h, n, w, guard)
+                if ok:
+                    qg, ok = _div_packed(g, h, n, w, guard)
+                    if ok:
+                        return {k: v * c for k, v in h.items()}, qf, qg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _gcd_cof(a: Poly, b: Poly):
+    """(h, a/h, b/h) with h = poly_gcd(a, b), for a and b not both zero; gcd(b, 0) is (b, 1, 0).
+
+    Each cofactor is its operand's primitive cofactor times its rational
+    content over h's, so h * (a/h) == a and h * (b/h) == b exactly.  GCDHEU
+    forms the cofactors in the trial divisions that accept h, so they cost
+    no division of their own.
+    """
+    n = a.nvars
+    if b.is_zero():
+        return a, Poly.one(n), b
+    if a.is_zero():
+        return b, a, Poly.one(n)
+    A, B = a._ints, b._ints
+    one = {(0,) * n: 1}
+    if a.is_constant() or b.is_constant():
+        h, qa, qb = one, A, B
+    elif A == B:
+        h, qa, qb = A, one, one
+    elif len(A) == 1 and len(B) == 1:
+        ((ea, sa),) = A.items()
+        ((eb, sb),) = B.items()
+        e = tuple(map(min, ea, eb))
+        h = {e: 1}
+        qa = {tuple(x - y for x, y in zip(ea, e)): sa}
+        qb = {tuple(x - y for x, y in zip(eb, e)): sb}
+    elif not any(a.degree_in(v) > 0 and b.degree_in(v) > 0 for v in range(n)):
+        # a factor of both can only involve shared variables
+        h, qa, qb = one, A, B
+    else:
+        fa, fb, w, guard = _pack_pair(a, b)
+        got = _heu_gcd(fa, fb, n, w, guard)
+        if got is None:
+            raise DegreeCapExceeded(f"gcd: evaluation image past the cap of {_HEU_MAX_BITS} bits")
+        h, qa, qb = (_unpack(x, n, w) for x in got)
+    if h[max(h, key=_grlex_key)] < 0:
+        h, qa, qb = ({e: -v for e, v in x.items()} for x in (h, qa, qb))
+    num, den = _gcd_content(a, b)
+    return (
+        Poly._raw(n, h, num, den),
+        Poly._raw(n, qa, *_lowest(a._num * den, a._den * num)),
+        Poly._raw(n, qb, *_lowest(b._num * den, b._den * num)),
+    )
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Q[x1..xn], rational content included, positive leading coefficient.
 
     The result is frac_gcd(content a, content b) times the primitive gcd
-    with a positive grlex-leading coefficient.  There is one route: the
-    heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7,
-    1989; one variable at a time after Liao & Fateman, ISSAC 1995) on the
-    packed primitive integer parts, whose gcd is primitive too, and every
-    answer it gives has been checked by exact trial division.  When it gives
-    up at its image cap, _HEU_MAX_BITS, :class:`DegreeCapExceeded` is
-    raised.  gcd(0, 0) = 0.
+    with a positive grlex-leading coefficient, the first entry of
+    _gcd_cof.  There is one route: the heuristic integer gcd GCDHEU (Char,
+    Geddes & Gonnet, J. Symb. Comput. 7, 1989; one variable at a time after
+    Liao & Fateman, ISSAC 1995) on the packed primitive integer parts, whose
+    gcd is primitive too, and every answer it gives has been checked by
+    exact trial division.  When it gives up at its image cap,
+    _HEU_MAX_BITS, :class:`DegreeCapExceeded` is raised.  gcd(0, 0) = 0.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -839,23 +893,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _positive_leading(b)
     if b.is_zero():
         return _positive_leading(a)
-    if a.is_constant() or b.is_constant():
-        return Poly._raw(a.nvars, {(0,) * a.nvars: 1}, *_gcd_content(a, b))
-    if a._ints == b._ints:
-        return _positive_leading(Poly._raw(a.nvars, a._ints, *_gcd_content(a, b)))
-    if len(a._ints) == 1 and len(b._ints) == 1:
-        (ea,) = a._ints
-        (eb,) = b._ints
-        e = tuple(min(x, y) for x, y in zip(ea, eb))
-        return Poly._raw(a.nvars, {e: 1}, *_gcd_content(a, b))
-    if not any(a.degree_in(v) > 0 and b.degree_in(v) > 0 for v in range(a.nvars)):
-        # a factor of both can only involve shared variables
-        return Poly._raw(a.nvars, {(0,) * a.nvars: 1}, *_gcd_content(a, b))
-    fa, fb, w, guard = _pack_pair(a, b)
-    h = _heu_gcd(fa, fb, a.nvars, w, guard)
-    if h is None:
-        raise DegreeCapExceeded(f"gcd: evaluation image past the cap of {_HEU_MAX_BITS} bits")
-    return _positive_leading(Poly._raw(a.nvars, _unpack(h, a.nvars, w), *_gcd_content(a, b)))
+    return _gcd_cof(a, b)[0]
 
 
 def poly_gcd_many(polys) -> Poly:
@@ -884,8 +922,8 @@ class SquarefreeDecomposition:
     __slots__ = ("content", "factors")
 
     def __init__(self, content: Fraction, factors):
-        self.content = Fraction(content)
-        self.factors = tuple((f, int(m)) for f, m in factors)
+        self.content = Fraction(_typed("content", content, int, Fraction))
+        self.factors = tuple((f, _typed("multiplicity", m, int)) for f, m in factors)
 
     def reconstruct(self, nvars=None) -> Poly:
         if self.factors:
@@ -910,53 +948,60 @@ class SquarefreeDecomposition:
         return f"SquarefreeDecomposition({self.content}, [{fs}])"
 
 
-def _squarefree_cofactor(p: Poly) -> Poly:
-    """gcd(p, dp/dx1, ..., dp/dxn) for primitive p; constant iff p squarefree."""
-    g = p
-    for v in range(p.nvars):
-        if p.degree_in(v) > 0:
-            g = poly_gcd(g, p.partial(v))
-            if g.is_constant():
-                break
-    return g
+def _yun(p: Poly) -> dict:
+    """The multiplicity classes of a primitive nonconstant p: {m: product of its factors of multiplicity m}.
+
+    Yun's algorithm (Yun, SYMSAC 1976) in the first variable v of positive
+    degree, in the multivariate form of sympy's dmp_sqf_list.  With
+    (g, b, c) the gcd of p and dp/dv and its cofactors, each step sets
+    d = c - db/dv and (a_i, b, c) to the gcd of b and d and its cofactors,
+    until b is constant: a_i is the product of the factors of p of
+    multiplicity i that involve v.  Every quotient is a gcd cofactor, so
+    each step is one gcd.  What p keeps free of v, its content in v, is
+    g / prod a_i^(i-1); it is formed only when the classes miss some of p's
+    total degree, and its classes, found in the other variables, are merged
+    in by product.
+    """
+    v = next(v for v in range(p.nvars) if p.degree_in(v) > 0)
+    g, b, c = _gcd_cof(p, p.partial(v))
+    classes = {}
+    degree = 0
+    i = 1
+    while not b.is_constant():
+        a, b, c = _gcd_cof(b, c - b.partial(v))
+        if not a.is_constant():
+            classes[i] = a
+            degree += i * a.total_degree()
+        i += 1
+    if degree < p.total_degree():
+        for m, a in classes.items():
+            if m > 1:
+                g = exact_div(g, a ** (m - 1))
+        for m, a in _yun(_prim(g)).items():
+            classes[m] = classes[m] * a if m in classes else a
+    return classes
 
 
 def is_squarefree(f: Poly) -> bool:
     if f.is_zero():
         raise ZeroPolynomial("squarefree test of the zero polynomial")
     prim = _prim(f)
-    if prim.is_constant():
-        return True
-    return _squarefree_cofactor(prim).is_constant()
+    return prim.is_constant() or set(_yun(prim)) == {1}
 
 
 def squarefree_decompose(f: Poly) -> SquarefreeDecomposition:
     """Multiplicity-class decomposition over characteristic zero.
 
-    Gcd-based: with g = gcd(f, all partials) the quotient f/g is the
-    squarefree part, and repeated gcds with g peel off the classes of equal
-    multiplicity.  Reconstruction is exact by construction.
+    f is its signed rational content times its primitive part, and _yun
+    splits the primitive part into classes of equal multiplicity, one gcd
+    per class; it divides only to split off a content free of its variable.
+    The factors come primitive with positive leading coefficients, in
+    increasing multiplicity, so the reconstruction is f exactly.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     content, prim = f.primitive()
     if prim.is_constant():
         return SquarefreeDecomposition(content, [])
-    g = _squarefree_cofactor(prim)
-    if g.is_constant():
-        return SquarefreeDecomposition(content, [(prim, 1)])
-    g = _prim(g)
-    w = _prim(exact_div(prim, g))
-
-    factors = []
-    i = 1
-    while not w.is_constant():
-        y = _prim(poly_gcd(w, g))
-        fi = _prim(exact_div(w, y))
-        if not fi.is_constant():
-            factors.append((fi, i))
-        w = y
-        if not g.is_constant():
-            g = _prim(exact_div(g, y))
-        i += 1
-    return SquarefreeDecomposition(content, factors)
+    classes = _yun(prim)
+    return SquarefreeDecomposition(content, [(_prim(classes[m]), m) for m in sorted(classes)])

@@ -36,6 +36,7 @@ from .errors import (
     RankUnsupported,
     ZeroInput,
     ZeroPolynomial,
+    _typed,
 )
 from .matrix import (
     as_matrix,
@@ -638,14 +639,14 @@ def build_cover(f: RankOneFactorization, components=None) -> SpectralCover:
 def _declared_branch(tau: Poly, components) -> SquarefreeDecomposition:
     norm = []
     for fct, m in components:
-        if m < 1:
+        if _typed("multiplicity", m, int) < 1:
             raise InconsistentBranchData("multiplicities must be positive")
         _, prim = fct.primitive()
         if prim.is_constant():
             raise InconsistentBranchData("declared components must be nonconstant")
         if not is_squarefree(prim):
             raise InconsistentBranchData(f"declared component {prim.to_text()} is not squarefree")
-        norm.append((prim, int(m)))
+        norm.append((prim, m))
     for i in range(len(norm)):
         for j in range(i + 1, len(norm)):
             if not poly_gcd(norm[i][0], norm[j][0]).is_constant():

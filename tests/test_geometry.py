@@ -73,6 +73,15 @@ def test_polarization_must_be_positive():
         )
 
 
+@pytest.mark.parametrize("field, bad", [("b1", True), ("torsion2_count", 2.5)])
+def test_surface_counts_are_ints(field, bad):
+    # both were accepted and kept as given
+    args = dict(generators=("F1", "F2"), Q=((0, 1), (1, 0)), K=NSClass((0, 0)), omega=NSClass((1, 1)))
+    assert getattr(SurfaceModel(**args, **{field: 2}), field) == 2
+    with pytest.raises(TypeError, match=f"{field} must be int"):
+        SurfaceModel(**args, **{field: bad})
+
+
 @pytest.mark.parametrize("bad", [1.7, "1", True])
 def test_integer_matrices_refuse_other_entries(g22, bad):
     # no entry is coerced: 1.7, "1" and True would all read as the int 1

@@ -233,6 +233,13 @@ def test_sl2r_validates_branch_sum(g22):
         sl2r_enumerate([(g22.F1, 1)], NSClass((2, 0)), g22.model)
 
 
+@pytest.mark.parametrize("bad", [1.9, True])
+def test_sl2r_multiplicities_are_ints(g22, bad):
+    # int(m) read 1.9 and True as 1: the pair below gave the data of (1, 1)
+    with pytest.raises(TypeError, match="multiplicity must be int"):
+        sl2r_enumerate([(g22.F1, bad), (g22.F1, 1)], NSClass((1, 0)), g22.model)
+
+
 def _ref_pair(Q, x, y):
     return sum(x[i] * Q[i][j] * y[j] for i in range(len(Q)) for j in range(len(Q)))
 

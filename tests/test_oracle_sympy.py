@@ -9,6 +9,7 @@ grlex-leading coefficient) is checked on its own.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from higgspec.errors import DivisionFailure
 from higgspec.matrix import charpoly_cofactor, mat_det
-from higgspec.poly import Poly, exact_div, poly_gcd, squarefree_decompose
+from higgspec.poly import Poly, _gcd_cof, exact_div, poly_gcd, squarefree_decompose
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -128,6 +129,12 @@ def test_gcd_matches_sympy(xy):
     assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
     assert d.terms[grlex_lead(d.terms)] > 0
     assert rational_content(d) == rational_content(x, y)
+    assert_cofactors(x, y, d)
+
+
+def assert_cofactors(x, y, d):
+    h, cx, cy = _gcd_cof(x, y)
+    assert h == d and h * cx == x and h * cy == y
 
 
 @st.composite
@@ -153,15 +160,17 @@ def test_gcd_matches_sympy_on_dense_pairs(xy):
     d = poly_gcd(x, y)
     assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
     assert rational_content(d) == rational_content(x, y)
+    assert_cofactors(x, y, d)
 
 
 @st.composite
 def squarefree_cases(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    deg, top = (2, 4) if n <= 3 else (1, 3)
     f = Poly.constant(n, Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4))))
     for _ in range(draw(st.integers(1, 3))):
-        base = draw(rational_polys(n, 2, 3))
-        f = f * base ** draw(st.integers(1, 4))
+        base = draw(rational_polys(n, deg, 3))
+        f = f * base ** draw(st.integers(1, top))
     return f
 
 
@@ -170,6 +179,35 @@ def squarefree_cases(draw):
 def test_squarefree_matches_sympy(f):
     if f.is_zero():
         return
+    assert_sqf_list(f)
+
+
+def _seeded_free_of_x1(seed):
+    # repeated factors in x2..xn only, next to factors in x1: the classes
+    # free of x1 lie in the content in x1, which Yun's algorithm in x1 splits
+    # off and decomposes in the other variables
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+
+    def factor(lo):
+        # x_(lo+1) and three more terms in x_(lo+1)..x_n
+        exps = [tuple(rng.randint(0, 1) if i >= lo else 0 for i in range(n)) for _ in range(3)]
+        terms = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in exps}
+        terms[tuple(int(i == lo) for i in range(n))] = Fraction(rng.randint(1, 4))
+        return Poly(n, terms)
+
+    f = Poly.constant(n, Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 3)))
+    for lo, m in [(1, rng.randint(2, 3)), (1, rng.randint(1, 3)), (0, rng.randint(1, 3)), (0, 1)]:
+        f = f * factor(lo) ** m
+    return f
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_squarefree_of_factors_free_of_x1_matches_sympy(seed):
+    assert_sqf_list(_seeded_free_of_x1(seed))
+
+
+def assert_sqf_list(f):
     d = squarefree_decompose(f)
     _, factors = sympy.sqf_list(to_sympy(f))
     want = {m: from_sympy(q) for q, m in factors if q.total_degree() > 0}

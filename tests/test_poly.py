@@ -13,6 +13,7 @@ from higgspec.errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial
 from higgspec.poly import (
     MAX_PARSED_DEGREE,
     Poly,
+    SquarefreeDecomposition,
     exact_div,
     frac_gcd,
     is_squarefree,
@@ -407,6 +408,53 @@ def test_squarefree_merges_equal_multiplicities():
     d = squarefree_decompose(f)
     assert d.factors == ((P("1 * x1 * x2", 2), 2),)
     assert d.reconstruct() == f
+
+
+def test_is_squarefree_sees_factors_free_of_the_first_variable():
+    # Yun runs in x1; a square free of x1 sits in the content in x1
+    assert not is_squarefree(P("1 * x1 * x2^2", 2))
+    assert not is_squarefree(P("1 * x2 + 1", 2) ** 2 * P("1 * x1 + 1 * x2", 2))
+    assert is_squarefree(P("1 * x1 * x2", 2))
+    assert is_squarefree(P("1 * x2 + 1", 2) * P("1 * x1 + 1 * x2", 2))
+    assert is_squarefree(P("-3/2", 2))
+
+
+def test_squarefree_quotients_are_gcd_cofactors(monkeypatch):
+    # with tau's content in x1 constant, every quotient of Yun's algorithm is
+    # a gcd cofactor and no exact division is made; a repeated factor free of
+    # x1 is found by dividing it out of the first gcd
+    calls = []
+    div = poly.exact_div
+    monkeypatch.setattr(poly, "exact_div", lambda a, b: calls.append((a, b)) or div(a, b))
+    x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
+    tau = 3 * (x1 + x2) ** 3 * (x1 * x3 - 2) ** 2 * (x1**2 + x2 * x3 + 1)
+    d = squarefree_decompose(tau)
+    assert d.multiplicities() == (1, 2, 3) and d.reconstruct() == tau
+    assert not calls
+    tau = tau * (x2 - x3) ** 2
+    d = squarefree_decompose(tau)
+    assert d.multiplicities() == (1, 2, 3) and d.reconstruct() == tau
+    assert calls
+
+
+def test_gcd_cofactors():
+    a, b = P("2 * x1^2 + -2", 1), P("3/2 * x1^2 + 3 * x1 + 3/2", 1)
+    h, ca, cb = poly._gcd_cof(a, b)
+    assert h == poly_gcd(a, b) == P("1/2 * x1 + 1/2", 1)
+    assert (ca, cb) == (P("4 * x1 + -4", 1), P("3 * x1 + 3", 1))
+    assert poly._gcd_cof(b, Poly.zero(1)) == (b, Poly.one(1), Poly.zero(1))
+    assert poly._gcd_cof(Poly.zero(1), b) == (b, Poly.zero(1), Poly.one(1))
+
+
+def test_squarefree_decomposition_types():
+    # a content is an int or a Fraction, a multiplicity an int: "3/2" and
+    # 2.9 were read as 3/2 and 2
+    x1 = P("1 * x1", 1)
+    assert SquarefreeDecomposition(Fraction(3, 2), [(x1, 2)]).reconstruct() == P("3/2 * x1^2", 1)
+    with pytest.raises(TypeError, match="content must be int or Fraction"):
+        SquarefreeDecomposition("3/2", [(x1, 2)])
+    with pytest.raises(TypeError, match="multiplicity must be int"):
+        SquarefreeDecomposition(Fraction(3, 2), [(x1, 2.9)])
 
 
 @given(st.data())

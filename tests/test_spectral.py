@@ -625,6 +625,14 @@ def test_declared_components(alpha_xy):
         build_cover(f, components=[(x * y, 2), (x, 0)])
 
 
+def test_declared_multiplicities_are_ints(alpha_xy):
+    # int(m) read 2.7 as 2 and built the cover of (x1 + 1)^2
+    f = RankOneFactorization(alpha_xy, P("1 * x1^2 + 2 * x1 + 1", 2))
+    assert build_cover(f, components=[(P("1 * x1 + 1", 2), 2)]).branch.multiplicities() == (2,)
+    with pytest.raises(TypeError, match="multiplicity must be int"):
+        build_cover(f, components=[(P("1 * x1 + 1", 2), 2.7)])
+
+
 @pytest.mark.parametrize("case", ["factor", "twisted", "declared"])
 def test_kernel_bug_in_division_is_not_a_domain_error(case, alpha_xy, monkeypatch):
     # Only DivisionFailure means "does not divide"; any other exception from
