@@ -557,7 +557,39 @@ def _big_gcd_doc(command):
     return {"command": command, "model": {"kind": "chart", "nvars": 2}, "payload": payload}
 
 
+def _correspondence_doc(matrices):
+    """A correspondence job on alpha = (x1, x2), tau = x1 with the given field."""
+    doc = _cover_doc("correspondence")
+    doc["payload"]["higgs"] = {"matrices": matrices}
+    return doc
+
+
+ZERO_ROW = ["0", "0"]
+
 DOMAIN_ERRORS = {
+    # the correspondence checks, in their order: trace-free, rank 2, B_1 / alpha_1
+    # exact, B_i = alpha_i Phi0 for every other i, Phi0^2 = -tau * Id, tau != 0
+    "correspondence with a trace": (
+        _correspondence_doc([[["1 * x1", "0"], ZERO_ROW], [ZERO_ROW, ZERO_ROW]]),
+        "FactorizationMismatch: module_from_higgs requires a trace-free field",
+    ),
+    "correspondence of rank 3": (
+        _correspondence_doc([[["0"] * 3] * 3] * 2),
+        "RankUnsupported: twisted_factor needs rank 2, got 3",
+    ),
+    "correspondence alpha_1 not dividing B_1": (
+        _correspondence_doc([[["0", "1"], ZERO_ROW], [ZERO_ROW, ZERO_ROW]]),
+        "FactorizationMismatch: division by alpha_1 failed: exact division failed (remainder witness: Poly(2, '1'))",
+    ),
+    "correspondence B_2 not alpha_2 Phi0": (
+        _correspondence_doc([[["0", "-1 * x1^2"], ["1 * x1", "0"]], [ZERO_ROW, ZERO_ROW]]),
+        "FactorizationMismatch: component 2 is not alpha_i * Phi0",
+    ),
+    # Phi0 = [[0, 1], [0, 0]] squares to 0, not -x1 * Id
+    "correspondence Phi0^2 not -tau Id": (
+        _correspondence_doc([[["0", "1 * x1"], ZERO_ROW], [["0", "1 * x2"], ZERO_ROW]]),
+        "FactorizationMismatch: Phi0^2 != -tau * Id",
+    ),
     # every check on the field passes, since Phi0 = [[0, 1], [0, 0]] squares to
     # 0 = -tau * Id; the base cover then refuses tau = 0
     "correspondence with zero tau": (
