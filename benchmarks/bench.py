@@ -11,7 +11,8 @@ functions wrapped to record their arguments: ``Poly.from_text``,
 ``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
 ``spectral.first_nonzero_minor`` (the calls that find a witness),
 ``spectral._normalize_covector``, ``hitchin_map``,
-``moduli.sl2r_enumerate`` and the construction of a
+``spectral.module_from_higgs`` (the ``correspondence`` jobs of the
+``cover-tower`` round), ``moduli.sl2r_enumerate`` and the construction of a
 ``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
 The ``rank-test`` configs are recorded too.  Each function is then timed
 alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
@@ -75,8 +76,9 @@ WORKLOADS = ("rank-test", "cover-tower", "lattice")
 # CPU seconds one timed run of a row may take; a gcd with no bound would hang the harness
 CPU_LIMIT_S = 20
 # CPU seconds one timed run lasts at least: the process CPU clock of a shared
-# host steps by milliseconds, so a 1-ms row read 0.0000 s
-MIN_RUN_S = 0.05
+# host steps by milliseconds, so a 1-ms row read 0.0000 s, and a burst of load
+# on the host moves a run of a few passes by half its length
+MIN_RUN_S = 0.5
 
 
 class _OverLimit(Exception):
@@ -146,12 +148,12 @@ def _record(poly, spectral, moduli, geometry, run_round):
     P, SD, CM = poly.Poly, spectral.SpectralDatum, geometry.CoverMap
     rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "minor_witnesses",
                            "mul", "exact_div", "poly_gcd", "squarefree", "normalize_covector", "hitchin_map",
-                           "sl2r_enumerate", "cover_map")}
+                           "module_from_higgs", "sl2r_enumerate", "cover_map")}
     from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
     fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
     div, gcd = poly.exact_div, poly.poly_gcd
     sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
-    norm = spectral._normalize_covector
+    norm, to_module = spectral._normalize_covector, spectral.module_from_higgs
     sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
     depth = [0]
 
@@ -208,6 +210,10 @@ def _record(poly, spectral, moduli, geometry, run_round):
         rec["hitchin_map"].append(_plain(phi))
         return hitchin(phi)
 
+    def rec_to_module(phi, f):
+        rec["module_from_higgs"].append([_plain(phi), _plain(f)])
+        return to_module(phi, f)
+
     def rec_sl2r(components, L, model):
         rec["sl2r_enumerate"].append(
             [[[_plain(c), int(m)] for c, m in components], _plain(L), _model_tree(model)]
@@ -222,7 +228,7 @@ def _record(poly, spectral, moduli, geometry, run_round):
         return cover_check(self)
 
     wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
-               (norm, rec_norm), (hitchin, rec_hitchin), (sl2r, rec_sl2r)]
+               (norm, rec_norm), (hitchin, rec_hitchin), (to_module, rec_to_module), (sl2r, rec_sl2r)]
     P.from_text = classmethod(rec_from_text)
     P.__mul__ = rec_mul
     SD.quarter_defect = rec_quarter_defect
@@ -305,6 +311,12 @@ def _poly_text(out):
     return out.to_text() if hasattr(out, "to_text") else f"{type(out).__name__}: {out}"
 
 
+def _module_text(out):
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}"
+    return " ; ".join(p.to_text() for row in out.eta_action for p in row)
+
+
 def _sl2r_text(out):
     if isinstance(out, Exception):
         return f"{type(out).__name__}: {out}"
@@ -361,6 +373,9 @@ def _cases(src, corpus=None):
     def field_in(t):
         return spectral.HiggsField(tuple(tuple(tuple(map(poly_in, row)) for row in m) for m in t["matrices"]))
 
+    def factorization_in(t):
+        return spectral.RankOneFactorization(spectral.OneForm([poly_in(p) for p in t["alpha"]]), poly_in(t["tau"]))
+
     def class_in(t):
         return geometry.NSClass.from_parts([(x["num"], x["den"]) for x in t])
 
@@ -379,6 +394,7 @@ def _cases(src, corpus=None):
     sqfs = [poly_in(t) for t in rec["squarefree"]]
     covectors = [tuple(map(poly_in, t)) for t in rec["normalize_covector"]]
     fields = [field_in(t) for t in rec["hitchin_map"]]
+    correspondences = [(field_in(phi), factorization_in(f)) for phi, f in rec["module_from_higgs"]]
     sl2r_calls = [([(class_in(c), m) for c, m in comps], class_in(L), model_in(model))
                   for comps, L, model in rec["sl2r_enumerate"]]
     cover_maps = [(Pm, cQ, pb, class_in(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
@@ -412,6 +428,8 @@ def _cases(src, corpus=None):
         ("spectral", "first_nonzero_minor witnesses", len(minor_witnesses),
          lambda: [fnm(S) for S in minor_witnesses], _witness_text),
         ("spectral", "hitchin_map", len(fields), lambda: [hitchin(phi) for phi in fields], repr),
+        ("spectral", "module_from_higgs", len(correspondences),
+         lambda: [attempt(spectral.module_from_higgs, phi, f) for phi, f in correspondences], _module_text),
         ("moduli", "sl2r_enumerate", len(sl2r_calls),
          lambda: [attempt(moduli.sl2r_enumerate, *args) for args in sl2r_calls], _sl2r_text),
         ("geometry", "CoverMap construction", len(cover_maps),

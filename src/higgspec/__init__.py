@@ -71,7 +71,6 @@ from .spectral import (
     pushforward,
     spectral_base_check,
     tower_enumerate,
-    twisted_factor,
 )
 
 __version__ = "0.1.0"

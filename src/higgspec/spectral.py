@@ -21,7 +21,7 @@ tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as _iproduct
 
@@ -45,7 +45,6 @@ from .matrix import (
     mat_eq,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_trace,
     zero_matrix,
 )
@@ -519,40 +518,6 @@ def hitchin_map(phi: HiggsField) -> SpectralDatum:
     return SpectralDatum(s1, SymDiff(rows))
 
 
-def twisted_factor(phi: HiggsField, f: RankOneFactorization):
-    """Divide the twist out of a rank-two field: B_i = alpha_i Phi0 + (tr B_i / 2) Id.
-
-    Phi0 is found by exact division on one nonzero alpha_i and verified
-    against every i; Phi0^2 = -tau * Id is asserted before returning.
-    """
-    if phi.rank != 2:
-        raise RankUnsupported(f"twisted_factor needs rank 2, got {phi.rank}")
-    if phi.dim != f.dim:
-        raise FactorizationMismatch("chart dimensions disagree")
-    n = phi.dim
-    nvars = n
-    traceless = []
-    half = Fraction(1, 2)
-    for m in phi.matrices:
-        t = mat_trace(m) * half
-        traceless.append(mat_sub(m, mat_scale(identity_matrix(2, nvars), t)))
-    i0 = next((i for i in range(n) if not f.alpha[i].is_zero()), None)
-    try:
-        phi0 = tuple(
-            tuple(exact_div(p, f.alpha[i0]) for p in row) for row in traceless[i0]
-        )
-    except DivisionFailure as exc:
-        raise FactorizationMismatch(f"division by alpha_{i0 + 1} failed: {exc}") from exc
-    for i in range(n):
-        expected = mat_scale(phi0, f.alpha[i])
-        if not mat_eq(expected, traceless[i]):
-            raise FactorizationMismatch(f"component {i + 1} is not alpha_i * Phi0")
-    ch = mat_mul(phi0, phi0)
-    if not mat_eq(ch, mat_scale(identity_matrix(2, nvars), -f.tau)):
-        raise FactorizationMismatch("Phi0^2 != -tau * Id")
-    return phi0
-
-
 # -- spectral covers and the tower ------------------------------------------------
 
 
@@ -729,46 +694,25 @@ def is_normal(c: SpectralCover) -> bool:
 
 
 class CoverModule:
-    """A free rank-one module on a cover, presented by the eta-action matrix.
+    """A free rank-one module on the double cover eta^2 + tau = 0, presented by its eta action.
 
-    The constructor checks eta^2 = -effective_tau * Id.  A module built by
-    :func:`module_from_higgs` lives on the base cover of its factorization;
-    that cover, with the squarefree decomposition of tau, is built the first
-    time ``cover`` is read.
+    The constructor checks eta^2 = -tau * Id, then refuses tau = 0, which
+    defines no double cover; it keeps the eta action only.
     """
 
-    __slots__ = ("eta_action", "_cover", "_factorization")
+    __slots__ = ("eta_action",)
 
-    def __init__(self, cover: SpectralCover, eta_action):
+    def __init__(self, tau: Poly, eta_action):
         mat = as_matrix(eta_action)
         if len(mat) != 2:
             raise ValueError("eta action must be 2x2")
-        nvars = cover.factorization.tau.nvars
-        if mat[0][0].nvars != nvars:
+        if mat[0][0].nvars != tau.nvars:
             raise ValueError("eta action must live in the chart ring")
-        sq = mat_mul(mat, mat)
-        want = mat_scale(identity_matrix(2, nvars), -cover.effective_tau)
-        if not mat_eq(sq, want):
-            raise CayleyHamiltonViolation("Phi^2 != -effective_tau * Id")
+        if not mat_eq(mat_mul(mat, mat), mat_scale(identity_matrix(2, tau.nvars), -tau)):
+            raise CayleyHamiltonViolation("Phi0^2 != -tau * Id")
+        if tau.is_zero():
+            raise ZeroPolynomial(_ZERO_TAU)
         self.eta_action = mat
-        self._cover = cover
-        self._factorization = cover.factorization
-
-    @classmethod
-    def _on_base_cover(cls, f: RankOneFactorization, eta_action):
-        # eta_action is a 2x2 matrix in the chart ring of f whose square is
-        # already known to be -tau * Id
-        m = object.__new__(cls)
-        m.eta_action = eta_action
-        m._cover = None
-        m._factorization = f
-        return m
-
-    @property
-    def cover(self) -> SpectralCover:
-        if self._cover is None:
-            self._cover = build_cover(self._factorization)
-        return self._cover
 
 
 def canonical_module(c: SpectralCover) -> CoverModule:
@@ -776,7 +720,7 @@ def canonical_module(c: SpectralCover) -> CoverModule:
     nvars = c.factorization.tau.nvars
     z = Poly.zero(nvars)
     phi = ((z, -c.effective_tau), (Poly.one(nvars), z))
-    return CoverModule(c, phi)
+    return CoverModule(c.effective_tau, phi)
 
 
 def pushforward(m: CoverModule, f: RankOneFactorization) -> HiggsField:
@@ -786,20 +730,31 @@ def pushforward(m: CoverModule, f: RankOneFactorization) -> HiggsField:
 
 
 def module_from_higgs(phi: HiggsField, f: RankOneFactorization) -> CoverModule:
-    """Inverse direction of the correspondence for trace-free fields.
+    """Inverse direction of the correspondence: B_i = alpha_i Phi0 gives eta acting by Phi0.
 
-    Requires tr(phi) = 0 and det(phi) = tau * alpha alpha^T for the supplied
-    factorization; eta acts by the twisted factor Phi0 of phi, whose square
-    :func:`twisted_factor` has checked against -tau * Id.  The module lives
-    on the base cover of f, so tau must be nonzero.
+    phi must be trace-free, of rank two and on the chart of f.  Phi0 is
+    B_i0 / alpha_i0, entry by entry and exact, for the first nonzero alpha_i0;
+    every other B_i must be alpha_i Phi0, and :class:`CoverModule` checks
+    Phi0^2 = -tau * Id and tau != 0.
     """
-    for m in phi.matrices:
+    mats = phi.matrices
+    for m in mats:
         if not mat_trace(m).is_zero():
             raise FactorizationMismatch("module_from_higgs requires a trace-free field")
-    phi0 = twisted_factor(phi, f)
-    if f.tau.is_zero():
-        raise ZeroPolynomial(_ZERO_TAU)
-    return CoverModule._on_base_cover(f, phi0)
+    if phi.rank != 2:
+        raise RankUnsupported(f"module_from_higgs needs rank 2, got {phi.rank}")
+    if phi.dim != f.dim:
+        raise FactorizationMismatch("chart dimensions disagree")
+    alpha = f.alpha
+    i0 = next(i for i in range(f.dim) if not alpha[i].is_zero())
+    try:
+        phi0 = tuple(tuple(exact_div(p, alpha[i0]) for p in row) for row in mats[i0])
+    except DivisionFailure as exc:
+        raise FactorizationMismatch(f"division by alpha_{i0 + 1} failed: {exc}") from exc
+    for i, m in enumerate(mats):
+        if i != i0 and not mat_eq(mat_scale(phi0, alpha[i]), m):
+            raise FactorizationMismatch(f"component {i + 1} is not alpha_i * Phi0")
+    return CoverModule(f.tau, phi0)
 
 
 # -- annihilator of a rank-one differential -----------------------------------------

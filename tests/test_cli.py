@@ -575,7 +575,7 @@ DOMAIN_ERRORS = {
     ),
     "correspondence of rank 3": (
         _correspondence_doc([[["0"] * 3] * 3] * 2),
-        "RankUnsupported: twisted_factor needs rank 2, got 3",
+        "RankUnsupported: module_from_higgs needs rank 2, got 3",
     ),
     "correspondence alpha_1 not dividing B_1": (
         _correspondence_doc([[["0", "1"], ZERO_ROW], [ZERO_ROW, ZERO_ROW]]),
@@ -588,7 +588,7 @@ DOMAIN_ERRORS = {
     # Phi0 = [[0, 1], [0, 0]] squares to 0, not -x1 * Id
     "correspondence Phi0^2 not -tau Id": (
         _correspondence_doc([[["0", "1 * x1"], ZERO_ROW], [["0", "1 * x2"], ZERO_ROW]]),
-        "FactorizationMismatch: Phi0^2 != -tau * Id",
+        "CayleyHamiltonViolation: Phi0^2 != -tau * Id",
     ),
     # every check on the field passes, since Phi0 = [[0, 1], [0, 0]] squares to
     # 0 = -tau * Id; the base cover then refuses tau = 0

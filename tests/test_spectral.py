@@ -12,6 +12,7 @@ from higgspec.errors import (
     HiggspecError,
     NotRankOne,
     ZeroInput,
+    ZeroPolynomial,
 )
 from higgspec.matrix import mat_eq, mat_mul
 from higgspec.poly import Poly, is_squarefree
@@ -38,7 +39,6 @@ from higgspec.spectral import (
     pushforward,
     spectral_base_check,
     tower_enumerate,
-    twisted_factor,
 )
 
 P = Poly.from_text
@@ -501,16 +501,16 @@ def test_hitchin_map_needs_rank_two():
         hitchin_map(HiggsField((((one,),),)))
 
 
-# -- twisted factorization ---------------------------------------------------------------
+# -- the correspondence, field to module ----------------------------------------------------
 
 
-def test_twisted_factor_canonical(alpha_xy):
+def test_module_from_higgs_canonical(alpha_xy):
     f = RankOneFactorization(alpha_xy, P("1 * x1", 2))
-    phi0 = twisted_factor(canonical_field(f), f)
+    phi0 = module_from_higgs(canonical_field(f), f).eta_action
     assert mat_eq(phi0, ((Poly.zero(2), -f.tau), (Poly.one(2), Poly.zero(2))))
 
 
-def test_twisted_factor_diagonal_sign():
+def test_module_from_higgs_diagonal_sign():
     # B_i = a_i diag(w, -w): phi0 = diag(w, -w), tau = -w^2
     w = Fraction(3)
     alpha = OneForm((P("1 * x1", 2), P("1 * x2", 2)))
@@ -520,15 +520,15 @@ def test_twisted_factor_diagonal_sign():
     )
     phi = HiggsField(mats)
     f = RankOneFactorization(alpha, Poly.constant(2, -w * w))
-    phi0 = twisted_factor(phi, f)
+    phi0 = module_from_higgs(phi, f).eta_action
     assert mat_eq(phi0, diag)
 
 
-def test_twisted_factor_mismatch(alpha_xy):
+def test_module_from_higgs_mismatch(alpha_xy):
     f = RankOneFactorization(OneForm((Poly.zero(2), Poly.one(2))), Poly.one(2))
     field = canonical_field(RankOneFactorization(alpha_xy, Poly.one(2)))
     with pytest.raises(FactorizationMismatch):
-        twisted_factor(field, f)
+        module_from_higgs(field, f)
 
 
 # -- covers, towers, modules ----------------------------------------------------------
@@ -643,7 +643,7 @@ def test_kernel_bug_in_division_is_not_a_domain_error(case, alpha_xy, monkeypatc
         trigger, run = x * x, lambda: factor_rank_one(sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]))
     elif case == "twisted":
         f = RankOneFactorization(alpha_xy, x)
-        trigger, run = x, lambda: twisted_factor(canonical_field(f), f)
+        trigger, run = x, lambda: module_from_higgs(canonical_field(f), f)
     else:
         f = RankOneFactorization(alpha_xy, x**2 * y**2)
         trigger, run = x**2 * y**2, lambda: build_cover(f, components=[(x, 2), (y, 2)])
@@ -668,11 +668,14 @@ def test_canonical_module_and_pushforward():
     assert all(p.is_zero() for row in phi.matrices[1] for p in row)
 
 
-def test_cover_module_rejects_bad_action(alpha_xy):
-    f = RankOneFactorization(alpha_xy, P("1 * x1", 2))
-    cover = build_cover(f)
+def test_cover_module_rejects_bad_action():
     with pytest.raises(CayleyHamiltonViolation):
-        CoverModule(cover, consts(2, [[1, 0], [0, 1]]))
+        CoverModule(P("1 * x1", 2), consts(2, [[1, 0], [0, 1]]))
+    # the Cayley-Hamilton check comes before the refusal of tau = 0
+    with pytest.raises(CayleyHamiltonViolation):
+        CoverModule(Poly.zero(2), consts(2, [[1, 0], [0, 1]]))
+    with pytest.raises(ZeroPolynomial):
+        CoverModule(Poly.zero(2), consts(2, [[0, 1], [0, 0]]))
 
 
 def test_roundtrip_with_conjugation(alpha_xy):
@@ -681,11 +684,9 @@ def test_roundtrip_with_conjugation(alpha_xy):
     g = consts(2, [[1, 2], [1, 3]])
     ginv = consts(2, [[3, -2], [-1, 1]])
     phi0 = mat_mul(mat_mul(g, canonical_module(cover).eta_action), ginv)
-    m = CoverModule(cover, phi0)
+    m = CoverModule(f.tau, phi0)
     back = module_from_higgs(pushforward(m, f), f)
     assert mat_eq(back.eta_action, phi0)
-    # the base cover, built when first read
-    assert back.cover == cover
 
 
 def test_module_from_higgs_requires_traceless(alpha_xy):
