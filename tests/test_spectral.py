@@ -501,7 +501,7 @@ def test_hitchin_map_needs_rank_two():
         hitchin_map(HiggsField((((one,),),)))
 
 
-# -- the correspondence, field to module ----------------------------------------------------
+# -- the correspondence, field to module -------------------------------------------------
 
 
 def test_module_from_higgs_canonical(alpha_xy):
