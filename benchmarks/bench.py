@@ -7,7 +7,8 @@ Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
 functions wrapped to record their arguments: ``Poly.from_text``,
 ``Poly.__mul__`` (polynomial operands), ``exact_div``, top-level
-``poly_gcd`` (not the calls it makes itself), ``squarefree_decompose``,
+``poly_gcd`` calls of any arity (not the gcds that ``poly_gcd`` and the
+squarefree layer make themselves), ``squarefree_decompose``,
 ``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
 ``spectral.first_nonzero_minor`` (the calls that find a witness),
 ``spectral._normalize_covector``, ``hitchin_map``,
@@ -29,20 +30,25 @@ and the whole ``factor`` job at d = 4.
 
 A timed run makes `passes` passes over a row's calls: passes doubles from 1
 until one run lasts at least MIN_RUN_S of CPU, so no row is only a few
-steps of the process CPU clock long, and the times are per pass.  Every
-timed run is stopped after CPU_LIMIT_S seconds of CPU (ITIMER_PROF on this
-process), and the row is then recorded as over the limit, with null times
-and hash.
+steps of the process CPU clock long, and the times are per pass; that
+first long run is the first repeat.  Every timed run is stopped after
+CPU_LIMIT_S seconds of CPU (ITIMER_PROF on the process that times it), and
+the row is then recorded as over the limit, with null times and hash.
 
 A change can alter which calls a round makes, so two checkouts record
 different inputs.  With ``--corpus FILE`` the inputs are written to FILE by
 the first run and read back from it by every later run, so runs at a parent
-checkout and at a change time the same inputs.
+checkout and at a change time the same inputs.  Record the corpus at the
+older checkout: one recorded where ``poly_gcd`` takes any number of
+operands holds calls of three and four that a two-operand ``poly_gcd``
+cannot replay.
 
 With ``--parent DIR`` the checkout at DIR is measured too, on the same
-inputs: each side runs in a process of its own, and every row is timed on
-both sides in turn, the side that goes first alternating from row to row,
-so a burst of load on a shared host does not fall on one side only.
+inputs: each side runs in a process of its own.  A row's passes are
+calibrated once, on the side that goes first (alternating from row to
+row), and both sides time it at that pass count, their repeats interleaved
+(parent, change, parent, ...), so a burst of load on a shared host falls on
+both sides alike.
 
 Rows ``{layer, case, calls, best_s, median_s, passes, repeats, python,
 commit, output_sha256}`` are merged into PATH (rows of the same commit are replaced),
@@ -152,10 +158,18 @@ def _record(poly, spectral, moduli, geometry, run_round):
     from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
     fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
     div, gcd = poly.exact_div, poly.poly_gcd
-    sqf, hitchin = poly.squarefree_decompose, spectral.hitchin_map
+    sqf, is_sqf, hitchin = poly.squarefree_decompose, poly.is_squarefree, spectral.hitchin_map
     norm, to_module = spectral._normalize_covector, spectral.module_from_higgs
     sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
     depth = [0]
+
+    def nested(fn, *args):
+        # a gcd made inside fn is not a top-level one
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
 
     def rec_from_text(cls, text, nvars, **kw):
         rec["from_text"].append([text, nvars])
@@ -189,18 +203,17 @@ def _record(poly, spectral, moduli, geometry, run_round):
         rec["exact_div"].append([a.to_tree(), b.to_tree()])
         return div(a, b)
 
-    def rec_gcd(a, b):
+    def rec_gcd(*polys):
         if not depth[0]:
-            rec["poly_gcd"].append([a.to_tree(), b.to_tree()])
-        depth[0] += 1
-        try:
-            return gcd(a, b)
-        finally:
-            depth[0] -= 1
+            rec["poly_gcd"].append([p.to_tree() for p in polys])
+        return nested(gcd, *polys)
 
     def rec_sqf(f):
         rec["squarefree"].append(f.to_tree())
-        return sqf(f)
+        return nested(sqf, f)
+
+    def rec_is_sqf(f):
+        return nested(is_sqf, f)
 
     def rec_norm(entries):
         rec["normalize_covector"].append([p.to_tree() for p in entries])
@@ -227,7 +240,7 @@ def _record(poly, spectral, moduli, geometry, run_round):
                                  _model_tree(self.base)])
         return cover_check(self)
 
-    wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf),
+    wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf), (is_sqf, rec_is_sqf),
                (norm, rec_norm), (hitchin, rec_hitchin), (to_module, rec_to_module), (sl2r, rec_sl2r)]
     P.from_text = classmethod(rec_from_text)
     P.__mul__ = rec_mul
@@ -247,36 +260,6 @@ def _record(poly, spectral, moduli, geometry, run_round):
         for mod, attr, old in undo:
             setattr(mod, attr, old)
     return rec
-
-
-def _time(fn, render, repeats):
-    """(best_s, median_s, passes, output_sha256) of fn() over `repeats` runs, times per pass.
-
-    fn returns a list of results; render turns one into text, outside the timed region.
-    Runs shorter than MIN_RUN_S double `passes` and are not kept.  None once
-    a run passes CPU_LIMIT_S seconds of CPU.
-    """
-    times, digest, passes = [], None, 1
-    while len(times) < repeats:
-        signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
-        t0 = time.process_time()
-        try:
-            for _ in range(passes):
-                out = fn()
-        except _OverLimit:
-            return None
-        finally:
-            signal.setitimer(signal.ITIMER_PROF, 0)
-        elapsed = time.process_time() - t0
-        if not times and elapsed < MIN_RUN_S:
-            passes *= 2
-            continue
-        times.append(elapsed / passes)
-        h = hashlib.sha256("\n".join(map(render, out)).encode()).hexdigest()
-        if digest is not None and h != digest:
-            raise SystemExit("error: outputs differ between repeats")
-        digest = h
-    return min(times), statistics.median(times), passes, digest
 
 
 def _ascending_text(terms):
@@ -309,6 +292,11 @@ def _witness_text(out):
 
 def _poly_text(out):
     return out.to_text() if hasattr(out, "to_text") else f"{type(out).__name__}: {out}"
+
+
+def _gcd_text(out):
+    """The gcd alone: a checkout whose poly_gcd returns the cofactors too hashes as one that does not."""
+    return _poly_text(out[0] if isinstance(out, tuple) else out)
 
 
 def _module_text(out):
@@ -389,8 +377,8 @@ def _cases(src, corpus=None):
     witnesses = [symdiff_in(t) for t in rec["witnesses"]]
     minor_witnesses = [symdiff_in(t) for t in rec["minor_witnesses"]]
     configs = rec["rank_test_configs"]
-    muls, divs, gcds = ([(poly_in(a), poly_in(b)) for a, b in rec[k]]
-                        for k in ("mul", "exact_div", "poly_gcd"))
+    muls, divs = ([(poly_in(a), poly_in(b)) for a, b in rec[k]] for k in ("mul", "exact_div"))
+    gcds = [tuple(map(poly_in, t)) for t in rec["poly_gcd"]]
     sqfs = [poly_in(t) for t in rec["squarefree"]]
     covectors = [tuple(map(poly_in, t)) for t in rec["normalize_covector"]]
     fields = [field_in(t) for t in rec["hitchin_map"]]
@@ -415,7 +403,7 @@ def _cases(src, corpus=None):
          lambda: [P.from_text(t, n) for t, n in texts], P.to_text),
         ("poly", "Poly.__mul__", len(muls), lambda: [a * b for a, b in muls], P.to_text),
         ("poly", "exact_div", len(divs), lambda: [attempt(div, a, b) for a, b in divs], _poly_text),
-        ("poly", "poly_gcd top-level", len(gcds), lambda: [gcd(a, b) for a, b in gcds], P.to_text),
+        ("poly", "poly_gcd top-level", len(gcds), lambda: [gcd(*ps) for ps in gcds], _gcd_text),
         ("poly", "squarefree_decompose", len(sqfs), lambda: [sqf(f) for f in sqfs], repr),
         ("spectral", "_normalize_covector", len(covectors),
          lambda: [spectral._normalize_covector(e) for e in covectors], lambda e: " ; ".join(map(P.to_text, e))),
@@ -439,7 +427,7 @@ def _cases(src, corpus=None):
         ("cli", "machine_block, lattice+cover-tower", len(reports),
          lambda: [cli.machine_block(r) for r in reports], str),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
-         lambda: [attempt(gcd, *dense_pair)], _poly_text),
+         lambda: [attempt(gcd, *dense_pair)], _gcd_text),
         ("job", "factor stress, dense n=4 deg 4", 1,
          lambda: [_run_job(cli, errors, dense_job)], str),
     ]
@@ -449,37 +437,154 @@ def _cases(src, corpus=None):
     return cases
 
 
-def _row(case, repeats, commit):
-    """One BENCH row: case timed `repeats` times on the checkout whose commit is `commit`."""
-    layer, name, calls, fn, render = case
-    common = {"repeats": repeats, "python": platform.python_version(), "commit": commit}
-    signal.signal(signal.SIGPROF, _over_limit)
-    timed = _time(fn, render, repeats)
-    if timed is None:
-        print(f"{commit:18s} {layer:9s} {name:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
-        return {"layer": layer, "case": f"{name}, seed {SEED}", "calls": calls, "best_s": None,
-                "median_s": None, **common, "output_sha256": None, "over_cpu_limit_s": CPU_LIMIT_S}
-    best, median, passes, digest = timed
-    print(f"{commit:18s} {layer:9s} {name:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s"
+class _Checkout:
+    """The rows of the checkout at src, timed in this process.
+
+    ``meta`` lists each row's (layer, case, calls); ``calibrate(i)`` and
+    ``run(i, passes)`` time row i, and give None once a run passes
+    CPU_LIMIT_S seconds of CPU.
+    """
+
+    def __init__(self, src, corpus=None):
+        self.cases, self.commit = _cases(src, corpus), _commit(src)
+        self.meta = [[layer, name, calls] for layer, name, calls, _, _ in self.cases]
+        signal.signal(signal.SIGPROF, _over_limit)
+
+    def run(self, i, passes):
+        """[CPU seconds per pass, output_sha256] of one run of `passes` passes over row i's calls.
+
+        The row's function returns a list of results; its render turns one
+        into text for the hash, outside the timed region.
+        """
+        _, _, _, fn, render = self.cases[i]
+        signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
+        t0 = time.process_time()
+        try:
+            for _ in range(passes):
+                out = fn()
+        except _OverLimit:
+            return None
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+        elapsed = time.process_time() - t0
+        return [elapsed / passes, hashlib.sha256("\n".join(map(render, out)).encode()).hexdigest()]
+
+    def calibrate(self, i):
+        """[passes, *run]: passes doubled from 1 until a run lasts MIN_RUN_S, and that run."""
+        passes = 1
+        while True:
+            got = self.run(i, passes)
+            if got is None or got[0] * passes >= MIN_RUN_S:
+                return got and [passes, *got]
+            passes *= 2
+
+
+class _Worker:
+    """A _Checkout in a worker process of its own, with the same calibrate and run."""
+
+    def __init__(self, src, corpus):
+        self.src = src
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--serve", "--src", src, "--corpus", corpus],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        self.commit, self.meta = self._answer()
+
+    def _answer(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"error: the worker timing {self.src} stopped")
+        return json.loads(line)
+
+    def _ask(self, *words):
+        self.proc.stdin.write(" ".join(map(str, words)) + "\n")
+        self.proc.stdin.flush()
+        return self._answer()
+
+    def calibrate(self, i):
+        return self._ask("calibrate", i)
+
+    def run(self, i, passes):
+        return self._ask("run", i, passes)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def _serve(src, corpus):
+    """The worker of a _Worker: commit and meta first, then one JSON answer per request line."""
+    channel, sys.stdout = sys.stdout, sys.stderr  # progress lines go to stderr
+    side = _Checkout(src, corpus)
+
+    def say(x):
+        channel.write(json.dumps(x) + "\n")
+        channel.flush()
+
+    say([side.commit, side.meta])
+    for line in sys.stdin:
+        op, *args = line.split()
+        say(getattr(side, op)(*map(int, args)))
+
+
+def _row(meta, side, repeats, passes, runs):
+    """One BENCH row of side from its runs [seconds per pass, output_sha256]; runs None: over the limit."""
+    layer, name, calls = meta
+    head = {"layer": layer, "case": f"{name}, seed {SEED}", "calls": calls}
+    common = {"repeats": repeats, "python": platform.python_version(), "commit": side.commit}
+    if runs is None:
+        print(f"{side.commit:18s} {layer:9s} {name:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
+        return {**head, "best_s": None, "median_s": None, **common, "output_sha256": None,
+                "over_cpu_limit_s": CPU_LIMIT_S}
+    times = [t for t, _ in runs]
+    digests = {h for _, h in runs}
+    if len(digests) != 1:
+        raise SystemExit("error: outputs differ between repeats")
+    best, median = min(times), statistics.median(times)
+    print(f"{side.commit:18s} {layer:9s} {name:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s"
           f" passes={passes}")
-    return {"layer": layer, "case": f"{name}, seed {SEED}", "calls": calls, "best_s": round(best, 6),
-            "median_s": round(median, 6), "passes": passes, **common, "output_sha256": digest}
+    return {**head, "best_s": round(best, 6), "median_s": round(median, 6), "passes": passes, **common,
+            "output_sha256": digests.pop()}
+
+
+def _timed_rows(sides, repeats):
+    """The rows of every side, each row calibrated once and timed on the sides in turn.
+
+    Row i is calibrated on the first side of its order, sides[0] first when
+    i is even and sides[-1] when it is odd (on the next one if that run
+    passes the CPU limit); that run is its first repeat.  Every side then
+    times the row at the same passes, one run each in turn, until each has
+    `repeats` runs, so a burst of host load lands on all sides alike.
+    """
+    if any([m[1] for m in s.meta] != [m[1] for m in sides[0].meta] for s in sides):
+        raise SystemExit("error: the checkouts time different rows")
+    rows = []
+    for i, meta in enumerate(sides[0].meta):
+        order = sides if i % 2 == 0 else sides[::-1]
+        runs = {s: [] for s in sides}
+        over, passes = set(), None
+        for k, s in enumerate(order):
+            got = s.calibrate(i)
+            if got is not None:
+                passes, *run = got
+                runs[s].append(run)
+                order = order[k + 1:] + order[: k + 1]
+                break
+            over.add(s)
+        while passes and any(len(runs[s]) < repeats for s in sides if s not in over):
+            for s in order:
+                if s not in over and len(runs[s]) < repeats:
+                    got = s.run(i, passes)
+                    if got is None:
+                        over.add(s)
+                    else:
+                        runs[s].append(got)
+        rows += [_row(meta, s, repeats, passes, None if s in over else runs[s]) for s in sides]
+    return rows
 
 
 def measure(src, repeats, corpus=None):
-    commit = _commit(src)
-    return [_row(case, repeats, commit) for case in _cases(src, corpus)]
-
-
-def _serve(src, repeats, corpus):
-    """The worker of measure_pair: row names first, then row i as one JSON line per line "i" read."""
-    channel, sys.stdout = sys.stdout, sys.stderr  # progress lines go to stderr
-    cases, commit = _cases(src, corpus), _commit(src)
-    channel.write(json.dumps([name for _, name, _, _, _ in cases]) + "\n")
-    channel.flush()
-    for line in sys.stdin:
-        channel.write(json.dumps(_row(cases[int(line)], repeats, commit)) + "\n")
-        channel.flush()
+    return _timed_rows([_Checkout(src, corpus)], repeats)
 
 
 def measure_pair(parent, change, repeats, corpus=None):
@@ -487,41 +592,18 @@ def measure_pair(parent, change, repeats, corpus=None):
 
     Each side runs in a worker process of its own (both import `higgspec`);
     the parent's worker starts first and records the corpus when there is
-    none.  Row i runs on the parent first when i is even and on the change
-    first when it is odd, so a burst of host load lands on both sides.
+    none.
     """
     with tempfile.TemporaryDirectory() as tmp:
         corpus = corpus or os.path.join(tmp, "corpus.json")
-        workers, names = [], None
+        sides = []
         try:
             for src in (parent, change):
-                workers.append(subprocess.Popen(
-                    [sys.executable, os.path.abspath(__file__), "--serve", "--src", src,
-                     "--repeats", str(repeats), "--corpus", corpus],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-                ))
-                got = json.loads(_answer(workers[-1], src))
-                if names is not None and got != names:
-                    raise SystemExit(f"error: {parent} and {change} time different rows")
-                names = got
-            sides, rows = list(zip(workers, (parent, change))), []
-            for i in range(len(names)):
-                for w, src in sides if i % 2 == 0 else sides[::-1]:
-                    w.stdin.write(f"{i}\n")
-                    w.stdin.flush()
-                    rows.append(json.loads(_answer(w, src)))
+                sides.append(_Worker(src, corpus))
+            return _timed_rows(sides, repeats)
         finally:
-            for w in workers:
-                w.stdin.close()
-                w.wait()
-    return rows
-
-
-def _answer(worker, src):
-    line = worker.stdout.readline()
-    if not line:
-        raise SystemExit(f"error: the worker timing {src} stopped")
-    return line
+            for s in sides:
+                s.close()
 
 
 def main(argv=None):
@@ -540,7 +622,7 @@ def main(argv=None):
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     if args.serve:
-        _serve(src, args.repeats, args.corpus)
+        _serve(src, args.corpus)
         return
     if not args.out:
         ap.error("the following arguments are required: --out")

@@ -21,10 +21,13 @@ by Gauss's lemma.  The gcd is the heuristic integer gcd GCDHEU (Char, Geddes
 & Gonnet, J. Symb. Comput. 7, 1989), one variable at a time (Liao & Fateman,
 ISSAC 1995), the one gcd route, and _div_packed checks every answer it
 gives; when it gives up at its image cap _HEU_MAX_BITS, the gcd raises
-DegreeCapExceeded.  The quotients of those checks are the gcd's cofactors,
-and the squarefree decomposition (Yun's algorithm) takes its quotients
-from them.  Parsed polynomials are capped at total degree
-MAX_PARSED_DEGREE.
+DegreeCapExceeded.  The quotients of those checks are the gcd's cofactors:
+poly_gcd(p1, ..., pk) returns (g, p1/g, ..., pk/g), with the rational
+contents carried, so g * (pi/g) == pi exactly.  Zero operands get zero
+cofactors, and the gcd of zeros alone is zero.  The squarefree
+decomposition (Yun's algorithm) and the covector normalisation of the
+spectral layer take their quotients from these cofactors.  Parsed
+polynomials are capped at total degree MAX_PARSED_DEGREE.
 """
 
 from __future__ import annotations
@@ -518,12 +521,13 @@ class Poly:
         return Poly._make(self.nvars, out, self._num, self._den)
 
     def evaluate(self, point):
-        """The value at a rational point, exactly, summed on ints.
+        """The value at a point of ints and Fractions, exactly, summed on ints.
 
         With d the lcm of the point's denominators, x_i = a_i / d and D the
-        total degree, a term c x^e is c a^e d^(D - |e|) / d^D.
+        total degree, a term c x^e is c a^e d^(D - |e|) / d^D.  Any other
+        coordinate, a float, a str or a bool, is a TypeError.
         """
-        point = [Fraction(x) for x in point]
+        point = [_typed("point coordinate", x, int, Fraction) for x in point]
         if len(point) != self.nvars:
             raise ValueError("point length must equal nvars")
         d = math.lcm(*[x.denominator for x in point])
@@ -717,20 +721,11 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 # -- gcd ---------------------------------------------------------------------
 
 
-def _positive_leading(p: Poly) -> Poly:
-    if p._ints and p._ints[p.leading_exponent()] < 0:
-        return -p
-    return p
-
-
 def _prim(p: Poly) -> Poly:
     """The primitive part of a nonzero p: content one, positive leading coefficient."""
-    return _positive_leading(p if p._num == p._den == 1 else Poly._raw(p.nvars, p._ints))
-
-
-def _gcd_content(a: Poly, b: Poly):
-    """frac_gcd of the contents of nonzero a and b, as (num, den) in lowest terms."""
-    return math.gcd(a._num, b._num), math.lcm(a._den, b._den)
+    if p._num != 1 or p._den != 1:
+        p = Poly._raw(p.nvars, p._ints)
+    return -p if p._ints[p.leading_exponent()] < 0 else p
 
 
 # Largest evaluation image, in bits, GCDHEU builds before it gives up:
@@ -830,83 +825,84 @@ def _heu_gcd(f, g, n, w, guard):
     return None
 
 
-def _gcd_cof(a: Poly, b: Poly):
-    """(h, a/h, b/h) with h = poly_gcd(a, b), for a and b not both zero; gcd(b, 0) is (b, 1, 0).
+def poly_gcd(*polys: Poly):
+    """(g, p1/g, ..., pk/g): the gcd in Q[x1..xn] of p1..pk and every cofactor.
 
-    Each cofactor is its operand's primitive cofactor times its rational
-    content over h's, so h * (a/h) == a and h * (b/h) == b exactly.  GCDHEU
-    forms the cofactors in the trial divisions that accept h, so they cost
-    no division of their own.
+    g is the frac_gcd of the operands' rational contents times their
+    primitive gcd, with a positive grlex-leading coefficient.  Each cofactor
+    is exact, its rational content carried, so g * (pi/g) == pi.  Zero
+    operands drop out: their cofactors are 0, gcd(a, 0) is (a with a
+    positive leading coefficient, +-1, 0), and gcd(0, ..., 0) is all zeros.
+    No operand, or operands in different numbers of variables, raise
+    ValueError.
+
+    The operands are taken in turn, g_k = gcd(g_(k-1), p_k), to the last:
+    a constant g_k still meets the contents of the later operands, on the
+    shortcut for constants.  There is one
+    route, the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, J. Symb.
+    Comput. 7, 1989; one variable at a time after Liao & Fateman, ISSAC
+    1995) on the packed primitive integer parts, whose gcd is primitive too;
+    its accepting trial divisions give both cofactors, so every answer is
+    checked and costs no division of its own.  Earlier cofactors are
+    rescaled by g_(k-1)/g_k when that is not 1.  When GCDHEU gives up at its
+    image cap, _HEU_MAX_BITS, :class:`DegreeCapExceeded` is raised.
     """
-    n = a.nvars
-    if b.is_zero():
-        return a, Poly.one(n), b
-    if a.is_zero():
-        return b, a, Poly.one(n)
-    A, B = a._ints, b._ints
-    one = {(0,) * n: 1}
-    if a.is_constant() or b.is_constant():
-        h, qa, qb = one, A, B
-    elif A == B:
-        h, qa, qb = A, one, one
-    elif len(A) == 1 and len(B) == 1:
-        ((ea, sa),) = A.items()
-        ((eb, sb),) = B.items()
-        e = tuple(map(min, ea, eb))
-        h = {e: 1}
-        qa = {tuple(x - y for x, y in zip(ea, e)): sa}
-        qb = {tuple(x - y for x, y in zip(eb, e)): sb}
-    elif not any(a.degree_in(v) > 0 and b.degree_in(v) > 0 for v in range(n)):
-        # a factor of both can only involve shared variables
-        h, qa, qb = one, A, B
-    else:
-        fa, fb, w, guard = _pack_pair(a, b)
-        got = _heu_gcd(fa, fb, n, w, guard)
-        if got is None:
-            raise DegreeCapExceeded(f"gcd: evaluation image past the cap of {_HEU_MAX_BITS} bits")
-        h, qa, qb = (_unpack(x, n, w) for x in got)
-    if h[max(h, key=_grlex_key)] < 0:
-        h, qa, qb = ({e: -v for e, v in x.items()} for x in (h, qa, qb))
-    num, den = _gcd_content(a, b)
-    return (
-        Poly._raw(n, h, num, den),
-        Poly._raw(n, qa, *_lowest(a._num * den, a._den * num)),
-        Poly._raw(n, qb, *_lowest(b._num * den, b._den * num)),
-    )
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd in Q[x1..xn], rational content included, positive leading coefficient.
-
-    The result is frac_gcd(content a, content b) times the primitive gcd
-    with a positive grlex-leading coefficient, the first entry of
-    _gcd_cof.  There is one route: the heuristic integer gcd GCDHEU (Char,
-    Geddes & Gonnet, J. Symb. Comput. 7, 1989; one variable at a time after
-    Liao & Fateman, ISSAC 1995) on the packed primitive integer parts, whose
-    gcd is primitive too, and every answer it gives has been checked by
-    exact trial division.  When it gives up at its image cap,
-    _HEU_MAX_BITS, :class:`DegreeCapExceeded` is raised.  gcd(0, 0) = 0.
-    """
-    if a.nvars != b.nvars:
-        raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
-    if a.is_zero():
-        return _positive_leading(b)
-    if b.is_zero():
-        return _positive_leading(a)
-    return _gcd_cof(a, b)[0]
-
-
-def poly_gcd_many(polys) -> Poly:
-    it = iter(polys)
-    try:
-        g = next(it)
-    except StopIteration:
-        raise ValueError("gcd of an empty collection")
-    for p in it:
-        g = poly_gcd(g, p)
-        if g == 1:
-            break
-    return _positive_leading(g)
+    if not polys:
+        raise ValueError("gcd of no polynomials")
+    n = polys[0].nvars
+    for p in polys:
+        if p.nvars != n:
+            raise ValueError(f"nvars mismatch: {n} vs {p.nvars}")
+    one, unit = {(0,) * n: 1}, Poly.one(n)
+    first = g = None
+    cofactors = []
+    for b in polys:
+        if not b._ints:
+            cofactors.append(b)
+            continue
+        if g is None:
+            first = g = b
+            cofactors.append(unit)
+            continue
+        a = g
+        A, B = a._ints, b._ints
+        if a.is_constant() or b.is_constant():
+            h, qa, qb = one, A, B
+        elif A == B:
+            h, qa, qb = A, one, one
+        elif len(A) == 1 and len(B) == 1:
+            ((ea, sa),) = A.items()
+            ((eb, sb),) = B.items()
+            e = tuple(map(min, ea, eb))
+            h = {e: 1}
+            qa = {tuple(x - y for x, y in zip(ea, e)): sa}
+            qb = {tuple(x - y for x, y in zip(eb, e)): sb}
+        elif not any(a.degree_in(v) > 0 and b.degree_in(v) > 0 for v in range(n)):
+            # a factor of both can only involve shared variables
+            h, qa, qb = one, A, B
+        else:
+            fa, fb, w, guard = _pack_pair(a, b)
+            got = _heu_gcd(fa, fb, n, w, guard)
+            if got is None:
+                raise DegreeCapExceeded(f"gcd: evaluation image past the cap of {_HEU_MAX_BITS} bits")
+            h, qa, qb = (_unpack(x, n, w) for x in got)
+        if h[max(h, key=_grlex_key)] < 0:
+            h, qa, qb = ({e: -v for e, v in x.items()} for x in (h, qa, qb))
+        num, den = math.gcd(a._num, b._num), math.lcm(a._den, b._den)
+        g = Poly._raw(n, h, num, den)
+        ka = _lowest(a._num * den, a._den * num)
+        if qa != one or ka != (1, 1):
+            # g shrank: the earlier cofactors grow by a/g, a scalar when it is constant
+            shrink = Poly._raw(n, qa, *ka)
+            by = Fraction(*ka) if qa == one else shrink
+            cofactors = [shrink if q is unit else q * by for q in cofactors]
+        cofactors.append(Poly._raw(n, qb, *_lowest(b._num * den, b._den * num)))
+    if g is None:
+        return (polys[0], *cofactors)
+    if g is first and g._ints[g.leading_exponent()] < 0:
+        # one nonzero operand, the gcd itself up to sign
+        g, cofactors = -g, [-q for q in cofactors]
+    return (g, *cofactors)
 
 
 # -- squarefree decomposition -------------------------------------------------
@@ -963,12 +959,12 @@ def _yun(p: Poly) -> dict:
     in by product.
     """
     v = next(v for v in range(p.nvars) if p.degree_in(v) > 0)
-    g, b, c = _gcd_cof(p, p.partial(v))
+    g, b, c = poly_gcd(p, p.partial(v))
     classes = {}
     degree = 0
     i = 1
     while not b.is_constant():
-        a, b, c = _gcd_cof(b, c - b.partial(v))
+        a, b, c = poly_gcd(b, c - b.partial(v))
         if not a.is_constant():
             classes[i] = a
             degree += i * a.total_degree()

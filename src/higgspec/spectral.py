@@ -54,7 +54,6 @@ from .poly import (
     exact_div,
     is_squarefree,
     poly_gcd,
-    poly_gcd_many,
     squarefree_decompose,
 )
 
@@ -383,19 +382,16 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
 def _normalize_covector(entries):
     """Divide out the entry gcd and rational content; fix the sign.
 
-    Returns the primitive covector: polynomial gcd of entries is one, the
-    coefficient content across all entries is one, and the first nonzero
-    entry has a positive leading coefficient.
+    Returns the primitive covector, the gcd's cofactors: their polynomial
+    gcd is one, the coefficient content across all entries is one, and the
+    first nonzero entry has a positive leading coefficient.
     """
-    nonzero = [p for p in entries if not p.is_zero()]
-    if not nonzero:
+    g, *alpha = poly_gcd(*entries)
+    if g.is_zero():
         raise ZeroInput("cannot normalize the zero covector")
-    g = poly_gcd_many(nonzero)
-    entries = tuple(exact_div(p, g) for p in entries)
-    lead = next(p for p in entries if not p.is_zero())
-    if lead.leading_coefficient() < 0:
-        entries = tuple(-p for p in entries)
-    return entries
+    if next(p for p in alpha if p).leading_coefficient() < 0:
+        alpha = [-p for p in alpha]
+    return tuple(alpha)
 
 
 def _construct_rank_one(S: SymDiff) -> RankOneFactorization:
@@ -614,7 +610,7 @@ def _declared_branch(tau: Poly, components) -> SquarefreeDecomposition:
         norm.append((prim, m))
     for i in range(len(norm)):
         for j in range(i + 1, len(norm)):
-            if not poly_gcd(norm[i][0], norm[j][0]).is_constant():
+            if not poly_gcd(norm[i][0], norm[j][0])[0].is_constant():
                 raise InconsistentBranchData("declared components are not pairwise coprime")
     # degrees add under products: a product of larger degree cannot divide
     # tau, and is refused before any power is formed

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from higgspec.errors import DivisionFailure
 from higgspec.matrix import charpoly_cofactor, mat_det
-from higgspec.poly import Poly, _gcd_cof, exact_div, poly_gcd, squarefree_decompose
+from higgspec.poly import Poly, exact_div, poly_gcd, squarefree_decompose
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -125,16 +125,37 @@ def test_gcd_matches_sympy(xy):
     x, y = xy
     if x.is_zero() or y.is_zero():
         return
-    d = poly_gcd(x, y)
+    d = assert_cofactors(x, y)
     assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
     assert d.terms[grlex_lead(d.terms)] > 0
     assert rational_content(d) == rational_content(x, y)
-    assert_cofactors(x, y, d)
 
 
-def assert_cofactors(x, y, d):
-    h, cx, cy = _gcd_cof(x, y)
-    assert h == d and h * cx == x and h * cy == y
+def assert_cofactors(*polys):
+    """The gcd of polys, after checking g * (p/g) == p for every cofactor."""
+    g, *cofactors = poly_gcd(*polys)
+    assert len(cofactors) == len(polys)
+    assert all(g * q == p for p, q in zip(polys, cofactors))
+    return g
+
+
+@st.composite
+def gcd_triples(draw):
+    # x and y share g h, z only g: the gcd shrinks at the third operand
+    n = draw(st.integers(1, 3))
+    g, h, a, b, c = (draw(rational_polys(n, 2, 3)) for _ in range(5))
+    return g * h * a, g * h * b, g * c
+
+
+@given(gcd_triples())
+@settings(max_examples=60, deadline=None)
+def test_gcd_of_three_matches_sympy(xyz):
+    x, y, z = xyz
+    if x.is_zero() or y.is_zero() or z.is_zero():
+        return
+    d = assert_cofactors(x, y, z)
+    assert_associates(d, from_sympy(sympy.gcd(sympy.gcd(to_sympy(x), to_sympy(y)), to_sympy(z))))
+    assert rational_content(d) == rational_content(x, y, z)
 
 
 @st.composite
@@ -157,10 +178,9 @@ def dense_gcd_cases(draw):
 def test_gcd_matches_sympy_on_dense_pairs(xy):
     # a planted common factor of 15-20 terms, cofactors as dense
     x, y = xy
-    d = poly_gcd(x, y)
+    d = assert_cofactors(x, y)
     assert_associates(d, from_sympy(sympy.gcd(to_sympy(x), to_sympy(y))))
     assert rational_content(d) == rational_content(x, y)
-    assert_cofactors(x, y, d)
 
 
 @st.composite

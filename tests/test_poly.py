@@ -18,7 +18,6 @@ from higgspec.poly import (
     frac_gcd,
     is_squarefree,
     poly_gcd,
-    poly_gcd_many,
     squarefree_decompose,
 )
 
@@ -125,30 +124,34 @@ def test_exact_div_inverts_multiplication(a, b):
 
 def test_gcd_univariate():
     # Euclid over Q[x]: x^2-1 and (x-1)^2 share exactly x-1
-    assert poly_gcd(P("1 * x1^2 + -1", 1), P("1 * x1^2 + -2 * x1 + 1", 1)) == P("1 * x1 + -1", 1)
+    assert poly_gcd(P("1 * x1^2 + -1", 1), P("1 * x1^2 + -2 * x1 + 1", 1))[0] == P("1 * x1 + -1", 1)
 
 
 def test_gcd_includes_content():
     # integer content gcd(6, 4) = 2 times the primitive gcd x
-    g = poly_gcd(P("6 * x1", 1), P("4 * x1^2", 1))
+    g = poly_gcd(P("6 * x1", 1), P("4 * x1^2", 1))[0]
     assert g == P("2 * x1", 1)
     assert exact_div(P("6 * x1", 1), g) == Poly.constant(1, 3)
     assert exact_div(P("4 * x1^2", 1), g) == P("2 * x1", 1)
 
 
 def test_gcd_of_zeros():
-    assert poly_gcd(Poly.zero(2), Poly.zero(2)) == Poly.zero(2)
-    assert poly_gcd(Poly.zero(1), P("-2 * x1", 1)) == P("2 * x1", 1)
+    assert poly_gcd(Poly.zero(2), Poly.zero(2)) == (Poly.zero(2),) * 3
+    assert poly_gcd(Poly.zero(1), Poly.zero(1), Poly.zero(1)) == (Poly.zero(1),) * 4
+    assert poly_gcd(Poly.zero(1), P("-2 * x1", 1)) == (P("2 * x1", 1), Poly.zero(1), Poly.constant(1, -1))
+    assert poly_gcd(P("-2 * x1", 1), Poly.zero(1)) == (P("2 * x1", 1), Poly.constant(1, -1), Poly.zero(1))
+    b = P("3/2 * x1^2 + 3 * x1 + 3/2", 1)
+    assert poly_gcd(Poly.zero(1), b, Poly.zero(1)) == (b, Poly.zero(1), Poly.one(1), Poly.zero(1))
 
 
 def test_gcd_disjoint_variables():
-    assert poly_gcd(P("2 * x1", 2), P("4 * x2", 2)) == Poly.constant(2, 2)
+    assert poly_gcd(P("2 * x1", 2), P("4 * x2", 2))[0] == Poly.constant(2, 2)
 
 
 def test_gcd_multivariate():
     a = P("1 * x1^2 + -1 * x2^2", 2)
     b = P("1 * x1^2 + 2 * x1 * x2 + 1 * x2^2", 2)
-    assert poly_gcd(a, b) == P("1 * x1 + 1 * x2", 2)
+    assert poly_gcd(a, b)[0] == P("1 * x1 + 1 * x2", 2)
 
 
 @given(poly_triples())
@@ -158,10 +161,10 @@ def test_gcd_divides_both(gab):
     if g.is_zero() or a.is_zero() or b.is_zero():
         return
     x, y = g * a, g * b
-    d = poly_gcd(x, y)
+    d, cx, cy = poly_gcd(x, y)
     assert d.leading_coefficient() > 0
-    exact_div(x, d)
-    exact_div(y, d)
+    assert exact_div(x, d) == cx
+    assert exact_div(y, d) == cy
     exact_div(d, g)  # d contains the constructed common factor
 
 
@@ -195,7 +198,7 @@ GCD_EXAMPLES = [
 def test_gcd_examples_without_fallback(a, b, n, want, monkeypatch):
     # GCDHEU answers, not one of the shortcuts for constants and monomials
     points = _count_points(monkeypatch)
-    assert poly_gcd(P(a, n), P(b, n)) == P(want, n)
+    assert poly_gcd(P(a, n), P(b, n))[0] == P(want, n)
     assert points
 
 
@@ -216,7 +219,7 @@ def test_gcd_unlucky_point_then_fallback(monkeypatch):
     a = P("1 * x1^2 + 12 * x1 + 32", 1)
     b = P("1 * x1^2 + 7 * x1 + 12", 1)
     points = _count_points(monkeypatch)
-    assert poly_gcd(a, b) == P("1 * x1 + 4", 1)
+    assert poly_gcd(a, b)[0] == P("1 * x1 + 4", 1)
     assert points == [27, 147]
     monkeypatch.setattr(poly, "_HEU_MAX_BITS", 10)
     with pytest.raises(DegreeCapExceeded):
@@ -363,10 +366,10 @@ def test_gcd_properties_and_prs_normalisation(gab):
     x, y = g * a, g * b * b
     if x.is_zero() or y.is_zero():
         return
-    d = poly_gcd(x, y)
+    d, cx, cy = poly_gcd(x, y)
     # divides both, coprime cofactors
-    cx, cy = exact_div(x, d), exact_div(y, d)
-    assert poly_gcd(cx, cy).is_constant()
+    assert (exact_div(x, d), exact_div(y, d)) == (cx, cy)
+    assert poly_gcd(cx, cy)[0].is_constant()
     # normalisation: rational content of both, positive grlex-leading coefficient
     assert d.content() == frac_gcd(x.content(), y.content())
     assert d.leading_coefficient() > 0
@@ -437,13 +440,38 @@ def test_squarefree_quotients_are_gcd_cofactors(monkeypatch):
     assert calls
 
 
+def _assert_cofactors(polys, want):
+    g, *cofactors = poly_gcd(*polys)
+    assert g == want and len(cofactors) == len(polys)
+    for p, q in zip(polys, cofactors):
+        assert g * q == p
+    return cofactors
+
+
 def test_gcd_cofactors():
     a, b = P("2 * x1^2 + -2", 1), P("3/2 * x1^2 + 3 * x1 + 3/2", 1)
-    h, ca, cb = poly._gcd_cof(a, b)
-    assert h == poly_gcd(a, b) == P("1/2 * x1 + 1/2", 1)
-    assert (ca, cb) == (P("4 * x1 + -4", 1), P("3 * x1 + 3", 1))
-    assert poly._gcd_cof(b, Poly.zero(1)) == (b, Poly.one(1), Poly.zero(1))
-    assert poly._gcd_cof(Poly.zero(1), b) == (b, Poly.zero(1), Poly.one(1))
+    assert poly_gcd(a, b) == (P("1/2 * x1 + 1/2", 1), P("4 * x1 + -4", 1), P("3 * x1 + 3", 1))
+    assert poly_gcd(b) == (b, Poly.one(1))
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    f = x1 + x2
+    # three and four operands: the gcd shrinks at every step, so earlier
+    # cofactors are rescaled by a polynomial, and then by a constant
+    polys = [f**3 * x1 * 2, f**2 * x1 * x2 * 6, f * x2 * 4]
+    _assert_cofactors(polys, f * 2)
+    _assert_cofactors(polys + [x1 * Fraction(2, 3)], Poly.constant(2, Fraction(2, 3)))
+    # zero operands and negative leading coefficients: g is positive, and
+    # the cofactors carry the signs
+    got = _assert_cofactors([Poly.zero(2), -f * x1, -f * x2 * 3, Poly.zero(2)], f)
+    assert got == [Poly.zero(2), -x1, -3 * x2, Poly.zero(2)]
+
+
+def test_gcd_operand_errors():
+    with pytest.raises(ValueError, match="no polynomials"):
+        poly_gcd()
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        poly_gcd(P("1 * x1", 1), P("1 * x1", 2))
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        poly_gcd(P("1 * x1", 2), P("1 * x1", 2), P("1 * x1", 1))
 
 
 def test_squarefree_decomposition_types():
@@ -626,6 +654,11 @@ def test_partial_derivative():
 def test_evaluate():
     p = P("1 * x1^2 + -1 * x2", 2)
     assert p.evaluate((Fraction(3), Fraction(4))) == 5
+    assert p.evaluate((3, Fraction(1, 2))) == Fraction(17, 2)
+    # floating point is rejected, and so are strings and bools
+    for bad in (0.1, "1/3", True):
+        with pytest.raises(TypeError, match="point coordinate"):
+            p.evaluate((1, bad))
 
 
 def test_primitive_split():
@@ -664,6 +697,7 @@ def test_parse_degree_cap():
 
 
 def test_gcd_many():
-    assert poly_gcd_many([P("2 * x1 * x2", 2), P("4 * x1", 2), P("6 * x1^2", 2)]) == P(
-        "2 * x1", 2
-    )
+    assert poly_gcd(P("2 * x1 * x2", 2), P("4 * x1", 2), P("6 * x1^2", 2))[0] == P("2 * x1", 2)
+    # the chain does not stop at a gcd of one: the later contents still count
+    polys = [Poly.one(3), P("1 * x1 + 1", 3), P("1/2 * x3", 3)]
+    assert poly_gcd(*polys)[0] == poly_gcd(*polys[::-1])[0] == Poly.constant(3, Fraction(1, 2))

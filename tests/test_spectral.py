@@ -432,6 +432,17 @@ def test_factor_pulls_common_content():
     assert f.tau == Poly.constant(2, Fraction(1, 2))
 
 
+def test_factor_alpha_has_content_one_past_a_unit_gcd():
+    # the entries' gcd reaches one at the second entry, yet alpha still has
+    # rational content 1/2: alpha = (2, 2 x1 + 2, x3) and tau = 1/4
+    x1, x3 = Poly.variable(3, 0), Poly.variable(3, 2)
+    S = RankOneFactorization(OneForm((Poly.one(3), x1 + 1, x3 * Fraction(1, 2))), Poly.one(3)).symdiff()
+    f = factor_rank_one(S)
+    assert f.alpha == OneForm((Poly.constant(3, 2), 2 * x1 + 2, x3))
+    assert f.tau == Poly.constant(3, Fraction(1, 4))
+    assert f.symdiff() == S
+
+
 # -- spectral base ------------------------------------------------------------------
 
 
