@@ -488,7 +488,11 @@ class _Worker:
             [sys.executable, os.path.abspath(__file__), "--serve", "--src", src, "--corpus", corpus],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        self.commit, self.meta = self._answer()
+        try:
+            self.commit, self.meta = self._answer()
+        except BaseException:
+            self.close()
+            raise
 
     def _answer(self):
         line = self.proc.stdout.readline()
