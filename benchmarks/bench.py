@@ -23,10 +23,15 @@ raises NotRankOne), and ``parse_config`` is timed over the recorded
 ``lattice`` and ``cover-tower`` rounds, made once before it is timed.  One
 in-process round of each workload is timed the same way.
 
-Two stress rows time work no round does, on S = tau alpha alpha^T in 4
-variables, alpha_i dense of degree d with coefficients 1..9, written in
-ascending exponent order: the first covector gcd of ``factor`` at d = 3,
-and the whole ``factor`` job at d = 4.
+``matrix.charpoly_cofactor`` is timed on seeded companion fields of rank
+2..5, the matrices of the ``higher-rank`` command, which no round runs.
+
+Three stress rows time work no round does.  Two are on S = tau alpha
+alpha^T in 4 variables, alpha_i dense of degree d with coefficients 1..9,
+written in ascending exponent order: the first covector gcd of ``factor``
+at d = 3, and the whole ``factor`` job at d = 4.  The third is one large
+product, a square and a product of two distinct polynomials, dense in 3
+variables of degree 14 (680 terms, 462,400 term pairs each).
 
 A timed run makes `passes` passes over a row's calls: passes doubles from 1
 until one run lasts at least MIN_RUN_S of CPU, so no row is only a few
@@ -268,18 +273,36 @@ def _ascending_text(terms):
     )
 
 
+def _dense(P, rng, n, deg):
+    """A dense polynomial in n variables of total degree deg, coefficients 1..9."""
+    exps = (e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg)
+    return P.from_text(_ascending_text({e: rng.randint(1, 9) for e in exps}), n)
+
+
 def _dense_factor_s(P, deg):
     """S = tau alpha alpha^T in 4 variables, alpha_i dense of degree deg, as the ascending texts of its rows."""
     rng, n = random.Random(SEED), 4
-
-    def dense(d):
-        exps = (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d)
-        return P.from_text(_ascending_text({e: rng.randint(1, 9) for e in exps}), n)
-
-    alpha = [dense(deg) for _ in range(n)]
-    tau = dense(rng.randint(1, 2))
+    alpha = [_dense(P, rng, n, deg) for _ in range(n)]
+    tau = _dense(P, rng, n, rng.randint(1, 2))
     return [[_ascending_text({e: int(c) for e, c in (tau * alpha[i] * alpha[j]).terms.items()}) for j in range(n)]
             for i in range(n)]
+
+
+def _companions(P, moduli):
+    """Ten seeded companion fields per rank 2..5, coefficients in 2 variables of degree <= 3 with <= 4 terms."""
+    rng = random.Random(SEED)
+    mats = []
+    for r in (2, 3, 4, 5):
+        for _ in range(10):
+            coeffs = []
+            for _ in range(r - 1):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    e = (rng.randint(0, 3), rng.randint(0, 3))
+                    terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+                coeffs.append(P.from_text(_ascending_text(terms), 2))
+            mats.append(moduli.higher_rank_build(r, coeffs))
+    return mats
 
 
 def _factor_text(out):
@@ -321,7 +344,7 @@ def _cases(src, corpus=None):
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
-    from higgspec import cli, errors, geometry, moduli, poly, spectral
+    from higgspec import cli, errors, geometry, matrix, moduli, poly, spectral
 
     rounds = {wl: [j.config for j in gen.generate(wl, SEED)] for wl in WORKLOADS}
 
@@ -387,6 +410,9 @@ def _cases(src, corpus=None):
                   for comps, L, model in rec["sl2r_enumerate"]]
     cover_maps = [(Pm, cQ, pb, class_in(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
     dense_pair = [P.from_text(t, 4) for t in _dense_factor_s(P, 3)[0][:2]]
+    rng = random.Random(SEED)
+    big = [_dense(P, rng, 3, 14) for _ in range(2)]
+    companions = _companions(P, moduli)
     dense_job = json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 4},
                             "payload": {"s": _dense_factor_s(P, 4)}})
     reports = []  # the machine_block row writes the reports of these rounds, made here once
@@ -422,12 +448,16 @@ def _cases(src, corpus=None):
          lambda: [attempt(moduli.sl2r_enumerate, *args) for args in sl2r_calls], _sl2r_text),
         ("geometry", "CoverMap construction", len(cover_maps),
          lambda: [geometry.CoverMap(*args) for args in cover_maps], _cover_map_text),
+        ("matrix", "charpoly_cofactor, companion r=2..5", len(companions),
+         lambda: [matrix.charpoly_cofactor(m) for m in companions], P.to_text),
         ("cli", "parse_config, rank-test configs", len(configs),
          lambda: [cli.parse_config(c) for c in configs], repr),
         ("cli", "machine_block, lattice+cover-tower", len(reports),
          lambda: [cli.machine_block(r) for r in reports], str),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
          lambda: [attempt(gcd, *dense_pair)], _gcd_text),
+        ("poly", "Poly.__mul__ stress, dense n=3 deg 14", 2,
+         lambda: [big[0] * big[0], big[0] * big[1]], P.to_text),
         ("job", "factor stress, dense n=4 deg 4", 1,
          lambda: [_run_job(cli, errors, dense_job)], str),
     ]

@@ -407,7 +407,7 @@ def _run_tower(job):
 def _run_correspondence(job):
     phi = job.payload["higgs"]["matrices"]
     module = _at("$.payload.factorization.tau", spectral.module_from_higgs, phi, job.payload["factorization"])
-    back = spectral.pushforward(module, job.payload["factorization"])
+    back = _at("$.payload.higgs.matrices", spectral.pushforward, module, job.payload["factorization"])
     roundtrip = all(
         a == b
         for ma, mb in zip(back.matrices, phi.matrices)

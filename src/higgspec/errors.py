@@ -33,8 +33,10 @@ class DegreeCapExceeded(HiggspecError):
 
     Covers chart dimension, matrix size and entry degree, the size of an
     enumeration: sl2r tuples (MAX_SL2R_TUPLES) and tower covers
-    (MAX_TOWER_COVERS), and the gcd's evaluation images (poly._HEU_MAX_BITS),
-    checked before each image is built.
+    (MAX_TOWER_COVERS), the gcd's evaluation images (poly._HEU_MAX_BITS),
+    checked before each image is built, the terms of a parsed polynomial
+    (poly.MAX_PARSED_TERMS) and the term pairs of a product
+    (poly.MAX_TERM_PAIRS).
     """
 
 

@@ -13,7 +13,10 @@ Floating point is rejected everywhere; the scalar field is Q.
 
 A product of primitive polynomials is primitive (Gauss's lemma), so a
 multiply multiplies the contents and the integer parts and needs no gcd pass;
-a sum brings both operands to a common content and takes one gcd.
+a sum brings both operands to a common content and takes one gcd.  A square,
+two operands on one integer part, goes through the squaring path of
+_mul_ints, which forms each unordered term pair once.  A product of more
+than MAX_TERM_PAIRS term pairs is refused before any is formed.
 Multiplication, division and the gcd pack each exponent vector into one int
 (_pack, _unpack).  The one division, _div_packed, is a heap division on
 those ints; exact_div runs it on the primitive parts, which is exact over Q
@@ -27,7 +30,8 @@ contents carried, so g * (pi/g) == pi exactly.  Zero operands get zero
 cofactors, and the gcd of zeros alone is zero.  The squarefree
 decomposition (Yun's algorithm) and the covector normalisation of the
 spectral layer take their quotients from these cofactors.  Parsed
-polynomials are capped at total degree MAX_PARSED_DEGREE.
+polynomials are capped at total degree MAX_PARSED_DEGREE and at
+MAX_PARSED_TERMS terms.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial, _typed
 # decomposition (one pass per multiplicity) and the size of the gcd's
 # evaluation images grow with the degree, so larger input is refused at once.
 MAX_PARSED_DEGREE = 1024
+# Most terms a parsed polynomial may have, counted before they are parsed; the
+# largest parsed in the benchmark rounds, selftest and bench stress rows has 1,001.
+MAX_PARSED_TERMS = 1 << 20
+# Most term pairs, len(a) * len(b), one product may form, checked before it
+# forms any; the largest product in those runs has 14,700.
+MAX_TERM_PAIRS = 1 << 24
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
@@ -227,7 +237,9 @@ def _mul_ints(a, b, n):
     directly: packing both operands would cost more than it saves.  Otherwise
     each operand is packed (_pack), with w wide enough for any exponent of
     the product; a monomial product is then one int add, and the inner loop
-    touches ints only (Monagan & Pearce, CASC 2007).
+    touches ints only (Monagan & Pearce, CASC 2007).  A square (a is b, or
+    equal dicts) forms each unordered term pair once: 2 va vb for i < j and
+    va^2 on the diagonal.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -244,10 +256,20 @@ def _mul_ints(a, b, n):
                     del out[e]
         return out
     w = (max(map(sum, a)) + max(map(sum, b))).bit_length()
-    pa = _pack(a, w)
-    pb = list(_pack(b, w).items())
     acc = {}
     get = acc.get
+    if a is b or a == b:
+        pa = list(_pack(a, w).items())
+        for i, (ka, va) in enumerate(pa):
+            k = ka + ka
+            acc[k] = get(k, 0) + va * va
+            va += va
+            for kb, vb in pa[i + 1 :]:
+                k = ka + kb
+                acc[k] = get(k, 0) + va * vb
+        return _unpack(acc, n, w)
+    pa = _pack(a, w)
+    pb = list(_pack(b, w).items())
     for ka, va in pa.items():
         for kb, vb in pb:
             k = ka + kb
@@ -488,11 +510,14 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        if not self._ints or not other._ints:
+        a, b = self._ints, other._ints
+        if not a or not b:
             return Poly._raw(self.nvars, {})
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise DegreeCapExceeded(f"product of {len(a)} x {len(b)} terms exceeds cap {MAX_TERM_PAIRS} term pairs")
         num, den = _lowest(self._num * other._num, self._den * other._den)
         # Gauss's lemma: the product of primitive integer parts is primitive
-        return Poly._raw(self.nvars, _mul_ints(self._ints, other._ints, self.nvars), num, den)
+        return Poly._raw(self.nvars, _mul_ints(a, b, self.nvars), num, den)
 
     __rmul__ = __mul__
 
@@ -607,7 +632,9 @@ class Poly:
         body = text.strip()
         if not body:
             raise ValueError("empty polynomial text")
-        for raw_term in body.split("+"):
+        raw_terms = body.split("+")
+        _terms_capped(len(raw_terms))
+        for raw_term in raw_terms:
             if not raw_term.strip():
                 raise ValueError(f"empty term in {text!r}")
             num = den = 1
@@ -648,6 +675,7 @@ class Poly:
 
     @classmethod
     def from_tree(cls, tree) -> "Poly":
+        _terms_capped(len(tree["terms"]))
         terms = {}
         for t in tree["terms"]:
             e = tuple(t["exps"])
@@ -684,6 +712,11 @@ def _degree_capped(p: Poly) -> Poly:
     if d > MAX_PARSED_DEGREE:
         raise DegreeCapExceeded(f"total degree {d} exceeds cap {MAX_PARSED_DEGREE}")
     return p
+
+
+def _terms_capped(k):
+    if k > MAX_PARSED_TERMS:
+        raise DegreeCapExceeded(f"{k} terms exceed cap {MAX_PARSED_TERMS}")
 
 
 # -- division ---------------------------------------------------------------
@@ -853,8 +886,9 @@ def poly_gcd(*polys: Poly):
     for p in polys:
         if p.nvars != n:
             raise ValueError(f"nvars mismatch: {n} vs {p.nvars}")
-    one, unit = {(0,) * n: 1}, Poly.one(n)
+    one = {(0,) * n: 1}
     first = g = None
+    # None stands for the first nonzero operand's cofactor while it is g / g = 1
     cofactors = []
     for b in polys:
         if not b._ints:
@@ -862,7 +896,7 @@ def poly_gcd(*polys: Poly):
             continue
         if g is None:
             first = g = b
-            cofactors.append(unit)
+            cofactors.append(None)
             continue
         a = g
         A, B = a._ints, b._ints
@@ -892,17 +926,22 @@ def poly_gcd(*polys: Poly):
         g = Poly._raw(n, h, num, den)
         ka = _lowest(a._num * den, a._den * num)
         if qa != one or ka != (1, 1):
-            # g shrank: the earlier cofactors grow by a/g, a scalar when it is constant
-            shrink = Poly._raw(n, qa, *ka)
-            by = Fraction(*ka) if qa == one else shrink
-            cofactors = [shrink if q is unit else q * by for q in cofactors]
+            # g shrank: the earlier nonzero cofactors grow by a/g, a scalar when it is constant
+            shrink, by = Poly._raw(n, qa, *ka), None
+            for m, q in enumerate(cofactors):
+                if q is None:
+                    cofactors[m] = shrink
+                elif q._ints:
+                    by = by or (Fraction(*ka) if qa == one else shrink)
+                    cofactors[m] = q * by
         cofactors.append(Poly._raw(n, qb, *_lowest(b._num * den, b._den * num)))
     if g is None:
         return (polys[0], *cofactors)
-    if g is first and g._ints[g.leading_exponent()] < 0:
-        # one nonzero operand, the gcd itself up to sign
-        g, cofactors = -g, [-q for q in cofactors]
-    return (g, *cofactors)
+    sign = 1
+    if g is first and g._ints[max(g._ints, key=_grlex_key)] < 0:
+        # one nonzero operand, the gcd itself up to sign; the other cofactors are zero
+        g, sign = -g, -1
+    return (g, *[Poly._raw(n, {(0,) * n: sign}) if q is None else q for q in cofactors])
 
 
 # -- squarefree decomposition -------------------------------------------------

@@ -9,8 +9,9 @@ coefficient field is infinite.  It evaluates S once, exactly, at one fixed
 integer point, and the values only choose the route.  When every 2x2 minor
 vanishes there, it builds tau * alpha alpha^T and proves it equal to S;
 otherwise, or when that construction fails, the 2x2 minors are scanned for
-the first nonzero one, the witness, and a minor nonzero at the point is
-nonzero as a polynomial with no product compared.
+the first nonzero one, the witness.  A minor nonzero at the point is
+nonzero as a polynomial with no product compared, and the minors on a row
+pair proved proportional once are skipped.
 
 The to_tree of a value (OneForm, SymDiff, SpectralDatum,
 RankOneFactorization, HiggsField, SpectralCover) is JSON data whose leaves
@@ -318,13 +319,21 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
     is None and no product of two S entries is formed.  Otherwise, or when
     the construction raises (FactorizationInconsistent, or a gcd's
     DegreeCapExceeded), the minors (i < j, k < l) are scanned in loop
-    order, each compared exactly as S[i][k] S[j][l] == S[i][l] S[j][k],
-    until the first one that is nonzero at ROUTE_POINT.  Evaluation at a
-    point is a ring homomorphism, so that minor is nonzero as a polynomial
-    and is returned with no comparison.  The point therefore changes no
-    answer, only how many products are formed.  Products come from one
-    per-call cache keyed by the unordered pair of symmetric positions, so
-    none is formed twice.
+    order until the first one that is nonzero at ROUTE_POINT.  Evaluation
+    at a point is a ring homomorphism, so that minor is nonzero as a
+    polynomial and is returned with no comparison.  A minor before it
+    vanishes at the point and must be proved zero.  When every minor on its
+    row pair (i, j), or else on (k, l), vanishes at the point, that pair is
+    proved proportional once by a pivot test: with p the column of the
+    nonzero S[i][p] with the fewest terms, S[i][p] S[j][c] == S[j][p]
+    S[i][c] for every c != p (a row of zeros is proportional with no
+    product).  Every later minor on a proven pair is skipped; S is
+    symmetric, so a proportional column pair (k, l) is the row pair (k, l).
+    A minor on no proven pair is compared exactly as S[i][k] S[j][l] ==
+    S[i][l] S[j][k], and the first that differs is the witness.  The point
+    therefore changes no answer, only how many products are formed.
+    Products come from one per-call cache keyed by the unordered pair of
+    symmetric positions, so none is formed twice.
 
     ``outcome``, when given, is a list that receives the construction's
     result, the RankOneFactorization or the error it raised, if it ran.
@@ -369,7 +378,33 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
             v = products[key] = rows[a][b] * rows[c][d]
         return v
 
+    def proportional(i, j):
+        """Rows i and j proportional: the pivot test on S[i][p] != 0 with the fewest terms."""
+        ri, rj = rows[i], rows[j]
+        if not any(ri) or not any(rj):
+            return True
+        p = min((c for c in range(n) if ri[c]), key=lambda c: len(ri[c].terms))
+        return all(prod(i, p, j, c) == prod(j, p, i, c) for c in range(n) if c != p)
+
+    # row pairs proved proportional, and row pairs that are not (a minor on
+    # them is nonzero at the point) or whose pivot test failed
+    proven, failed = set(), set()
+
+    def on_proven_pair(i, j, k, l):
+        """Row pair (i, j) or (k, l) proved proportional, which makes minor (i, j, k, l) zero."""
+        if (i, j) in proven or (k, l) in proven:
+            return True
+        for pair in (i, j), (k, l):
+            if pair not in failed:
+                if all(vanishes_at_point(*pair, c, d) for c, d in combinations(range(n), 2)) and proportional(*pair):
+                    proven.add(pair)
+                    return True
+                failed.add(pair)
+        return False
+
     for m, (i, j, k, l) in enumerate(minors[: first + 1]):
+        if m < first and on_proven_pair(i, j, k, l):
+            continue
         left, right = prod(i, k, j, l), prod(i, l, j, k)
         if m == first or left != right:
             return (i, j, k, l), left - right

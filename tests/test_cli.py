@@ -14,7 +14,7 @@ from higgspec import cli, moduli, spectral
 from higgspec.cli import machine_block, main, parse_config, run
 from higgspec.errors import ParseError, SchemaError
 from higgspec.geometry import MAX_GENUS, NSClass
-from higgspec.poly import MAX_PARSED_DEGREE, Poly
+from higgspec.poly import MAX_PARSED_DEGREE, MAX_PARSED_TERMS, Poly
 
 DATA = Path(__file__).parent / "data"
 
@@ -436,6 +436,12 @@ def _tree_doc(**term):
     }
 
 
+def _pair_cap_doc():
+    """S = diag(a, a), a of 4097 terms: its first minor a * a has 4097^2 > MAX_TERM_PAIRS term pairs."""
+    a = " + ".join([f"1 * x1^{i} * x2^{j}" for i in range(64) for j in range(64)] + ["1 * x1^64"])
+    return {"command": "factor", "model": {"kind": "chart", "nvars": 2}, "payload": {"s": [[a, "0"], ["0", a]]}}
+
+
 def _rigidity_doc(**payload):
     return {"command": "rigidity", "payload": {"picard_number_one": True, "b1": 0, **payload}}
 
@@ -490,6 +496,8 @@ REJECTED_INPUTS = {
         1,
         "$.payload.s[0][0]",
     ),
+    "term cap on a text": (_factor_doc(" + ".join(["1"] * (MAX_PARSED_TERMS + 1))), 1, "$.payload.s[0][0]"),
+    "term-pair cap on a product": (_pair_cap_doc(), 1, "$.payload.s"),
     "negative b1": (_rigidity_doc(b1=-2), 2, "$.payload.b1"),
     "negative double-cover b1": (_rigidity_doc(double_cover_b1s=[-1]), 2, "$.payload.double_cover_b1s[0]"),
     "symdiff row not a list": (

@@ -160,3 +160,51 @@ def test_mul_field_width_boundary():
 def test_mul_constants_and_nvars_zero():
     assert mul(0, {(): Fraction(2, 3)}, {(): Fraction(9, 4)}) == {(): Fraction(3, 2)}
     assert mul(0, {(): Fraction(1)}, {}) == {}
+
+
+def rand_square_operand(rng, nvars, nterms):
+    """Distinct exponent vectors with negative and rational coefficients; 2^20-bit exponents when nvars <= 2."""
+    pool = [0, 1, 2, 3, 7] + ([BIG, BIG + 5] if nvars <= 2 else [])
+    out = {}
+    while len(out) < nterms:
+        out[tuple(rng.choice(pool) for _ in range(nvars))] = Fraction(
+            rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.choice([1, 3, rng.randint(1, 10**9)])
+        )
+    return out
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_square_matches_reference(nvars):
+    # a * a, a * (equal dict in a distinct Poly) and a * (c a) take the squaring
+    # path (n = 5 unpacks through the generic loop); a * (a + one term) does not
+    rng = random.Random(nvars)
+    for nterms in (1, 2, 3, 4, 7, 12, 25):
+        a = rand_square_operand(rng, nvars, min(nterms, 5**nvars))
+        pa, twin = Poly(nvars, a), Poly(nvars, dict(a))
+        assert pa is not twin and pa._ints == twin._ints and pa._ints is not twin._ints
+        want = ref_mul(a, a)
+        c = Fraction(-7, 3)
+        for got, scale in ((pa * pa, 1), (pa * twin, 1), (twin * pa, 1), (pa * (twin * c), c), (pa**2, 1)):
+            assert got.terms == {e: v * scale for e, v in want.items()}
+            assert canonical(got, nvars)
+        near = dict(a)
+        e0 = next(iter(near))
+        near[e0] += 1
+        assert (pa * Poly(nvars, near)).terms == ref_mul(a, near)
+
+
+def test_square_whose_middle_terms_cancel():
+    # the truncated series of sqrt(1 + t) squares to 1 + t + O(t^5): the
+    # t^2, t^3 and t^4 terms cancel; likewise (1 + x - x^2/2)^2 loses its x^2
+    series = {(0,): Fraction(1), (1,): Fraction(1, 2), (2,): Fraction(-1, 8), (3,): Fraction(1, 16),
+              (4,): Fraction(-5, 128)}
+    got = Poly(1, series) * Poly(1, series)
+    assert got.terms == ref_mul(series, series)
+    assert set(got.terms) == {(0,), (1,), (5,), (6,), (7,), (8,)}
+    for nvars in (2, 3, 5):
+        x = (1,) + (0,) * (nvars - 1)
+        x2 = (2,) + (0,) * (nvars - 1)
+        p = {(0,) * nvars: Fraction(3), x: Fraction(3), x2: Fraction(-3, 2)}
+        got = Poly(nvars, p) * Poly(nvars, p)
+        assert got.terms == ref_mul(p, p) and x2 not in got.terms
+        assert canonical(got, nvars)

@@ -696,6 +696,49 @@ def test_parse_degree_cap():
     assert Poly.from_tree(tree).total_degree() == n
 
 
+
+def test_parse_term_cap(monkeypatch):
+    # counted before the terms are parsed; at the cap a text or tree parses
+    monkeypatch.setattr(poly, "MAX_PARSED_TERMS", 6)
+    at, past = " + ".join(f"{k} * x1^{k}" for k in range(6)), " + ".join(f"{k} * x1^{k}" for k in range(7))
+    assert len(P(at, 1).terms) == 5
+    with pytest.raises(DegreeCapExceeded, match="7 terms exceed cap 6"):
+        P(past, 1)
+    tree = {"nvars": 1, "terms": [{"exps": [k], "num": 1, "den": 1} for k in range(6)]}
+    assert len(Poly.from_tree(tree).terms) == 6
+    tree["terms"].append({"exps": [6], "num": 1, "den": 1})
+    with pytest.raises(DegreeCapExceeded, match="7 terms exceed cap 6"):
+        Poly.from_tree(tree)
+    monkeypatch.undo()
+    # one past the real cap, refused before any term is parsed
+    t0 = time.process_time()
+    with pytest.raises(DegreeCapExceeded, match=f"{poly.MAX_PARSED_TERMS + 1} terms exceed cap"):
+        P(" + ".join(["1"] * (poly.MAX_PARSED_TERMS + 1)), 1)
+    assert time.process_time() - t0 < 2
+
+
+def test_term_pair_cap(monkeypatch):
+    # len(a) * len(b) is checked before a product forms any term pair, on both paths
+    three, four = P("1 * x1^2 + 2 * x2 + 3", 2), P("1 * x1 + 1 * x2 + 1 * x1 * x2 + 5", 2)
+    want, square = three * four, three * three
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 12)
+    assert three * four == four * three == want
+    assert three**2 == square
+    with pytest.raises(DegreeCapExceeded, match="product of 4 x 4 terms exceeds cap 12 term pairs"):
+        four * four
+    thirteen = Poly(1, {(k,): k + 1 for k in range(13)})
+    with pytest.raises(DegreeCapExceeded, match="product of 1 x 13 terms exceeds cap 12 term pairs"):
+        Poly.variable(1, 0) * thirteen
+    assert thirteen * 3 == Poly(1, {(k,): 3 * k + 3 for k in range(13)})  # a scalar forms no pair
+    monkeypatch.undo()
+    # one past the real cap: 4097^2 > 2^24 pairs, refused at once
+    big = Poly(2, {(i, j): 1 for i in range(64) for j in range(64)} | {(64, 0): 1})
+    assert len(big.terms) ** 2 == poly.MAX_TERM_PAIRS + 2 * 4096 + 1
+    t0 = time.process_time()
+    with pytest.raises(DegreeCapExceeded, match="product of 4097 x 4097 terms exceeds cap 16777216 term pairs"):
+        big * big
+    assert time.process_time() - t0 < 1
+
 def test_gcd_many():
     assert poly_gcd(P("2 * x1 * x2", 2), P("4 * x1", 2), P("6 * x1^2", 2))[0] == P("2 * x1", 2)
     # the chain does not stop at a gcd of one: the later contents still count

@@ -267,6 +267,54 @@ def test_rank_one_member_forms_no_entry_product(monkeypatch):
     assert pairs and len(pairs) == len(set(pairs))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_proportional_row_pair_is_proved_once(n, monkeypatch):
+    # S = tau1 a a^T + tau2 b b^T with b zero on rows 0 and 1: rows 0 and 1 are
+    # proportional, and one pivot test of at most 2(n - 1) products proves
+    # every minor on them zero (and minor (0, 2, 0, 1), on those columns);
+    # comparing each of their minors would form n(n - 1)
+    calls = _count_products(monkeypatch)
+    proved = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        a = [_ref_poly(rng, n, 1, 2) for _ in range(n)]
+        b = [{}, {}] + [_ref_poly(rng, n, 1, 2) for _ in range(n - 2)]
+        T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), a), (_ref_poly(rng, n, 1, 2), b)])
+        want = _ref_first_minor(T)
+        if want is None:
+            continue
+        assert want[0][:2] != (0, 1)
+        S = _symmetric_objects(T)
+        calls.clear()
+        got = first_nonzero_minor(S)
+        assert got[0] == want[0] and got[1].terms == want[1]
+        assert calls and len(calls) == len(set(calls))
+        row0, row1 = {id(p) for p in S[0]}, {id(p) for p in S[1]}
+        on_pair = [(x, y) for x, y in calls if x in row0 and y in row1 or x in row1 and y in row0]
+        assert len(on_pair) <= 2 * (n - 1)
+        proved += bool(on_pair)
+    assert proved >= 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_proportional_pairs_beside_pairs_that_vanish_only_at_the_point(seed):
+    # tau1 a a^T + tau2 b b^T, b zero on the rows below q, tau2 = x1 - ROUTE_POINT[0]:
+    # every minor vanishes at the point, the rows below q are proportional
+    # and the other row pairs fail their pivot tests
+    for n in (2, 3, 4):
+        rng = random.Random(100 * seed + n)
+        q = rng.randrange(n)
+        tau2 = _ref_add({(1,) + (0,) * (n - 1): Fraction(1)}, {(0,) * n: Fraction(-spectral.ROUTE_POINT[0])})
+        a = [_ref_poly(rng, n, 1, 2) for _ in range(n)]
+        b = [_ref_poly(rng, n, 1, 2) if i >= q else {} for i in range(n)]
+        T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), a), (tau2, b)])
+        S = _as_symdiff(T)
+        got = _outcome(S)
+        _check_against_oracle(T, got)
+        if got[0] == "witness":
+            assert first_nonzero_minor(S) == (got[1], got[2])
+
+
 # -- the route point cannot change an answer --------------------------------------
 
 
