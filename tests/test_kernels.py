@@ -163,7 +163,7 @@ def test_mul_constants_and_nvars_zero():
 
 
 def rand_square_operand(rng, nvars, nterms):
-    """Distinct exponent vectors with negative and rational coefficients; 2^20-bit exponents when nvars <= 2."""
+    """Distinct exponent vectors with negative and rational coefficients; exponents of 2^20 and more when nvars <= 2."""
     pool = [0, 1, 2, 3, 7] + ([BIG, BIG + 5] if nvars <= 2 else [])
     out = {}
     while len(out) < nterms:
