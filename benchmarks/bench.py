@@ -26,12 +26,15 @@ in-process round of each workload is timed the same way.
 ``matrix.charpoly_cofactor`` is timed on seeded companion fields of rank
 2..5, the matrices of the ``higher-rank`` command, which no round runs.
 
-Three stress rows time work no round does.  Two are on S = tau alpha
+Six stress rows time work no round does.  Two are on S = tau alpha
 alpha^T in 4 variables, alpha_i dense of degree d with coefficients 1..9,
 written in ascending exponent order: the first covector gcd of ``factor``
 at d = 3, and the whole ``factor`` job at d = 4.  The third is one large
 product, a square and a product of two distinct polynomials, dense in 3
-variables of degree 14 (680 terms, 462,400 term pairs each).
+variables of degree 14 (680 terms, 462,400 term pairs each).  Three are
+``sl2r_enumerate`` calls on which tuples share little (_sl2r_stress): in
+general position, at the tuple cap with few tuples kept, and at the cap
+with half of them kept.
 
 A timed run makes `passes` passes over a row's calls: passes doubles from 1
 until one run lasts at least MIN_RUN_S of CPU, so no row is only a few
@@ -288,6 +291,26 @@ def _dense_factor_s(P, deg):
             for i in range(n)]
 
 
+def _sl2r_stress(geometry):
+    """Three sl2r_enumerate calls (components, L, model) where tuples share little.
+
+    General position: rank 4, the form diag(1, -2, -3, -7), six seeded
+    classes with coordinates in -4..4 and m = (2, 4, 4, 4, 6, 6): 18,375
+    tuples, only the balanced one kept.  At the cap: (F1 + F2, 255) twice on
+    the product of two genus-2 curves, 2^16 tuples, 256 kept.  Sixteen
+    fibres F1 of multiplicity one with L = 8 F1: 2^16 tuples, 32,768 kept.
+    """
+    NS, rng = geometry.NSClass, random.Random(SEED)
+    model = geometry.SurfaceModel(("h", "e1", "e2", "e3"), ((1, 0, 0, 0), (0, -2, 0, 0), (0, 0, -3, 0), (0, 0, 0, -7)),
+                                  NS((-3, 1, 1, 1)), NS((1, 0, 0, 0)))
+    comps = [(NS([rng.randint(-4, 4) for _ in range(4)]), m) for m in (2, 4, 4, 4, 6, 6)]
+    g22 = geometry.ProductOfCurves(2, 2)
+    F1, F = g22.F1, g22.F1 + g22.F2
+    return [(comps, sum((c * m for c, m in comps), NS.zero(4)).half(), model),
+            ([(F, 255)] * 2, F * 255, g22.model),
+            ([(F1, 1)] * 16, F1 * 8, g22.model)]
+
+
 def _companions(P, moduli):
     """Ten seeded companion fields per rank 2..5, coefficients in 2 variables of degree <= 3 with <= 4 terms."""
     rng = random.Random(SEED)
@@ -413,6 +436,7 @@ def _cases(src, corpus=None):
     rng = random.Random(SEED)
     big = [_dense(P, rng, 3, 14) for _ in range(2)]
     companions = _companions(P, moduli)
+    general, at_cap, fibres = _sl2r_stress(geometry)
     dense_job = json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 4},
                             "payload": {"s": _dense_factor_s(P, 4)}})
     reports = []  # the machine_block row writes the reports of these rounds, made here once
@@ -460,6 +484,12 @@ def _cases(src, corpus=None):
          lambda: [big[0] * big[0], big[0] * big[1]], P.to_text),
         ("job", "factor stress, dense n=4 deg 4", 1,
          lambda: [_run_job(cli, errors, dense_job)], str),
+        ("moduli", "sl2r_enumerate stress, general position r=4 k=6", 1,
+         lambda: [moduli.sl2r_enumerate(*general)], _sl2r_text),
+        ("moduli", "sl2r_enumerate stress, 2x255 at the cap", 1,
+         lambda: [moduli.sl2r_enumerate(*at_cap)], _sl2r_text),
+        ("moduli", "sl2r_enumerate stress, 16 fibres", 1,
+         lambda: [moduli.sl2r_enumerate(*fibres)], _sl2r_text),
     ]
     for wl in WORKLOADS:
         cases.append(("job", f"{wl} round (in-process CLI)", len(rounds[wl]),

@@ -505,7 +505,7 @@ def _run_sl2r_enum(job):
         "values": {
             "data": [
                 {
-                    "tuple_a": list(d.tuple_a),
+                    "tuple_a": d.tuple_a,
                     "D1": d.D1,
                     "D2": d.D2,
                     "N": d.N_class,

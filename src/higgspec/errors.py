@@ -35,8 +35,8 @@ class DegreeCapExceeded(HiggspecError):
     enumeration: sl2r tuples (MAX_SL2R_TUPLES) and tower covers
     (MAX_TOWER_COVERS), the gcd's evaluation images (poly._HEU_MAX_BITS),
     checked before each image is built, the terms of a parsed polynomial
-    (poly.MAX_PARSED_TERMS) and the term pairs of a product
-    (poly.MAX_TERM_PAIRS).
+    (poly.MAX_PARSED_TERMS) and the term pairs of a product or a division
+    (poly.MAX_TERM_PAIRS), a division's checked before each quotient term.
     """
 
 

@@ -13,8 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
-from typing import Optional
+from operator import add, sub
+from typing import NamedTuple, Optional
 
 from .errors import (
     DegreeCapExceeded,
@@ -213,8 +213,7 @@ def cstar_scale(d: SpectralDatum, t) -> SpectralDatum:
 # -- SL2(R) enumeration -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SL2RDatum:
+class SL2RDatum(NamedTuple):
     """A branch splitting D = D1 + D2 with square-rootable twisting class."""
 
     D1: NSClass
@@ -227,26 +226,41 @@ class SL2RDatum:
 MAX_SL2R_TUPLES = 2**16
 
 
+def _partial_sums(digits, zero):
+    """[(a, sum a_i v_i)] over the digit tuples a in itertools.product order.
+
+    digits is [(m_i, v_i)], v_i an int vector; a runs over 0 <= a_i <= m_i.
+    """
+    out = [((), zero)]
+    for m, v in digits:
+        jv = [tuple(j * c for c in v) for j in range(m + 1)]
+        out = [(a + (j,), tuple(map(add, s, w))) for a, s in out for j, w in enumerate(jv)]
+    return out
+
+
 def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     """All splittings of the branch divisor passing the two numerical tests.
 
     components is [(c_i, m_i), ...] with sum m_i c_i = 2 L.  A tuple (a_i),
     0 <= a_i <= m_i, gives D1 = sum a_i c_i and D2 = 2 L - D1; it is kept iff
     (D1 - D2)^2 = 0 and D1 - L is divisible by two in the lattice.  Torsion
-    only multiplies the count.
+    only multiplies the count.  The kept tuples come in itertools.product
+    order.
 
-    Both tests run on integers.  With G_ij = c_i . c_j the Gram matrix of the
-    components and b_i = 2 a_i - m_i, (D1 - D2)^2 = b^T G b.  With d the
-    common denominator of the c_i and L, x = d (D1 - L) = sum a_i d c_i - d L,
-    and D1 - L is even iff every coordinate of x is 0 mod 2 d.  The
-    prod(m_i + 1) tuples are walked in itertools.product order as an
-    odometer, the last digit fastest, keeping x, G b and b^T G b as running
-    values: stepping a_i by one adds d c_i to x, 2 G_i to G b and
-    4 ((G b)_i + G_ii) to b^T G b; resetting a_i from m_i to 0 takes m_i
-    times the same steps back (the square term then reads 4 m_i^2 G_ii).  So
-    a step costs O(rank + k), not O(k rank).  D1, D2 and N are built from
-    x, once per distinct x: kept tuples with equal x share them.  More than
-    MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the first one.
+    The verdict and the classes depend on a tuple only through the int
+    vector x = d (D1 - L) = sum a_i d c_i - d L, d the common denominator of
+    the c_i and L.  D1 - L is even iff x = 0 mod 2 d, and then N = x / (2 d)
+    is an integral class with (D1 - D2)^2 = 16 N^2, so a tuple is kept iff
+    x = 0 mod 2 d and N^2 = 0.  The walk splits the digits in two (Horowitz
+    & Sahni, J. ACM 21, 1974): the prefixes a_0..a_{h-1}, h = k // 2, and the
+    suffixes, each listed in product order with its partial sum of a_i d c_i.
+    Suffixes with equal partial sums form a group, and the groups are
+    bucketed by their partial sum mod 2 d.  For each distinct prefix sum p,
+    only the bucket of residue d L - p mod 2 d can give an even D1 - L; each
+    of its groups gives one full x, decided once across all prefixes, and
+    the kept groups' suffixes, merged back into product order, are that
+    prefix sum's kept list.  D1, D2 and N are built once per kept x.  More
+    than MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the first one.
     """
     components = [(c, _typed("multiplicity", m, int)) for c, m in components]
     total = NSClass.zero(model.rank)
@@ -256,56 +270,40 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
         total = total + c * m
     if total != L * 2:
         raise InconsistentBranchData("component sum must equal 2 L")
-    ms = [m for _, m in components]
-    count = math.prod(m + 1 for m in ms)
+    count = math.prod(m + 1 for _, m in components)
     if count > MAX_SL2R_TUPLES:
         raise DegreeCapExceeded(f"sl2r enumeration of {count} tuples exceeds cap {MAX_SL2R_TUPLES}")
-    classes = [c for c, _ in components]
-    gram = [[model.pair(x, y) for y in classes] for x in classes]
-    g = math.lcm(*(v.denominator for row in gram for v in row))
-    G = [[int(v * g) for v in row] for row in gram]
-    d = math.lcm(L.den, *(c.den for c in classes))
-    C = [[x * (d // c.den) for x in c.v] for c in classes]
+    d = math.lcm(L.den, *(c.den for c, _ in components))
+    digits = [(m, [x * (d // c.den) for x in c.v]) for c, m in components]
     dL = tuple(x * (d // L.den) for x in L.v)
     two_d = 2 * d
+    zero = (0,) * model.rank
+    h = len(digits) // 2
+    buckets = {}  # suffix sum mod 2 d -> {suffix sum: [(index, suffix), ...]}
+    for i, (a, s) in enumerate(_partial_sums(digits[h:], zero)):
+        buckets.setdefault(tuple(v % two_d for v in s), {}).setdefault(s, []).append((i, a))
+    classes_at = {}  # x -> (D1, D2, N) if kept, else ()
+    kept_at = {}  # prefix sum -> [(suffix, D1, D2, N), ...] in product order
     torsion = model.torsion2_count
-    k = len(ms)
-    # per digit: the step of x and of G b, and m_i times each for the reset
-    steps = [(C[i], [2 * v for v in G[i]], 4 * G[i][i]) for i in range(k)]
-    resets = [([m * v for v in C[i]], [2 * m * v for v in G[i]], 4 * m * m * G[i][i], 4 * m)
-              for i, m in enumerate(ms)]
-    a = [0] * k
-    x = [-v for v in dL]
-    Gb = [-sum(map(mul, row, ms)) for row in G]
-    q = -sum(map(mul, ms, Gb))
+    new = tuple.__new__  # builds an SL2RDatum without binding its arguments by name
     out = []
-    classes_at = {}  # x -> (D1, D2, N): tuples with the same x share one set of classes
-    while True:
-        if not q and not any(xj % two_d for xj in x):
-            key = tuple(x)
-            D = classes_at.get(key)
-            if D is None:
-                D = classes_at[key] = (
-                    NSClass._raw(tuple(map(add, x, dL)), d),
-                    NSClass._raw(tuple(map(sub, dL, x)), d),
-                    NSClass._raw(tuple(xj // two_d for xj in x), 1),  # x is 0 mod 2 d
-                )
-            out.append(SL2RDatum(D1=D[0], D2=D[1], N_class=D[2], torsion_multiplicity=torsion, tuple_a=tuple(a)))
-        i = k - 1
-        while i >= 0 and a[i] == ms[i]:
-            dx, dGb, sq, scale = resets[i]
-            q += sq - scale * Gb[i]
-            x = list(map(sub, x, dx))
-            Gb = list(map(sub, Gb, dGb))
-            a[i] = 0
-            i -= 1
-        if i < 0:
-            return out
-        dx, dGb, sq = steps[i]
-        q += sq + 4 * Gb[i]
-        x = list(map(add, x, dx))
-        Gb = list(map(add, Gb, dGb))
-        a[i] += 1
+    for a, p in _partial_sums(digits[:h], zero):
+        kept = kept_at.get(p)
+        if kept is None:
+            base = tuple(map(sub, p, dL))
+            groups = []
+            for s, suffixes in buckets.get(tuple(-v % two_d for v in base), {}).items():
+                x = tuple(map(add, base, s))
+                D = classes_at.get(x)
+                if D is None:
+                    N = NSClass._raw(tuple(v // two_d for v in x), 1)  # x is 0 mod 2 d
+                    D = classes_at[x] = () if model.pair(N, N) else (
+                        NSClass._raw(tuple(map(add, x, dL)), d), NSClass._raw(tuple(map(sub, dL, x)), d), N)
+                if D:
+                    groups.append([(i, sfx) + D for i, sfx in suffixes])
+            kept = kept_at[p] = [e[1:] for e in sorted(e for g in groups for e in g)]
+        out += [new(SL2RDatum, (D1, D2, N, torsion, a + sfx)) for sfx, D1, D2, N in kept]
+    return out
 
 
 # -- Toledo / Milnor-Wood -------------------------------------------------------------

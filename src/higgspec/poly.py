@@ -16,7 +16,8 @@ multiply multiplies the contents and the integer parts and needs no gcd pass;
 a sum brings both operands to a common content and takes one gcd.  A square,
 two operands on one integer part, goes through the squaring path of
 _mul_ints, which forms each unordered term pair once.  A product of more
-than MAX_TERM_PAIRS term pairs is refused before any is formed.
+than MAX_TERM_PAIRS term pairs is refused before any is formed, and a
+division before the quotient term that would take it past that many.
 Multiplication, division and the gcd pack each exponent vector into one int
 (_pack, _unpack).  The one division, _div_packed, is a heap division on
 those ints; exact_div runs it on the primitive parts, which is exact over Q
@@ -53,8 +54,8 @@ MAX_PARSED_DEGREE = 1024
 # Most terms a parsed polynomial may have, counted before they are parsed; the
 # largest parsed in the benchmark rounds, selftest and bench stress rows has 1,001.
 MAX_PARSED_TERMS = 1 << 20
-# Most term pairs, len(a) * len(b), one product may form, checked before it
-# forms any; the largest product in those runs has 14,700.
+# Most term pairs one product (len(a) * len(b)) or one division (len(q) * len(b))
+# may form, checked before they are formed; the largest product in those runs has 14,700.
 MAX_TERM_PAIRS = 1 << 24
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -172,6 +173,9 @@ def _div_packed(a, b, n, w, guard):
     past deg a - deg b, clears it, and the division fails at once, as it
     does when a leading coefficient of b does not divide one of the
     remainder.  On failure the quotient is the partial one reached so far.
+    Each quotient term forms a term pair with every term of b, so a quotient
+    term that would take len(q) * len(b) past MAX_TERM_PAIRS raises
+    DegreeCapExceeded before it forms any.
     """
     q = {}
     room = (_box(a, n, w) | guard) - _box(b, n, w)
@@ -181,6 +185,7 @@ def _div_packed(a, b, n, w, guard):
     lb = max(b)
     cb = b[lb]
     rest = [(k, c) for k, c in b.items() if k != lb]
+    most = MAX_TERM_PAIRS // len(b)  # quotient terms within the cap
     r = dict(a)
     heap = [-k for k in r]
     heapify(heap)
@@ -198,6 +203,8 @@ def _div_packed(a, b, n, w, guard):
         qc, rem = divmod(c, cb)
         if rem:
             return q, False
+        if len(q) == most:
+            raise DegreeCapExceeded(f"quotient of more than {most} x {len(b)} terms exceeds cap {MAX_TERM_PAIRS} term pairs")
         q[m] = qc
         # keys m + kb all lie below k: nothing popped comes back
         for kb, c2 in rest:
@@ -731,7 +738,8 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     exact over Q: a primitive b divides a over Q iff it divides over Z.
     When b does not divide a, :class:`DivisionFailure` carries the witness
     a - q*b, q the partial quotient reached; the witness is nonzero and b
-    divides a minus it.
+    divides a minus it.  A quotient of more than MAX_TERM_PAIRS // len(b)
+    terms raises DegreeCapExceeded as its next term is reached.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")

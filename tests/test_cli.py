@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from higgspec import cli, moduli, spectral
+from higgspec import cli, moduli, poly, spectral
 from higgspec.cli import machine_block, main, parse_config, run
 from higgspec.errors import ParseError, SchemaError
 from higgspec.geometry import MAX_GENUS, NSClass
@@ -307,6 +307,32 @@ def test_sl2r_enum_counts(capsys, tmp_path):
     assert report["verdicts"]["count"] == 8
 
 
+def _sl2r_cap_doc():
+    """An sl2r-enum job of exactly MAX_SL2R_TUPLES tuples on the product of two genus-2 curves.
+
+    Seven fibres F1, seven fibres F2 and two copies of (F1 + F2) / 2, each of
+    multiplicity one, spread over both halves of the split, with L = 4 F1 + 4 F2:
+    the classes have denominator 2, and thousands of tuples are kept.
+    """
+    F1, F2, half = [1, 0], [0, 1], ["1/2", "1/2"]
+    classes = [F1, F2, F1, F2, F1, F2, F1, half, F2, F1, F2, F1, F2, F1, F2, half]
+    return {
+        "command": "sl2r-enum",
+        "model": {"kind": "product_curves", "g1": 2, "g2": 2},
+        "payload": {"components": [{"class": c, "multiplicity": 1} for c in classes], "L": [4, 4]},
+    }
+
+
+def test_sl2r_enum_at_the_cap_bytes(capsys, tmp_path):
+    # the whole enumeration's order and classes, pinned through the front door by a recorded sha256
+    doc = _sl2r_cap_doc()
+    assert 2 ** len(doc["payload"]["components"]) == moduli.MAX_SL2R_TUPLES
+    rc, out = run_machine(capsys, tmp_path, doc)
+    assert rc == 0
+    want = (DATA / "sl2r-enum-cap.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_milnor_wood(capsys, tmp_path):
     doc = {
         "command": "milnor-wood",
@@ -573,6 +599,20 @@ def _correspondence_doc(matrices):
 
 
 ZERO_ROW = ["0", "0"]
+
+
+def test_division_cap_exits_1_with_path(monkeypatch, tmp_path, capsys):
+    # Phi0 = B_1 / alpha_1 divides q b by b = x1 + x2 + 1: 5 x 3 term pairs, past a cap of 14
+    b, q = "1 * x1 + 1 * x2 + 1", Poly.from_text("1 * x1^2 + 1 * x1 * x2 + 1 * x2^2 + 1 * x1 + 2", 2)
+    doc = _correspondence_doc([[["0", (q * Poly.from_text(b, 2)).to_text()], ZERO_ROW], [ZERO_ROW, ZERO_ROW]])
+    doc["payload"]["factorization"]["alpha"] = [b, "0"]
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 14)
+    rc = main(["--config", write_job(tmp_path, doc), "--format", "machine"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "DegreeCapExceeded" in err and "Traceback" not in err
+    assert re.search(r"\$\.payload\.[\w.]+: quotient of more than 4 x 3 terms exceeds cap 14 term pairs", err)
+
 
 DOMAIN_ERRORS = {
     # the correspondence checks, in their order: trace-free, rank 2, B_1 / alpha_1

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +23,7 @@ from higgspec.matrix import charpoly_cofactor
 from higgspec.moduli import (
     MAX_SL2R_TUPLES,
     LatticeSectionDatum,
+    SL2RDatum,
     SplitHiggsDescription,
     Stability,
     TopologicalData,
@@ -309,6 +311,82 @@ def test_sl2r_matches_brute_force_on_random_lattices():
         seen["kept with D1 != D2"] += sum(D1 != D2 for _, D1, D2, _ in want)
         seen["even but (D1 - D2)^2 != 0"] += square_rejects
     assert all(seen.values()), seen
+
+
+def _split_lattice(rng):
+    """Rank 2-3, k = 5..8 components with m_i in 1..5, coordinates over 1, 2 and 3.
+
+    prod(m_i + 1) stays at most 600.  The components are drawn from a pool of
+    two or three classes, most of them on the isotropic lines (0, 1) and
+    (-2, 1) of the hyperbolic block [[1, 1], [1, 0]] (as in _random_lattice),
+    so many tuples are kept, many partial sums are equal and one D1 is
+    reached from many prefixes.
+    """
+    r = rng.randint(2, 3)
+    Q = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            Q[i][j] = Q[j][i] = rng.randint(-2, 2)
+    Q[0][0], Q[0][1], Q[1][0], Q[1][1] = 1, 1, 1, 0
+    model = SurfaceModel(tuple(f"e{i}" for i in range(r)), Q, NSClass((0,) * r), NSClass((1,) + (0,) * (r - 1)))
+
+    def coords():
+        if rng.random() < 0.8:
+            k = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+            return [k * x for x in rng.choice(((0, 1), (-2, 1)))] + [Fraction(0)] * (r - 2)
+        return [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(r)]
+
+    pool = [coords() for _ in range(rng.randint(2, 3))]
+    ms = [rng.randint(1, 5) for _ in range(rng.randint(5, 8))]
+    while math.prod(m + 1 for m in ms) > 600:
+        i = rng.randrange(len(ms))
+        ms[i] = max(1, ms[i] // 2)
+    comps = [(rng.choice(pool), m) for m in ms]
+    L = [sum((m * c[j] for c, m in comps), Fraction(0)) / 2 for j in range(r)]
+    return model, Q, comps, L
+
+
+def _partial(comps, a, r):
+    return tuple(sum((ai * c[j] for (c, _), ai in zip(comps, a)), Fraction(0)) for j in range(r))
+
+
+def test_sl2r_split_walk_matches_brute_force():
+    """The prefix x suffix walk against ref_sl2r, which shares no code with it.
+
+    The walk splits the digits at h = k // 2, so with k >= 5 both halves hold
+    at least two.  The draws must cover: a denominator above one (the buckets
+    are then mod 2 d with d > 1), a multiplicity of 5, a prefix whose kept
+    suffixes come from two or more suffix sums that interleave in product
+    order, and one kept D1 reached from three or more prefix sums.
+    """
+    rng = random.Random(20)
+    seen = {"d > 1": 0, "m = 5": 0, "interleaved suffix sums": 0, "D1 from 3+ prefix sums": 0}
+    for _ in range(25):
+        model, Q, comps, L = _split_lattice(rng)
+        got = sl2r_enumerate([(NSClass(c), m) for c, m in comps], NSClass(L), model)
+        want, _ = ref_sl2r(comps, L, Q)
+        assert [(d.tuple_a, d.D1.coords, d.D2.coords, d.N_class.coords) for d in got] == want
+        h, r = len(comps) // 2, len(Q)
+        seen["d > 1"] += any(x.denominator > 1 for c, _ in comps for x in c)
+        seen["m = 5"] += any(m == 5 for _, m in comps)
+        suffix_sums, prefix_sums = {}, {}
+        for a, D1, _, _ in want:
+            suffix_sums.setdefault(a[:h], []).append(_partial(comps[h:], a[h:], r))
+            prefix_sums.setdefault(D1, set()).add(_partial(comps[:h], a[:h], r))
+        # a suffix sum that comes back after another one: its group's suffixes are not contiguous
+        seen["interleaved suffix sums"] += any(
+            sum(x != y for x, y in zip(seq, seq[1:])) >= len(set(seq)) for seq in suffix_sums.values()
+        )
+        seen["D1 from 3+ prefix sums"] += any(len(ps) >= 3 for ps in prefix_sums.values())
+    assert all(seen.values()), seen
+
+
+def test_sl2r_datum_is_an_immutable_named_tuple(g22):
+    d = sl2r_enumerate([(g22.F1, 1)] * 2, g22.F1, g22.model)[0]
+    assert SL2RDatum._fields == ("D1", "D2", "N_class", "torsion_multiplicity", "tuple_a")
+    assert tuple(d) == (d.D1, d.D2, d.N_class, d.torsion_multiplicity, d.tuple_a)
+    with pytest.raises(AttributeError):
+        d.D1 = d.D2
 
 
 def test_sl2r_tuple_cap_checked_before_enumeration(g22):

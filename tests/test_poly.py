@@ -739,6 +739,34 @@ def test_term_pair_cap(monkeypatch):
         big * big
     assert time.process_time() - t0 < 1
 
+
+def test_division_term_pair_cap(monkeypatch):
+    # each quotient term forms a pair with every term of b; the term that
+    # would take len(q) * len(b) past the cap is refused before it forms one
+    b = P("1 * x1 + 1 * x2 + 1", 2)
+    q = P("1 * x1^2 + 1 * x1 * x2 + 1 * x2^2 + 1 * x1 + 2", 2)
+    a, c = q * b, P("1 * x1 + 2", 2) * b
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 15)
+    assert exact_div(a, b) == q  # 5 x 3 pairs, exactly at the cap
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 14)
+    with pytest.raises(DegreeCapExceeded, match="quotient of more than 4 x 3 terms exceeds cap 14 term pairs"):
+        exact_div(a, b)
+    # the gcd's trial divisions share the cap
+    with pytest.raises(DegreeCapExceeded, match="quotient of more than"):
+        poly_gcd(a, c)
+
+
+def test_division_term_pair_cap_at_full_size():
+    # u = (sum_{i<65} x1^i)(sum_{j<64} x2^j) has 4,160 terms, and u^2 / u
+    # would form 4,160^2 > 2^24 term pairs: the 4,033rd quotient term is refused
+    s1 = Poly(2, {(i, 0): 1 for i in range(65)})
+    s2 = Poly(2, {(0, j): 1 for j in range(64)})
+    u, u2 = s1 * s2, (s1 * s1) * (s2 * s2)
+    assert len(u.terms) == 4160
+    with pytest.raises(DegreeCapExceeded, match="quotient of more than 4032 x 4160 terms exceeds cap 16777216 term pairs"):
+        exact_div(u2, u)
+
+
 def test_gcd_many():
     assert poly_gcd(P("2 * x1 * x2", 2), P("4 * x1", 2), P("6 * x1^2", 2))[0] == P("2 * x1", 2)
     # the chain does not stop at a gcd of one: the later contents still count
