@@ -15,7 +15,9 @@ squarefree layer make themselves), ``squarefree_decompose``,
 ``spectral.module_from_higgs`` (the ``correspondence`` jobs of the
 ``cover-tower`` round), ``moduli.sl2r_enumerate`` and the construction of a
 ``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
-The ``rank-test`` configs are recorded too.  Each function is then timed
+The ``rank-test`` configs are recorded too.  ``Poly.evaluate`` is timed on
+the entries S[i][j], i <= j, of the recorded members and witnesses at
+``spectral.ROUTE_POINT``, the evaluations of the rank test.  Each function is then timed
 alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
 is split into rank-one members (it returns) and rank-two witnesses (it
 raises NotRankOne), and ``parse_config`` is timed over the recorded
@@ -432,6 +434,9 @@ def _cases(src, corpus=None):
     sl2r_calls = [([(class_in(c), m) for c, m in comps], class_in(L), model_in(model))
                   for comps, L, model in rec["sl2r_enumerate"]]
     cover_maps = [(Pm, cQ, pb, class_in(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
+    # the entries the rank test evaluates, S[i][j] for i <= j, of the recorded members and witnesses
+    route = [(S.S[i][j], spectral.ROUTE_POINT[:S.dim]) for S in members + witnesses
+             for i in range(S.dim) for j in range(i, S.dim)]
     dense_pair = [P.from_text(t, 4) for t in _dense_factor_s(P, 3)[0][:2]]
     rng = random.Random(SEED)
     big = [_dense(P, rng, 3, 14) for _ in range(2)]
@@ -455,6 +460,7 @@ def _cases(src, corpus=None):
         ("poly", "exact_div", len(divs), lambda: [attempt(div, a, b) for a, b in divs], _poly_text),
         ("poly", "poly_gcd top-level", len(gcds), lambda: [gcd(*ps) for ps in gcds], _gcd_text),
         ("poly", "squarefree_decompose", len(sqfs), lambda: [sqf(f) for f in sqfs], repr),
+        ("poly", "Poly.evaluate, ROUTE_POINT", len(route), lambda: [p.evaluate(x) for p, x in route], str),
         ("spectral", "_normalize_covector", len(covectors),
          lambda: [spectral._normalize_covector(e) for e in covectors], lambda e: " ; ".join(map(P.to_text, e))),
         ("spectral", "quarter_defect", len(datums),

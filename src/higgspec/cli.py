@@ -406,7 +406,8 @@ def _run_tower(job):
 
 def _run_correspondence(job):
     phi = job.payload["higgs"]["matrices"]
-    module = _at("$.payload.factorization.tau", spectral.module_from_higgs, phi, job.payload["factorization"])
+    # every cap it can raise is met by a product or quotient of the field's entries
+    module = _at("$.payload.higgs.matrices", spectral.module_from_higgs, phi, job.payload["factorization"])
     back = _at("$.payload.higgs.matrices", spectral.pushforward, module, job.payload["factorization"])
     roundtrip = all(
         a == b

@@ -35,8 +35,10 @@ class DegreeCapExceeded(HiggspecError):
     enumeration: sl2r tuples (MAX_SL2R_TUPLES) and tower covers
     (MAX_TOWER_COVERS), the gcd's evaluation images (poly._HEU_MAX_BITS),
     checked before each image is built, the terms of a parsed polynomial
-    (poly.MAX_PARSED_TERMS) and the term pairs of a product or a division
-    (poly.MAX_TERM_PAIRS), a division's checked before each quotient term.
+    (poly.MAX_PARSED_TERMS), the term pairs of a product or a division
+    (poly.MAX_TERM_PAIRS), a division's checked before each quotient term,
+    and the total degree of any polynomial formed (poly.MAX_DEGREE, 2^15 - 1,
+    the limit of its packed monomial keys), checked before a key is packed.
     """
 
 

@@ -28,7 +28,7 @@ from .errors import (
     _typed,
 )
 from .geometry import NSClass, SurfaceModel
-from .matrix import identity_matrix, mat_scale
+from .matrix import charpoly_cofactor, identity_matrix, mat_scale
 from .poly import Poly
 from .spectral import (
     HiggsField,
@@ -407,8 +407,6 @@ def companion_charpoly_expected(n: int, coeffs, nvars: int) -> Poly:
 
 def higher_rank_charcheck(rows) -> bool:
     """Cofactor charpoly of a companion-shaped field reproduces its first row."""
-    from .matrix import charpoly_cofactor
-
     n = len(rows)
     coeffs = rows[0][1:]
     nvars = rows[0][0].nvars

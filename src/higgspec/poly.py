@@ -2,12 +2,19 @@
 
 A polynomial is stored in one canonical form: a positive rational content
 num / den in lowest terms times a primitive integer polynomial, a dict from
-exponent vectors to ints whose gcd is one (the zero polynomial has an empty
-dict).  Mathematical equality of polynomials therefore coincides with
-equality of (content, dict).  Leading terms, normalisation and serialisation
-all use the graded lexicographic order.  The public views (``terms``,
-``content``, ``leading_coefficient``, ...) give ``Fraction`` values; no
-arithmetic kernel builds one.
+monomial keys to ints whose gcd is one (the zero polynomial has an empty
+dict).  A key packs an exponent vector into one int, _W = 16 bits per
+variable, the first variable in the highest field, so keys add as monomials
+multiply and compare as exponent vectors do in lex order; as 2^16 = 1 mod
+2^16 - 1, a key mod 2^16 - 1 is its total degree.  The top bit of every
+field stays zero, so no polynomial formed may pass total degree MAX_DEGREE
+= 2^15 - 1: the constructor, the parsers and a product check it before they
+pack a key.  Exponent tuples appear only at the edges: the constructor, the
+``terms`` view, the writers and the monomial gcd.  Mathematical equality of
+polynomials therefore coincides with equality of (content, dict).  Leading
+terms, normalisation and serialisation all use the graded lexicographic
+order.  The public views (``terms``, ``content``, ``leading_coefficient``,
+...) give ``Fraction`` values; no arithmetic kernel builds one.
 
 Floating point is rejected everywhere; the scalar field is Q.
 
@@ -17,22 +24,20 @@ a sum brings both operands to a common content and takes one gcd.  A square,
 two operands on one integer part, goes through the squaring path of
 _mul_ints, which forms each unordered term pair once.  A product of more
 than MAX_TERM_PAIRS term pairs is refused before any is formed, and a
-division before the quotient term that would take it past that many.
-Multiplication, division and the gcd pack each exponent vector into one int
-(_pack, _unpack).  The one division, _div_packed, is a heap division on
-those ints; exact_div runs it on the primitive parts, which is exact over Q
-by Gauss's lemma.  The gcd is the heuristic integer gcd GCDHEU (Char, Geddes
-& Gonnet, J. Symb. Comput. 7, 1989), one variable at a time (Liao & Fateman,
-ISSAC 1995), the one gcd route, and _div_packed checks every answer it
-gives; when it gives up at its image cap _HEU_MAX_BITS, the gcd raises
-DegreeCapExceeded.  The quotients of those checks are the gcd's cofactors:
-poly_gcd(p1, ..., pk) returns (g, p1/g, ..., pk/g), with the rational
-contents carried, so g * (pi/g) == pi exactly.  Zero operands get zero
-cofactors, and the gcd of zeros alone is zero.  The squarefree
-decomposition (Yun's algorithm) and the covector normalisation of the
-spectral layer take their quotients from these cofactors.  Parsed
-polynomials are capped at total degree MAX_PARSED_DEGREE and at
-MAX_PARSED_TERMS terms.
+division before the quotient term that would take it past that many.  The
+one division, _div_packed, is a heap division on the keys; exact_div runs
+it on the primitive parts, which is exact over Q by Gauss's lemma.  The gcd
+is the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput.
+7, 1989), one variable at a time (Liao & Fateman, ISSAC 1995), the one gcd
+route, and _div_packed checks every answer it gives; when it gives up at its
+image cap _HEU_MAX_BITS, the gcd raises DegreeCapExceeded.  The quotients of
+those checks are the gcd's cofactors: poly_gcd(p1, ..., pk) returns (g,
+p1/g, ..., pk/g), with the rational contents carried, so g * (pi/g) == pi
+exactly.  Zero operands get zero cofactors, and the gcd of zeros alone is
+zero.  The squarefree decomposition (Yun's algorithm) and the covector
+normalisation of the spectral layer take their quotients from these
+cofactors.  Parsed polynomials are capped at total degree MAX_PARSED_DEGREE
+and at MAX_PARSED_TERMS terms.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ import math
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import or_
 
 from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial, _typed
 
@@ -57,6 +63,12 @@ MAX_PARSED_TERMS = 1 << 20
 # Most term pairs one product (len(a) * len(b)) or one division (len(q) * len(b))
 # may form, checked before they are formed; the largest product in those runs has 14,700.
 MAX_TERM_PAIRS = 1 << 24
+
+# The key layout: _W bits per variable.  Below MAX_DEGREE no field reaches its
+# top bit, so a sum of two keys never carries into the next field.
+_W = 16
+_MASK = (1 << _W) - 1
+MAX_DEGREE = _MASK >> 1
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
@@ -98,78 +110,54 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
-def _grlex_key(e):
-    return (sum(e), e)
-
-
 def _lowest(num, den):
     g = math.gcd(num, den)
     return (num // g, den // g) if g > 1 else (num, den)
 
 
-# -- packed integer polynomials --------------------------------------------------
-#
-# The multiply, gcd and division kernels run on dicts mapping an int key to an
-# int coefficient.  A key packs an exponent vector w bits per variable, the
-# first variable highest, so keys add as monomials multiply and compare as the
-# exponent vectors do in lex order.
+# -- keys ------------------------------------------------------------------------
 
 
-def _pack(ints, w):
-    """ints with every exponent vector packed into w-bit fields."""
-    keys = []
-    for e in ints:
-        k = 0
-        for x in e:
-            k = (k << w) | x
-        keys.append(k)
-    return dict(zip(keys, ints.values()))
+def _key(e):
+    """The key of an exponent vector of total degree at most MAX_DEGREE."""
+    k = 0
+    for x in e:
+        k = k << _W | x
+    return k
 
 
-def _unpack(ints, n, w):
-    """ints with packed keys of n fields of w bits turned back into tuples; zeros are dropped.
-
-    Charts have at most four variables, and those key layouts are spelled
-    out: a tuple display is several times faster than a loop over shifts.
-    """
-    m = (1 << w) - 1
-    items = ints.items()
-    if n == 1:
-        return {(k,): v for k, v in items if v}
-    if n == 2:
-        return {(k >> w, k & m): v for k, v in items if v}
-    w2, w3 = 2 * w, 3 * w
-    if n == 3:
-        return {(k >> w2, k >> w & m, k & m): v for k, v in items if v}
-    if n == 4:
-        return {(k >> w3, k >> w2 & m, k >> w & m, k & m): v for k, v in items if v}
-    shifts = range(w * (n - 1), -1, -w)
-    return {tuple([(k >> s) & m for s in shifts]): v for k, v in items if v}
+def _exps(k, n):
+    """The exponent vector of key k in n variables."""
+    return tuple([k >> s & _MASK for s in range(_W * (n - 1), -1, -_W)])
 
 
-def _pack_pair(a, b):
-    """(packed a, packed b, w, guard): every field gets a spare top bit, set in guard."""
-    w = max(map(max, (*a._ints, *b._ints))).bit_length() + 1
-    guard = sum(1 << (w * i + w - 1) for i in range(a.nvars))
-    return _pack(a._ints, w), _pack(b._ints, w), w, guard
+def _lead(ints, n):
+    """The grlex-leading key of nonempty ints: (total degree, key) ranks as one int."""
+    s = _W * n
+    return max([k % _MASK << s | k for k in ints]) & ((1 << s) - 1)
 
 
-def _box(f, n, w):
-    """Per-field maxima of f's exponents, packed."""
-    mask = (1 << w) - 1
+def _variables(ints, n):
+    """The set of indices of the variables that occur in ints."""
+    spread = reduce(or_, ints, 0)
+    return {v for v in range(n) if spread >> _W * (n - 1 - v) & _MASK}
+
+
+def _box(f, n):
+    """Per-field maxima of f's keys."""
     box = 0
-    for s in range(w * (n - 1), -1, -w):
-        box = (box << w) | max([(k >> s) & mask for k in f])
+    for s in range(_W * (n - 1), -1, -_W):
+        box = box << _W | max([k >> s & _MASK for k in f])
     return box
 
 
-def _div_packed(a, b, n, w, guard):
-    """Divide a by b in Z[x], for packed int dicts: (quotient, divides).
+def _div_packed(a, b, n):
+    """Divide a by b in Z[x], for int dicts with keys of n fields: (quotient, divides).
 
     Heap division (Johnson 1974; Monagan & Pearce, J. Symb. Comput. 2011):
     keys compare as integers in lex order, so the largest remainder key is
-    the leading term, and a heap holds the remainder keys.  Every field has
-    a spare top bit (guard): a quotient exponent that would go negative, or
+    the leading term, and a heap holds the remainder keys.  The top bit of
+    every field is a guard: a quotient exponent that would go negative, or
     past deg a - deg b, clears it, and the division fails at once, as it
     does when a leading coefficient of b does not divide one of the
     remainder.  On failure the quotient is the partial one reached so far.
@@ -178,7 +166,8 @@ def _div_packed(a, b, n, w, guard):
     DegreeCapExceeded before it forms any.
     """
     q = {}
-    room = (_box(a, n, w) | guard) - _box(b, n, w)
+    guard = (1 << _W * n) // _MASK << (_W - 1)  # the top bit of every field
+    room = (_box(a, n) | guard) - _box(b, n)
     if room & guard != guard:
         return q, False
     room ^= guard
@@ -220,8 +209,8 @@ def _div_packed(a, b, n, w, guard):
 
 # -- term kernels ----------------------------------------------------------------
 #
-# All operate on integer parts (dicts mapping exponent tuples to nonzero ints)
-# and never mutate their arguments: a Poly's dict may be shared by others.
+# All operate on integer parts (dicts mapping keys to nonzero ints) and never
+# mutate their arguments: a Poly's dict may be shared by others.
 
 
 def _combine(a, ka, b, kb):
@@ -237,36 +226,18 @@ def _combine(a, ka, b, kb):
     return out
 
 
-def _mul_ints(a, b, n):
-    """Product of two nonempty integer parts in n variables.
+def _mul_ints(a, b):
+    """Product of two nonempty integer parts of total degrees summing to at most MAX_DEGREE.
 
-    When the shorter operand has at most two terms, each term pair is formed
-    directly: packing both operands would cost more than it saves.  Otherwise
-    each operand is packed (_pack), with w wide enough for any exponent of
-    the product; a monomial product is then one int add, and the inner loop
-    touches ints only (Monagan & Pearce, CASC 2007).  A square (a is b, or
-    equal dicts) forms each unordered term pair once: 2 va vb for i < j and
-    va^2 on the diagonal.
+    A monomial product is one int add, and the inner loop touches ints only
+    (Monagan & Pearce, CASC 2007).  A square (a is b, or equal dicts) forms
+    each unordered term pair once: 2 va vb for i < j and va^2 on the
+    diagonal.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) <= 2:
-        out = {}
-        get = out.get
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = tuple(map(add, ea, eb))
-                c = get(e, 0) + va * vb
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-        return out
-    w = (max(map(sum, a)) + max(map(sum, b))).bit_length()
     acc = {}
     get = acc.get
     if a is b or a == b:
-        pa = list(_pack(a, w).items())
+        pa = list(a.items())
         for i, (ka, va) in enumerate(pa):
             k = ka + ka
             acc[k] = get(k, 0) + va * va
@@ -274,21 +245,22 @@ def _mul_ints(a, b, n):
             for kb, vb in pa[i + 1 :]:
                 k = ka + kb
                 acc[k] = get(k, 0) + va * vb
-        return _unpack(acc, n, w)
-    pa = _pack(a, w)
-    pb = list(_pack(b, w).items())
-    for ka, va in pa.items():
-        for kb, vb in pb:
-            k = ka + kb
-            acc[k] = get(k, 0) + va * vb
-    return _unpack(acc, n, w)
+    else:
+        if len(a) > len(b):
+            a, b = b, a
+        pb = list(b.items())
+        for ka, va in a.items():
+            for kb, vb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + va * vb
+    return {k: v for k, v in acc.items() if v}
 
 
 class _Terms(Mapping):
     """Read-only view of a Poly's terms: exponent tuple -> Fraction.
 
-    Length, iteration and membership read the integer part only; a
-    coefficient becomes a Fraction when it is looked up.
+    Length reads the integer part only; an exponent tuple is unpacked as it
+    is iterated, and a coefficient becomes a Fraction when it is looked up.
     """
 
     __slots__ = ("_p",)
@@ -300,14 +272,16 @@ class _Terms(Mapping):
         return len(self._p._ints)
 
     def __iter__(self):
-        return iter(self._p._ints)
-
-    def __contains__(self, e):
-        return e in self._p._ints
+        n = self._p.nvars
+        return (_exps(k, n) for k in self._p._ints)
 
     def __getitem__(self, e):
         p = self._p
-        return Fraction(p._ints[e] * p._num, p._den)
+        if len(e) == p.nvars and all(0 <= x <= MAX_DEGREE for x in e):
+            c = p._ints.get(_key(e))
+            if c is not None:
+                return Fraction(c * p._num, p._den)
+        raise KeyError(e)
 
     def __repr__(self):
         return repr(dict(self.items()))
@@ -330,25 +304,21 @@ class Poly:
                 raise ValueError(f"exponents must be nonnegative integers: {e}")
             c = _coerce_coeff(c)
             if c:
-                prev = clean.get(e)
-                if prev is None:
-                    clean[e] = c
-                else:
-                    s = prev + c
-                    if s:
-                        clean[e] = s
-                    else:
-                        del clean[e]
+                if sum(e) > MAX_DEGREE:
+                    raise DegreeCapExceeded(f"total degree {sum(e)} exceeds cap {MAX_DEGREE}")
+                k = _key(e)
+                clean[k] = clean.get(k, 0) + c
+        clean = {k: c for k, c in clean.items() if c}
         den = math.lcm(*[c.denominator for c in clean.values()])
-        ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        ints = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._set(nvars, *_primitive_split(ints, 1, den))
 
     def _set(self, nvars, ints, num, den):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_nvars(self, nvars)
+        _set_ints(self, ints)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, nvars, ints, num=1, den=1):
@@ -380,21 +350,20 @@ class Poly:
 
     @classmethod
     def one(cls, nvars):
-        return cls._raw(nvars, {(0,) * nvars: 1})
+        return cls._raw(nvars, {0: 1})
 
     @classmethod
     def constant(cls, nvars, c):
         c = _coerce_coeff(c)
         if not c:
             return cls._raw(nvars, {})
-        return cls._raw(nvars, {(0,) * nvars: 1 if c > 0 else -1}, abs(c.numerator), c.denominator)
+        return cls._raw(nvars, {0: 1 if c > 0 else -1}, abs(c.numerator), c.denominator)
 
     @classmethod
     def variable(cls, nvars, i):
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._raw(nvars, {e: 1})
+        return cls._raw(nvars, {1 << _W * (nvars - 1 - i): 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -403,33 +372,25 @@ class Poly:
 
     def is_constant(self):
         t = self._ints
-        return not t or (len(t) == 1 and not any(next(iter(t))))
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(next(iter(self._ints.values())) * self._num, self._den)
+        return Fraction(self._ints[0] * self._num, self._den)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self._ints:
             return -1
-        return max(map(sum, self._ints))
-
-    def degree_in(self, v):
-        if not self._ints:
-            return -1
-        return max(e[v] for e in self._ints)
-
-    def leading_exponent(self):
-        if not self._ints:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        return max(self._ints, key=_grlex_key)
+        return max([k % _MASK for k in self._ints])
 
     def leading_coefficient(self) -> Fraction:
-        return Fraction(self._ints[self.leading_exponent()] * self._num, self._den)
+        if not self._ints:
+            raise ZeroPolynomial("zero polynomial has no leading term")
+        return Fraction(self._ints[_lead(self._ints, self.nvars)] * self._num, self._den)
 
     def content(self) -> Fraction:
         """Nonnegative gcd of all coefficients (0 for the zero polynomial).
@@ -522,9 +483,12 @@ class Poly:
             return Poly._raw(self.nvars, {})
         if len(a) * len(b) > MAX_TERM_PAIRS:
             raise DegreeCapExceeded(f"product of {len(a)} x {len(b)} terms exceeds cap {MAX_TERM_PAIRS} term pairs")
+        d = self.total_degree() + other.total_degree()
+        if d > MAX_DEGREE:
+            raise DegreeCapExceeded(f"product of total degree {d} exceeds cap {MAX_DEGREE}")
         num, den = _lowest(self._num * other._num, self._den * other._den)
         # Gauss's lemma: the product of primitive integer parts is primitive
-        return Poly._raw(self.nvars, _mul_ints(a, b, self.nvars), num, den)
+        return Poly._raw(self.nvars, _mul_ints(a, b), num, den)
 
     __rmul__ = __mul__
 
@@ -544,34 +508,44 @@ class Poly:
         return out
 
     def partial(self, v):
-        """Partial derivative with respect to variable v."""
+        """Partial derivative with respect to variable v: its field of each key goes down by one."""
+        s = _W * (self.nvars - 1 - v)
+        one = 1 << s
         out = {}
-        for e, c in self._ints.items():
-            k = e[v]
-            if k:
-                out[e[:v] + (k - 1,) + e[v + 1 :]] = c * k
+        for k, c in self._ints.items():
+            x = k >> s & _MASK
+            if x:
+                out[k - one] = c * x
         return Poly._make(self.nvars, out, self._num, self._den)
 
     def evaluate(self, point):
         """The value at a point of ints and Fractions, exactly, summed on ints.
 
         With d the lcm of the point's denominators, x_i = a_i / d and D the
-        total degree, a term c x^e is c a^e d^(D - |e|) / d^D.  Any other
-        coordinate, a float, a str or a bool, is a TypeError.
+        total degree, a term c x^e is c d^(D - |e|) a^e / d^D: each
+        coefficient is scaled by d^(D - |e|) (when d = 1, D is 0), and the
+        fields are set to the a_i one at a time, the first variable first
+        (_heu_eval).  Any other coordinate,
+        a float, a str or a bool, is a TypeError.
         """
         point = [_typed("point coordinate", x, int, Fraction) for x in point]
         if len(point) != self.nvars:
             raise ValueError("point length must equal nvars")
         d = math.lcm(*[x.denominator for x in point])
-        a = [x.numerator * (d // x.denominator) for x in point]
-        top = max(self.total_degree(), 0)
-        total = sum([c * d ** (top - sum(e)) * math.prod(map(pow, a, e)) for e, c in self._ints.items()])
-        return Fraction(total * self._num, self._den * d**top)
+        f, top = self._ints, 0
+        if d != 1:
+            top = max(self.total_degree(), 0)
+            f = {k: c * d ** (top - k % _MASK) for k, c in f.items()}
+        s = _W * self.nvars
+        for x in point:
+            s -= _W
+            f = _heu_eval(f, x.numerator * (d // x.denominator), s, (1 << s) - 1)
+        return Fraction(f.get(0, 0) * self._num, self._den * d**top)
 
     def lift(self, extra=1):
         """Adjoin `extra` fresh trailing variables (used for charpoly in lambda)."""
-        pad = (0,) * extra
-        ints = {e + pad: c for e, c in self._ints.items()}
+        s = _W * extra
+        ints = {k << s: c for k, c in self._ints.items()}
         return Poly._raw(self.nvars + extra, ints, self._num, self._den)
 
     # -- equality, ordering helpers ----------------------------------------
@@ -592,7 +566,7 @@ class Poly:
         h = self._hash
         if h is None:
             h = hash((self.nvars, self._num, self._den, frozenset(self._ints.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __bool__(self):
@@ -604,24 +578,23 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def _sorted_parts(self):
-        """(exponents, p, q) per term, p / q the coefficient in lowest terms, descending grlex."""
-        ints, num, den = self._ints, self._num, self._den
-        keys = sorted(ints, key=_grlex_key, reverse=True)
-        if den == 1:
-            return [(e, ints[e] * num, 1) for e in keys]
-        return [(e, *_lowest(ints[e] * num, den)) for e in keys]
+        """(key, p, q) per term, p / q the coefficient in lowest terms, descending grlex: by (total degree, key)."""
+        ints, num, den, s = self._ints, self._num, self._den, _W * self.nvars
+        low = (1 << s) - 1
+        ranked = sorted([k % _MASK << s | k for k in ints], reverse=True)
+        return [(r & low, *_lowest(ints[r & low] * num, den)) for r in ranked]
 
     def to_text(self) -> str:
         if not self._ints:
             return "0"
         parts = []
-        for e, p, q in self._sorted_parts():
+        for k, p, q in self._sorted_parts():
             factors = [str(p) if q == 1 else f"{p}/{q}"]
-            for i, k in enumerate(e):
-                if k == 1:
+            for i, x in enumerate(_exps(k, self.nvars)):
+                if x == 1:
                     factors.append(f"x{i + 1}")
-                elif k > 1:
-                    factors.append(f"x{i + 1}^{k}")
+                elif x > 1:
+                    factors.append(f"x{i + 1}^{x}")
             parts.append(" * ".join(factors))
         return " + ".join(parts)
 
@@ -632,10 +605,13 @@ class Poly:
         ``pieces`` is a memo raw `*`-piece -> _parse_piece(piece, nvars).  A
         caller that parses many texts in the same nvars passes one memo to
         all of them, so each distinct piece goes through its regex once.
+        A term past MAX_DEGREE is refused before the terms are merged, and
+        the merged polynomial past MAX_PARSED_DEGREE after.
         """
         if pieces is None:
             pieces = {}
         parsed = []
+        top = 0
         body = text.strip()
         if not body:
             raise ValueError("empty polynomial text")
@@ -645,26 +621,33 @@ class Poly:
             if not raw_term.strip():
                 raise ValueError(f"empty term in {text!r}")
             num = den = 1
-            exps = [0] * nvars
+            k = d = 0
             for piece in raw_term.split("*"):
                 got = pieces.get(piece)
                 if got is None:
                     got = pieces[piece] = _parse_piece(piece, nvars)
-                v, p, q = got
-                if v is None:
+                step, p, q = got
+                if step is None:
                     num *= p
                     den *= q
                 else:
-                    exps[v] += p
-            parsed.append((tuple(exps), num, den))
+                    k += step
+                    d += p
+            if d > top:
+                top = d
+            parsed.append((k, num, den))
+        _degree_capped(top, MAX_DEGREE)
         # over the common denominator every coefficient is an int, and
         # repeated monomials merge by integer addition
         den = math.lcm(*[q for _, _, q in parsed])
         ints = {}
-        for e, p, q in parsed:
-            ints[e] = ints.get(e, 0) + p * (den // q)
-        ints = {e: c for e, c in ints.items() if c}
-        return _degree_capped(cls._make(nvars, ints, 1, den))
+        for k, p, q in parsed:
+            ints[k] = ints.get(k, 0) + p * (den // q)
+        p = cls._make(nvars, {k: c for k, c in ints.items() if c}, 1, den)
+        if top > MAX_PARSED_DEGREE:
+            # the terms past the cap may cancel
+            _degree_capped(p.total_degree(), MAX_PARSED_DEGREE)
+        return p
 
     def to_tree(self):
         return json.loads(self.to_json())
@@ -675,9 +658,11 @@ class Poly:
         Keys are sorted, there are no spaces, terms come in descending grlex
         order and each p / q is in lowest terms.  to_tree parses this text.
         """
-        terms = ",".join(
-            f'{{"den":{q},"exps":[{",".join(map(str, e))}],"num":{p}}}' for e, p, q in self._sorted_parts()
-        )
+        shifts = range(_W * (self.nvars - 1), -1, -_W)
+        terms = ",".join([
+            f'{{"den":{q},"exps":[{",".join([str(k >> s & _MASK) for s in shifts])}],"num":{p}}}'
+            for k, p, q in self._sorted_parts()
+        ])
         return f'{{"nvars":{self.nvars},"terms":[{terms}]}}'
 
     @classmethod
@@ -687,11 +672,17 @@ class Poly:
         for t in tree["terms"]:
             e = tuple(t["exps"])
             terms[e] = terms.get(e, Fraction(0)) + Fraction(t["num"], t["den"])
-        return _degree_capped(cls(tree["nvars"], terms))
+        _degree_capped(max(map(sum, terms), default=-1), MAX_DEGREE)
+        p = cls(tree["nvars"], terms)
+        _degree_capped(p.total_degree(), MAX_PARSED_DEGREE)
+        return p
+
+
+_set_nvars, _set_ints, _set_num, _set_den, _set_hash = (getattr(Poly, s).__set__ for s in Poly.__slots__)
 
 
 def _parse_piece(piece, nvars):
-    """One `*`-piece of a term: (variable index, exponent, None) or (None, p, q) for p / q."""
+    """One `*`-piece of a term: (key step, exponent, None) for a power of a variable, (None, p, q) for p / q."""
     piece = piece.strip()
     # only a piece starting with "x" can be a variable
     m = _VAR_RE.match(piece) if piece[:1] == "x" else None
@@ -700,7 +691,8 @@ def _parse_piece(piece, nvars):
     idx = int(m.group(1)) - 1
     if not 0 <= idx < nvars:
         raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
-    return idx, int(m.group(2) or 1), None
+    p = int(m.group(2) or 1)
+    return p << _W * (nvars - 1 - idx), p, None
 
 
 def _primitive_split(ints, num, den):
@@ -714,11 +706,10 @@ def _primitive_split(ints, num, den):
     return (ints, *_lowest(num, den))
 
 
-def _degree_capped(p: Poly) -> Poly:
-    d = p.total_degree()
-    if d > MAX_PARSED_DEGREE:
+def _degree_capped(d, limit):
+    """Refuse parsed input of total degree d past limit; past MAX_DEGREE it is past MAX_PARSED_DEGREE too."""
+    if d > limit:
         raise DegreeCapExceeded(f"total degree {d} exceeds cap {MAX_PARSED_DEGREE}")
-    return p
 
 
 def _terms_capped(k):
@@ -733,13 +724,13 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     """Exact quotient a / b in the polynomial ring.
 
     A constant b just scales a.  Otherwise the primitive integer parts are
-    packed and divided by _div_packed, and the quotient is content(a) /
-    content(b) times theirs, itself primitive by Gauss's lemma.  This is
-    exact over Q: a primitive b divides a over Q iff it divides over Z.
-    When b does not divide a, :class:`DivisionFailure` carries the witness
-    a - q*b, q the partial quotient reached; the witness is nonzero and b
-    divides a minus it.  A quotient of more than MAX_TERM_PAIRS // len(b)
-    terms raises DegreeCapExceeded as its next term is reached.
+    divided by _div_packed, and the quotient is content(a) / content(b)
+    times theirs, itself primitive by Gauss's lemma.  This is exact over Q:
+    a primitive b divides a over Q iff it divides over Z.  When b does not
+    divide a, :class:`DivisionFailure` carries the witness a - q*b, q the
+    partial quotient reached; the witness is nonzero and b divides a minus
+    it.  A quotient of more than MAX_TERM_PAIRS // len(b) terms raises
+    DegreeCapExceeded as its next term is reached.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -748,15 +739,14 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return Poly.zero(a.nvars)
     if b.is_constant():
-        sign = next(iter(b._ints.values()))
+        sign = b._ints[0]
         return a._scaled(sign * b._den, b._num)
     n = a.nvars
-    fa, fb, w, guard = _pack_pair(a, b)
-    fq, divides = _div_packed(fa, fb, n, w, guard)
+    q, divides = _div_packed(a._ints, b._ints, n)
     num, den = _lowest(a._num * b._den, a._den * b._num)
     if not divides:
-        raise DivisionFailure(a - Poly._make(n, _unpack(fq, n, w), num, den) * b)
-    return Poly._raw(n, _unpack(fq, n, w), num, den)
+        raise DivisionFailure(a - Poly._make(n, q, num, den) * b)
+    return Poly._raw(n, q, num, den)
 
 
 # -- gcd ---------------------------------------------------------------------
@@ -766,7 +756,7 @@ def _prim(p: Poly) -> Poly:
     """The primitive part of a nonzero p: content one, positive leading coefficient."""
     if p._num != 1 or p._den != 1:
         p = Poly._raw(p.nvars, p._ints)
-    return -p if p._ints[p.leading_exponent()] < 0 else p
+    return -p if p._ints[_lead(p._ints, p.nvars)] < 0 else p
 
 
 # Largest evaluation image, in bits, GCDHEU builds before it gives up:
@@ -775,9 +765,9 @@ _HEU_MAX_BITS = 1 << 20
 
 
 def _heu_eval(f, xi, shift, low):
-    """f with its top field set to xi; the other fields keep their packed keys."""
+    """f with its top field set to xi; the other fields keep their keys."""
     pw = [1]
-    for _ in range(max(f) >> shift):
+    for _ in range(max(f, default=0) >> shift):
         pw.append(pw[-1] * xi)
     out = {}
     get = out.get
@@ -814,8 +804,8 @@ def _heu_interpolate(h, xi, shift, cap):
     return out
 
 
-def _heu_gcd(f, g, n, w, guard):
-    """GCDHEU on nonzero int dicts with n packed fields of w bits: (h, f/h, g/h).
+def _heu_gcd(f, g, n):
+    """GCDHEU on nonzero int dicts with keys of n fields: (h, f/h, g/h).
 
     h is a gcd in Z[x], up to sign, and f/h and g/h are its cofactors, the
     quotients of the two trial divisions that accept h (None for n == 0,
@@ -836,11 +826,11 @@ def _heu_gcd(f, g, n, w, guard):
         # the images, the largest ints of the gcd, would cost a quarter of a
         # dense 4-variable gcd
         return {0: math.gcd(f[0], g[0])}, None, None
-    shift = w * (n - 1)
+    shift = _W * (n - 1)
     low = (1 << shift) - 1
     cap = max(max(f), max(g)) >> shift
     if not cap:
-        return _heu_gcd(f, g, n - 1, w, guard & low)
+        return _heu_gcd(f, g, n - 1)
     c = math.gcd(*f.values(), *g.values())
     if c > 1:
         f = {k: v // c for k, v in f.items()}
@@ -850,16 +840,16 @@ def _heu_gcd(f, g, n, w, guard):
         ff = _heu_eval(f, xi, shift, low)
         gg = _heu_eval(g, xi, shift, low)
         if ff and gg:
-            image = _heu_gcd(ff, gg, n - 1, w, guard & low)
+            image = _heu_gcd(ff, gg, n - 1)
             if image is None:
                 return None
             h = _heu_interpolate(image[0], xi, shift, cap)
             if h:
                 hc = math.gcd(*h.values())
                 h = {k: v // hc for k, v in h.items()}
-                qf, ok = _div_packed(f, h, n, w, guard)
+                qf, ok = _div_packed(f, h, n)
                 if ok:
-                    qg, ok = _div_packed(g, h, n, w, guard)
+                    qg, ok = _div_packed(g, h, n)
                     if ok:
                         return {k: v * c for k, v in h.items()}, qf, qg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -882,7 +872,7 @@ def poly_gcd(*polys: Poly):
     shortcut for constants.  There is one
     route, the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, J. Symb.
     Comput. 7, 1989; one variable at a time after Liao & Fateman, ISSAC
-    1995) on the packed primitive integer parts, whose gcd is primitive too;
+    1995) on the primitive integer parts, whose gcd is primitive too;
     its accepting trial divisions give both cofactors, so every answer is
     checked and costs no division of its own.  Earlier cofactors are
     rescaled by g_(k-1)/g_k when that is not 1.  When GCDHEU gives up at its
@@ -894,7 +884,7 @@ def poly_gcd(*polys: Poly):
     for p in polys:
         if p.nvars != n:
             raise ValueError(f"nvars mismatch: {n} vs {p.nvars}")
-    one = {(0,) * n: 1}
+    one = {0: 1}
     first = g = None
     # None stands for the first nonzero operand's cofactor while it is g / g = 1
     cofactors = []
@@ -913,22 +903,19 @@ def poly_gcd(*polys: Poly):
         elif A == B:
             h, qa, qb = A, one, one
         elif len(A) == 1 and len(B) == 1:
-            ((ea, sa),) = A.items()
-            ((eb, sb),) = B.items()
-            e = tuple(map(min, ea, eb))
-            h = {e: 1}
-            qa = {tuple(x - y for x, y in zip(ea, e)): sa}
-            qb = {tuple(x - y for x, y in zip(eb, e)): sb}
-        elif not any(a.degree_in(v) > 0 and b.degree_in(v) > 0 for v in range(n)):
+            ((ka, sa),) = A.items()
+            ((kb, sb),) = B.items()
+            k = _key(map(min, _exps(ka, n), _exps(kb, n)))
+            h, qa, qb = {k: 1}, {ka - k: sa}, {kb - k: sb}
+        elif not _variables(A, n) & _variables(B, n):
             # a factor of both can only involve shared variables
             h, qa, qb = one, A, B
         else:
-            fa, fb, w, guard = _pack_pair(a, b)
-            got = _heu_gcd(fa, fb, n, w, guard)
+            got = _heu_gcd(A, B, n)
             if got is None:
                 raise DegreeCapExceeded(f"gcd: evaluation image past the cap of {_HEU_MAX_BITS} bits")
-            h, qa, qb = (_unpack(x, n, w) for x in got)
-        if h[max(h, key=_grlex_key)] < 0:
+            h, qa, qb = got
+        if h[_lead(h, n)] < 0:
             h, qa, qb = ({e: -v for e, v in x.items()} for x in (h, qa, qb))
         num, den = math.gcd(a._num, b._num), math.lcm(a._den, b._den)
         g = Poly._raw(n, h, num, den)
@@ -946,10 +933,10 @@ def poly_gcd(*polys: Poly):
     if g is None:
         return (polys[0], *cofactors)
     sign = 1
-    if g is first and g._ints[max(g._ints, key=_grlex_key)] < 0:
+    if g is first and g._ints[_lead(g._ints, n)] < 0:
         # one nonzero operand, the gcd itself up to sign; the other cofactors are zero
         g, sign = -g, -1
-    return (g, *[Poly._raw(n, {(0,) * n: sign}) if q is None else q for q in cofactors])
+    return (g, *[Poly._raw(n, {0: sign}) if q is None else q for q in cofactors])
 
 
 # -- squarefree decomposition -------------------------------------------------
@@ -1005,7 +992,7 @@ def _yun(p: Poly) -> dict:
     total degree, and its classes, found in the other variables, are merged
     in by product.
     """
-    v = next(v for v in range(p.nvars) if p.degree_in(v) > 0)
+    v = min(_variables(p._ints, p.nvars))
     g, b, c = poly_gcd(p, p.partial(v))
     classes = {}
     degree = 0

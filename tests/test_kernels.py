@@ -14,11 +14,16 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higgspec import poly as K
+from higgspec.errors import DegreeCapExceeded
 from higgspec.poly import Poly
 
-BIG = 2**20
+# Large exponents, well inside one key field; the largest product of two
+# random operands (4 variables of exponent 2^12 - 1) has total degree 32,760,
+# just under the layout limit MAX_DEGREE = 32,767.
+BIG = 2**11
 
 
 def ref_combine(*scaled):
@@ -53,7 +58,7 @@ def rand_coeff(rng):
 
 
 def rand_exps(rng, nvars, big):
-    pool = [0, 0, 1, 2, 3, 7] + ([BIG, BIG + 5, 2**40] if big else [])
+    pool = [0, 0, 1, 2, 3, 7] + ([BIG, BIG + 5, 2**12 - 1] if big else [])
     return tuple(rng.choice(pool) for _ in range(nvars))
 
 
@@ -66,7 +71,7 @@ def rand_terms(rng, nvars, nterms, big=False):
 
 def cases(seed, count=60):
     """Seeded operand pairs: nvars 0..4, sizes 0..12 with one-term operands
-    common, exponents >= 2^20 in a third of the cases, mixed denominators."""
+    common, exponents of BIG and more in a third of the cases, mixed denominators."""
     rng = random.Random(seed)
     for i in range(count):
         nvars = i % 5
@@ -82,7 +87,8 @@ def canonical(p, nvars):
     if not ints:
         return (num, den) == (1, 1)
     return (
-        all(v and type(v) is int and len(e) == nvars for e, v in ints.items())
+        all(v and type(v) is int for v in ints.values())
+        and all(len(e) == nvars for e in p.terms)
         and math.gcd(*ints.values()) == 1
         and num > 0 and den > 0 and math.gcd(num, den) == 1
         and all(type(c) is Fraction for c in p.terms.values())
@@ -108,9 +114,6 @@ def test_kernels_match_reference(seed):
             assert canonical(got, nvars), name
         if not any(k >= BIG for ex in a for k in ex):
             assert pa.evaluate(point) == ref_eval(a, point)
-        if a:
-            w = max(k for ex in a for k in (0, *ex)).bit_length() + 1
-            assert K._unpack(K._pack(pa._ints, w), nvars, w) == pa._ints
         assert a == snap_a and b == snap_b
 
 
@@ -150,8 +153,8 @@ def test_mul_cancellation():
 
 
 def test_mul_field_width_boundary():
-    # degree sums land on a power of two, and single exponents past 2^20
-    for da, db in ((3, 5), (1, 1), (7, 1), (BIG, BIG), (BIG - 1, BIG + 1)):
+    # degree sums land on a power of two, and on MAX_DEGREE, every low bit of the first field
+    for da, db in ((3, 5), (1, 1), (7, 1), (BIG, BIG), (BIG - 1, BIG + 1), (2**14, 2**14 - 1)):
         a = {(da, 0, 0): Fraction(2), (0, 1, 0): Fraction(-1, 3), (0, 0, 0): Fraction(5)}
         b = {(0, 0, db): Fraction(1, 4), (db, 0, 0): Fraction(3), (0, 2, 1): Fraction(-7)}
         assert mul(3, a, b) == ref_mul(a, b)
@@ -163,7 +166,7 @@ def test_mul_constants_and_nvars_zero():
 
 
 def rand_square_operand(rng, nvars, nterms):
-    """Distinct exponent vectors with negative and rational coefficients; exponents of 2^20 and more when nvars <= 2."""
+    """Distinct exponent vectors with negative and rational coefficients; exponents of BIG and more when nvars <= 2."""
     pool = [0, 1, 2, 3, 7] + ([BIG, BIG + 5] if nvars <= 2 else [])
     out = {}
     while len(out) < nterms:
@@ -208,3 +211,66 @@ def test_square_whose_middle_terms_cancel():
         got = Poly(nvars, p) * Poly(nvars, p)
         assert got.terms == ref_mul(p, p) and x2 not in got.terms
         assert canonical(got, nvars)
+
+
+def test_layout_limit(monkeypatch):
+    # every polynomial formed has total degree <= MAX_DEGREE = 2^15 - 1, checked
+    # before a key is packed: past it, x2^65536 would alias x1 in 2 variables
+    top = K.MAX_DEGREE
+    assert top == 2**15 - 1
+    z = Poly.variable(3, 2)  # the lowest field, next to no other
+    assert (z ** 2**14 * z ** (2**14 - 1)).terms == {(0, 0, top): 1}
+    assert Poly(2, {(0, top): 1}).total_degree() == top
+    assert (Poly.variable(1, 0) ** top).terms == {(top,): 1}
+
+    def boom(*args):
+        raise AssertionError("a key was packed past the limit")
+
+    with pytest.raises(DegreeCapExceeded, match=f"product of total degree {top + 1} exceeds cap {top}"):
+        Poly.variable(1, 0) ** 40000  # at the squaring to x1^32768
+    half = z ** 2**14 + 1
+    monkeypatch.setattr(K, "_mul_ints", boom)
+    with pytest.raises(DegreeCapExceeded, match=f"product of total degree {top + 1} exceeds cap {top}"):
+        half * half
+    monkeypatch.setattr(K, "_key", boom)
+    with pytest.raises(DegreeCapExceeded, match=f"total degree 65536 exceeds cap {top}"):
+        Poly(2, {(0, 65536): 1})
+    with pytest.raises(DegreeCapExceeded, match=f"total degree {top + 1} exceeds cap {top}"):
+        Poly(3, {(0, top, 1): Fraction(1, 2), (1, 0, 0): 1})
+    monkeypatch.undo()
+    # text and trees keep the parse cap's message, D the largest term degree
+    monkeypatch.setattr(Poly, "_make", classmethod(boom))
+    with pytest.raises(DegreeCapExceeded, match="total degree 65536 exceeds cap 1024"):
+        Poly.from_text("1 * x2^65536 + -1 * x1", 2)
+    with pytest.raises(DegreeCapExceeded, match="total degree 40000 exceeds cap 1024"):
+        Poly.from_text("1 * x1^40000 + 1 * x1^30000 * x2^5000 + -1 * x1^40000", 2)
+    tree = {"nvars": 2, "terms": [{"exps": [1, 0], "num": 1, "den": 1}, {"exps": [0, 65536], "num": -1, "den": 1}]}
+    with pytest.raises(DegreeCapExceeded, match="total degree 65536 exceeds cap 1024"):
+        Poly.from_tree(tree)
+    monkeypatch.undo()
+    assert Poly.from_text("1 * x1^2000 + -1 * x1^2000", 1).is_zero()
+
+
+@st.composite
+def spread_terms(draw):
+    """(nvars, exponent vector -> nonzero Fraction) in 0..5 variables, small and large exponents mixed."""
+    n = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.one_of(st.integers(0, 4), st.integers(0, K.MAX_DEGREE // 5))] * n)
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+    return n, draw(st.dictionaries(exps, coeffs, max_size=8))
+
+
+@given(spread_terms(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_keys_against_exponent_tuples(nt, data):
+    # the writers' order, the terms view and evaluate, on the stored keys, against
+    # the exponent tuples the polynomial was built from
+    n, terms = nt
+    p = Poly(n, terms)
+    assert dict(p.terms) == terms
+    tree = p.to_tree()
+    got = [tuple(t["exps"]) for t in tree["terms"]]
+    assert got == sorted(terms, key=lambda e: (sum(e), e), reverse=True)
+    assert {e: Fraction(t["num"], t["den"]) for e, t in zip(got, tree["terms"])} == terms
+    point = data.draw(st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=5)] * n))
+    assert p.evaluate(point) == ref_eval(terms, point)

@@ -284,10 +284,11 @@ def _ref_mul(a, b):
 
 def _division_cases(seed, count=400):
     """Seeded (a, b) pairs: nvars 1-4, rational contents, constant divisors,
-    exponents >= 2^20, divisors of larger degree than the dividend, and
+    exponents of 2^11 and more (dividends up to total degree 16,408, half of
+    MAX_DEGREE), divisors of larger degree than the dividend, and
     non-divisible pairs next to divisible ones."""
     rng = random.Random(seed)
-    big = 2**20
+    big = 2**11
 
     def exps(n, wide):
         pool = [0, 0, 1, 2, 3] + ([big, big + 3] if wide else [])
@@ -341,13 +342,11 @@ def test_exact_div_matches_reference_division(seed):
 
 def test_packed_division_is_over_the_integers():
     # the trial division of GCDHEU: x divides 2x over Z, 2x does not divide x
-    w, guard = 3, 1 << 2
-    assert poly._div_packed({1: 2}, {1: 1}, 1, w, guard) == ({0: 2}, True)
-    assert poly._div_packed({1: 1}, {1: 2}, 1, w, guard) == ({}, False)
+    assert poly._div_packed({1: 2}, {1: 1}, 1) == ({0: 2}, True)
+    assert poly._div_packed({1: 1}, {1: 2}, 1) == ({}, False)
     # a quotient term would run past deg_x1 a - deg_x1 b: not a divisor
     a, b = P("3 * x1^2 * x2^3 + -3 * x2", 2), P("-1 * x1 + 1 * x2", 2)
-    fa, fb, w, guard = poly._pack_pair(a, b)
-    assert not poly._div_packed(fa, fb, 2, w, guard)[1]
+    assert not poly._div_packed(a._ints, b._ints, 2)[1]
     with pytest.raises(DivisionFailure):
         exact_div(a, b)
 
