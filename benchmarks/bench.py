@@ -22,7 +22,10 @@ alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
 is split into rank-one members (it returns) and rank-two witnesses (it
 raises NotRankOne), and ``parse_config`` is timed over the recorded
 ``rank-test`` configs.  ``machine_block`` is timed over the reports of the
-``lattice`` and ``cover-tower`` rounds, made once before it is timed.  One
+``lattice`` and ``cover-tower`` rounds, made once before it is timed; the
+sl2r-enum rows of a report are rendered by ``run``, so that row does not
+see them.  The whole front door, parse, ``run`` and ``machine_block``, is
+timed on the 2^16-tuple ``sl2r-enum`` job of _sl2r_cap_job.  One
 in-process round of each workload is timed the same way.
 
 ``matrix.charpoly_cofactor`` is timed on seeded companion fields of rank
@@ -313,6 +316,19 @@ def _sl2r_stress(geometry):
             ([(F1, 1)] * 16, F1 * 8, g22.model)]
 
 
+def _sl2r_cap_job():
+    """An sl2r-enum config of exactly 2^16 tuples, 6,510 of them kept, with classes of denominator 2.
+
+    Seven fibres F1, seven fibres F2 and two copies of (F1 + F2) / 2 on the
+    product of two genus-2 curves, each of multiplicity one, with
+    L = 4 F1 + 4 F2 (the job pinned by tests/data/sl2r-enum-cap.sha256).
+    """
+    F1, F2, half = [1, 0], [0, 1], ["1/2", "1/2"]
+    classes = [F1, F2, F1, F2, F1, F2, F1, half, F2, F1, F2, F1, F2, F1, F2, half]
+    return json.dumps({"command": "sl2r-enum", "model": {"kind": "product_curves", "g1": 2, "g2": 2},
+                       "payload": {"components": [{"class": c, "multiplicity": 1} for c in classes], "L": [4, 4]}})
+
+
 def _companions(P, moduli):
     """Ten seeded companion fields per rank 2..5, coefficients in 2 variables of degree <= 3 with <= 4 terms."""
     rng = random.Random(SEED)
@@ -444,6 +460,7 @@ def _cases(src, corpus=None):
     general, at_cap, fibres = _sl2r_stress(geometry)
     dense_job = json.dumps({"command": "factor", "model": {"kind": "chart", "nvars": 4},
                             "payload": {"s": _dense_factor_s(P, 4)}})
+    sl2r_cap_job = _sl2r_cap_job()
     reports = []  # the machine_block row writes the reports of these rounds, made here once
     for c in rounds["lattice"] + rounds["cover-tower"]:
         try:
@@ -484,6 +501,8 @@ def _cases(src, corpus=None):
          lambda: [cli.parse_config(c) for c in configs], repr),
         ("cli", "machine_block, lattice+cover-tower", len(reports),
          lambda: [cli.machine_block(r) for r in reports], str),
+        ("job", "sl2r-enum at the cap, parse+run+machine_block", 1,
+         lambda: [_run_job(cli, errors, sl2r_cap_job)], str),
         ("poly", "poly_gcd stress, dense n=4 deg 3", 1,
          lambda: [attempt(gcd, *dense_pair)], _gcd_text),
         ("poly", "Poly.__mul__ stress, dense n=3 deg 14", 2,

@@ -501,19 +501,18 @@ def _run_hitchin_section(job):
 def _run_sl2r_enum(job):
     model = job.model["surface"]
     data = _at("$.payload.components", moduli.sl2r_enumerate, job.payload["components"], job.payload["L"], model)
+    heads = {}  # keyed by the D1 object, shared by every tuple of one kept x; D2 and N follow from D1
+    rows = []
+    for d in data:
+        head = heads.get(id(d.D1))
+        if head is None:
+            head = heads[id(d.D1)] = (
+                f'{{"D1":{d.D1.to_json()},"D2":{d.D2.to_json()},"N":{d.N_class.to_json()},"tuple_a":['
+            )
+        rows.append(head + ",".join(map(int.__repr__, d.tuple_a)) + "]}")
     return {
         "verdicts": {"count": len(data), "torsion_multiplicity": model.torsion2_count},
-        "values": {
-            "data": [
-                {
-                    "tuple_a": d.tuple_a,
-                    "D1": d.D1,
-                    "D2": d.D2,
-                    "N": d.N_class,
-                }
-                for d in data
-            ]
-        },
+        "values": {"data": _Canonical("[" + ",".join(rows) + "]")},
     }
 
 
@@ -699,11 +698,20 @@ def run(job: JobConfig) -> dict:
 
 # -- the canonical writer ---------------------------------------------------------
 #
-# A report is JSON data whose "values" and "witnesses" may also hold Poly,
-# NSClass and Fraction leaves.  The machine block is the text json.dumps
-# gives with sorted keys and no spaces, a leaf written as its tree would be.
-# The plain parts go through one C encoder; the rest is walked here, and
-# each distinct Poly or NSClass object is written once per block.
+# A report is JSON data whose "values" and "witnesses" may also hold three
+# kinds of leaf: Poly and NSClass objects and Fractions, each written as its
+# tree would be, and _Canonical fragments, written as they are.  The machine
+# block is the text json.dumps gives with sorted keys and no spaces.  The
+# plain parts go through one C encoder; the rest is walked here, and each
+# distinct Poly or NSClass object is written once per block.
+
+
+class _Canonical(str):
+    """JSON text already in canonical form, exactly as
+    json.dumps(sort_keys=True, separators=(",", ":")) writes its value."""
+
+    __slots__ = ()
+
 
 _PLAIN = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _STR = json.encoder.encode_basestring_ascii
@@ -713,6 +721,8 @@ _OBJECT_KEYS = ("values", "witnesses")
 def _write(x, memo):
     """x as canonical JSON.
 
+    A _Canonical leaf is emitted as it is, so it must already be the text
+    json.dumps(sort_keys=True, separators=(",", ":")) gives for its value.
     memo, one per block, maps id(leaf) to the text of a Poly or NSClass
     leaf, and a dict's key tuple to its keys in sorted order, each with its
     written prefix.  A container writes an int item, or a leaf already in
@@ -737,6 +747,8 @@ def _write(x, memo):
         return int.__repr__(x)
     if t is str:
         return _STR(x)
+    if t is _Canonical:
+        return x
     if t is Poly or t is NSClass:
         memo[id(x)] = text = x.to_json()
         return text

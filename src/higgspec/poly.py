@@ -525,8 +525,9 @@ class Poly:
         total degree, a term c x^e is c d^(D - |e|) a^e / d^D: each
         coefficient is scaled by d^(D - |e|) (when d = 1, D is 0), and the
         fields are set to the a_i one at a time, the first variable first
-        (_heu_eval).  Any other coordinate,
-        a float, a str or a bool, is a TypeError.
+        (_heu_eval; a sum that cancels stays as a 0 entry, which adds
+        nothing to the value).  Any other coordinate, a float, a str or a
+        bool, is a TypeError.
         """
         point = [_typed("point coordinate", x, int, Fraction) for x in point]
         if len(point) != self.nvars:
@@ -765,7 +766,7 @@ _HEU_MAX_BITS = 1 << 20
 
 
 def _heu_eval(f, xi, shift, low):
-    """f with its top field set to xi; the other fields keep their keys."""
+    """f with its top field set to xi; the other fields keep their keys, and sums that cancel stay as 0."""
     pw = [1]
     for _ in range(max(f, default=0) >> shift):
         pw.append(pw[-1] * xi)
@@ -774,7 +775,7 @@ def _heu_eval(f, xi, shift, low):
     for k, c in f.items():
         lk = k & low
         out[lk] = get(lk, 0) + c * pw[k >> shift]
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _heu_interpolate(h, xi, shift, cap):
@@ -837,8 +838,8 @@ def _heu_gcd(f, g, n):
         g = {k: v // c for k, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
     while xi.bit_length() * cap <= _HEU_MAX_BITS:
-        ff = _heu_eval(f, xi, shift, low)
-        gg = _heu_eval(g, xi, shift, low)
+        ff = {k: v for k, v in _heu_eval(f, xi, shift, low).items() if v}
+        gg = {k: v for k, v in _heu_eval(g, xi, shift, low).items() if v}
         if ff and gg:
             image = _heu_gcd(ff, gg, n - 1)
             if image is None:

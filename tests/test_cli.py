@@ -333,6 +333,61 @@ def test_sl2r_enum_at_the_cap_bytes(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def _sl2r_block_by_dumps(doc):
+    """The machine block of an sl2r-enum job by json.dumps, its rows built per tuple from Fraction trees."""
+    job = parse_config(json.dumps(doc))
+    data = moduli.sl2r_enumerate(job.payload["components"], job.payload["L"], job.model["surface"])
+
+    def tree(c):
+        return [{"num": x.numerator, "den": x.denominator} for x in c.coords]
+
+    report = {
+        "command": "sl2r-enum", "model": doc["model"], "seed": 0, "witnesses": {},
+        "verdicts": {"count": len(data), "torsion_multiplicity": job.model["surface"].torsion2_count},
+        "values": {"data": [
+            {"tuple_a": list(d.tuple_a), "D1": tree(d.D1), "D2": tree(d.D2), "N": tree(d.N_class)} for d in data
+        ]},
+    }
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", len(data)
+
+
+def _first_difference(got, want):
+    """None if the texts are equal, else the first differing offset with some text around it on both sides.
+
+    pytest's own diff of two blocks of a megabyte runs for minutes.
+    """
+    if got == want:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    return i, got[max(i - 60, 0):i + 60], want[max(i - 60, 0):i + 60]
+
+
+@pytest.mark.parametrize("components, L, kept", [
+    ([{"class": [1, 0], "multiplicity": 1}], ["1/2", 0], 0),  # D1 - L is never even: "data":[]
+    ([], [0, 0], 1),  # one tuple, (): "tuple_a":[]
+    ([{"class": [1, 0], "multiplicity": 2}, {"class": ["1/2", "1/2"], "multiplicity": 2}], ["3/2", "1/2"], 1),
+    ([{"class": [1, 0], "multiplicity": 1}] * 4, [2, 0], 8),
+    (_sl2r_cap_doc()["payload"]["components"], [4, 4], 6510),  # 2^16 tuples, classes of denominator 2
+])
+def test_sl2r_enum_rows_are_json_dumps_of_the_tuples(components, L, kept):
+    doc = _sl2r_doc(components, L)
+    want, count = _sl2r_block_by_dumps(doc)
+    assert count == kept
+    assert _first_difference(machine_block(run(parse_config(json.dumps(doc)))), want) is None
+
+
+_HALVES = st.sampled_from([Fraction(k, 2) for k in range(-3, 5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.tuples(_HALVES, _HALVES), st.integers(0, 3)), max_size=5))
+def test_sl2r_enum_rows_are_json_dumps_drawn(comps):
+    # L is half the component sum, so every draw is consistent; half-integral classes keep d in {1, 2}
+    L = [sum((c[i] * m for c, m in comps), Fraction(0)) / 2 for i in range(2)]
+    doc = _sl2r_doc([{"class": [str(x) for x in c], "multiplicity": m} for c, m in comps], [str(x) for x in L])
+    assert _first_difference(machine_block(run(parse_config(json.dumps(doc)))), _sl2r_block_by_dumps(doc)[0]) is None
+
+
 def test_milnor_wood(capsys, tmp_path):
     doc = {
         "command": "milnor-wood",
@@ -873,6 +928,26 @@ def test_machine_block_is_json_dumps_of_the_trees(report):
     # the leaves are written from their objects, each repeated object once
     plain = {k: _as_json_data(v) for k, v in report.items() if not k.startswith("_")}
     assert machine_block(report) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_canonical_fragments_are_written_verbatim():
+    frag, inner = cli._Canonical('{"b":[1,{"den":2,"num":1}],"c":null}'), cli._Canonical("[]")
+    report = {"command": "c", "seed": 0, "verdicts": {},
+              "values": {"x": [1, {"k": frag, "s": "t"}, [inner]], "y": inner},
+              "witnesses": {"w": [frag]}}
+    block = machine_block(report)
+    assert block == (
+        '{"command":"c","seed":0,"values":{"x":[1,{"k":' + frag + ',"s":"t"},[[]]],"y":[]},'
+        '"verdicts":{},"witnesses":{"w":[' + frag + "]}}\n"
+    )
+    assert json.loads(block)["values"]["x"][1]["k"] == {"b": [1, {"den": 2, "num": 1}], "c": None}
+    # the human block names the values keys only, and re-spaces the witnesses
+    assert cli.human_block(report, 0.0).splitlines() == [
+        "command: c (seed 0)",
+        '  witnesses: {"w": [{"b": [1, {"den": 2, "num": 1}], "c": null}]}',
+        "  values: x, y (see machine block)",
+        "  elapsed: 0.000s",
+    ]
 
 
 def test_human_block_prints_the_witness(tmp_path, capsys):
