@@ -6,7 +6,9 @@ Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
 CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
 functions wrapped to record their arguments: ``Poly.from_text``,
-``Poly.__mul__`` (polynomial operands), ``exact_div``, top-level
+``Poly.__mul__`` (polynomial operands; the products that ``poly.det2``
+forms, for the rank test's minors and ``hitchin_map``, do not pass through
+it), ``exact_div``, top-level
 ``poly_gcd`` calls of any arity (not the gcds that ``poly_gcd`` and the
 squarefree layer make themselves), ``squarefree_decompose``,
 ``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
@@ -31,10 +33,11 @@ in-process round of each workload is timed the same way.
 ``matrix.charpoly_cofactor`` is timed on seeded companion fields of rank
 2..5, the matrices of the ``higher-rank`` command, which no round runs.
 
-Six stress rows time work no round does.  Two are on S = tau alpha
+Ten stress rows time work no round does.  Six are on S = tau alpha
 alpha^T in 4 variables, alpha_i dense of degree d with coefficients 1..9,
 written in ascending exponent order: the first covector gcd of ``factor``
-at d = 3, and the whole ``factor`` job at d = 4.  The third is one large
+at d = 3, the whole ``factor`` job at d = 4, and ``factor_rank_one`` on S
+at each d = 1..4 (the ladder; S is parsed before it is timed).  The third is one large
 product, a square and a product of two distinct polynomials, dense in 3
 variables of degree 14 (680 terms, 462,400 term pairs each).  Three are
 ``sl2r_enumerate`` calls on which tuples share little (_sl2r_stress): in
@@ -454,6 +457,7 @@ def _cases(src, corpus=None):
     route = [(S.S[i][j], spectral.ROUTE_POINT[:S.dim]) for S in members + witnesses
              for i in range(S.dim) for j in range(i, S.dim)]
     dense_pair = [P.from_text(t, 4) for t in _dense_factor_s(P, 3)[0][:2]]
+    ladder = [spectral.SymDiff([[P.from_text(t, 4) for t in row] for row in _dense_factor_s(P, d)]) for d in (1, 2, 3, 4)]
     rng = random.Random(SEED)
     big = [_dense(P, rng, 3, 14) for _ in range(2)]
     companions = _companions(P, moduli)
@@ -509,6 +513,8 @@ def _cases(src, corpus=None):
          lambda: [big[0] * big[0], big[0] * big[1]], P.to_text),
         ("job", "factor stress, dense n=4 deg 4", 1,
          lambda: [_run_job(cli, errors, dense_job)], str),
+        *[("spectral", f"factor_rank_one ladder, dense n=4 deg {d}", 1, lambda S=S: [fro(S)], _factor_text)
+          for d, S in enumerate(ladder, 1)],
         ("moduli", "sl2r_enumerate stress, general position r=4 k=6", 1,
          lambda: [moduli.sl2r_enumerate(*general)], _sl2r_text),
         ("moduli", "sl2r_enumerate stress, 2x255 at the cap", 1,

@@ -22,8 +22,13 @@ A product of primitive polynomials is primitive (Gauss's lemma), so a
 multiply multiplies the contents and the integer parts and needs no gcd pass;
 a sum brings both operands to a common content and takes one gcd.  A square,
 two operands on one integer part, goes through the squaring path of
-_mul_ints, which forms each unordered term pair once.  A product of more
-than MAX_TERM_PAIRS term pairs is refused before any is formed, and a
+_mul_into, which forms each unordered term pair once.  The total degree is
+kept on the Poly once known: a product's is the sum of its factors', any
+other is computed when first asked for.  det2(a, b, c, d) forms a * b - c *
+d in one accumulator, the two contents over one denominator, as the 2x2
+minors of the rank test and the entries of the Hitchin map need it.  A
+product, alone or inside det2, of more than MAX_TERM_PAIRS term pairs or
+past total degree MAX_DEGREE is refused before any pair is formed, and a
 division before the quotient term that would take it past that many.  The
 one division, _div_packed, is a heap division on the keys; exact_div runs
 it on the primitive parts, which is exact over Q by Gauss's lemma.  The gcd
@@ -226,34 +231,41 @@ def _combine(a, ka, b, kb):
     return out
 
 
-def _mul_ints(a, b):
-    """Product of two nonempty integer parts of total degrees summing to at most MAX_DEGREE.
+def _mul_into(acc, a, b, s):
+    """Add s * a * b into the int dict acc, for nonempty integer parts a, b and a nonzero int s.
 
-    A monomial product is one int add, and the inner loop touches ints only
-    (Monagan & Pearce, CASC 2007).  A square (a is b, or equal dicts) forms
-    each unordered term pair once: 2 va vb for i < j and va^2 on the
-    diagonal.
+    The total degrees of a and b sum to at most MAX_DEGREE.  A monomial
+    product is one int add, and the inner loop touches ints only (Monagan &
+    Pearce, CASC 2007); s is folded into the outer term.  A square (a is b,
+    or equal dicts) forms each unordered term pair once: 2 va vb for i < j
+    and va^2 on the diagonal.  Sums that cancel stay in acc as 0.
     """
-    acc = {}
     get = acc.get
     if a is b or a == b:
         pa = list(a.items())
         for i, (ka, va) in enumerate(pa):
             k = ka + ka
-            acc[k] = get(k, 0) + va * va
-            va += va
+            vs = va * s
+            acc[k] = get(k, 0) + vs * va
+            vs += vs
             for kb, vb in pa[i + 1 :]:
                 k = ka + kb
-                acc[k] = get(k, 0) + va * vb
+                acc[k] = get(k, 0) + vs * vb
     else:
         if len(a) > len(b):
             a, b = b, a
         pb = list(b.items())
         for ka, va in a.items():
+            va *= s
             for kb, vb in pb:
                 k = ka + kb
                 acc[k] = get(k, 0) + va * vb
-    return {k: v for k, v in acc.items() if v}
+    return acc
+
+
+def _mul_ints(a, b, s=1):
+    """s * a * b for nonempty integer parts a, b and a nonzero int s, as _mul_into forms it."""
+    return {k: v for k, v in _mul_into({}, a, b, s).items() if v}
 
 
 class _Terms(Mapping):
@@ -290,7 +302,7 @@ class _Terms(Mapping):
 class Poly:
     """Canonical multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "_ints", "_num", "_den", "_hash")
+    __slots__ = ("nvars", "_ints", "_num", "_den", "_hash", "_deg")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
@@ -313,18 +325,20 @@ class Poly:
         ints = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._set(nvars, *_primitive_split(ints, 1, den))
 
-    def _set(self, nvars, ints, num, den):
+    def _set(self, nvars, ints, num, den, deg=None):
         _set_nvars(self, nvars)
         _set_ints(self, ints)
         _set_num(self, num)
         _set_den(self, den)
         _set_hash(self, None)
+        _set_deg(self, deg)
 
     @classmethod
-    def _raw(cls, nvars, ints, num=1, den=1):
-        # internal: ints primitive with no zero value, num / den > 0 in lowest terms
+    def _raw(cls, nvars, ints, num=1, den=1, deg=None):
+        # internal: ints primitive with no zero value, num / den > 0 in lowest terms,
+        # deg their total degree or None when it is not known yet
         self = object.__new__(cls)
-        self._set(nvars, ints, num, den)
+        self._set(nvars, ints, num, den, deg)
         return self
 
     @classmethod
@@ -382,10 +396,12 @@ class Poly:
         return Fraction(self._ints[0] * self._num, self._den)
 
     def total_degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self._ints:
-            return -1
-        return max([k % _MASK for k in self._ints])
+        """Total degree; -1 for the zero polynomial.  Kept in a slot once known."""
+        d = self._deg
+        if d is None:
+            d = max([k % _MASK for k in self._ints]) if self._ints else -1
+            _set_deg(self, d)
+        return d
 
     def leading_coefficient(self) -> Fraction:
         if not self._ints:
@@ -468,7 +484,7 @@ class Poly:
             p = -p
             ints = {e: -v for e, v in ints.items()}
         num, den = _lowest(self._num * p, self._den * q)
-        return Poly._raw(self.nvars, ints, num, den)
+        return Poly._raw(self.nvars, ints, num, den, self._deg)
 
     def __mul__(self, other):
         if _is_scalar(other):
@@ -478,22 +494,18 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        a, b = self._ints, other._ints
-        if not a or not b:
+        if not self._ints or not other._ints:
             return Poly._raw(self.nvars, {})
-        if len(a) * len(b) > MAX_TERM_PAIRS:
-            raise DegreeCapExceeded(f"product of {len(a)} x {len(b)} terms exceeds cap {MAX_TERM_PAIRS} term pairs")
-        d = self.total_degree() + other.total_degree()
-        if d > MAX_DEGREE:
-            raise DegreeCapExceeded(f"product of total degree {d} exceeds cap {MAX_DEGREE}")
+        d = _product_capped(self, other)
         num, den = _lowest(self._num * other._num, self._den * other._den)
-        # Gauss's lemma: the product of primitive integer parts is primitive
-        return Poly._raw(self.nvars, _mul_ints(a, b), num, den)
+        # Gauss's lemma: the product of primitive integer parts is primitive,
+        # and the leading forms of a product multiply, so its degree is d
+        return Poly._raw(self.nvars, _mul_ints(self._ints, other._ints), num, den, d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly._raw(self.nvars, {e: -v for e, v in self._ints.items()}, self._num, self._den)
+        return Poly._raw(self.nvars, {e: -v for e, v in self._ints.items()}, self._num, self._den, self._deg)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -547,7 +559,7 @@ class Poly:
         """Adjoin `extra` fresh trailing variables (used for charpoly in lambda)."""
         s = _W * extra
         ints = {k << s: c for k, c in self._ints.items()}
-        return Poly._raw(self.nvars + extra, ints, self._num, self._den)
+        return Poly._raw(self.nvars + extra, ints, self._num, self._den, self._deg)
 
     # -- equality, ordering helpers ----------------------------------------
 
@@ -679,7 +691,7 @@ class Poly:
         return p
 
 
-_set_nvars, _set_ints, _set_num, _set_den, _set_hash = (getattr(Poly, s).__set__ for s in Poly.__slots__)
+_set_nvars, _set_ints, _set_num, _set_den, _set_hash, _set_deg = (getattr(Poly, s).__set__ for s in Poly.__slots__)
 
 
 def _parse_piece(piece, nvars):
@@ -716,6 +728,48 @@ def _degree_capped(d, limit):
 def _terms_capped(k):
     if k > MAX_PARSED_TERMS:
         raise DegreeCapExceeded(f"{k} terms exceed cap {MAX_PARSED_TERMS}")
+
+
+def _product_capped(a, b):
+    """The total degree of a * b for nonzero a and b, refused past MAX_TERM_PAIRS or MAX_DEGREE before any pair is formed."""
+    if len(a._ints) * len(b._ints) > MAX_TERM_PAIRS:
+        raise DegreeCapExceeded(
+            f"product of {len(a._ints)} x {len(b._ints)} terms exceeds cap {MAX_TERM_PAIRS} term pairs"
+        )
+    d = a.total_degree() + b.total_degree()
+    if d > MAX_DEGREE:
+        raise DegreeCapExceeded(f"product of total degree {d} exceeds cap {MAX_DEGREE}")
+    return d
+
+
+def det2(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
+    """a * b - c * d, the two products summed in one accumulator.
+
+    Each product with no zero factor is checked as Poly.__mul__ checks it,
+    with its messages, and both are checked before any term pair is formed.
+    The two contents n1 / d1 and n2 / d2 meet over one denominator, as in a
+    sum: with g = gcd(n1, n2) and D = lcm(d1, d2), (n1 / g)(D / d1) A B -
+    (n2 / g)(D / d2) C D is accumulated on the integer parts A, B, C, D, and
+    the difference is g / D times it.  A product of equal operands takes the
+    squaring path of _mul_into.
+    """
+    n = a.nvars
+    if not n == b.nvars == c.nvars == d.nvars:
+        raise ValueError(f"nvars mismatch: {[p.nvars for p in (a, b, c, d)]}")
+    products = [(x, y, sign) for x, y, sign in ((a, b, 1), (c, d, -1)) if x._ints and y._ints]
+    degrees = [_product_capped(x, y) for x, y, _ in products]
+    contents = [_lowest(x._num * y._num, x._den * y._den) for x, y, _ in products]
+    if not products:
+        return Poly._raw(n, {})
+    if len(products) == 1:
+        # primitive by Gauss's lemma, of the degree its check found
+        (x, y, sign), = products
+        return Poly._raw(n, _mul_ints(x._ints, y._ints, sign), *contents[0], degrees[0])
+    (n1, d1), (n2, d2) = contents
+    g, den = math.gcd(n1, n2), math.lcm(d1, d2)
+    k1, k2 = n1 // g * (den // d1), -(n2 // g) * (den // d2)
+    acc = _mul_into(_mul_into({}, a._ints, b._ints, k1), c._ints, d._ints, k2)
+    return Poly._make(n, {k: v for k, v in acc.items() if v}, g, den)
 
 
 # -- division ---------------------------------------------------------------

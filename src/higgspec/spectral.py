@@ -11,7 +11,10 @@ vanishes there, it builds tau * alpha alpha^T and proves it equal to S;
 otherwise, or when that construction fails, the 2x2 minors are scanned for
 the first nonzero one, the witness.  A minor nonzero at the point is
 nonzero as a polynomial with no product compared, and the minors on a row
-pair proved proportional once are skipped.
+pair proved proportional once, on the cofactors of the gcd of the pair's
+pivot entries, are skipped.  Every minor formed, and every entry of the
+Hitchin map, goes through the one kernel poly.det2, a b - c d in one
+accumulator.
 
 The to_tree of a value (OneForm, SymDiff, SpectralDatum,
 RankOneFactorization, HiggsField, SpectralCover) is JSON data whose leaves
@@ -52,6 +55,7 @@ from .matrix import (
 from .poly import (
     Poly,
     SquarefreeDecomposition,
+    det2,
     exact_div,
     is_squarefree,
     poly_gcd,
@@ -324,16 +328,25 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
     polynomial and is returned with no comparison.  A minor before it
     vanishes at the point and must be proved zero.  When every minor on its
     row pair (i, j), or else on (k, l), vanishes at the point, that pair is
-    proved proportional once by a pivot test: with p the column of the
-    nonzero S[i][p] with the fewest terms, S[i][p] S[j][c] == S[j][p]
-    S[i][c] for every c != p (a row of zeros is proportional with no
-    product).  Every later minor on a proven pair is skipped; S is
-    symmetric, so a proportional column pair (k, l) is the row pair (k, l).
-    A minor on no proven pair is compared exactly as S[i][k] S[j][l] ==
-    S[i][l] S[j][k], and the first that differs is the witness.  The point
-    therefore changes no answer, only how many products are formed.
-    Products come from one per-call cache keyed by the unordered pair of
-    symmetric positions, so none is formed twice.
+    proved proportional once.  With p the column of the nonzero S[i][p]
+    with the fewest terms, rows i and j are proportional iff S[i][p] S[j][c]
+    == S[j][p] S[i][c] for every c != p (row j is then S[j][p] / S[i][p]
+    times row i).  The proof runs on gcd cofactors instead of those
+    products: with (g, u, v) = poly_gcd(S[i][p], S[j][p]), g u = S[i][p]
+    and g v = S[j][p] exactly, so S[i][p] S[j][c] - S[j][p] S[i][c] =
+    g (S[j][c] u - S[i][c] v), and as g != 0 and Q[x] has no zero divisors
+    the identity holds iff det2(S[j][c], u, S[i][c], v) is zero.  u and v
+    have the size of covector entries, where S[i][p] has that of tau
+    alpha^2.  A row of zeros is proportional with no product; when
+    S[j][p] = 0 and row j is not zero, the rows are not.  When the gcd
+    gives up at its image cap (DegreeCapExceeded), the pair counts as
+    unproved and the error goes no further.  Every later minor on a proven
+    pair is skipped; S is symmetric, so a proportional column pair (k, l)
+    is the row pair (k, l), and minor (k, l, i, j) is minor (i, j, k, l).
+    A minor on no proven pair, and not compared before in that transposed
+    form, is formed once by det2 as S[i][k] S[j][l] - S[i][l] S[j][k], and
+    the first nonzero one is the witness.  The point therefore changes no
+    answer, only how many products are formed.
 
     ``outcome``, when given, is a list that receives the construction's
     result, the RankOneFactorization or the error it raised, if it ran.
@@ -367,27 +380,27 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
             outcome.append(built)
         if not isinstance(built, Exception):
             return None
-    products = {}
-
-    def prod(a, b, c, d):
-        x = (a, b) if a <= b else (b, a)
-        y = (c, d) if c <= d else (d, c)
-        key = (x, y) if x <= y else (y, x)
-        v = products.get(key)
-        if v is None:
-            v = products[key] = rows[a][b] * rows[c][d]
-        return v
 
     def proportional(i, j):
-        """Rows i and j proportional: the pivot test on S[i][p] != 0 with the fewest terms."""
+        """Rows i and j proportional: the cofactor test on the pivot S[i][p] != 0 with the fewest terms.
+
+        False also when the pivot gcd gives up at its image cap; the pair's
+        minors are then compared exactly.
+        """
         ri, rj = rows[i], rows[j]
         if not any(ri) or not any(rj):
             return True
         p = min((c for c in range(n) if ri[c]), key=lambda c: len(ri[c].terms))
-        return all(prod(i, p, j, c) == prod(j, p, i, c) for c in range(n) if c != p)
+        if not rj[p]:
+            return False
+        try:
+            _, u, v = poly_gcd(ri[p], rj[p])
+        except DegreeCapExceeded:
+            return False
+        return not any(det2(rj[c], u, ri[c], v) for c in range(n) if c != p)
 
     # row pairs proved proportional, and row pairs that are not (a minor on
-    # them is nonzero at the point) or whose pivot test failed
+    # them is nonzero at the point) or whose cofactor test failed or gave up
     proven, failed = set(), set()
 
     def on_proven_pair(i, j, k, l):
@@ -402,12 +415,15 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
                 failed.add(pair)
         return False
 
+    # minors compared exactly and found zero; S is symmetric, so minor (k, l, i, j) is minor (i, j, k, l)
+    compared = set()
     for m, (i, j, k, l) in enumerate(minors[: first + 1]):
-        if m < first and on_proven_pair(i, j, k, l):
+        if m < first and ((k, l, i, j) in compared or on_proven_pair(i, j, k, l)):
             continue
-        left, right = prod(i, k, j, l), prod(i, l, j, k)
-        if m == first or left != right:
-            return (i, j, k, l), left - right
+        minor = det2(rows[i][k], rows[j][l], rows[i][l], rows[j][k])
+        if m == first or minor:
+            return (i, j, k, l), minor
+        compared.add((i, j, k, l))
     return None
 
 
@@ -530,22 +546,24 @@ def hitchin_map(phi: HiggsField) -> SpectralDatum:
 
     With phi = sum B_i dz_i the determinant is the quadratic form with matrix
     S[i][j] = (tr B_i tr B_j - tr(B_i B_j)) / 2, whose diagonal is det B_i.
-    S is symmetric, so only i <= j is formed, and tr(B_i B_j) is summed from
-    its four products, with no matrix product.
+    On 2x2 matrices A = B_i and B = B_j that is
+    (a00 b11 - a01 b10 + a11 b00 - a10 b01) / 2, two det2 calls, and
+    det A = a00 a11 - a01 a10 on the diagonal, one; no trace is multiplied.
+    S is symmetric, so only i <= j is formed.
     """
     if phi.rank != 2:
         raise RankUnsupported(f"hitchin_map needs rank 2, got {phi.rank}")
     mats = phi.matrices
     n = len(mats)
-    traces = [mat_trace(m) for m in mats]
-    s1 = OneForm(tuple(traces))
+    s1 = OneForm(tuple(mat_trace(m) for m in mats))
     half = Fraction(1, 2)
     rows = [[None] * n for _ in range(n)]
     for i, a in enumerate(mats):
-        for j in range(i, n):
+        rows[i][i] = det2(a[0][0], a[1][1], a[0][1], a[1][0])
+        for j in range(i + 1, n):
             b = mats[j]
-            tr_ab = a[0][0] * b[0][0] + a[0][1] * b[1][0] + a[1][0] * b[0][1] + a[1][1] * b[1][1]
-            rows[i][j] = rows[j][i] = (traces[i] * traces[j] - tr_ab) * half
+            cross = det2(a[0][0], b[1][1], a[0][1], b[1][0]) + det2(a[1][1], b[0][0], a[1][0], b[0][1])
+            rows[i][j] = rows[j][i] = cross * half
     return SpectralDatum(s1, SymDiff(rows))
 
 

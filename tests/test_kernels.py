@@ -274,3 +274,70 @@ def test_keys_against_exponent_tuples(nt, data):
     assert {e: Fraction(t["num"], t["den"]) for e, t in zip(got, tree["terms"])} == terms
     point = data.draw(st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=5)] * n))
     assert p.evaluate(point) == ref_eval(terms, point)
+
+
+def _det2_quadruples(rng, nvars, a, b):
+    """(a, b, c, d) term dicts: general, zero operands, equal operands, scaled contents, cancellation."""
+    c, d = rand_terms(rng, nvars, rng.choice([1, 2, 5])), rand_terms(rng, nvars, rng.choice([1, 3, 6]))
+    k = rand_coeff(rng)
+    scaled = {e: v * k for e, v in a.items()}
+    inverse = {e: v / k for e, v in b.items()}
+    return [
+        (a, b, c, d),
+        ({}, b, c, d), (a, b, c, {}), (a, {}, {}, d), ({}, {}, {}, {}),
+        (a, a, c, c), (c, c, a, b), (a, b, d, d),
+        (a, b, b, a), (a, b, scaled, inverse), (scaled, b, a, b),
+        (ref_combine((1, a), (1, c)), ref_combine((1, a), (-1, c)), a, a),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_det2_matches_reference(seed):
+    # a * b - c * d against the dict reference: equal operands take the
+    # squaring path (as one object and as two), contents are rational, and
+    # the products may cancel in part or down to zero
+    for rng, nvars, a, b in cases(100 + seed, count=40):
+        for quad in _det2_quadruples(rng, nvars, a, b):
+            want = ref_combine((1, ref_mul(quad[0], quad[1])), (-1, ref_mul(quad[2], quad[3])))
+            polys = [Poly(nvars, t) for t in quad]
+            shared = {}
+            one_object_each = [shared.setdefault(frozenset(t.items()), p) for t, p in zip(quad, polys)]
+            snap = [dict(p._ints) for p in polys]
+            for ops in (polys, one_object_each):
+                got = K.det2(*ops)
+                assert got.terms == want, quad
+                assert canonical(got, nvars)
+                assert got.total_degree() == max(map(sum, want), default=-1)
+            assert [p._ints for p in polys] == snap  # no operand mutated
+
+
+def test_det2_caps_match_the_product(monkeypatch):
+    # both products are checked before either forms a term pair, with the messages of Poly.__mul__
+    three, four = Poly(2, {(2, 0): 1, (0, 1): 2, (0, 0): 3}), Poly(2, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (0, 0): 5})
+    zero = Poly.zero(2)
+    want = ref_combine((1, ref_mul(dict(three.terms), dict(four.terms))), (-1, ref_mul(dict(three.terms), dict(three.terms))))
+    monkeypatch.setattr(K, "MAX_TERM_PAIRS", 12)
+    assert K.det2(three, four, three, three).terms == want
+
+    def message(x, y):
+        with pytest.raises(DegreeCapExceeded) as err:
+            x * y
+        return str(err.value)
+
+    def boom(*args):
+        raise AssertionError("a term pair was formed past the cap")
+
+    monkeypatch.setattr(K, "_mul_into", boom)
+    for quad, product in [((three, four, four, four), (four, four)), ((four, four, three, four), (four, four)),
+                          ((zero, three, four, four), (four, four))]:
+        with pytest.raises(DegreeCapExceeded) as err:
+            K.det2(*quad)
+        assert str(err.value) == message(*product) == "product of 4 x 4 terms exceeds cap 12 term pairs"
+    monkeypatch.undo()
+    z = Poly.variable(3, 2) ** 2**14
+    one = Poly.one(3)
+    with pytest.raises(DegreeCapExceeded) as err:
+        K.det2(one, one, z, z)
+    assert str(err.value) == message(z, z) == f"product of total degree {2**15} exceeds cap {K.MAX_DEGREE}"
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        K.det2(one, one, Poly.one(2), Poly.one(2))

@@ -212,21 +212,46 @@ def _symmetric_objects(T):
     return SymDiff(rows)
 
 
+def _product_key(a, b):
+    return tuple(sorted((id(a), id(b))))
+
+
+def _minor_record(S, i, j, k, l):
+    """The record of the det2 call that forms minor (i, j, k, l) of S."""
+    return tuple(sorted([_product_key(S[i][k], S[j][l]), _product_key(S[i][l], S[j][k])]))
+
+
 def _count_products(monkeypatch):
+    """Record every kernel call that forms a product: Poly.__mul__ and spectral.det2.
+
+    A call is recorded as the sorted tuple of its products, each the sorted
+    ids of its two operands: a det2 minor on a SymDiff of one object per
+    symmetric position has the same record as its transpose.
+    """
     calls = []
-    mul = Poly.__mul__
+    mul, det2 = Poly.__mul__, spectral.det2
 
     def counting_mul(a, b):
-        calls.append(tuple(sorted((id(a), id(b)))))
+        calls.append((_product_key(a, b),))
         return mul(a, b)
 
+    def counting_det2(a, b, c, d):
+        calls.append(tuple(sorted([_product_key(a, b), _product_key(c, d)])))
+        return det2(a, b, c, d)
+
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(spectral, "det2", counting_det2)
     return calls
+
+
+def _entry_products(calls, entries):
+    """The products, over every recorded call, of two S entries."""
+    return [pair for call in calls for pair in call if set(pair) <= entries]
 
 
 @pytest.mark.parametrize("q, p", [(0, 0), (1, 2), (2, 3), (1, 1)])
 def test_rank_test_computes_each_product_once(q, p, monkeypatch):
-    # a repeated pair of operands is the same product of entries computed twice
+    # a repeated record is the same minor (or product) formed twice
     n = 4
     rng = random.Random(f"{q} {p}")
     vec = lambda lo: [_ref_poly(rng, n, 1, 2) if i >= lo else {} for i in range(n)]
@@ -240,8 +265,8 @@ def test_rank_test_computes_each_product_once(q, p, monkeypatch):
 
 def test_rank_one_member_forms_no_entry_product(monkeypatch):
     # a member is proved by its construction, tau * alpha alpha^T == S, so no
-    # product of two S entries is formed, by factor_rank_one or by
-    # first_nonzero_minor; a witness forms each at most once
+    # product or minor of two S entries is formed, by factor_rank_one or by
+    # first_nonzero_minor; a witness forms each minor at most once
     n = 4
     rng = random.Random(11)
     T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])])
@@ -249,11 +274,11 @@ def test_rank_one_member_forms_no_entry_product(monkeypatch):
     entries = {id(p) for row in S.S for p in row}
     calls = _count_products(monkeypatch)
     f = factor_rank_one(S)
-    assert not [c for c in calls if set(c) <= entries]
+    assert not _entry_products(calls, entries)
     assert f.symdiff() == S
     calls.clear()
     assert first_nonzero_minor(S) is None
-    assert not [c for c in calls if set(c) <= entries]
+    assert not _entry_products(calls, entries)
 
     T2 = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), [_ref_poly(rng, n, 1, 2) for _ in range(n)])
                                  for _ in range(2)])
@@ -263,17 +288,33 @@ def test_rank_one_member_forms_no_entry_product(monkeypatch):
     with pytest.raises(NotRankOne) as err:
         factor_rank_one(S2)
     assert (err.value.indices, err.value.minor.terms) == _ref_first_minor(T2)
-    pairs = [c for c in calls if set(c) <= entries]
-    assert pairs and len(pairs) == len(set(pairs))
+    minors = [c for c in calls if len(c) == 2 and all(set(pair) <= entries for pair in c)]
+    assert minors and len(minors) == len(set(minors))
+
+
+def _record_pair_gcds(monkeypatch):
+    """Every two-operand spectral.poly_gcd call as (operands, cofactors)."""
+    gcds = []
+    gcd = spectral.poly_gcd
+
+    def recording_gcd(*polys):
+        out = gcd(*polys)
+        if len(polys) == 2:
+            gcds.append((polys, out[1:]))
+        return out
+
+    monkeypatch.setattr(spectral, "poly_gcd", recording_gcd)
+    return gcds
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_proportional_row_pair_is_proved_once(n, monkeypatch):
     # S = tau1 a a^T + tau2 b b^T with b zero on rows 0 and 1: rows 0 and 1 are
-    # proportional, and one pivot test of at most 2(n - 1) products proves
-    # every minor on them zero (and minor (0, 2, 0, 1), on those columns);
-    # comparing each of their minors would form n(n - 1)
+    # proportional, and one cofactor test of at most n - 1 det2 calls, each
+    # pairing an entry with a gcd cofactor, proves every minor on them zero
+    # (and minor (0, 2, 0, 1), on those columns); no minor on rows (0, 1) is formed
     calls = _count_products(monkeypatch)
+    gcds = _record_pair_gcds(monkeypatch)
     proved = 0
     for seed in range(6):
         rng = random.Random(seed)
@@ -285,14 +326,19 @@ def test_proportional_row_pair_is_proved_once(n, monkeypatch):
             continue
         assert want[0][:2] != (0, 1)
         S = _symmetric_objects(T)
+        entries = {id(p) for row in S.S for p in row}
         calls.clear()
+        gcds.clear()
         got = first_nonzero_minor(S)
         assert got[0] == want[0] and got[1].terms == want[1]
         assert calls and len(calls) == len(set(calls))
-        row0, row1 = {id(p) for p in S[0]}, {id(p) for p in S[1]}
-        on_pair = [(x, y) for x, y in calls if x in row0 and y in row1 or x in row1 and y in row0]
-        assert len(on_pair) <= 2 * (n - 1)
-        proved += bool(on_pair)
+        for _, cofactors in gcds:
+            mine = {id(x) for x in cofactors}
+            proof = [c for c in calls if any(mine & set(pair) for pair in c)]
+            assert len(proof) <= n - 1
+            assert not _entry_products(proof, entries)
+        assert not {_minor_record(S, 0, 1, k, l) for k in range(n) for l in range(k + 1, n)} & set(calls)
+        proved += any(x is S[0][c] and y is S[1][c] for (x, y), _ in gcds for c in range(n))
     assert proved >= 3
 
 
@@ -313,6 +359,73 @@ def test_proportional_pairs_beside_pairs_that_vanish_only_at_the_point(seed):
         _check_against_oracle(T, got)
         if got[0] == "witness":
             assert first_nonzero_minor(S) == (got[1], got[2])
+
+
+def test_failed_cofactor_test_leaves_the_minors_to_the_exact_comparison(monkeypatch):
+    # tau1 a a^T + tau2 b b^T with tau2 = x1 - ROUTE_POINT[0]: every minor
+    # vanishes at the point, so rows 0 and 1 go to the cofactor test, which
+    # fails (they are not proportional); their minors are then formed exactly
+    calls = _count_products(monkeypatch)
+    gcds = _record_pair_gcds(monkeypatch)
+    for n in (2, 3, 4):
+        rng = random.Random(40 + n)
+        tau2 = _ref_add({(1,) + (0,) * (n - 1): Fraction(1)}, {(0,) * n: Fraction(-spectral.ROUTE_POINT[0])})
+        vec = lambda: [_ref_poly(rng, n, 1, 2) for _ in range(n)]
+        T = _ref_sum_of_squares(n, [(_ref_poly(rng, n, 1, 2), vec()), (tau2, vec())])
+        want = _ref_first_minor(T)
+        assert want is not None and want[0][:2] == (0, 1)
+        S = _symmetric_objects(T)
+        calls.clear()
+        gcds.clear()
+        got = first_nonzero_minor(S)
+        assert (got[0], got[1].terms) == want
+        assert any(x is S[0][c] and y is S[1][c] for (x, y), _ in gcds for c in range(n))
+        assert _minor_record(S, *want[0]) in calls
+
+
+def test_gcd_give_up_in_the_cofactor_test_gives_the_witness(monkeypatch):
+    # rows (p^2, p q) and (p q, q^2 + x2), p = x1^300 + 3^1262: at (1, 0) the
+    # one minor p^2 x2 vanishes, so the construction runs and fails, and the
+    # cofactor test of rows 0 and 1 needs gcd(p^2, p q), past the GCDHEU image
+    # cap; the pair is left to the exact comparison and nothing is raised
+    monkeypatch.setattr(spectral, "ROUTE_POINT", (1, 0, 0, 0))
+    p, q = {(300, 0): Fraction(1), (0, 0): Fraction(3**1262)}, {(300, 0): Fraction(1), (0, 0): Fraction(1)}
+    T = [[_ref_mul(p, p), _ref_mul(p, q)], [_ref_mul(p, q), _ref_add(_ref_mul(q, q), {(0, 1): Fraction(1)})]]
+    raised = []
+    gcd = spectral.poly_gcd
+
+    def recording_gcd(*polys):
+        try:
+            return gcd(*polys)
+        except DegreeCapExceeded as exc:
+            raised.append((len(polys), str(exc)))
+            raise
+
+    monkeypatch.setattr(spectral, "poly_gcd", recording_gcd)
+    got = first_nonzero_minor(_as_symdiff(T))
+    assert (got[0], got[1].terms) == _ref_first_minor(T)
+    assert (2, "gcd: evaluation image past the cap of 1048576 bits") in raised
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_proof_gcd_giving_up_changes_no_witness(seed, monkeypatch):
+    # a cofactor test whose gcd raises DegreeCapExceeded proves nothing: every
+    # minor is then compared exactly, and the witnesses are the oracle's
+    gcd = spectral.poly_gcd
+
+    def giving_up(*polys):
+        if len(polys) == 2:
+            raise DegreeCapExceeded("gcd: evaluation image past the cap of 1048576 bits")
+        return gcd(*polys)
+
+    monkeypatch.setattr(spectral, "poly_gcd", giving_up)
+    for label, T in _rank_test_cases(200 + seed, count=40):
+        want = _ref_first_minor(T)
+        got = first_nonzero_minor(_as_symdiff(T))
+        if want is None:
+            assert got is None, label
+        else:
+            assert (got[0], got[1].terms) == want, label
 
 
 # -- the route point cannot change an answer --------------------------------------
@@ -529,6 +642,36 @@ def test_integrable_examples():
     assert not higgs_integrable(bad)
     single = HiggsField((((Poly.variable(1, 0), Poly.zero(1)), (Poly.zero(1), Poly.one(1))),))
     assert higgs_integrable(single)
+
+
+def _ref_scale(a, c):
+    return {e: v * c for e, v in a.items() if v * c}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hitchin_map_matches_reference(seed):
+    # random rank-two fields, not section fields (no trace-free or integrability
+    # condition): s1 = tr B_i and S[i][j] = (tr B_i tr B_j - tr(B_i B_j)) / 2,
+    # on the dict reference; some B have equal entries, for the squaring path
+    rng = random.Random(f"hitchin {seed}")
+    for n in (1, 2, 3, 4):
+        for shape in range(3):
+            B = [[[_ref_poly(rng, n, 2, rng.randint(0, 3)) for _ in range(2)] for _ in range(2)] for _ in range(n)]
+            if shape == 1:
+                for m in B:
+                    m[1][1], m[1][0] = m[0][0], m[0][1]
+            phi = HiggsField(tuple(tuple(tuple(Poly(n, t) for t in row) for row in m) for m in B))
+            d = hitchin_map(phi)
+            tr = [_ref_add(m[0][0], m[1][1]) for m in B]
+            assert [p.terms for p in d.s1] == tr
+            for i in range(n):
+                for j in range(n):
+                    tr_ij = {}
+                    for k in range(2):
+                        for l in range(2):
+                            tr_ij = _ref_add(tr_ij, _ref_mul(B[i][k][l], B[j][l][k]))
+                    want = _ref_scale(_ref_add(_ref_mul(tr[i], tr[j]), tr_ij, -1), Fraction(1, 2))
+                    assert d.s2.S[i][j].terms == want, (n, i, j)
 
 
 def test_hitchin_map_diag_constants():
