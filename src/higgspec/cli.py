@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import geometry, moduli, spectral
@@ -334,10 +334,6 @@ def _companion(coeffs, ctx):
 # -- command handlers ------------------------------------------------------------------
 
 
-def _verdict_name(v):
-    return v.value if hasattr(v, "value") else str(v)
-
-
 def _at(path, fn, *args, **kwargs):
     """fn(*args, **kwargs), with `path` put in front of a DegreeCapExceeded it raises."""
     try:
@@ -428,17 +424,7 @@ def _run_bx_table(job):
     return {
         "verdicts": {"component_count": len(table.components), "swapped": table.swapped},
         "values": {
-            "components": [
-                {
-                    "label": c.label,
-                    "kind": c.kind,
-                    "dim": c.dim,
-                    "line_class": c.line_class,
-                    "h0_omega_twist": c.h0_omega_twist,
-                    "h0_Lsq": c.h0_Lsq,
-                }
-                for c in table.components
-            ],
+            "components": [{f.name: getattr(c, f.name) for f in fields(c)} for c in table.components],
             "intersections": [
                 {"pair": list(pair), "dim": dim} for pair, dim in table.intersections
             ],
@@ -465,7 +451,7 @@ def _run_stability(job):
         v = moduli.hodge_stability(p["d1"], p["d2"], p["alpha_nonzero"])
     else:
         v = moduli.real_stability(p["description"])
-    return {"verdicts": {"stability": _verdict_name(v)}}
+    return {"verdicts": {"stability": v.value}}
 
 
 def _run_hitchin_section(job):
@@ -474,7 +460,7 @@ def _run_hitchin_section(job):
         out = _at("$.payload.datum", moduli.hitchin_section, p["datum"])
         body = {
             "verdicts": {
-                "stability": _verdict_name(out.stability),
+                "stability": out.stability.value,
                 "real": out.real,
                 "branch": out.branch,
                 "identity_checked": out.identity_checked,
@@ -487,7 +473,7 @@ def _run_hitchin_section(job):
     out = moduli.hitchin_section(moduli.LatticeSectionDatum(p["L"], p["D"], job.model["surface"]))
     return {
         "verdicts": {
-            "stability": _verdict_name(out.stability),
+            "stability": out.stability.value,
             "real": out.real,
             "psl2r_condition": out.psl2r_condition,
             "sl2r_condition": out.sl2r_condition,
@@ -743,8 +729,6 @@ def _write(x, memo):
         return "[" + ",".join([
             int.__repr__(v) if type(v) is int else memo.get(id(v)) or _write(v, memo) for v in x
         ]) + "]"
-    if t is int:
-        return int.__repr__(x)
     if t is str:
         return _STR(x)
     if t is _Canonical:

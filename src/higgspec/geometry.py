@@ -272,16 +272,6 @@ class BxComponent:
     h0_omega_twist: int
     h0_Lsq: int
 
-    def __post_init__(self):
-        if self.kind not in ("V", "L", "both"):
-            raise ValueError("kind must be V, L or both")
-        if self.kind in ("V", "both") and self.h0_Lsq != 1:
-            raise ValueError("V-type components have h0(L^2) = 1")
-        if self.kind in ("L", "both") and self.h0_omega_twist != 1:
-            raise ValueError("L-type components have h0(Omega x L^-1) = 1")
-        if self.kind == "both" and self.dim != 1:
-            raise ValueError("components of both types are one dimensional")
-
 
 @dataclass(frozen=True)
 class BxTable:
@@ -294,42 +284,29 @@ def bx_decomposition(X: ProductOfCurves) -> BxTable:
     """Component table of the rank-one locus on a product of two curves.
 
     Components are indexed by the trivial bundle and the two pulled-back
-    canonical bundles; low genera degenerate as usual (components merge,
-    disappear, or become both Veronese and linear).
+    canonical bundles.  With the genera ordered g1 >= g2, O is a Veronese
+    component (type V) of dimension g1 + g2 when g2 >= 1, each L_i = K_{C_i}
+    is a linear component (type L) of dimension 3 g_i - 3 when g_i >= 2, O
+    meets L_i in h0_curve(g_i, 1) dimensions and L1 meets L2 in 0.  The one
+    exception is (1, 0): a single component O, both Veronese and linear.
     """
     g1, g2 = X.g1, X.g2
     swapped = g1 < g2
     if swapped:
         g1, g2 = g2, g1
-    # line classes in the (swapped) convention: L_i = (2 g_i - 2) F_i
-    L1 = NSClass((2 * g1 - 2, 0))
-    L2 = NSClass((0, 2 * g2 - 2))
     O = NSClass((0, 0))
-
-    comps = []
+    if (g1, g2) == (1, 0):
+        return BxTable((BxComponent("O", O, "both", 1, 1, 1),), (), swapped)
+    # line classes in the (swapped) convention: L_i = (2 g_i - 2) F_i
+    lines = [("L1", g1, NSClass((2 * g1 - 2, 0))), ("L2", g2, NSClass((0, 2 * g2 - 2)))]
+    lines = [line for line in lines if line[1] >= 2]
+    comps = [BxComponent(label, L, "L", 3 * g - 3, 1, 3 * g - 3) for label, g, L in lines]
     inters = []
-    if (g1, g2) == (0, 0):
-        return BxTable((), (), swapped)
-    if g2 == 0:
-        if g1 == 1:
-            comps.append(BxComponent("O", O, "both", 1, 1, 1))
-        else:
-            comps.append(BxComponent("L1", L1, "L", 3 * g1 - 3, 1, 3 * g1 - 3))
-        return BxTable(tuple(comps), (), swapped)
-    if (g1, g2) == (1, 1):
-        comps.append(BxComponent("O", O, "V", 2, 2, 1))
-        return BxTable(tuple(comps), (), swapped)
-    if g2 == 1:
-        comps.append(BxComponent("O", O, "V", g1 + 1, g1 + 1, 1))
-        comps.append(BxComponent("L1", L1, "L", 3 * g1 - 3, 1, 3 * g1 - 3))
-        inters.append((("O", "L1"), h0_curve(g1, 1)))
-        return BxTable(tuple(comps), tuple(inters), swapped)
-    comps.append(BxComponent("O", O, "V", g1 + g2, g1 + g2, 1))
-    comps.append(BxComponent("L1", L1, "L", 3 * g1 - 3, 1, 3 * g1 - 3))
-    comps.append(BxComponent("L2", L2, "L", 3 * g2 - 3, 1, 3 * g2 - 3))
-    inters.append((("O", "L1"), h0_curve(g1, 1)))
-    inters.append((("O", "L2"), h0_curve(g2, 1)))
-    inters.append((("L1", "L2"), 0))
+    if g2 >= 1:
+        comps.insert(0, BxComponent("O", O, "V", g1 + g2, g1 + g2, 1))
+        inters = [(("O", label), h0_curve(g, 1)) for label, g, _ in lines]
+    if len(lines) == 2:
+        inters.append((("L1", "L2"), 0))
     return BxTable(tuple(comps), tuple(inters), swapped)
 
 

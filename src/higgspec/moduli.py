@@ -28,11 +28,10 @@ from .errors import (
     _typed,
 )
 from .geometry import NSClass, SurfaceModel
-from .matrix import charpoly_cofactor, identity_matrix, mat_scale
+from .matrix import charpoly_cofactor
 from .poly import Poly
 from .spectral import (
     HiggsField,
-    OneForm,
     RankOneFactorization,
     SpectralDatum,
     factor_rank_one,
@@ -127,15 +126,10 @@ class HitchinSectionOutput:
     identity_checked: bool = False
 
 
-def _section_field(s1: OneForm, f: RankOneFactorization) -> HiggsField:
+def _section_field(s1, alpha, tau) -> HiggsField:
     """B_i = [[s1_i / 2, -alpha_i tau], [alpha_i, s1_i / 2]]."""
-    n = s1.dim
     half = Fraction(1, 2)
-    mats = []
-    for i in range(n):
-        w = s1[i] * half
-        mats.append(((w, -f.alpha[i] * f.tau), (f.alpha[i], w)))
-    return HiggsField(tuple(mats))
+    return HiggsField(tuple(((w, -a * tau), (a, w)) for w, a in zip((p * half for p in s1), alpha)))
 
 
 def hitchin_section(d) -> HitchinSectionOutput:
@@ -158,34 +152,25 @@ def hitchin_section(d) -> HitchinSectionOutput:
 def _hitchin_section_chart(d: SpectralDatum) -> HitchinSectionOutput:
     q = d.quarter_defect()
     if q.is_zero():
+        # the nilpotent diagonal: the section field with alpha = 0 and tau = 0
         if d.s1.is_zero():
             raise NilpotentDatum("the section is undefined at (0, 0)")
-        n = d.dim
-        half = Fraction(1, 2)
-        mats = tuple(
-            mat_scale(identity_matrix(2, n), d.s1[i] * half) for i in range(n)
-        )
-        field = HiggsField(mats)
-        if hitchin_map(field) != d:
-            raise VerificationFailure("section identity sh(chi(s)) = s failed on the diagonal branch")
-        return HitchinSectionOutput(
-            stability=Stability.POLYSTABLE,
-            real=True,
-            field=field,
-            branch="nilpotent_diagonal",
-            identity_checked=True,
-        )
-    f = factor_rank_one(q)
-    field = _section_field(d.s1, f)
+        f, z = None, Poly.zero(d.dim)
+        field = _section_field(d.s1, (z,) * d.dim, z)
+        branch = "nilpotent_diagonal"
+    else:
+        f = factor_rank_one(q)
+        field = _section_field(d.s1, f.alpha, f.tau)
+        branch = "unit_branch" if f.tau.is_constant() else "generic"
     if hitchin_map(field) != d:
-        raise VerificationFailure("section identity sh(chi(s)) = s failed")
-    unit_branch = f.tau.is_constant()
+        failed = "section identity sh(chi(s)) = s failed"
+        raise VerificationFailure(failed if f is not None else failed + " on the diagonal branch")
     return HitchinSectionOutput(
-        stability=Stability.POLYSTABLE if unit_branch else Stability.STABLE,
+        stability=Stability.STABLE if branch == "generic" else Stability.POLYSTABLE,
         real=True,
         field=field,
         factorization=f,
-        branch="unit_branch" if unit_branch else "generic",
+        branch=branch,
         identity_checked=True,
     )
 
@@ -392,22 +377,17 @@ def higher_rank_build(n: int, coeffs):
     return tuple(rows)
 
 
-def companion_charpoly_expected(n: int, coeffs, nvars: int) -> Poly:
-    """lambda^n - sum_i c_i lambda^(n-i), in nvars+1 variables (lambda last).
+def higher_rank_charcheck(rows) -> bool:
+    """Cofactor charpoly of a companion-shaped field reproduces its first row.
 
+    With first row (0, c2, ..., cn) the expected charpoly is
+    lambda^n - sum_i c_i lambda^(n-i), in nvars+1 variables (lambda last).
     The sign convention is frozen from the cofactor-expansion oracle at
     n = 2, 3 and recorded in data/charpoly_convention.json.
     """
+    n, nvars = len(rows), rows[0][0].nvars
     lam = Poly.variable(nvars + 1, nvars)
-    acc = lam**n
-    for i, c in enumerate(coeffs, start=2):
-        acc = acc - c.lift() * lam ** (n - i)
-    return acc
-
-
-def higher_rank_charcheck(rows) -> bool:
-    """Cofactor charpoly of a companion-shaped field reproduces its first row."""
-    n = len(rows)
-    coeffs = rows[0][1:]
-    nvars = rows[0][0].nvars
-    return charpoly_cofactor(rows) == companion_charpoly_expected(n, coeffs, nvars)
+    expected = lam**n
+    for i, c in enumerate(rows[0][1:], start=2):
+        expected = expected - c.lift() * lam ** (n - i)
+    return charpoly_cofactor(rows) == expected

@@ -51,6 +51,7 @@ import json
 import math
 import re
 from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -302,7 +303,7 @@ class _Terms(Mapping):
 class Poly:
     """Canonical multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "_ints", "_num", "_den", "_hash", "_deg")
+    __slots__ = ("nvars", "_ints", "_num", "_den", "_deg")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
@@ -330,7 +331,6 @@ class Poly:
         _set_ints(self, ints)
         _set_num(self, num)
         _set_den(self, den)
-        _set_hash(self, None)
         _set_deg(self, deg)
 
     @classmethod
@@ -576,11 +576,7 @@ class Poly:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, self._num, self._den, frozenset(self._ints.items())))
-            _set_hash(self, h)
-        return h
+        return hash((self.nvars, self._num, self._den, frozenset(self._ints.items())))
 
     def __bool__(self):
         return bool(self._ints)
@@ -691,7 +687,7 @@ class Poly:
         return p
 
 
-_set_nvars, _set_ints, _set_num, _set_den, _set_hash, _set_deg = (getattr(Poly, s).__set__ for s in Poly.__slots__)
+_set_nvars, _set_ints, _set_num, _set_den, _set_deg = (getattr(Poly, s).__set__ for s in Poly.__slots__)
 
 
 def _parse_piece(piece, nvars):
@@ -997,6 +993,7 @@ def poly_gcd(*polys: Poly):
 # -- squarefree decomposition -------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class SquarefreeDecomposition:
     """content * prod f_i^{m_i} with squarefree, pairwise coprime, primitive f_i.
 
@@ -1004,11 +1001,12 @@ class SquarefreeDecomposition:
     declare their own component list.
     """
 
-    __slots__ = ("content", "factors")
+    content: Fraction
+    factors: tuple
 
-    def __init__(self, content: Fraction, factors):
-        self.content = Fraction(_typed("content", content, int, Fraction))
-        self.factors = tuple((f, _typed("multiplicity", m, int)) for f, m in factors)
+    def __post_init__(self):
+        object.__setattr__(self, "content", Fraction(_typed("content", self.content, int, Fraction)))
+        object.__setattr__(self, "factors", tuple((f, _typed("multiplicity", m, int)) for f, m in self.factors))
 
     def reconstruct(self, nvars=None) -> Poly:
         if self.factors:
@@ -1022,15 +1020,6 @@ class SquarefreeDecomposition:
 
     def multiplicities(self):
         return tuple(m for _, m in self.factors)
-
-    def __eq__(self, other):
-        if not isinstance(other, SquarefreeDecomposition):
-            return NotImplemented
-        return self.content == other.content and self.factors == other.factors
-
-    def __repr__(self):
-        fs = ", ".join(f"({f.to_text()})^{m}" for f, m in self.factors)
-        return f"SquarefreeDecomposition({self.content}, [{fs}])"
 
 
 def _yun(p: Poly) -> dict:

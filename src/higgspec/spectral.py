@@ -9,12 +9,13 @@ coefficient field is infinite.  It evaluates S once, exactly, at one fixed
 integer point, and the values only choose the route.  When every 2x2 minor
 vanishes there, it builds tau * alpha alpha^T and proves it equal to S;
 otherwise, or when that construction fails, the 2x2 minors are scanned for
-the first nonzero one, the witness.  A minor nonzero at the point is
-nonzero as a polynomial with no product compared, and the minors on a row
-pair proved proportional once, on the cofactors of the gcd of the pair's
-pivot entries, are skipped.  Every minor formed, and every entry of the
-Hitchin map, goes through the one kernel poly.det2, a b - c d in one
-accumulator.
+the first nonzero one, the witness.  S is symmetric, so minor (k, l, i, j)
+is minor (i, j, k, l), and the scan covers the distinct minors only, those
+with (k, l) >= (i, j).  A minor nonzero at the point is nonzero as a
+polynomial with no product compared, and the minors on a row pair proved
+proportional once, on the cofactors of the gcd of the pair's pivot entries,
+are skipped.  Every minor formed, and every entry of the Hitchin map, goes
+through the one kernel poly.det2, a b - c d in one accumulator.
 
 The to_tree of a value (OneForm, SymDiff, SpectralDatum,
 RankOneFactorization, HiggsField, SpectralCover) is JSON data whose leaves
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as _iproduct
+from itertools import combinations, combinations_with_replacement, product as _iproduct
 
 from .errors import (
     CayleyHamiltonViolation,
@@ -75,22 +76,20 @@ def _check_chart_dim(n):
 # -- chart types --------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class OneForm:
     """A 1-form in chart coordinates: one Poly coefficient per dz_i."""
 
-    __slots__ = ("entries",)
+    entries: tuple
 
-    def __init__(self, entries):
-        entries = tuple(entries)
+    def __post_init__(self):
+        entries = tuple(self.entries)
         n = len(entries)
         _check_chart_dim(n)
         for p in entries:
             if not isinstance(p, Poly) or p.nvars != n:
                 raise ValueError("OneForm entries must be Poly in n variables")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
 
     @property
     def dim(self):
@@ -99,20 +98,11 @@ class OneForm:
     def is_zero(self):
         return all(p.is_zero() for p in self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, OneForm) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def __repr__(self):
-        return "OneForm(" + ", ".join(p.to_text() for p in self.entries) + ")"
 
     def scale(self, c):
         return OneForm(tuple(p * c for p in self.entries))
@@ -125,13 +115,14 @@ class OneForm:
         return list(self.entries)
 
 
+@dataclass(frozen=True, slots=True)
 class SymDiff:
     """A degree-two symmetric differential as q(z) = z^T S z."""
 
-    __slots__ = ("S",)
+    S: tuple
 
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(r) for r in self.S)
         n = len(rows)
         _check_chart_dim(n)
         for row in rows:
@@ -146,9 +137,6 @@ class SymDiff:
                     raise ValueError(f"SymDiff not symmetric at ({i},{j})")
         object.__setattr__(self, "S", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymDiff is immutable")
-
     @property
     def dim(self):
         return len(self.S)
@@ -156,17 +144,8 @@ class SymDiff:
     def is_zero(self):
         return all(p.is_zero() for row in self.S for p in row)
 
-    def __eq__(self, other):
-        return isinstance(other, SymDiff) and self.S == other.S
-
-    def __hash__(self):
-        return hash(self.S)
-
     def __getitem__(self, i):
         return self.S[i]
-
-    def __repr__(self):
-        return "SymDiff(" + "; ".join(", ".join(p.to_text() for p in r) for r in self.S) + ")"
 
     def add(self, other):
         return SymDiff(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.S, other.S)))
@@ -304,9 +283,10 @@ class HiggsField:
 ROUTE_POINT = (1009, 10007, 100003, 1000003)
 
 
-# chart dimension -> (i, j, k, l) of the 2x2 minors, rows i < j and columns k < l, in grlex order
+# chart dimension -> (i, j, k, l) of the distinct 2x2 minors of a symmetric
+# matrix, rows i < j and columns k < l with (k, l) >= (i, j), in grlex order
 _MINORS = {
-    n: [(i, j, k, l) for i, j in combinations(range(n), 2) for k, l in combinations(range(n), 2)]
+    n: [(*p, *q) for p, q in combinations_with_replacement(combinations(range(n), 2), 2)]
     for n in range(1, MAX_CHART_DIM + 1)
 }
 
@@ -314,9 +294,13 @@ _MINORS = {
 def first_nonzero_minor(S: SymDiff, outcome=None):
     """First (grlex-ordered indices) nonvanishing 2x2 minor, or None.
 
-    The minors are first tested at ROUTE_POINT, exactly, in loop order; an
-    entry of S is evaluated there when a minor first needs it, so a minor
-    nonzero at the point is found after as few evaluations as it takes.
+    S is symmetric, so minor (k, l, i, j) equals minor (i, j, k, l), and
+    when (k, l) < (i, j) that copy comes earlier in grlex order; the scan
+    covers the distinct minors only, those with (k, l) >= (i, j), and the
+    first nonzero minor is the same.  The minors are first tested at
+    ROUTE_POINT, exactly, in loop order; an entry of S is evaluated there
+    when a minor first needs it, so a minor nonzero at the point is found
+    after as few evaluations as it takes.
     When every 2x2 minor vanishes there and some diagonal entry is nonzero,
     tau * alpha alpha^T is built from the first nonzero diagonal entry's
     row and checked equal to S; that proves rank at most one, so the answer
@@ -342,11 +326,10 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
     gives up at its image cap (DegreeCapExceeded), the pair counts as
     unproved and the error goes no further.  Every later minor on a proven
     pair is skipped; S is symmetric, so a proportional column pair (k, l)
-    is the row pair (k, l), and minor (k, l, i, j) is minor (i, j, k, l).
-    A minor on no proven pair, and not compared before in that transposed
-    form, is formed once by det2 as S[i][k] S[j][l] - S[i][l] S[j][k], and
-    the first nonzero one is the witness.  The point therefore changes no
-    answer, only how many products are formed.
+    is the row pair (k, l).  A minor on no proven pair is formed once by
+    det2 as S[i][k] S[j][l] - S[i][l] S[j][k], and the first nonzero one is
+    the witness.  The point therefore changes no answer, only how many
+    products are formed.
 
     ``outcome``, when given, is a list that receives the construction's
     result, the RankOneFactorization or the error it raised, if it ran.
@@ -415,15 +398,12 @@ def first_nonzero_minor(S: SymDiff, outcome=None):
                 failed.add(pair)
         return False
 
-    # minors compared exactly and found zero; S is symmetric, so minor (k, l, i, j) is minor (i, j, k, l)
-    compared = set()
     for m, (i, j, k, l) in enumerate(minors[: first + 1]):
-        if m < first and ((k, l, i, j) in compared or on_proven_pair(i, j, k, l)):
+        if m < first and on_proven_pair(i, j, k, l):
             continue
         minor = det2(rows[i][k], rows[j][l], rows[i][l], rows[j][k])
         if m == first or minor:
             return (i, j, k, l), minor
-        compared.add((i, j, k, l))
     return None
 
 
@@ -485,31 +465,28 @@ def factor_rank_one(S: SymDiff) -> RankOneFactorization:
 # -- spectral base membership ----------------------------------------------------
 
 
-class SpectralBaseVerdict:
-    """Base class of the three-way spectral-base membership verdict."""
-
-    kind = None
+# the three-way spectral-base membership verdict, told apart by .kind
 
 
 @dataclass(frozen=True)
-class Nilpotent(SpectralBaseVerdict):
+class Nilpotent:
     kind = "nilpotent"
 
 
 @dataclass(frozen=True)
-class Member(SpectralBaseVerdict):
+class Member:
     kind = "member"
     factorization: RankOneFactorization = None
 
 
 @dataclass(frozen=True)
-class NotMember(SpectralBaseVerdict):
+class NotMember:
     kind = "not_member"
     indices: tuple = None
     minor: Poly = None
 
 
-def spectral_base_check(d: SpectralDatum) -> SpectralBaseVerdict:
+def spectral_base_check(d: SpectralDatum) -> Nilpotent | Member | NotMember:
     """Membership of (s1, s2) in the spectral base.
 
     Computes Q = s2 - (1/4) s1 s1^T.  Q identically zero is the nilpotent

@@ -218,6 +218,25 @@ def test_bx_table_dims(capsys, tmp_path):
     assert [c["dim"] for c in report["values"]["components"]] == [5, 6, 3]
 
 
+def test_bx_table_grid_bytes():
+    # one recorded sha256 over the machine blocks of (g1, g2) in {0..8}^2,
+    # then three far genera: past selftest's {0..3}^2 grid
+    genera = [*itertools.product(range(9), repeat=2), (1, 1000), (1000, 0), (1000, 1000)]
+    h = hashlib.sha256()
+    for g1, g2 in genera:
+        doc = {"command": "bx-table", "model": {"kind": "product_curves", "g1": g1, "g2": g2}}
+        h.update(machine_block(run(parse_config(json.dumps(doc)))).encode())
+    assert h.hexdigest() == (DATA / "bx-table-grid.sha256").read_text().strip()
+
+
+@pytest.mark.parametrize("tau, splits", [("-4", True), ("3", False), ("-2", False), ("1 * x1", None)])
+def test_etale_cover_splits_over_base_field(tau, splits, capsys, tmp_path):
+    # -tau = 4 is a rational square, -3 is negative, 2 is no square; a branched cover has no key
+    rc, out = run_machine(capsys, tmp_path, _cover_doc("cover", tau=tau))
+    assert rc == 0
+    assert json.loads(out)["values"]["cover"].get("splits_over_base_field") is splits
+
+
 def test_tower_231(capsys, tmp_path):
     doc = {
         "command": "tower",
@@ -618,7 +637,35 @@ REJECTED_INPUTS = {
         2,
         "$.payload.s",
     ),
+    "tree nvars past the chart": (_factor_doc({"nvars": 3, "terms": []}), 2, "$.payload.s[0][0].nvars"),
+    "asymmetric intersection": (
+        {"command": "milnor-wood", "model": RAGGED_SURFACE | {"intersection": [[0, 1], [2, 0]], "omega": [1, 1]},
+         "payload": {"W": [1, 0], "gamma": [1, 0]}},
+        2,
+        "$.model",
+    ),
+    "isomorphic summands of unequal degrees": (
+        {
+            "command": "stability",
+            "model": {"kind": "product_curves", "g1": 2, "g2": 2},
+            "payload": {
+                "L1": [1, 0], "L2": [0, 0], "alpha_nonzero": True, "beta_nonzero": True,
+                "alpha_beta_proportional": True, "L1_iso_L2": True,
+            },
+        },
+        2,
+        "$.payload",
+    ),
 }
+
+
+def test_rational_tree_decodes_as_its_text():
+    # the {"num": p, "den": q} form of a rational, as the README documents it
+    components = [{"class": [1, 0], "multiplicity": 2}, {"class": ["1/2", "1/2"], "multiplicity": 2}]
+    tree, text = (parse_config(json.dumps(_sl2r_doc(components, [L, "1/2"]))) for L in ({"num": 3, "den": 2}, "3/2"))
+    assert tree.payload == text.payload
+    assert tree.payload["L"] == NSClass((Fraction(3, 2), Fraction(1, 2)))
+    assert machine_block(run(tree)) == machine_block(run(text))
 
 
 @pytest.mark.parametrize("name", list(REJECTED_INPUTS))
@@ -705,6 +752,32 @@ DOMAIN_ERRORS = {
             },
         },
         "ZeroPolynomial: tau must be nonzero to define a double cover",
+    ),
+    "cover with zero tau": (_cover_doc("cover", tau="0"), "ZeroPolynomial: tau must be nonzero to define a double cover"),
+    "tower with zero tau": (_cover_doc("tower", tau="0"), "ZeroPolynomial: tau must be nonzero to define a double cover"),
+    # the _declared_branch refusals, in their order
+    "declared constant component": (
+        _cover_doc("cover", tau="2 * x1", components=[{"factor": "3", "multiplicity": 1}]),
+        "InconsistentBranchData: declared components must be nonconstant",
+    ),
+    "declared component not squarefree": (
+        _cover_doc("cover", tau="1 * x1^2", components=[{"factor": "1 * x1^2", "multiplicity": 1}]),
+        "InconsistentBranchData: declared component 1 * x1^2 is not squarefree",
+    ),
+    "declared components not coprime": (
+        _cover_doc("cover", tau="1 * x1^2", components=[
+            {"factor": "1 * x1", "multiplicity": 1}, {"factor": "2 * x1", "multiplicity": 1},
+        ]),
+        "InconsistentBranchData: declared components are not pairwise coprime",
+    ),
+    "declared component not dividing tau": (
+        _cover_doc("cover", tau="1 * x1^2", components=[{"factor": "1 * x2", "multiplicity": 1}]),
+        "InconsistentBranchData: declared components do not divide tau: "
+        "exact division failed (remainder witness: Poly(2, '1 * x1^2'))",
+    ),
+    "sl2r negative multiplicity": (
+        _sl2r_doc([{"class": [1, 0], "multiplicity": -1}], [0, 0]),
+        "InconsistentBranchData: multiplicities must be nonnegative",
     ),
     # refused on degrees, before the millionth power of the component is formed
     "declared multiplicity past deg tau": (
