@@ -57,7 +57,12 @@ the first run and read back from it by every later run, so runs at a parent
 checkout and at a change time the same inputs.  Record the corpus at the
 older checkout: one recorded where ``poly_gcd`` takes any number of
 operands holds calls of three and four that a two-operand ``poly_gcd``
-cannot replay.
+cannot replay.  Checkouts that form different products record different
+``mul`` inputs: one whose ``CoverModule`` forms -tau * Id to check eta^2
+records 100 more a seed-1 round than one that squares eta and reads its
+entries.  So a ``--parent`` run reads a corpus recorded at the parent: a
+``--corpus`` FILE the parent recorded, or none, and the parent's worker
+records it.
 
 With ``--parent DIR`` the checkout at DIR is measured too, on the same
 inputs: each side runs in a process of its own.  A row's passes are
@@ -144,12 +149,19 @@ def _rebind(old, new):
 def _plain(x):
     """x as JSON data: Poly and NSClass leaves read back from their to_json text, Fraction leaves as trees.
 
-    A composite (SymDiff, SpectralDatum, HiggsField, RankOneFactorization)
-    goes through its to_tree, which may leave such objects at its leaves.
+    A SymDiff is the list of its rows and a SpectralDatum the dict of s1 and
+    s2, built from their fields; another composite (OneForm, HiggsField,
+    RankOneFactorization) goes through its to_tree.  Either may leave such
+    objects at its leaves.
     """
     if hasattr(x, "to_json"):
         return json.loads(x.to_json())
-    if hasattr(x, "to_tree"):
+    kind = type(x).__name__
+    if kind == "SymDiff":
+        x = [list(row) for row in x.S]
+    elif kind == "SpectralDatum":
+        x = {"s1": x.s1, "s2": x.s2}
+    elif hasattr(x, "to_tree"):
         x = x.to_tree()
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}

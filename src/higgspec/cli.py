@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from . import geometry, moduli, spectral
@@ -300,7 +300,7 @@ def _product_curves_model(d, ctx):
     X = ProductOfCurves(d["g1"], d["g2"])
     model = X.model
     if d["torsion2"] is not None:
-        model = SurfaceModel(model.generators, model.Q, model.K, model.omega, model.b1, d["torsion2"])
+        model = replace(model, torsion2_count=d["torsion2"])
     ctx.update(rank=model.rank, surface=model, curves=X)
     return d
 
@@ -405,14 +405,8 @@ def _run_correspondence(job):
     # every cap it can raise is met by a product or quotient of the field's entries
     module = _at("$.payload.higgs.matrices", spectral.module_from_higgs, phi, job.payload["factorization"])
     back = _at("$.payload.higgs.matrices", spectral.pushforward, module, job.payload["factorization"])
-    roundtrip = all(
-        a == b
-        for ma, mb in zip(back.matrices, phi.matrices)
-        for ra, rb in zip(ma, mb)
-        for a, b in zip(ra, rb)
-    )
     return {
-        "verdicts": {"cayley_hamilton": True, "roundtrip_identity": roundtrip},
+        "verdicts": {"cayley_hamilton": True, "roundtrip_identity": back == phi},
         "values": {
             "eta_action": [list(row) for row in module.eta_action],
         },
@@ -634,7 +628,6 @@ _COMMANDS = {
     })}),
     "selftest": (_run_selftest, {None: _obj({})}),
 }
-COMMANDS = tuple(_COMMANDS)
 
 
 def _decode(doc) -> JobConfig:

@@ -19,8 +19,8 @@ class HiggspecError(Exception):
 class DivisionFailure(HiggspecError):
     """Exact polynomial division failed; carries the remainder witness."""
 
-    def __init__(self, remainder, message="exact division failed"):
-        super().__init__(f"{message} (remainder witness: {remainder})")
+    def __init__(self, remainder):
+        super().__init__(f"exact division failed (remainder witness: {remainder})")
         self.remainder = remainder
 
 

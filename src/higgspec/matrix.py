@@ -1,7 +1,11 @@
 """Exact linear algebra over the polynomial ring.
 
-Matrices are tuples of tuples of :class:`~higgspec.poly.Poly`.  Determinants
-use cofactor expansion, so sizes are capped at five and entry degrees at
+Matrices are tuples of tuples of :class:`~higgspec.poly.Poly`, so two of
+the same shape are equal exactly when tuple ``==`` says so.  Besides that
+equality the library needs only products, scalings, traces and determinants:
+integrability is B_i B_j == B_j B_i and the correspondence checks eta^2 ==
+-tau * Id, both on mat_mul.  Determinants use cofactor expansion, every 2x2
+one through poly.det2, so sizes are capped at five and entry degrees at
 twelve; the characteristic polynomial has two independent routes, a
 Faddeev-LeVerrier recursion and a cofactor expansion in an adjoined variable.
 """
@@ -11,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded
-from .poly import Poly
+from .poly import Poly, det2
 
 MAX_SIZE = 5
 MAX_ENTRY_DEGREE = 12
@@ -39,25 +43,6 @@ def _check_caps(rows, op):
         raise DegreeCapExceeded(
             f"{op}: entry degree {d} exceeds cap {MAX_ENTRY_DEGREE}"
         )
-
-
-def zero_matrix(r, nvars):
-    z = Poly.zero(nvars)
-    return tuple((z,) * r for _ in range(r))
-
-
-def identity_matrix(r, nvars):
-    c = Poly.one(nvars)
-    z = Poly.zero(nvars)
-    return tuple(tuple(c if i == j else z for j in range(r)) for i in range(r))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a, c):
@@ -89,20 +74,12 @@ def mat_trace(a):
     return acc
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def _det_cofactor(rows):
     r = len(rows)
     if r == 1:
         return rows[0][0]
     if r == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        return det2(rows[0][0], rows[1][1], rows[0][1], rows[1][0])
     # expand along the row with the most zero entries
     best = max(range(r), key=lambda i: sum(1 for p in rows[i] if p.is_zero()))
     nvars = rows[0][0].nvars
@@ -134,14 +111,13 @@ def charpoly(rows):
     rows = as_matrix(rows)
     _check_caps(rows, "charpoly")
     r = len(rows)
-    nvars = rows[0][0].nvars
-    coeffs = [Poly.one(nvars)]
+    coeffs = [Poly.one(rows[0][0].nvars)]
     n = rows
     for k in range(1, r + 1):
         ck = mat_trace(n) * Fraction(-1, k)
         coeffs.append(ck)
         if k < r:
-            n = mat_mul(rows, mat_add(n, mat_scale(identity_matrix(r, nvars), ck)))
+            n = mat_mul(rows, [[p + ck if i == j else p for j, p in enumerate(row)] for i, row in enumerate(n)])
     return coeffs
 
 

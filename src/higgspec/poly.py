@@ -296,9 +296,6 @@ class _Terms(Mapping):
                 return Fraction(c * p._num, p._den)
         raise KeyError(e)
 
-    def __repr__(self):
-        return repr(dict(self.items()))
-
 
 class Poly:
     """Canonical multivariate polynomial with exact rational coefficients."""
@@ -555,11 +552,10 @@ class Poly:
             f = _heu_eval(f, x.numerator * (d // x.denominator), s, (1 << s) - 1)
         return Fraction(f.get(0, 0) * self._num, self._den * d**top)
 
-    def lift(self, extra=1):
-        """Adjoin `extra` fresh trailing variables (used for charpoly in lambda)."""
-        s = _W * extra
-        ints = {k << s: c for k, c in self._ints.items()}
-        return Poly._raw(self.nvars + extra, ints, self._num, self._den, self._deg)
+    def lift(self):
+        """Adjoin one fresh trailing variable (used for charpoly in lambda)."""
+        ints = {k << _W: c for k, c in self._ints.items()}
+        return Poly._raw(self.nvars + 1, ints, self._num, self._den, self._deg)
 
     # -- equality, ordering helpers ----------------------------------------
 

@@ -28,7 +28,7 @@ from .geometry import (
     pushforward_c1,
     pushforward_c2,
 )
-from .matrix import charpoly, charpoly_cofactor, charpoly_from_coeffs, mat_eq, mat_mul
+from .matrix import charpoly, charpoly_cofactor, charpoly_from_coeffs, mat_mul
 from .moduli import (
     LatticeSectionDatum,
     Stability,
@@ -422,9 +422,8 @@ def suite_correspondence(seed, cases=100) -> SuiteResult:
             continue
         phi = pushforward(mod, f)
         back = module_from_higgs(phi, f)
-        res.check(mat_eq(back.eta_action, mod.eta_action), "roundtrip not the identity")
+        res.check(back.eta_action == mod.eta_action, "roundtrip not the identity")
         sq = mat_mul(back.eta_action, back.eta_action)
-        want = _const_matrix(nvars, [[0, 0], [0, 0]])
         ok = all(
             (sq[i][j] + (f.tau if i == j else Poly.zero(nvars))).is_zero()
             for i in range(2)

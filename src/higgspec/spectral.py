@@ -17,10 +17,9 @@ proportional once, on the cofactors of the gcd of the pair's pivot entries,
 are skipped.  Every minor formed, and every entry of the Hitchin map, goes
 through the one kernel poly.det2, a b - c d in one accumulator.
 
-The to_tree of a value (OneForm, SymDiff, SpectralDatum,
-RankOneFactorization, HiggsField, SpectralCover) is JSON data whose leaves
-may be Poly and Fraction objects; cli.machine_block writes each leaf as its
-tree.
+The to_tree of a value the CLI writes (OneForm, RankOneFactorization,
+HiggsField, SpectralCover) is JSON data whose leaves may be Poly and Fraction
+objects; cli.machine_block writes each leaf as its tree.
 """
 
 from __future__ import annotations
@@ -43,16 +42,7 @@ from .errors import (
     ZeroPolynomial,
     _typed,
 )
-from .matrix import (
-    as_matrix,
-    commutator,
-    identity_matrix,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    mat_trace,
-    zero_matrix,
-)
+from .matrix import as_matrix, mat_mul, mat_scale, mat_trace
 from .poly import (
     Poly,
     SquarefreeDecomposition,
@@ -107,10 +97,6 @@ class OneForm:
     def scale(self, c):
         return OneForm(tuple(p * c for p in self.entries))
 
-    @classmethod
-    def zero(cls, n):
-        return cls(tuple(Poly.zero(n) for _ in range(n)))
-
     def to_tree(self):
         return list(self.entries)
 
@@ -154,11 +140,6 @@ class SymDiff:
         return SymDiff(tuple(tuple(p * c for p in row) for row in self.S))
 
     @classmethod
-    def zero(cls, n):
-        z = Poly.zero(n)
-        return cls(tuple((z,) * n for _ in range(n)))
-
-    @classmethod
     def outer(cls, a: OneForm, b: OneForm):
         """Symmetrised outer product: entries (a_i b_j + a_j b_i) / 2."""
         n = a.dim
@@ -167,9 +148,6 @@ class SymDiff:
             tuple((a[i] * b[j] + a[j] * b[i]) * half for j in range(n)) for i in range(n)
         )
         return cls(rows)
-
-    def to_tree(self):
-        return [list(row) for row in self.S]
 
 
 @dataclass(frozen=True)
@@ -197,9 +175,6 @@ class SpectralDatum:
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = s2[i][j] - s1[i] * s1[j] * quarter
         return SymDiff(rows)
-
-    def to_tree(self):
-        return {"s1": self.s1.to_tree(), "s2": self.s2.to_tree()}
 
 
 @dataclass(frozen=True)
@@ -507,15 +482,8 @@ def spectral_base_check(d: SpectralDatum) -> Nilpotent | Member | NotMember:
 
 
 def higgs_integrable(phi: HiggsField) -> bool:
-    """phi wedge phi = 0, i.e. [B_i, B_j] = 0 for all pairs."""
-    mats = phi.matrices
-    n = len(mats)
-    z = zero_matrix(phi.rank, mats[0][0][0].nvars)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not mat_eq(commutator(mats[i], mats[j]), z):
-                return False
-    return True
+    """phi wedge phi = 0, i.e. B_i B_j = B_j B_i for all pairs."""
+    return all(mat_mul(a, b) == mat_mul(b, a) for a, b in combinations(phi.matrices, 2))
 
 
 def hitchin_map(phi: HiggsField) -> SpectralDatum:
@@ -568,9 +536,6 @@ class SpectralCover:
         for a, m in zip(self.tuple_a, ms):
             if not 0 <= a <= m // 2:
                 raise ValueError(f"tuple entry {a} outside 0..floor({m}/2)")
-
-    def effective_multiplicities(self):
-        return tuple(m - 2 * a for (_, m), a in zip(self.branch.factors, self.tuple_a))
 
     def splits_over_base(self):
         """For an etale cover (constant tau): is -tau a rational square?
@@ -684,7 +649,7 @@ def tower_enumerate(c: SpectralCover) -> TowerResult:
         raise DegreeCapExceeded(f"tower of {count} covers exceeds cap {MAX_TOWER_COVERS}")
     tau = c.factorization.tau
     ranges = [range(m // 2 + 1) for m in ms]
-    tuples = list(_iproduct(*ranges)) if ms else [()]
+    tuples = list(_iproduct(*ranges))
     index = {t: i for i, t in enumerate(tuples)}
     powers = [{} for _ in ms]
     covers = tuple(
@@ -713,7 +678,7 @@ def is_normal(c: SpectralCover) -> bool:
     ``squarefree_decompose``, or checked in ``_declared_branch``), so effective
     tau is squarefree exactly when no effective multiplicity exceeds one.
     """
-    return all(m <= 1 for m in c.effective_multiplicities())
+    return all(m - 2 * a <= 1 for (_, m), a in zip(c.branch.factors, c.tuple_a))
 
 
 # -- modules on covers and the correspondence --------------------------------------
@@ -734,7 +699,8 @@ class CoverModule:
             raise ValueError("eta action must be 2x2")
         if mat[0][0].nvars != tau.nvars:
             raise ValueError("eta action must live in the chart ring")
-        if not mat_eq(mat_mul(mat, mat), mat_scale(identity_matrix(2, tau.nvars), -tau)):
+        (a, b), (c, d) = mat_mul(mat, mat)
+        if b or c or d != a or a != -tau:
             raise CayleyHamiltonViolation("Phi0^2 != -tau * Id")
         if tau.is_zero():
             raise ZeroPolynomial(_ZERO_TAU)
@@ -778,7 +744,7 @@ def module_from_higgs(phi: HiggsField, f: RankOneFactorization) -> CoverModule:
     except DivisionFailure as exc:
         raise FactorizationMismatch(f"division by alpha_{i0 + 1} failed: {exc}") from exc
     for i, m in enumerate(mats):
-        if i != i0 and not mat_eq(mat_scale(phi0, alpha[i]), m):
+        if i != i0 and mat_scale(phi0, alpha[i]) != m:
             raise FactorizationMismatch(f"component {i + 1} is not alpha_i * Phi0")
     return CoverModule(f.tau, phi0)
 

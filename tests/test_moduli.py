@@ -133,7 +133,7 @@ def test_section_generic_branch():
 def test_section_unit_branch_polystable():
     alpha = OneForm((P("1 * x1", 2), P("1 * x2", 2)))
     f = RankOneFactorization(alpha, Poly.one(2))
-    d = SpectralDatum(OneForm.zero(2), f.symdiff())
+    d = SpectralDatum(OneForm((Poly.zero(2),) * 2), f.symdiff())
     out = hitchin_section(d)
     assert out.branch == "unit_branch"
     assert out.stability == Stability.POLYSTABLE
@@ -159,7 +159,7 @@ def test_section_identity_failure_is_a_verification_failure(branch, monkeypatch)
     s2 = quarter(s1)
     if branch == "generic":
         s2 = s2.add(RankOneFactorization(OneForm((P("1 * x1", 2), P("1 * x2", 2))), P("1 * x1 + 2", 2)).symdiff())
-    monkeypatch.setattr(moduli, "hitchin_map", lambda field: SpectralDatum(OneForm.zero(2), SymDiff.zero(2)))
+    monkeypatch.setattr(moduli, "hitchin_map", lambda field: SpectralDatum(OneForm((Poly.zero(2),) * 2), SymDiff(((Poly.zero(2),) * 2,) * 2)))
     with pytest.raises(VerificationFailure) as err:
         hitchin_section(SpectralDatum(s1, s2))
     suffix = " on the diagonal branch" if branch == "nilpotent_diagonal" else ""
@@ -168,7 +168,7 @@ def test_section_identity_failure_is_a_verification_failure(branch, monkeypatch)
 
 def test_section_rejects_origin():
     with pytest.raises(NilpotentDatum):
-        hitchin_section(SpectralDatum(OneForm.zero(2), SymDiff.zero(2)))
+        hitchin_section(SpectralDatum(OneForm((Poly.zero(2),) * 2), SymDiff(((Poly.zero(2),) * 2,) * 2)))
 
 
 def test_section_lattice_verdicts(g22):
@@ -195,7 +195,7 @@ def test_section_lattice_verdicts(g22):
 def test_cstar_scale_preserves_verdict():
     alpha = OneForm((P("1 * x1", 2), P("1 * x2", 2)))
     f = RankOneFactorization(alpha, P("1 * x1", 2))
-    d = SpectralDatum(OneForm.zero(2), f.symdiff())
+    d = SpectralDatum(OneForm((Poly.zero(2),) * 2), f.symdiff())
     assert cstar_scale(d, 1) == d
     assert cstar_scale(d, 0).s2.is_zero()
     scaled = cstar_scale(d, 2)

@@ -695,6 +695,16 @@ def test_parse_degree_cap():
     assert Poly.from_tree(tree).total_degree() == n
 
 
+@pytest.mark.parametrize(
+    "text, nvars",
+    [("1 * x1^1024 + 1 * x1^1025", 1), ("1 * x1^1000 * x2^24 + 1 * x1^1001 * x2^24", 2)],
+)
+def test_parse_degree_cap_one_above_an_earlier_term(text, nvars):
+    # the term past the cap is one degree above the largest term before it
+    with pytest.raises(DegreeCapExceeded) as exc:
+        P(text, nvars)
+    assert str(exc.value) == "total degree 1025 exceeds cap 1024"
+
 
 def test_parse_term_cap(monkeypatch):
     # counted before the terms are parsed; at the cap a text or tree parses

@@ -14,7 +14,7 @@ from higgspec.errors import (
     ZeroInput,
     ZeroPolynomial,
 )
-from higgspec.matrix import mat_eq, mat_mul
+from higgspec.matrix import mat_mul
 from higgspec.poly import Poly, is_squarefree
 from higgspec.spectral import (
     MAX_TOWER_COVERS,
@@ -572,7 +572,7 @@ def test_symdiff_is_every_product(n):
 
 def test_factor_zero_rejected():
     with pytest.raises(ZeroInput):
-        factor_rank_one(SymDiff.zero(2))
+        factor_rank_one(sym(2, [["0", "0"], ["0", "0"]]))
 
 
 def test_factor_normalization_unique(alpha_xy):
@@ -608,7 +608,7 @@ def test_factor_alpha_has_content_one_past_a_unit_gcd():
 
 
 def test_base_check_member(alpha_xy):
-    d = SpectralDatum(OneForm.zero(2), sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]))
+    d = SpectralDatum(OneForm((Poly.zero(2),) * 2), sym(2, [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]))
     v = spectral_base_check(d)
     assert isinstance(v, Member)
     assert v.factorization.alpha == alpha_xy and v.factorization.tau == Poly.one(2)
@@ -621,7 +621,7 @@ def test_base_check_nilpotent():
 
 
 def test_base_check_not_member():
-    d = SpectralDatum(OneForm.zero(2), sym(2, [["1", "0"], ["0", "1"]]))
+    d = SpectralDatum(OneForm((Poly.zero(2),) * 2), sym(2, [["1", "0"], ["0", "1"]]))
     v = spectral_base_check(d)
     assert isinstance(v, NotMember)
     # witness is a minor of 4 s2 - s1 s1^T = 4 Id
@@ -709,7 +709,7 @@ def test_hitchin_map_needs_rank_two():
 def test_module_from_higgs_canonical(alpha_xy):
     f = RankOneFactorization(alpha_xy, P("1 * x1", 2))
     phi0 = module_from_higgs(canonical_field(f), f).eta_action
-    assert mat_eq(phi0, ((Poly.zero(2), -f.tau), (Poly.one(2), Poly.zero(2))))
+    assert phi0 == ((Poly.zero(2), -f.tau), (Poly.one(2), Poly.zero(2)))
 
 
 def test_module_from_higgs_diagonal_sign():
@@ -723,7 +723,7 @@ def test_module_from_higgs_diagonal_sign():
     phi = HiggsField(mats)
     f = RankOneFactorization(alpha, Poly.constant(2, -w * w))
     phi0 = module_from_higgs(phi, f).eta_action
-    assert mat_eq(phi0, diag)
+    assert phi0 == diag
 
 
 def test_module_from_higgs_mismatch(alpha_xy):
@@ -864,9 +864,9 @@ def test_canonical_module_and_pushforward():
     alpha = OneForm((Poly.one(2), Poly.zero(2)))
     f = RankOneFactorization(alpha, P("1 * x1", 2))
     m = canonical_module(build_cover(f))
-    assert mat_eq(m.eta_action, ((Poly.zero(2), -P("1 * x1", 2)), (Poly.one(2), Poly.zero(2))))
+    assert m.eta_action == ((Poly.zero(2), -P("1 * x1", 2)), (Poly.one(2), Poly.zero(2)))
     phi = pushforward(m, f)
-    assert mat_eq(phi.matrices[0], m.eta_action)
+    assert phi.matrices[0] == m.eta_action
     assert all(p.is_zero() for row in phi.matrices[1] for p in row)
 
 
@@ -878,6 +878,9 @@ def test_cover_module_rejects_bad_action():
         CoverModule(Poly.zero(2), consts(2, [[1, 0], [0, 1]]))
     with pytest.raises(ZeroPolynomial):
         CoverModule(Poly.zero(2), consts(2, [[0, 1], [0, 0]]))
+    # the square [[1, 2], [0, 1]] has the diagonal -tau = 1 and a nonzero off-diagonal entry
+    with pytest.raises(CayleyHamiltonViolation):
+        CoverModule(Poly.constant(1, -1), consts(1, [[1, 1], [0, 1]]))
 
 
 def test_roundtrip_with_conjugation(alpha_xy):
@@ -888,7 +891,7 @@ def test_roundtrip_with_conjugation(alpha_xy):
     phi0 = mat_mul(mat_mul(g, canonical_module(cover).eta_action), ginv)
     m = CoverModule(f.tau, phi0)
     back = module_from_higgs(pushforward(m, f), f)
-    assert mat_eq(back.eta_action, phi0)
+    assert back.eta_action == phi0
 
 
 def test_module_from_higgs_requires_traceless(alpha_xy):
@@ -923,7 +926,7 @@ def test_annihilator_examples():
 
 def test_annihilator_rejects_zero():
     with pytest.raises(ZeroInput):
-        annihilator_distribution(OneForm.zero(2))
+        annihilator_distribution(OneForm((Poly.zero(2),) * 2))
 
 
 # -- the rank-one theorem as a property ------------------------------------------------
