@@ -479,20 +479,40 @@ def _run_hitchin_section(job):
 
 
 def _run_sl2r_enum(job):
+    """values.data written from the enumeration's groups, without building its rows.
+
+    The rows of one prefix are head + prefix digits + tail, joined by ",":
+    prefix_text.join(pieces), pieces = [head_0, tail_0 + "," + head_1, ...,
+    tail_n].  A head is written once per D1 object (D2 and N follow from it),
+    a tail once per suffix object, and the pieces once per kept list, which
+    every prefix with the same partial sum shares.  The ids stay valid because
+    data keeps every object alive while the block is written.
+    """
     model = job.model["surface"]
     data = _at("$.payload.components", moduli.sl2r_enumerate, job.payload["components"], job.payload["L"], model)
-    heads = {}  # keyed by the D1 object, shared by every tuple of one kept x; D2 and N follow from D1
-    rows = []
-    for d in data:
-        head = heads.get(id(d.D1))
-        if head is None:
-            head = heads[id(d.D1)] = (
-                f'{{"D1":{d.D1.to_json()},"D2":{d.D2.to_json()},"N":{d.N_class.to_json()},"tuple_a":['
-            )
-        rows.append(head + ",".join(map(int.__repr__, d.tuple_a)) + "]}")
+    # the prefix is the shorter half: a nonempty prefix comes with a nonempty suffix and a comma between
+    comma = "," if data.groups[0][0] else ""
+    heads, tails, pieces_at, blocks = {}, {}, {}, []
+    for prefix, kept in data.groups:
+        if not kept:
+            continue
+        pieces = pieces_at.get(id(kept))
+        if pieces is None:
+            pieces = pieces_at[id(kept)] = [""]
+            for sfx, D1, D2, N in kept:
+                head = heads.get(id(D1))
+                if head is None:
+                    head = heads[id(D1)] = f'{{"D1":{D1.to_json()},"D2":{D2.to_json()},"N":{N.to_json()},"tuple_a":['
+                tail = tails.get(id(sfx))
+                if tail is None:
+                    tail = tails[id(sfx)] = comma + ",".join(map(int.__repr__, sfx)) + "]}"
+                pieces[-1] += head
+                pieces.append(tail + ",")
+            pieces[-1] = tail
+        blocks.append(",".join(map(int.__repr__, prefix)).join(pieces))
     return {
         "verdicts": {"count": len(data), "torsion_multiplicity": model.torsion2_count},
-        "values": {"data": _Canonical("[" + ",".join(rows) + "]")},
+        "values": {"data": _Canonical("[" + ",".join(blocks) + "]")},
     }
 
 

@@ -16,6 +16,14 @@ class HiggspecError(Exception):
     """Base class for all library-level failures."""
 
 
+class InvalidInput(HiggspecError, ValueError):
+    """A library constructor or method refused an ill-formed value.
+
+    Also a ValueError, so code that catches ValueError (the CLI's decoders
+    among it) still catches it.
+    """
+
+
 class DivisionFailure(HiggspecError):
     """Exact polynomial division failed; carries the remainder witness."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatch, _typed
+from .errors import DimensionMismatch, InvalidInput, _typed
 
 # Largest genus of a factor curve of a product model.
 MAX_GENUS = 1000
@@ -218,7 +218,7 @@ class ProductOfCurves:
 
     def __post_init__(self):
         if not (0 <= self.g1 <= MAX_GENUS and 0 <= self.g2 <= MAX_GENUS):
-            raise ValueError(f"genera must be 0..{MAX_GENUS}")
+            raise InvalidInput(f"genera must be 0..{MAX_GENUS}")
 
     @property
     def model(self) -> SurfaceModel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -20,6 +21,7 @@ from .errors import (
     DegreeCapExceeded,
     DegreeOrderViolation,
     InconsistentBranchData,
+    InvalidInput,
     NilpotentDatum,
     NotApplicable,
     RankCap,
@@ -208,6 +210,43 @@ class SL2RDatum(NamedTuple):
     tuple_a: tuple
 
 
+class SL2RData(Sequence):
+    """The kept tuples of one enumeration, as a read-only sequence of SL2RDatum.
+
+    groups is [(prefix, kept)], one entry per prefix in product order, and
+    kept is [(suffix, D1, D2, N), ...] in product order, one list object
+    shared by every prefix with the same partial sum.  Row i is the i-th
+    SL2RDatum(D1, D2, N, torsion, prefix + suffix) over the groups in turn.
+    The rows are built once, on the first index or iteration; len builds
+    none.
+    """
+
+    __slots__ = ("groups", "_torsion", "_len", "_rows")
+
+    def __init__(self, groups, torsion):
+        self.groups = groups
+        self._torsion = torsion
+        self._len = sum(len(kept) for _, kept in groups)
+        self._rows = None
+
+    def _built(self):
+        if self._rows is None:
+            new, torsion = tuple.__new__, self._torsion  # builds an SL2RDatum without binding by name
+            self._rows = [
+                new(SL2RDatum, (D1, D2, N, torsion, a + sfx)) for a, kept in self.groups for sfx, D1, D2, N in kept
+            ]
+        return self._rows
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
 MAX_SL2R_TUPLES = 2**16
 
 
@@ -229,8 +268,9 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     components is [(c_i, m_i), ...] with sum m_i c_i = 2 L.  A tuple (a_i),
     0 <= a_i <= m_i, gives D1 = sum a_i c_i and D2 = 2 L - D1; it is kept iff
     (D1 - D2)^2 = 0 and D1 - L is divisible by two in the lattice.  Torsion
-    only multiplies the count.  The kept tuples come in itertools.product
-    order.
+    only multiplies the count.  The result is an SL2RData: the kept tuples
+    as SL2RDatum rows in itertools.product order, held as the walk finds
+    them, one kept-suffix list per prefix, and built as rows on first read.
 
     The verdict and the classes depend on a tuple only through the int
     vector x = d (D1 - L) = sum a_i d c_i - d L, d the common denominator of
@@ -244,7 +284,8 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     only the bucket of residue d L - p mod 2 d can give an even D1 - L; each
     of its groups gives one full x, decided once across all prefixes, and
     the kept groups' suffixes, merged back into product order, are that
-    prefix sum's kept list.  D1, D2 and N are built once per kept x.  More
+    prefix sum's kept list, shared by every prefix with that sum.  D1, D2
+    and N are built once per kept x.  More
     than MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the first one.
     """
     components = [(c, _typed("multiplicity", m, int)) for c, m in components]
@@ -269,14 +310,12 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
         buckets.setdefault(tuple(v % two_d for v in s), {}).setdefault(s, []).append((i, a))
     classes_at = {}  # x -> (D1, D2, N) if kept, else ()
     kept_at = {}  # prefix sum -> [(suffix, D1, D2, N), ...] in product order
-    torsion = model.torsion2_count
-    new = tuple.__new__  # builds an SL2RDatum without binding its arguments by name
-    out = []
+    groups = []
     for a, p in _partial_sums(digits[:h], zero):
         kept = kept_at.get(p)
         if kept is None:
             base = tuple(map(sub, p, dL))
-            groups = []
+            runs = []
             for s, suffixes in buckets.get(tuple(-v % two_d for v in base), {}).items():
                 x = tuple(map(add, base, s))
                 D = classes_at.get(x)
@@ -285,10 +324,10 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
                     D = classes_at[x] = () if model.pair(N, N) else (
                         NSClass._raw(tuple(map(add, x, dL)), d), NSClass._raw(tuple(map(sub, dL, x)), d), N)
                 if D:
-                    groups.append([(i, sfx) + D for i, sfx in suffixes])
-            kept = kept_at[p] = [e[1:] for e in sorted(e for g in groups for e in g)]
-        out += [new(SL2RDatum, (D1, D2, N, torsion, a + sfx)) for sfx, D1, D2, N in kept]
-    return out
+                    runs.append([(i, sfx) + D for i, sfx in suffixes])
+            kept = kept_at[p] = [e[1:] for e in sorted(e for run in runs for e in run)]
+        groups.append((a, kept))
+    return SL2RData(groups, model.torsion2_count)
 
 
 # -- Toledo / Milnor-Wood -------------------------------------------------------------
@@ -323,7 +362,7 @@ class TopologicalData:
 
     def __post_init__(self):
         if self.b1 < 0 or any(b < 0 for b in self.double_cover_b1s):
-            raise ValueError("Betti numbers are nonnegative")
+            raise InvalidInput("Betti numbers are nonnegative")
         object.__setattr__(self, "double_cover_b1s", tuple(self.double_cover_b1s))
 
 

@@ -57,7 +57,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .errors import DegreeCapExceeded, DivisionFailure, ZeroPolynomial, _typed
+from .errors import DegreeCapExceeded, DivisionFailure, InvalidInput, ZeroPolynomial, _typed
 
 # Largest total degree a parsed polynomial may have.  Work in the squarefree
 # decomposition (one pass per multiplicity) and the size of the gcd's
@@ -1008,7 +1008,7 @@ class SquarefreeDecomposition:
         if self.factors:
             nvars = self.factors[0][0].nvars
         if nvars is None:
-            raise ValueError("nvars needed to reconstruct a constant")
+            raise InvalidInput("nvars needed to reconstruct a constant")
         out = Poly.constant(nvars, self.content)
         for f, m in self.factors:
             out = out * f**m

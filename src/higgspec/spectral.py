@@ -36,6 +36,7 @@ from .errors import (
     DivisionFailure,
     FactorizationInconsistent,
     FactorizationMismatch,
+    InvalidInput,
     NotRankOne,
     RankUnsupported,
     ZeroInput,
@@ -113,14 +114,14 @@ class SymDiff:
         _check_chart_dim(n)
         for row in rows:
             if len(row) != n:
-                raise ValueError("SymDiff matrix must be square")
+                raise InvalidInput("SymDiff matrix must be square")
             for p in row:
                 if not isinstance(p, Poly) or p.nvars != n:
-                    raise ValueError("SymDiff entries must be Poly in n variables")
+                    raise InvalidInput("SymDiff entries must be Poly in n variables")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"SymDiff not symmetric at ({i},{j})")
+                    raise InvalidInput(f"SymDiff not symmetric at ({i},{j})")
         object.__setattr__(self, "S", rows)
 
     @property
@@ -159,7 +160,7 @@ class SpectralDatum:
 
     def __post_init__(self):
         if self.s1.dim != self.s2.dim:
-            raise ValueError("s1 and s2 must share the chart dimension")
+            raise InvalidInput("s1 and s2 must share the chart dimension")
 
     @property
     def dim(self):
@@ -193,7 +194,7 @@ class RankOneFactorization:
         if self.alpha.is_zero():
             raise ZeroInput("alpha must be nonzero")
         if self.tau.nvars != self.alpha.dim:
-            raise ValueError("tau must live in the chart ring of alpha")
+            raise InvalidInput("tau must live in the chart ring of alpha")
 
     @property
     def dim(self):
@@ -226,10 +227,10 @@ class HiggsField:
         r = len(mats[0])
         nvars = mats[0][0][0].nvars
         if nvars != n:
-            raise ValueError("number of matrices must equal the chart dimension")
+            raise InvalidInput("number of matrices must equal the chart dimension")
         for m in mats:
             if len(m) != r or m[0][0].nvars != nvars:
-                raise ValueError("all coefficient matrices must share size and nvars")
+                raise InvalidInput("all coefficient matrices must share size and nvars")
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -532,10 +533,10 @@ class SpectralCover:
     def __post_init__(self):
         ms = self.branch.multiplicities()
         if len(self.tuple_a) != len(ms):
-            raise ValueError("tuple_a length must match the branch component count")
+            raise InvalidInput("tuple_a length must match the branch component count")
         for a, m in zip(self.tuple_a, ms):
             if not 0 <= a <= m // 2:
-                raise ValueError(f"tuple entry {a} outside 0..floor({m}/2)")
+                raise InvalidInput(f"tuple entry {a} outside 0..floor({m}/2)")
 
     def splits_over_base(self):
         """For an etale cover (constant tau): is -tau a rational square?
@@ -696,9 +697,9 @@ class CoverModule:
     def __init__(self, tau: Poly, eta_action):
         mat = as_matrix(eta_action)
         if len(mat) != 2:
-            raise ValueError("eta action must be 2x2")
+            raise InvalidInput("eta action must be 2x2")
         if mat[0][0].nvars != tau.nvars:
-            raise ValueError("eta action must live in the chart ring")
+            raise InvalidInput("eta action must live in the chart ring")
         (a, b), (c, d) = mat_mul(mat, mat)
         if b or c or d != a or a != -tau:
             raise CayleyHamiltonViolation("Phi0^2 != -tau * Id")

@@ -18,7 +18,14 @@ from higgspec import (
     module_from_higgs,
     squarefree_decompose,
 )
-from higgspec.errors import DegreeCapExceeded, FactorizationMismatch, ZeroInput, ZeroPolynomial
+from higgspec.errors import (
+    DegreeCapExceeded,
+    FactorizationMismatch,
+    HiggspecError,
+    InvalidInput,
+    ZeroInput,
+    ZeroPolynomial,
+)
 from higgspec.poly import Poly
 from higgspec.spectral import _normalize_covector
 
@@ -35,44 +42,44 @@ def _cover_parts():
 
 REFUSALS = [
     ("oneform-dim-5", lambda: OneForm((Poly.zero(5),) * 5), DegreeCapExceeded, "chart dimension 5 outside 1..4"),
-    ("symdiff-asymmetric", lambda: SymDiff(((x, y), (x, y))), ValueError, "SymDiff not symmetric at (0,1)"),
+    ("symdiff-asymmetric", lambda: SymDiff(((x, y), (x, y))), InvalidInput, "SymDiff not symmetric at (0,1)"),
     (
         "datum-dims",
         lambda: SpectralDatum(OneForm((Poly.zero(1),)), SymDiff(((zero,) * 2,) * 2)),
-        ValueError,
+        InvalidInput,
         "s1 and s2 must share the chart dimension",
     ),
     ("factorization-zero-alpha", lambda: RankOneFactorization(OneForm((zero, zero)), one), ZeroInput, "alpha must be nonzero"),
     (
         "factorization-tau-ring",
         lambda: RankOneFactorization(OneForm((x, y)), Poly.one(3)),
-        ValueError,
+        InvalidInput,
         "tau must live in the chart ring of alpha",
     ),
-    ("higgs-one-matrix", lambda: HiggsField((IDENTITY,)), ValueError, "number of matrices must equal the chart dimension"),
+    ("higgs-one-matrix", lambda: HiggsField((IDENTITY,)), InvalidInput, "number of matrices must equal the chart dimension"),
     (
         "higgs-mixed-sizes",
         lambda: HiggsField((IDENTITY, ((one,),))),
-        ValueError,
+        InvalidInput,
         "all coefficient matrices must share size and nvars",
     ),
     (
         "cover-tuple-length",
         lambda: SpectralCover(*_cover_parts(), (0, 0, 0), x * x * y),
-        ValueError,
+        InvalidInput,
         "tuple_a length must match the branch component count",
     ),
     (
         "cover-tuple-entry",
         lambda: SpectralCover(*_cover_parts(), (2, 0), x * x * y),
-        ValueError,
+        InvalidInput,
         "tuple entry 2 outside 0..floor(1/2)",
     ),
-    ("module-3x3", lambda: CoverModule(x, ((one,) * 3,) * 3), ValueError, "eta action must be 2x2"),
+    ("module-3x3", lambda: CoverModule(x, ((one,) * 3,) * 3), InvalidInput, "eta action must be 2x2"),
     (
         "module-chart",
         lambda: CoverModule(x, ((Poly.one(1),) * 2,) * 2),
-        ValueError,
+        InvalidInput,
         "eta action must live in the chart ring",
     ),
     (
@@ -86,12 +93,12 @@ REFUSALS = [
     ),
     ("section-of-int", lambda: hitchin_section(42), TypeError, "expected a SpectralDatum or a LatticeSectionDatum"),
     ("normalize-zeros", lambda: _normalize_covector((zero, zero)), ZeroInput, "cannot normalize the zero covector"),
-    ("topology-b1", lambda: TopologicalData(True, -1), ValueError, "Betti numbers are nonnegative"),
-    ("curves-genus", lambda: ProductOfCurves(1001, 0), ValueError, "genera must be 0..1000"),
+    ("topology-b1", lambda: TopologicalData(True, -1), InvalidInput, "Betti numbers are nonnegative"),
+    ("curves-genus", lambda: ProductOfCurves(1001, 0), InvalidInput, "genera must be 0..1000"),
     (
         "reconstruct-constant",
         lambda: squarefree_decompose(Poly.constant(2, 3)).reconstruct(),
-        ValueError,
+        InvalidInput,
         "nvars needed to reconstruct a constant",
     ),
     ("squarefree-zero", lambda: is_squarefree(Poly.zero(1)), ZeroPolynomial, "squarefree test of the zero polynomial"),
@@ -104,3 +111,8 @@ def test_library_input_is_refused(build, exc_type, message):
         build()
     assert type(exc.value) is exc_type
     assert str(exc.value) == message
+
+
+def test_every_value_refusal_is_a_higgspec_error():
+    # a refused type stays a TypeError, as errors._typed raises it; every refused value is a domain failure
+    assert [r[0] for r in REFUSALS if not issubclass(r[2], HiggspecError)] == ["section-of-int"]

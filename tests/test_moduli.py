@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from higgspec import moduli
+from higgspec import cli, moduli
 from higgspec.errors import (
     DegreeCapExceeded,
     DegreeOrderViolation,
@@ -23,6 +23,7 @@ from higgspec.matrix import charpoly_cofactor
 from higgspec.moduli import (
     MAX_SL2R_TUPLES,
     LatticeSectionDatum,
+    SL2RData,
     SL2RDatum,
     SplitHiggsDescription,
     Stability,
@@ -380,6 +381,76 @@ def test_sl2r_split_walk_matches_brute_force():
         )
         seen["D1 from 3+ prefix sums"] += any(len(ps) >= 3 for ps in prefix_sums.values())
     assert all(seen.values()), seen
+
+
+def _sl2r_surface_doc(Q, comps, L):
+    """An sl2r-enum config on the lattice of Q with K = 0 and omega = e0, as _random_lattice draws it."""
+    r = len(Q)
+    return {
+        "command": "sl2r-enum",
+        "model": {
+            "kind": "surface", "generators": [f"e{i}" for i in range(r)], "intersection": Q,
+            "K": [0] * r, "omega": [1] + [0] * (r - 1),
+        },
+        "payload": {
+            "components": [{"class": [str(x) for x in c], "multiplicity": m} for c, m in comps],
+            "L": [str(x) for x in L],
+        },
+    }
+
+
+def test_sl2r_enum_block_matches_ref_on_random_lattices():
+    """The CLI's values.data against json.dumps of the ref_sl2r rows, which share no code with the writer.
+
+    The writer renders each prefix's rows from the groups of the walk: a head
+    per D1, a tail per suffix and the pieces per kept list.  The draws must
+    cover k = 0 and k = 1 (an empty prefix, and with k = 0 an empty suffix),
+    two prefixes sharing one kept list, an empty kept list between nonempty
+    ones and a denominator above 1.
+    """
+    def tree(coords):
+        return [{"num": x.numerator, "den": x.denominator} for x in coords]
+
+    rng = random.Random(27)
+    seen = {"k = 0": 0, "k = 1": 0, "shared kept list": 0, "empty kept list inside": 0, "d > 1": 0}
+    draws = [_random_lattice(rng) for _ in range(150)] + [_split_lattice(rng) for _ in range(15)]
+    for model, Q, comps, L in draws:
+        want, _ = ref_sl2r(comps, L, Q)
+        rows = [{"D1": tree(D1), "D2": tree(D2), "N": tree(N), "tuple_a": list(a)} for a, D1, D2, N in want]
+        report = cli.run(cli.parse_config(json.dumps(_sl2r_surface_doc(Q, comps, L))))
+        plain = {k: v for k, v in report.items() if not k.startswith("_")}
+        assert cli.machine_block(report) == json.dumps(
+            {**plain, "values": {"data": rows}}, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        groups = sl2r_enumerate([(NSClass(c), m) for c, m in comps], NSClass(L), model).groups
+        kept_ids = [id(kept) for _, kept in groups if kept]
+        filled = [bool(kept) for _, kept in groups]
+        seen["k = 0"] += not comps
+        seen["k = 1"] += len(comps) == 1 and bool(want)
+        seen["shared kept list"] += len(set(kept_ids)) < len(kept_ids)
+        seen["empty kept list inside"] += any(
+            not f and any(filled[:i]) and any(filled[i + 1:]) for i, f in enumerate(filled)
+        )
+        seen["d > 1"] += bool(want) and any(x.denominator > 1 for c, _ in comps for x in c)
+    assert all(seen.values()), seen
+
+
+def test_sl2r_data_is_a_lazy_sequence_in_product_order(g22):
+    data = sl2r_enumerate([(g22.F1, 1)] * 4, NSClass((2, 0)), g22.model)
+    assert isinstance(data, SL2RData) and data._rows is None
+    assert len(data) == 8 and data._rows is None  # len builds no rows
+    want = [a for a in product(range(2), repeat=4) if sum(a) % 2 == 0]
+    rows = list(data)
+    assert [d.tuple_a for d in rows] == want
+    assert [d.tuple_a for d in data] == want
+    assert [data[i] for i in range(len(data))] == rows
+    assert data[-1] is rows[-1] and data[-1].tuple_a == (1, 1, 1, 1)
+    assert all(x is y for x, y in zip(data, rows))  # a second read gives the same objects
+    assert all(type(d) is SL2RDatum for d in rows)
+    with pytest.raises(IndexError):
+        data[8]
+    with pytest.raises(TypeError):
+        data[0] = rows[1]
 
 
 def test_sl2r_datum_is_an_immutable_named_tuple(g22):
