@@ -17,18 +17,20 @@ squarefree layer make themselves), ``squarefree_decompose``,
 ``spectral.module_from_higgs`` (the ``correspondence`` jobs of the
 ``cover-tower`` round), ``moduli.sl2r_enumerate`` and the construction of a
 ``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
-The ``rank-test`` configs are recorded too.  ``Poly.evaluate`` is timed on
-the entries S[i][j], i <= j, of the recorded members and witnesses at
-``spectral.ROUTE_POINT``, the evaluations of the rank test.  Each function is then timed
-alone over its recorded inputs, in CPU time, N times; ``factor_rank_one``
-is split into rank-one members (it returns) and rank-two witnesses (it
-raises NotRankOne), and ``parse_config`` is timed over the recorded
-``rank-test`` configs.  ``machine_block`` is timed over the reports of the
-``lattice`` and ``cover-tower`` rounds, made once before it is timed; the
-sl2r-enum rows of a report are rendered by ``run``, so that row does not
-see them.  The whole front door, parse, ``run`` and ``machine_block``, is
-timed on the 2^16-tuple ``sl2r-enum`` job of _sl2r_cap_job.  One
-in-process round of each workload is timed the same way.
+The ``rank-test`` and ``cover-tower`` configs are recorded too.
+``Poly.evaluate`` is timed on the entries S[i][j], i <= j, of the recorded
+members and witnesses at ``spectral.ROUTE_POINT``, the evaluations of the
+rank test.  Each function is then timed alone over its recorded inputs, in
+CPU time, N times; ``factor_rank_one`` is split into rank-one members (it
+returns) and rank-two witnesses (it raises NotRankOne), and
+``parse_config`` is timed over the recorded ``rank-test`` configs and, in a
+row of its own, the ``cover-tower`` ones.  ``machine_block`` is timed over
+the reports of the ``lattice`` and ``cover-tower`` rounds, made once before
+it is timed; the sl2r-enum rows of a report are rendered by ``run``, so
+that row does not see them.  The whole front door, parse, ``run`` and
+``machine_block``, is timed on the 2^16-tuple ``sl2r-enum`` job of
+_sl2r_cap_job.  One in-process round of each workload is timed the same
+way.
 
 ``matrix.charpoly_cofactor`` is timed on seeded companion fields of rank
 2..5, the matrices of the ``higher-rank`` command, which no round runs.
@@ -416,6 +418,7 @@ def _cases(src, corpus=None):
     else:
         rec = _record(poly, spectral, moduli, geometry, run_round)
         rec["rank_test_configs"] = rounds["rank-test"]
+        rec["cover_tower_configs"] = rounds["cover-tower"]
         if corpus:
             with open(corpus, "w", encoding="utf-8") as fh:
                 json.dump(rec, fh)
@@ -461,7 +464,7 @@ def _cases(src, corpus=None):
     members = [symdiff_in(t) for t in rec["members"]]
     witnesses = [symdiff_in(t) for t in rec["witnesses"]]
     minor_witnesses = [symdiff_in(t) for t in rec["minor_witnesses"]]
-    configs = rec["rank_test_configs"]
+    configs, tower_configs = rec["rank_test_configs"], rec["cover_tower_configs"]
     muls, divs = ([(poly_in(a), poly_in(b)) for a, b in rec[k]] for k in ("mul", "exact_div"))
     gcds = [tuple(map(poly_in, t)) for t in rec["poly_gcd"]]
     sqfs = [poly_in(t) for t in rec["squarefree"]]
@@ -521,6 +524,8 @@ def _cases(src, corpus=None):
          lambda: [matrix.charpoly_cofactor(m) for m in companions], P.to_text),
         ("cli", "parse_config, rank-test configs", len(configs),
          lambda: [cli.parse_config(c) for c in configs], repr),
+        ("cli", "parse_config, cover-tower configs", len(tower_configs),
+         lambda: [cli.parse_config(c) for c in tower_configs], repr),
         ("cli", "machine_block, lattice+cover-tower", len(reports),
          lambda: [cli.machine_block(r) for r in reports], str),
         ("job", "sl2r-enum at the cap, parse+run+machine_block", 1,

@@ -237,18 +237,21 @@ def _poly(x, ctx) -> Poly:
     """Polynomial text or tree in ctx["nvars"] variables.
 
     A config parses each distinct text once: ctx[_PARSED] maps nvars to a
-    memo text -> Poly and the memo of `*`-pieces all its texts share (a
-    symmetric matrix spells out both S[i][j] and S[j][i]).  Only parsed
-    polynomials are kept, so a bad text is rejected where it first appears.
+    memo text -> Poly (a symmetric matrix spells out both S[i][j] and
+    S[j][i]) and the `products` memo of Poly.from_text, raw `*`-product text
+    -> (key, degree, p, q), that all its texts in those nvars share, so a
+    monomial seen in one entry is read once for the whole config.  Only
+    parsed polynomials are kept, so a bad text is rejected where it first
+    appears.
     """
     try:
         if type(x) is str:
             nvars = ctx["nvars"]
-            texts, pieces = ctx[_PARSED].setdefault(nvars, ({}, {}))
+            texts, products = ctx[_PARSED].setdefault(nvars, ({}, {}))
             p = texts.get(x)
             if p is None:
                 try:
-                    p = texts[x] = Poly.from_text(x, nvars, pieces=pieces)
+                    p = texts[x] = Poly.from_text(x, nvars, products=products)
                 except ValueError as exc:
                     raise _Reject(f"bad polynomial text: {exc}") from None
             return p

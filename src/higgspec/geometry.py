@@ -35,12 +35,12 @@ def _num_den(x):
 
 
 def _int_matrix(name, rows):
-    """rows as a tuple of int tuples; a ValueError names the matrix and any entry that is not an int."""
+    """rows as a tuple of int tuples; an InvalidInput names the matrix and any entry that is not an int."""
     rows = tuple(tuple(row) for row in rows)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if type(x) is not int:
-                raise ValueError(f"{name}[{i}][{j}] must be an int, got {x!r}")
+                raise InvalidInput(f"{name}[{i}][{j}] must be an int, got {x!r}")
     return rows
 
 
@@ -171,7 +171,7 @@ class SurfaceModel:
         for i in range(n):
             for j in range(n):
                 if Q[i][j] != Q[j][i]:
-                    raise ValueError("intersection matrix must be symmetric")
+                    raise InvalidInput("intersection matrix must be symmetric")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.K.dim != n or self.omega.dim != n:
@@ -179,9 +179,9 @@ class SurfaceModel:
         _typed("b1", self.b1, int)
         _typed("torsion2_count", self.torsion2_count, int)
         if self.b1 < 0 or self.torsion2_count < 0:
-            raise ValueError("b1 and torsion2_count must be nonnegative")
+            raise InvalidInput("b1 and torsion2_count must be nonnegative")
         if self.pair(self.omega, self.omega) <= 0:
-            raise ValueError("declared polarization must have positive self-intersection")
+            raise InvalidInput("declared polarization must have positive self-intersection")
 
     @property
     def rank(self):
@@ -246,9 +246,9 @@ class ProductOfCurves:
 def h0_curve(g: int, m: int) -> int:
     """h^0 of the canonical power omega_C^m on a genus-g curve."""
     if g < 0:
-        raise ValueError("genus must be nonnegative")
+        raise InvalidInput("genus must be nonnegative")
     if m < 0:
-        raise ValueError("canonical powers need m >= 0")
+        raise InvalidInput("canonical powers need m >= 0")
     if m == 0:
         return 1
     if g == 0:
@@ -341,7 +341,7 @@ class CoverMap:
         for i in range(nc):
             for j in range(nc):
                 if cQ[i][j] != cQ[j][i]:
-                    raise ValueError("cover intersection matrix must be symmetric")
+                    raise InvalidInput("cover intersection matrix must be symmetric")
         pb = _int_matrix("pullback", self.pullback)
         if len(pb) != nc or any(len(r) != nb for r in pb):
             raise DimensionMismatch("pullback must be (cover rank) x (base rank)")
@@ -356,7 +356,7 @@ class CoverMap:
         for x, P_col in enumerate(zip(*P)):
             for y in range(nb):
                 if sum(map(mul, base_Q[y], P_col)) != sum(map(mul, cQ[x], pb_cols[y])):
-                    raise ValueError(
+                    raise InvalidInput(
                         f"projection formula fails on cover basis {x}, base basis {y}"
                     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, InvalidInput
 from .poly import Poly, det2
 
 MAX_SIZE = 5
@@ -25,12 +25,12 @@ def as_matrix(rows):
     rows = tuple(tuple(r) for r in rows)
     r = len(rows)
     if r == 0 or any(len(row) != r for row in rows):
-        raise ValueError("matrix must be square and nonempty")
+        raise InvalidInput("matrix must be square and nonempty")
     nvars = rows[0][0].nvars
     for row in rows:
         for p in row:
             if not isinstance(p, Poly) or p.nvars != nvars:
-                raise ValueError("entries must be Poly with a common nvars")
+                raise InvalidInput("entries must be Poly with a common nvars")
     return rows
 
 

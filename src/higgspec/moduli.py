@@ -76,9 +76,9 @@ class SplitHiggsDescription:
         if self.L1_iso_L2:
             omega = self.model.omega
             if self.model.pair(self.L1, omega) != self.model.pair(self.L2, omega):
-                raise ValueError("isomorphic summands must have equal degrees")
+                raise InvalidInput("isomorphic summands must have equal degrees")
         if (not self.alpha_nonzero or not self.beta_nonzero) and not self.alpha_beta_proportional:
-            raise ValueError("a vanishing entry is proportional to anything")
+            raise InvalidInput("a vanishing entry is proportional to anything")
 
 
 def real_stability(desc: SplitHiggsDescription) -> Stability:
@@ -404,10 +404,10 @@ def higher_rank_build(n: int, coeffs):
         raise RankCap(f"rank {n} outside 2..{MAX_COMPANION_RANK}")
     coeffs = tuple(coeffs)
     if len(coeffs) != n - 1:
-        raise ValueError(f"expected {n - 1} coefficients c2..c{n}")
+        raise InvalidInput(f"expected {n - 1} coefficients c2..c{n}")
     nvars = coeffs[0].nvars
     if any(c.nvars != nvars for c in coeffs):
-        raise ValueError("coefficients must share nvars")
+        raise InvalidInput("coefficients must share nvars")
     z = Poly.zero(nvars)
     one = Poly.one(nvars)
     rows = [tuple([z] + list(coeffs))]

@@ -43,6 +43,14 @@ zero.  The squarefree decomposition (Yun's algorithm) and the covector
 normalisation of the spectral layer take their quotients from these
 cofactors.  Parsed polynomials are capped at total degree MAX_PARSED_DEGREE
 and at MAX_PARSED_TERMS terms.
+
+Text is read a term at a time.  A term's head, the text before its first
+`*`, is read by _rational_parts, the one rational grammar of configs
+([+-]?digits(/digits)?, ASCII digits, checked with str methods and no
+regex).  The rest of the term is looked up whole in a memo of `*`-products,
+raw text -> (key, degree, p, q), which _product fills from the memo entries
+of its pieces.  The terms' keys, numerators and denominators are then
+merged in bulk over one common denominator.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import or_
+from operator import mul, or_
 
 from .errors import DegreeCapExceeded, DivisionFailure, InvalidInput, ZeroPolynomial, _typed
 
@@ -77,16 +85,19 @@ _MASK = (1 << _W) - 1
 MAX_DEGREE = _MASK >> 1
 
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def _rational_parts(text: str):
-    """(p, q) of the one rational grammar of configs: [+-]?digits(/digits)?, q != 0."""
-    m = _RATIONAL_RE.match(text)
-    if m is None:
+    """(p, q) of the one rational grammar of configs: [+-]?digits(/digits)?, q != 0.
+
+    Digits are ASCII 0-9: str.isdigit alone also accepts other scripts'
+    digits and superscripts, which int() reads or refuses.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdigit() and digits.isascii() and (not slash or den.isdigit() and den.isascii())):
         raise ValueError(f"bad rational {text!r}: expected p or p/q")
-    num, den = m.groups()
-    den = int(den or 1)
+    den = int(den) if slash else 1
     if not den:
         raise ValueError(f"bad rational {text!r}: zero denominator")
     return int(num), den
@@ -604,51 +615,64 @@ class Poly:
         return " + ".join(parts)
 
     @classmethod
-    def from_text(cls, text: str, nvars: int, *, pieces=None) -> "Poly":
+    def from_text(cls, text: str, nvars: int, *, products=None) -> "Poly":
         """Parse ``c * x1^2 * x3 + ...``; repeated monomials are merged, zeros dropped.
 
-        ``pieces`` is a memo raw `*`-piece -> _parse_piece(piece, nvars).  A
-        caller that parses many texts in the same nvars passes one memo to
-        all of them, so each distinct piece goes through its regex once.
-        A term past MAX_DEGREE is refused before the terms are merged, and
-        the merged polynomial past MAX_PARSED_DEGREE after.
+        A term is its head, the text before its first `*`, read as a
+        rational, times the product of the rest.  ``products`` is a memo from
+        raw `*`-product text to _product(text, nvars, products), which holds
+        the products' pieces too; every entry depends on the text and nvars
+        alone, so a caller that parses many texts in the same nvars may pass
+        one memo to all of them, and must not share it across nvars.  A term
+        whose head is no rational (a variable, or blank or bad) is read as
+        the product of all its pieces, and its first bad piece raises.  A
+        term past MAX_DEGREE is refused before the terms are merged, and the
+        merged polynomial past MAX_PARSED_DEGREE after.
         """
-        if pieces is None:
-            pieces = {}
-        parsed = []
-        top = 0
+        if products is None:
+            products = {}
         body = text.strip()
         if not body:
             raise ValueError("empty polynomial text")
         raw_terms = body.split("+")
         _terms_capped(len(raw_terms))
+        keys, nums, dens = [], [], []
+        top = 0
         for raw_term in raw_terms:
-            if not raw_term.strip():
-                raise ValueError(f"empty term in {text!r}")
-            num = den = 1
-            k = d = 0
-            for piece in raw_term.split("*"):
-                got = pieces.get(piece)
-                if got is None:
-                    got = pieces[piece] = _parse_piece(piece, nvars)
-                step, p, q = got
-                if step is None:
-                    num *= p
-                    den *= q
-                else:
-                    k += step
-                    d += p
+            head, star, tail = raw_term.partition("*")
+            try:
+                p, q = _rational_parts(head.strip())
+            except ValueError:
+                p = None  # read outside the handler, so a bad piece raises with no context
+            if p is None:
+                if not raw_term.strip():
+                    raise ValueError(f"empty term in {text!r}")
+                k, d, p, q = products.get(raw_term) or _product(raw_term, nvars, products)
+            elif star:
+                k, d, tp, tq = products.get(tail) or _product(tail, nvars, products)
+                p *= tp
+                q *= tq
+            else:
+                k = d = 0
             if d > top:
                 top = d
-            parsed.append((k, num, den))
+            keys.append(k)
+            nums.append(p)
+            dens.append(q)
         _degree_capped(top, MAX_DEGREE)
         # over the common denominator every coefficient is an int, and
         # repeated monomials merge by integer addition
-        den = math.lcm(*[q for _, _, q in parsed])
-        ints = {}
-        for k, p, q in parsed:
-            ints[k] = ints.get(k, 0) + p * (den // q)
-        p = cls._make(nvars, {k: c for k, c in ints.items() if c}, 1, den)
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = list(map(mul, nums, map(den.__floordiv__, dens)))
+        ints = dict(zip(keys, nums))
+        if len(ints) < len(keys):
+            ints = {}
+            for k, c in zip(keys, nums):
+                ints[k] = ints.get(k, 0) + c
+        if 0 in ints.values():
+            ints = {k: c for k, c in ints.items() if c}
+        p = cls._make(nvars, ints, 1, den)
         if top > MAX_PARSED_DEGREE:
             # the terms past the cap may cancel
             _degree_capped(p.total_degree(), MAX_PARSED_DEGREE)
@@ -686,18 +710,38 @@ class Poly:
 _set_nvars, _set_ints, _set_num, _set_den, _set_deg = (getattr(Poly, s).__set__ for s in Poly.__slots__)
 
 
-def _parse_piece(piece, nvars):
-    """One `*`-piece of a term: (key step, exponent, None) for a power of a variable, (None, p, q) for p / q."""
-    piece = piece.strip()
-    # only a piece starting with "x" can be a variable
-    m = _VAR_RE.match(piece) if piece[:1] == "x" else None
-    if m is None:
-        return (None, *_rational_parts(piece))
-    idx = int(m.group(1)) - 1
-    if not 0 <= idx < nvars:
-        raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
-    p = int(m.group(2) or 1)
-    return p << _W * (nvars - 1 - idx), p, None
+def _product(text, nvars, products):
+    """(key, degree, p, q) of a `*`-product text, memoized in products under that text.
+
+    A power of a variable is (its key, its exponent, 1, 1) and a rational
+    p / q is (0, 0, p, q); a longer product adds the keys and degrees and
+    multiplies the p and q of its pieces.
+    """
+    pieces = text.split("*")
+    if len(pieces) > 1:
+        k = d = 0
+        p = q = 1
+        for piece in pieces:
+            pk, pd, pp, pq = products.get(piece) or _product(piece, nvars, products)
+            k += pk
+            d += pd
+            p *= pp
+            q *= pq
+        got = k, d, p, q
+    else:
+        piece = text.strip()
+        # only a piece starting with "x" can be a variable
+        m = _VAR_RE.match(piece) if piece[:1] == "x" else None
+        if m is None:
+            got = (0, 0, *_rational_parts(piece))
+        else:
+            idx = int(m.group(1)) - 1
+            if not 0 <= idx < nvars:
+                raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
+            e = int(m.group(2) or 1)
+            got = e << _W * (nvars - 1 - idx), e, 1, 1
+    products[text] = got
+    return got
 
 
 def _primitive_split(ints, num, den):

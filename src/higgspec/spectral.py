@@ -79,7 +79,7 @@ class OneForm:
         _check_chart_dim(n)
         for p in entries:
             if not isinstance(p, Poly) or p.nvars != n:
-                raise ValueError("OneForm entries must be Poly in n variables")
+                raise InvalidInput("OneForm entries must be Poly in n variables")
         object.__setattr__(self, "entries", entries)
 
     @property

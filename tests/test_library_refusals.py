@@ -3,18 +3,25 @@
 import pytest
 
 from higgspec import (
+    CoverMap,
     CoverModule,
     HiggsField,
+    NSClass,
     OneForm,
     ProductOfCurves,
     RankOneFactorization,
     SpectralCover,
     SpectralDatum,
+    SplitHiggsDescription,
+    SurfaceModel,
     SymDiff,
     TopologicalData,
     build_cover,
+    h0_curve,
+    higher_rank_build,
     hitchin_section,
     is_squarefree,
+    mat_det,
     module_from_higgs,
     squarefree_decompose,
 )
@@ -32,6 +39,17 @@ from higgspec.spectral import _normalize_covector
 x, y = Poly.variable(2, 0), Poly.variable(2, 1)
 zero, one = Poly.zero(2), Poly.one(2)
 IDENTITY = ((one, zero), (zero, one))
+G22 = ProductOfCurves(2, 2).model
+F1, F2 = NSClass((1, 0)), NSClass((0, 1))
+HYPERBOLIC = ((0, 1), (1, 0))
+
+
+def _surface(Q=HYPERBOLIC, omega=(1, 1), b1=0):
+    return SurfaceModel(("F1", "F2"), Q, NSClass((0, 0)), NSClass(omega), b1)
+
+
+def _cover_map(P=((1, 0), (0, 2)), cover_Q=HYPERBOLIC, pullback=((2, 0), (0, 1))):
+    return CoverMap(P, cover_Q, pullback, NSClass((0, 0)), G22)
 
 
 def _cover_parts():
@@ -102,6 +120,47 @@ REFUSALS = [
         "nvars needed to reconstruct a constant",
     ),
     ("squarefree-zero", lambda: is_squarefree(Poly.zero(1)), ZeroPolynomial, "squarefree test of the zero polynomial"),
+    ("oneform-entry", lambda: OneForm((1, 2)), InvalidInput, "OneForm entries must be Poly in n variables"),
+    (
+        "split-iso-degrees",
+        lambda: SplitHiggsDescription(F1, F2 * 2, G22, True, True, True, True),
+        InvalidInput,
+        "isomorphic summands must have equal degrees",
+    ),
+    (
+        "split-vanishing-entry",
+        lambda: SplitHiggsDescription(F1, F2, G22, True, False, False, False),
+        InvalidInput,
+        "a vanishing entry is proportional to anything",
+    ),
+    ("surface-int-entry", lambda: _surface(Q=((0, 1.5), (1, 0))), InvalidInput, "Q[0][1] must be an int, got 1.5"),
+    ("surface-symmetry", lambda: _surface(Q=((0, 1), (2, 0))), InvalidInput, "intersection matrix must be symmetric"),
+    ("surface-b1", lambda: _surface(b1=-1), InvalidInput, "b1 and torsion2_count must be nonnegative"),
+    (
+        "surface-polarization",
+        lambda: _surface(omega=(1, 0)),
+        InvalidInput,
+        "declared polarization must have positive self-intersection",
+    ),
+    ("cover-map-int-entry", lambda: _cover_map(P=((1, 0), ("2", 2))), InvalidInput, "P[1][0] must be an int, got '2'"),
+    (
+        "cover-map-symmetry",
+        lambda: _cover_map(cover_Q=((0, 1), (3, 0))),
+        InvalidInput,
+        "cover intersection matrix must be symmetric",
+    ),
+    (
+        "cover-map-projection",
+        lambda: _cover_map(pullback=((1, 0), (0, 1))),
+        InvalidInput,
+        "projection formula fails on cover basis 1, base basis 0",
+    ),
+    ("h0-genus", lambda: h0_curve(-1, 1), InvalidInput, "genus must be nonnegative"),
+    ("h0-power", lambda: h0_curve(2, -1), InvalidInput, "canonical powers need m >= 0"),
+    ("companion-count", lambda: higher_rank_build(3, (x,)), InvalidInput, "expected 2 coefficients c2..c3"),
+    ("companion-nvars", lambda: higher_rank_build(3, (x, Poly.one(3))), InvalidInput, "coefficients must share nvars"),
+    ("matrix-square", lambda: mat_det(((x, y),)), InvalidInput, "matrix must be square and nonempty"),
+    ("matrix-entries", lambda: mat_det(((x, one), (one, 2))), InvalidInput, "entries must be Poly with a common nvars"),
 ]
 
 

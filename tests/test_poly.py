@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -612,16 +613,182 @@ def test_shared_piece_memo_parses_as_from_text():
     memos = {}
     for seed in range(3):
         for text, n in _parse_cases(seed):
-            pieces = memos.setdefault(n, {})
+            products = memos.setdefault(n, {})
             try:
                 want = P(text, n)
             except ValueError as exc:
                 with pytest.raises(ValueError) as err:
-                    P(text, n, pieces=pieces)
+                    P(text, n, products=products)
                 assert str(err.value) == str(exc)
             else:
-                assert P(text, n, pieces=pieces) == want
+                assert P(text, n, products=products) == want
     assert all(len(m) > 20 for m in memos.values())
+
+
+# The regex parser Poly.from_text used before it read a term at a time: its
+# rational grammar, its piece parser and its piece loop, copied verbatim as
+# the reference of the differential tests below.
+
+_OLD_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+
+
+def _old_rational_parts(text: str):
+    """(p, q) of the one rational grammar of configs: [+-]?digits(/digits)?, q != 0."""
+    m = _OLD_RATIONAL_RE.match(text)
+    if m is None:
+        raise ValueError(f"bad rational {text!r}: expected p or p/q")
+    num, den = m.groups()
+    den = int(den or 1)
+    if not den:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return int(num), den
+
+
+def _old_parse_piece(piece, nvars):
+    """One `*`-piece of a term: (key step, exponent, None) for a power of a variable, (None, p, q) for p / q."""
+    piece = piece.strip()
+    # only a piece starting with "x" can be a variable
+    m = poly._VAR_RE.match(piece) if piece[:1] == "x" else None
+    if m is None:
+        return (None, *_old_rational_parts(piece))
+    idx = int(m.group(1)) - 1
+    if not 0 <= idx < nvars:
+        raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
+    p = int(m.group(2) or 1)
+    return p << poly._W * (nvars - 1 - idx), p, None
+
+
+def _old_from_text(text, nvars, pieces=None):
+    if pieces is None:
+        pieces = {}
+    parsed = []
+    top = 0
+    body = text.strip()
+    if not body:
+        raise ValueError("empty polynomial text")
+    raw_terms = body.split("+")
+    poly._terms_capped(len(raw_terms))
+    for raw_term in raw_terms:
+        if not raw_term.strip():
+            raise ValueError(f"empty term in {text!r}")
+        num = den = 1
+        k = d = 0
+        for piece in raw_term.split("*"):
+            got = pieces.get(piece)
+            if got is None:
+                got = pieces[piece] = _old_parse_piece(piece, nvars)
+            step, p, q = got
+            if step is None:
+                num *= p
+                den *= q
+            else:
+                k += step
+                d += p
+        if d > top:
+            top = d
+        parsed.append((k, num, den))
+    poly._degree_capped(top, poly.MAX_DEGREE)
+    # over the common denominator every coefficient is an int, and
+    # repeated monomials merge by integer addition
+    den = math.lcm(*[q for _, _, q in parsed])
+    ints = {}
+    for k, p, q in parsed:
+        ints[k] = ints.get(k, 0) + p * (den // q)
+    p = Poly._make(nvars, {k: c for k, c in ints.items() if c}, 1, den)
+    if top > MAX_PARSED_DEGREE:
+        # the terms past the cap may cancel
+        poly._degree_capped(p.total_degree(), MAX_PARSED_DEGREE)
+    return p
+
+
+def _outcome(parse, *args, **kwargs):
+    """A parse's Poly as canonical JSON, or its exception's type and whole message."""
+    try:
+        return parse(*args, **kwargs).to_json()
+    except (ValueError, DegreeCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+# rationals at the edges of the grammar: signs, spaces, slashes, zero
+# denominators, underscores, non-ASCII digits and a superscript
+EDGE_RATIONALS = ["+3", "--3", "3 /4", "3/ 4", "3/+4", "3/0", "3/00", "1/2/3", "1_0", "١٢", "²", "1/١"]
+EDGE_TEXTS = [
+    "\xa03/4\xa0 * x1 + 1",  # a no-break space around a coefficient
+    "1 + \x1c-2\x1c * x2",  # an information separator, which str.strip drops too
+    "1 +  + x1",  # a blank term
+    " * x1",
+    "x1 * 3/4",
+    "3 * x1 * 1/2",
+    "x1 + -1 * x1",
+    "0",
+    "1" * 4301 + " * x1",  # one digit past int()'s string limit
+    "1/" + "1" * 4301,
+    "3/4 * x3",  # a variable out of range after a valid coefficient
+    "1 * x1^1000 * x2^24",  # total degree 1024
+    "1 * x1^1000 * x2^25",  # and 1025
+    "2 * x1^1025 + -2 * x1^1025 + 1",
+    "x1^2 * 5 * x2 + 1/3 * x1 * x1 * x2 * 3",
+    "",
+    "3 *",
+    "x1 * ",
+]
+
+
+def _edge_cases():
+    for r in EDGE_RATIONALS:
+        yield from ((r, 2), (f"{r} * x1", 2), (f"1 * x2 + {r} * x1^2", 2), (f"x1 * {r}", 2), (f"x2 * x1 * {r} + 1", 2))
+    yield from ((t, 2) for t in EDGE_TEXTS)
+
+
+def test_from_text_matches_the_regex_parser():
+    # the same Poly, or the same exception type and whole message, with a
+    # memo shared across all texts of one nvars and with none
+    memos = {}
+    cases = list(_edge_cases()) + [c for seed in range(3) for c in _parse_cases(seed)]
+    outcomes = set()
+    for text, n in cases:
+        want = _outcome(_old_from_text, text, n)
+        assert _outcome(P, text, n) == want, text
+        assert _outcome(P, text, n, products=memos.setdefault(n, {})) == want, text
+        outcomes.add(want[0] if type(want) is tuple else "poly")
+    assert outcomes == {"poly", ValueError, DegreeCapExceeded}
+    assert all(len(m) > 20 for m in memos.values())
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("5", (5, 1)),
+        ("-5/10", (-5, 10)),
+        ("+0/7", (0, 7)),
+        ("007", (7, 1)),
+        (" 5", "bad rational ' 5': expected p or p/q"),
+        ("5 ", "bad rational '5 ': expected p or p/q"),
+        ("5\n", "bad rational '5\\n': expected p or p/q"),
+        ("", "bad rational '': expected p or p/q"),
+        ("-", "bad rational '-': expected p or p/q"),
+        ("+-5", "bad rational '+-5': expected p or p/q"),
+        ("5/", "bad rational '5/': expected p or p/q"),
+        ("5/-2", "bad rational '5/-2': expected p or p/q"),
+        ("1e3", "bad rational '1e3': expected p or p/q"),
+        ("1_000", "bad rational '1_000': expected p or p/q"),
+        ("٥", "bad rational '٥': expected p or p/q"),
+        ("³", "bad rational '³': expected p or p/q"),
+        ("2/٣", "bad rational '2/٣': expected p or p/q"),
+        ("5/0", "bad rational '5/0': zero denominator"),
+        ("-5/000", "bad rational '-5/000': zero denominator"),
+    ],
+)
+def test_rational_parts_reads_only_the_grammar(text, want):
+    # the CLI reads NS-class coordinates and rationals through this one
+    # grammar, unstripped, so surrounding whitespace is refused there
+    if isinstance(want, tuple):
+        assert poly._rational_parts(text) == _old_rational_parts(text) == want
+    else:
+        for parse in (poly._rational_parts, _old_rational_parts):
+            with pytest.raises(ValueError) as exc:
+                parse(text)
+            assert type(exc.value) is ValueError and str(exc.value) == want
 
 
 def test_from_text_examples():
