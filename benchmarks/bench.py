@@ -4,19 +4,20 @@
 
 Builds the seed-1 ``rank-test``, ``cover-tower`` and ``lattice`` rounds with
 ``perfbench/gen.py`` (imported, never changed) and runs them once through the
-CLI front door of the checkout at DIR (``DIR/src`` is imported), with these
-functions wrapped to record their arguments: ``Poly.from_text``,
-``Poly.__mul__`` (polynomial operands; the products that ``poly.det2``
-forms, for the rank test's minors and ``hitchin_map``, do not pass through
-it), ``exact_div``, top-level
-``poly_gcd`` calls of any arity (not the gcds that ``poly_gcd`` and the
-squarefree layer make themselves), ``squarefree_decompose``,
-``SpectralDatum.quarter_defect``, ``spectral.factor_rank_one``,
-``spectral.first_nonzero_minor`` (the calls that find a witness),
-``spectral._normalize_covector``, ``hitchin_map``,
+CLI front door of the checkout at DIR (``DIR/src`` is imported), with one
+trace hook (``sys.settrace``) recording the arguments of these functions:
+``Poly.from_text``, ``Poly.__mul__`` (polynomial operands; the products
+that ``poly.det2`` forms, for the rank test's minors and ``hitchin_map``, do
+not pass through it), ``exact_div``, top-level ``poly_gcd`` calls (not the
+gcds that ``poly_gcd`` and the squarefree layer make themselves),
+``squarefree_decompose``, ``SpectralDatum.quarter_defect``,
+``spectral.factor_rank_one``, ``spectral.first_nonzero_minor`` (the calls
+that find a witness), ``spectral._normalize_covector``, ``hitchin_map``,
 ``spectral.module_from_higgs`` (the ``correspondence`` jobs of the
 ``cover-tower`` round), ``moduli.sl2r_enumerate`` and the construction of a
 ``geometry.CoverMap`` (its projection-formula check; the ``chern`` jobs).
+_corpus_format states, per corpus key, the function recorded and how its
+arguments are written to the corpus and read back.
 The ``rank-test`` and ``cover-tower`` configs are recorded too.
 ``Poly.evaluate`` is timed on the entries S[i][j], i <= j, of the recorded
 members and witnesses at ``spectral.ROUTE_POINT``, the evaluations of the
@@ -56,24 +57,20 @@ CPU_LIMIT_S seconds of CPU (ITIMER_PROF on the process that times it), and
 the row is then recorded as over the limit, with null times and hash.
 
 A change can alter which calls a round makes, so two checkouts record
-different inputs.  With ``--corpus FILE`` the inputs are written to FILE by
-the first run and read back from it by every later run, so runs at a parent
-checkout and at a change time the same inputs.  Record the corpus at the
-older checkout: one recorded where ``poly_gcd`` takes any number of
-operands holds calls of three and four that a two-operand ``poly_gcd``
-cannot replay.  Checkouts that form different products record different
-``mul`` inputs: one whose ``CoverModule`` forms -tau * Id to check eta^2
-records 100 more a seed-1 round than one that squares eta and reads its
-entries.  So a ``--parent`` run reads a corpus recorded at the parent: a
+different inputs, and an older checkout may refuse a call that only a newer
+one makes.  With ``--corpus FILE`` the inputs are written to FILE by the
+first run and read back from it by every later run, so runs at a parent
+checkout and at a change time the same inputs.  So a ``--parent`` run reads
+a corpus recorded at the parent, whose calls both sides can replay: a
 ``--corpus`` FILE the parent recorded, or none, and the parent's worker
 records it.
 
-With ``--parent DIR`` the checkout at DIR is measured too, on the same
-inputs: each side runs in a process of its own.  A row's passes are
-calibrated once, on the side that goes first (alternating from row to
-row), and both sides time it at that pass count, their repeats interleaved
-(parent, change, parent, ...), so a burst of load on a shared host falls on
-both sides alike.
+Each checkout is timed in a worker process of its own.  With ``--parent
+DIR`` the checkout at DIR is measured too, on the same inputs.  A row's
+passes are calibrated once, on the side that goes first (alternating from
+row to row), and both sides time it at that pass count, their repeats
+interleaved (parent, change, parent, ...), so a burst of load on a shared
+host falls on both sides alike.
 
 Rows ``{layer, case, calls, best_s, median_s, passes, repeats, python,
 commit, output_sha256}`` are merged into PATH (rows of the same commit are replaced),
@@ -138,34 +135,15 @@ def _run_job(cli, errors, config):
         return f"error: {type(exc).__name__}: {exc}"
 
 
-def _rebind(old, new):
-    """Point every higgspec module attribute bound to function old at new; the undo list."""
-    undo = []
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "higgspec":
-            for attr, val in list(vars(mod).items()):
-                if val is old:
-                    undo.append((mod, attr, old))
-                    setattr(mod, attr, new)
-    return undo
-
-
 def _plain(x):
     """x as JSON data: Poly and NSClass leaves read back from their to_json text, Fraction leaves as trees.
 
-    A SymDiff is the list of its rows and a SpectralDatum the dict of s1 and
-    s2, built from their fields; another composite (OneForm, HiggsField,
-    RankOneFactorization) goes through its to_tree.  Either may leave such
-    objects at its leaves.
+    A composite with a to_tree (OneForm, HiggsField, RankOneFactorization)
+    goes through it; its tree may leave such objects at its leaves.
     """
     if hasattr(x, "to_json"):
         return json.loads(x.to_json())
-    kind = type(x).__name__
-    if kind == "SymDiff":
-        x = [list(row) for row in x.S]
-    elif kind == "SpectralDatum":
-        x = {"s1": x.s1, "s2": x.s2}
-    elif hasattr(x, "to_tree"):
+    if hasattr(x, "to_tree"):
         x = x.to_tree()
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
@@ -176,121 +154,148 @@ def _plain(x):
     return x
 
 
-def _model_tree(m):
-    return {"generators": list(m.generators), "Q": [list(r) for r in m.Q], "K": _plain(m.K),
-            "omega": _plain(m.omega), "b1": m.b1, "torsion2_count": m.torsion2_count}
+def _corpus_format(poly, spectral, moduli, geometry):
+    """The recorded functions, one row (key, fn, write, read, keep) per corpus key, in corpus order.
 
+    write turns a call's arguments, by parameter name, into the JSON data of
+    the key (None: the call is not recorded); read turns that data back into
+    what the key's bench row times.  keep None records every call; a
+    function records a call when keep(outcome) holds, the outcome being the
+    value returned or the exception that ended the call; a tuple of
+    functions records only a call made while none of them runs.
+    """
+    P = poly.Poly
 
-def _record(poly, spectral, moduli, geometry, run_round):
-    """Run the rounds once with the recorded functions wrapped; their inputs as JSON data."""
-    P, SD, CM = poly.Poly, spectral.SpectralDatum, geometry.CoverMap
-    rec = {k: [] for k in ("from_text", "quarter_defect", "members", "witnesses", "minor_witnesses",
-                           "mul", "exact_div", "poly_gcd", "squarefree", "normalize_covector", "hitchin_map",
-                           "module_from_higgs", "sl2r_enumerate", "cover_map")}
-    from_text, mul, quarter_defect = P.from_text.__func__, P.__mul__, SD.quarter_defect
-    fro, fnm = spectral.factor_rank_one, spectral.first_nonzero_minor
-    div, gcd = poly.exact_div, poly.poly_gcd
-    sqf, is_sqf, hitchin = poly.squarefree_decompose, poly.is_squarefree, spectral.hitchin_map
-    norm, to_module = spectral._normalize_covector, spectral.module_from_higgs
-    sl2r, cover_check = moduli.sl2r_enumerate, CM.__post_init__
-    depth = [0]
+    def poly_in(t):
+        # the constructor, not from_tree: recorded intermediate values may pass the parse cap
+        return P(t["nvars"], {tuple(x["exps"]): Fraction(x["num"], x["den"]) for x in t["terms"]})
 
-    def nested(fn, *args):
-        # a gcd made inside fn is not a top-level one
-        depth[0] += 1
-        try:
-            return fn(*args)
-        finally:
-            depth[0] -= 1
+    def polys_out(ps):
+        return [p.to_tree() for p in ps]
 
-    def rec_from_text(cls, text, nvars, **kw):
-        rec["from_text"].append([text, nvars])
-        return from_text(cls, text, nvars, **kw)
+    def polys_in(t):
+        return tuple(map(poly_in, t))
 
-    def rec_mul(self, other):
-        if isinstance(other, P):
-            rec["mul"].append([self.to_tree(), other.to_tree()])
-        return mul(self, other)
+    def symdiff_out(S):
+        return [polys_out(row) for row in S.S]
 
-    def rec_quarter_defect(self):
-        rec["quarter_defect"].append(_plain(self))
-        return quarter_defect(self)
+    def symdiff_in(t):
+        return spectral.SymDiff([polys_in(row) for row in t])
 
-    def rec_fro(S):
-        try:
-            out = fro(S)
-        except spectral.NotRankOne:
-            rec["witnesses"].append(_plain(S))
-            raise
-        rec["members"].append(_plain(S))
-        return out
+    def datum_in(t):
+        return spectral.SpectralDatum(spectral.OneForm(polys_in(t["s1"])), symdiff_in(t["s2"]))
 
-    def rec_fnm(S, *args):
-        out = fnm(S, *args)
-        if out is not None:
-            rec["minor_witnesses"].append(_plain(S))
-        return out
+    def field_in(t):
+        return spectral.HiggsField(tuple(tuple(polys_in(row) for row in m) for m in t["matrices"]))
 
-    def rec_div(a, b):
-        rec["exact_div"].append([a.to_tree(), b.to_tree()])
-        return div(a, b)
+    def factorization_in(t):
+        return spectral.RankOneFactorization(spectral.OneForm(polys_in(t["alpha"])), poly_in(t["tau"]))
 
-    def rec_gcd(*polys):
-        if not depth[0]:
-            rec["poly_gcd"].append([p.to_tree() for p in polys])
-        return nested(gcd, *polys)
+    def class_in(t):
+        return geometry.NSClass.from_parts([(x["num"], x["den"]) for x in t])
 
-    def rec_sqf(f):
-        rec["squarefree"].append(f.to_tree())
-        return nested(sqf, f)
+    def model_out(m):
+        return {"generators": list(m.generators), "Q": [list(r) for r in m.Q], "K": _plain(m.K),
+                "omega": _plain(m.omega), "b1": m.b1, "torsion2_count": m.torsion2_count}
 
-    def rec_is_sqf(f):
-        return nested(is_sqf, f)
+    def model_in(t):
+        return geometry.SurfaceModel(tuple(t["generators"]), tuple(map(tuple, t["Q"])), class_in(t["K"]),
+                                     class_in(t["omega"]), t["b1"], t["torsion2_count"])
 
-    def rec_norm(entries):
-        rec["normalize_covector"].append([p.to_tree() for p in entries])
-        return norm(entries)
-
-    def rec_hitchin(phi):
-        rec["hitchin_map"].append(_plain(phi))
-        return hitchin(phi)
-
-    def rec_to_module(phi, f):
-        rec["module_from_higgs"].append([_plain(phi), _plain(f)])
-        return to_module(phi, f)
-
-    def rec_sl2r(components, L, model):
-        rec["sl2r_enumerate"].append(
-            [[[_plain(c), int(m)] for c, m in components], _plain(L), _model_tree(model)]
-        )
-        return sl2r(components, L, model)
-
-    def rec_cover_check(self):
+    def cover_map_out(c):
         # the fields as the caller passed them, before __post_init__ converts them
-        rec["cover_map"].append([[list(r) for r in self.P], [list(r) for r in self.cover_Q],
-                                 [list(r) for r in self.pullback], _plain(self.L_class),
-                                 _model_tree(self.base)])
-        return cover_check(self)
+        return [*([list(r) for r in m] for m in (c.P, c.cover_Q, c.pullback)), _plain(c.L_class), model_out(c.base)]
 
-    wrapped = [(fro, rec_fro), (fnm, rec_fnm), (div, rec_div), (gcd, rec_gcd), (sqf, rec_sqf), (is_sqf, rec_is_sqf),
-               (norm, rec_norm), (hitchin, rec_hitchin), (to_module, rec_to_module), (sl2r, rec_sl2r)]
-    P.from_text = classmethod(rec_from_text)
-    P.__mul__ = rec_mul
-    SD.quarter_defect = rec_quarter_defect
-    CM.__post_init__ = rec_cover_check
-    undo = []
+    def S_out(a):
+        return symdiff_out(a["S"])
+
+    gcd_nests = (poly.poly_gcd, poly.squarefree_decompose, poly.is_squarefree)
+    return [
+        ("from_text", P.from_text.__func__, lambda a: [a["text"], a["nvars"]], tuple, None),
+        ("quarter_defect", spectral.SpectralDatum.quarter_defect,
+         lambda a: {"s1": polys_out(a["self"].s1), "s2": symdiff_out(a["self"].s2)}, datum_in, None),
+        ("members", spectral.factor_rank_one, S_out, symdiff_in,
+         lambda out: isinstance(out, spectral.RankOneFactorization)),
+        ("witnesses", spectral.factor_rank_one, S_out, symdiff_in,
+         lambda out: isinstance(out, spectral.NotRankOne)),
+        ("minor_witnesses", spectral.first_nonzero_minor, S_out, symdiff_in, lambda out: isinstance(out, tuple)),
+        # Poly.__rmul__ is the same function; a scalar operand is not recorded
+        ("mul", P.__mul__, lambda a: polys_out((a["self"], a["other"])) if isinstance(a["other"], P) else None,
+         polys_in, None),
+        ("exact_div", poly.exact_div, lambda a: polys_out((a["a"], a["b"])), polys_in, None),
+        # the top-level calls, not the gcds that poly_gcd and the squarefree layer make themselves
+        ("poly_gcd", poly.poly_gcd, lambda a: polys_out(a["polys"]), polys_in, gcd_nests),
+        ("squarefree", poly.squarefree_decompose, lambda a: a["f"].to_tree(), poly_in, None),
+        ("normalize_covector", spectral._normalize_covector, lambda a: polys_out(a["entries"]), polys_in, None),
+        ("hitchin_map", spectral.hitchin_map, lambda a: _plain(a["phi"]), field_in, None),
+        ("module_from_higgs", spectral.module_from_higgs, lambda a: [_plain(a["phi"]), _plain(a["f"])],
+         lambda t: (field_in(t[0]), factorization_in(t[1])), None),
+        ("sl2r_enumerate", moduli.sl2r_enumerate,
+         lambda a: [[[_plain(c), int(m)] for c, m in a["components"]], _plain(a["L"]), model_out(a["model"])],
+         lambda t: ([(class_in(c), m) for c, m in t[0]], class_in(t[1]), model_in(t[2])), None),
+        ("cover_map", geometry.CoverMap.__post_init__, lambda a: cover_map_out(a["self"]),
+         lambda t: (*t[:3], class_in(t[3]), model_in(t[4])), None),
+    ]
+
+
+def _record(table, run):
+    """Call run() once with the table's functions traced; their recorded calls as {key: [JSON data]}.
+
+    One sys.settrace hook sees every call of a recorded function, however
+    the caller reaches it.  The trace function that was set before is put
+    back when run returns or raises.
+    """
+    rec = {key: [] for key, *_ in table}
+    rows, nests = {}, {}
+    for key, fn, write, _, keep in table:
+        rows.setdefault(fn.__code__, []).append((rec[key], write, keep))
+        if isinstance(keep, tuple):
+            nests.update((f.__code__, 0) for f in keep)
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        todo = rows.get(code, ())
+        if not todo and code not in nests:
+            return None
+        args, pending = frame.f_locals, []
+        for out, write, keep in todo:
+            if isinstance(keep, tuple) and any(nests[f.__code__] for f in keep):
+                continue
+            data = write(args)
+            if data is None:
+                continue
+            if callable(keep):
+                pending.append((out, data, keep))
+            else:
+                out.append(data)
+        if code in nests:
+            nests[code] += 1
+        elif not pending:
+            return None
+        raised = None
+
+        def on_exit(frame, event, arg):
+            nonlocal raised
+            if event == "exception":
+                raised = arg[1]
+            elif event == "return":
+                outcome = raised if arg is None and raised is not None else arg
+                for out, data, keep in pending:
+                    if keep(outcome):
+                        out.append(data)
+                if code in nests:
+                    nests[code] -= 1
+            return on_exit
+
+        frame.f_trace_lines = False
+        return on_exit
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
     try:
-        for old, new in wrapped:
-            undo += _rebind(old, new)
-        for wl in WORKLOADS:
-            run_round(wl)
+        run()
     finally:
-        P.from_text = classmethod(from_text)
-        P.__mul__ = mul
-        SD.quarter_defect = quarter_defect
-        CM.__post_init__ = cover_check
-        for mod, attr, old in undo:
-            setattr(mod, attr, old)
+        sys.settrace(previous)
     return rec
 
 
@@ -399,8 +404,11 @@ def _cover_map_text(c):
     return json.dumps([c.P, c.cover_Q, c.pullback, _plain(c.L_class)])
 
 
-def _cases(src, corpus=None):
-    """The rows (layer, case, calls, fn, render) on the checkout at src, on recorded inputs."""
+def _cases(src, corpus):
+    """The rows (layer, case, calls, fn, render) on the checkout at src, on the inputs in the file corpus.
+
+    The inputs are recorded at src and written to corpus when that file does not exist.
+    """
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
@@ -411,24 +419,23 @@ def _cases(src, corpus=None):
     def run_round(wl):
         return [_run_job(cli, errors, c) for c in rounds[wl]]
 
-    if corpus and os.path.exists(corpus):
+    table = _corpus_format(poly, spectral, moduli, geometry)
+    if os.path.exists(corpus):
         with open(corpus, encoding="utf-8") as fh:
             rec = json.load(fh)
         print(f"inputs read from {corpus}")
     else:
-        rec = _record(poly, spectral, moduli, geometry, run_round)
+        rec = _record(table, lambda: [run_round(wl) for wl in WORKLOADS])
         rec["rank_test_configs"] = rounds["rank-test"]
         rec["cover_tower_configs"] = rounds["cover-tower"]
-        if corpus:
-            with open(corpus, "w", encoding="utf-8") as fh:
-                json.dump(rec, fh)
-            print(f"inputs recorded at {src}, written to {corpus}")
-
+        with open(corpus, "w", encoding="utf-8") as fh:
+            json.dump(rec, fh)
+        print(f"inputs recorded at {src}, written to {corpus}")
+    inputs = {key: [read(t) for t in rec[key]] for key, _, _, read, _ in table}
+    (texts, datums, members, witnesses, minor_witnesses, muls, divs, gcds, sqfs, covectors, fields,
+     correspondences, sl2r_calls, cover_maps) = inputs.values()
+    configs, tower_configs = rec["rank_test_configs"], rec["cover_tower_configs"]
     P = poly.Poly
-
-    def poly_in(t):
-        # the constructor, not from_tree: recorded intermediate values may pass the parse cap
-        return P(t["nvars"], {tuple(x["exps"]): Fraction(x["num"], x["den"]) for x in t["terms"]})
 
     def attempt(fn, *args):
         try:
@@ -440,40 +447,6 @@ def _cases(src, corpus=None):
         # the rows built: a checkout that returns them on first read does this work inside the timed call
         return list(moduli.sl2r_enumerate(*args))
 
-    def symdiff_in(t):
-        return spectral.SymDiff([[poly_in(p) for p in row] for row in t])
-
-    def datum_in(t):
-        return spectral.SpectralDatum(spectral.OneForm([poly_in(p) for p in t["s1"]]), symdiff_in(t["s2"]))
-
-    def field_in(t):
-        return spectral.HiggsField(tuple(tuple(tuple(map(poly_in, row)) for row in m) for m in t["matrices"]))
-
-    def factorization_in(t):
-        return spectral.RankOneFactorization(spectral.OneForm([poly_in(p) for p in t["alpha"]]), poly_in(t["tau"]))
-
-    def class_in(t):
-        return geometry.NSClass.from_parts([(x["num"], x["den"]) for x in t])
-
-    def model_in(t):
-        return geometry.SurfaceModel(tuple(t["generators"]), tuple(map(tuple, t["Q"])), class_in(t["K"]),
-                                     class_in(t["omega"]), t["b1"], t["torsion2_count"])
-
-    texts = [tuple(t) for t in rec["from_text"]]
-    datums = [datum_in(t) for t in rec["quarter_defect"]]
-    members = [symdiff_in(t) for t in rec["members"]]
-    witnesses = [symdiff_in(t) for t in rec["witnesses"]]
-    minor_witnesses = [symdiff_in(t) for t in rec["minor_witnesses"]]
-    configs, tower_configs = rec["rank_test_configs"], rec["cover_tower_configs"]
-    muls, divs = ([(poly_in(a), poly_in(b)) for a, b in rec[k]] for k in ("mul", "exact_div"))
-    gcds = [tuple(map(poly_in, t)) for t in rec["poly_gcd"]]
-    sqfs = [poly_in(t) for t in rec["squarefree"]]
-    covectors = [tuple(map(poly_in, t)) for t in rec["normalize_covector"]]
-    fields = [field_in(t) for t in rec["hitchin_map"]]
-    correspondences = [(field_in(phi), factorization_in(f)) for phi, f in rec["module_from_higgs"]]
-    sl2r_calls = [([(class_in(c), m) for c, m in comps], class_in(L), model_in(model))
-                  for comps, L, model in rec["sl2r_enumerate"]]
-    cover_maps = [(Pm, cQ, pb, class_in(L), model_in(base)) for Pm, cQ, pb, L, base in rec["cover_map"]]
     # the entries the rank test evaluates, S[i][j] for i <= j, of the recorded members and witnesses
     route = [(S.S[i][j], spectral.ROUTE_POINT[:S.dim]) for S in members + witnesses
              for i in range(S.dim) for j in range(i, S.dim)]
@@ -552,14 +525,14 @@ def _cases(src, corpus=None):
 
 
 class _Checkout:
-    """The rows of the checkout at src, timed in this process.
+    """The rows of the checkout at src, timed in the worker process that _serve runs.
 
     ``meta`` lists each row's (layer, case, calls); ``calibrate(i)`` and
     ``run(i, passes)`` time row i, and give None once a run passes
     CPU_LIMIT_S seconds of CPU.
     """
 
-    def __init__(self, src, corpus=None):
+    def __init__(self, src, corpus):
         self.cases, self.commit = _cases(src, corpus), _commit(src)
         self.meta = [[layer, name, calls] for layer, name, calls, _, _ in self.cases]
         signal.signal(signal.SIGPROF, _over_limit)
@@ -701,22 +674,18 @@ def _timed_rows(sides, repeats):
     return rows
 
 
-def measure(src, repeats, corpus=None):
-    return _timed_rows([_Checkout(src, corpus)], repeats)
+def measure(srcs, repeats, corpus=None):
+    """The rows of the checkouts at srcs on the same inputs, each row timed on every checkout in turn.
 
-
-def measure_pair(parent, change, repeats, corpus=None):
-    """Rows of both checkouts on the same inputs, each row timed on both sides in turn.
-
-    Each side runs in a worker process of its own (both import `higgspec`);
-    the parent's worker starts first and records the corpus when there is
-    none.
+    Each checkout runs in a worker process of its own (each imports its
+    `higgspec`); the first worker starts first and records the corpus when
+    there is none.
     """
     with tempfile.TemporaryDirectory() as tmp:
         corpus = corpus or os.path.join(tmp, "corpus.json")
         sides = []
         try:
-            for src in (parent, change):
+            for src in srcs:
                 sides.append(_Worker(src, corpus))
             return _timed_rows(sides, repeats)
         finally:
@@ -744,10 +713,8 @@ def main(argv=None):
         return
     if not args.out:
         ap.error("the following arguments are required: --out")
-    if args.parent:
-        rows = measure_pair(os.path.abspath(args.parent), src, args.repeats, args.corpus)
-    else:
-        rows = measure(src, args.repeats, args.corpus)
+    srcs = [os.path.abspath(args.parent), src] if args.parent else [src]
+    rows = measure(srcs, args.repeats, args.corpus)
     kept = []
     if os.path.exists(args.out):
         commits = {r["commit"] for r in rows}

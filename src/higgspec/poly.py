@@ -47,17 +47,17 @@ and at MAX_PARSED_TERMS terms.
 Text is read a term at a time.  A term's head, the text before its first
 `*`, is read by _rational_parts, the one rational grammar of configs
 ([+-]?digits(/digits)?, ASCII digits, checked with str methods and no
-regex).  The rest of the term is looked up whole in a memo of `*`-products,
-raw text -> (key, degree, p, q), which _product fills from the memo entries
-of its pieces.  The terms' keys, numerators and denominators are then
-merged in bulk over one common denominator.
+regex).  A variable piece, x and ASCII digits with an optional ^ and ASCII
+digits, is checked the same way.  The rest of the term is looked up whole
+in a memo of `*`-products, raw text -> (key, degree, p, q), which _product
+fills from the memo entries of its pieces.  The terms' keys, numerators and
+denominators are then merged in bulk over one common denominator.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,8 +83,6 @@ MAX_TERM_PAIRS = 1 << 24
 _W = 16
 _MASK = (1 << _W) - 1
 MAX_DEGREE = _MASK >> 1
-
-_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
 def _rational_parts(text: str):
@@ -315,14 +313,14 @@ class Poly:
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+            raise InvalidInput("nvars must be nonnegative")
         clean = {}
         for e, c in (terms or {}).items():
             e = tuple(e)
             if len(e) != nvars:
-                raise ValueError(f"exponent vector {e} has length {len(e)}, expected {nvars}")
+                raise InvalidInput(f"exponent vector {e} has length {len(e)}, expected {nvars}")
             if any((not isinstance(k, int)) or k < 0 for k in e):
-                raise ValueError(f"exponents must be nonnegative integers: {e}")
+                raise InvalidInput(f"exponents must be nonnegative integers: {e}")
             c = _coerce_coeff(c)
             if c:
                 if sum(e) > MAX_DEGREE:
@@ -384,7 +382,7 @@ class Poly:
     @classmethod
     def variable(cls, nvars, i):
         if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for nvars={nvars}")
+            raise InvalidInput(f"variable index {i} out of range for nvars={nvars}")
         return cls._raw(nvars, {1 << _W * (nvars - 1 - i): 1})
 
     # -- predicates and views ----------------------------------------------
@@ -400,7 +398,7 @@ class Poly:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
+            raise InvalidInput(f"{self} is not constant")
         return Fraction(self._ints[0] * self._num, self._den)
 
     def total_degree(self):
@@ -443,7 +441,7 @@ class Poly:
     def _coerce_other(self, other):
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
-                raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
+                raise InvalidInput(f"nvars mismatch: {self.nvars} vs {other.nvars}")
             return other
         if _is_scalar(other):
             return Poly.constant(self.nvars, other)
@@ -517,7 +515,7 @@ class Poly:
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+            raise InvalidInput("exponent must be a nonnegative integer")
         out = Poly.one(self.nvars)
         base = self
         while k:
@@ -551,7 +549,7 @@ class Poly:
         """
         point = [_typed("point coordinate", x, int, Fraction) for x in point]
         if len(point) != self.nvars:
-            raise ValueError("point length must equal nvars")
+            raise InvalidInput("point length must equal nvars")
         d = math.lcm(*[x.denominator for x in point])
         f, top = self._ints, 0
         if d != 1:
@@ -730,16 +728,18 @@ def _product(text, nvars, products):
         got = k, d, p, q
     else:
         piece = text.strip()
-        # only a piece starting with "x" can be a variable
-        m = _VAR_RE.match(piece) if piece[:1] == "x" else None
-        if m is None:
-            got = (0, 0, *_rational_parts(piece))
-        else:
-            idx = int(m.group(1)) - 1
+        # a variable is x and ASCII digits, then optionally ^ and ASCII digits;
+        # any other piece is a rational
+        index, caret, exp = piece[1:].partition("^")
+        if piece[:1] == "x" and index.isdigit() and index.isascii() and (
+                not caret or exp.isdigit() and exp.isascii()):
+            idx = int(index) - 1
             if not 0 <= idx < nvars:
                 raise ValueError(f"variable x{idx + 1} out of range for nvars={nvars}")
-            e = int(m.group(2) or 1)
+            e = int(exp) if caret else 1
             got = e << _W * (nvars - 1 - idx), e, 1, 1
+        else:
+            got = (0, 0, *_rational_parts(piece))
     products[text] = got
     return got
 
@@ -791,7 +791,7 @@ def det2(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
     """
     n = a.nvars
     if not n == b.nvars == c.nvars == d.nvars:
-        raise ValueError(f"nvars mismatch: {[p.nvars for p in (a, b, c, d)]}")
+        raise InvalidInput(f"nvars mismatch: {[p.nvars for p in (a, b, c, d)]}")
     products = [(x, y, sign) for x, y, sign in ((a, b, 1), (c, d, -1)) if x._ints and y._ints]
     degrees = [_product_capped(x, y) for x, y, _ in products]
     contents = [_lowest(x._num * y._num, x._den * y._den) for x, y, _ in products]
@@ -824,7 +824,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     DegreeCapExceeded as its next term is reached.
     """
     if a.nvars != b.nvars:
-        raise ValueError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
+        raise InvalidInput(f"nvars mismatch: {a.nvars} vs {b.nvars}")
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
@@ -956,7 +956,7 @@ def poly_gcd(*polys: Poly):
     operands drop out: their cofactors are 0, gcd(a, 0) is (a with a
     positive leading coefficient, +-1, 0), and gcd(0, ..., 0) is all zeros.
     No operand, or operands in different numbers of variables, raise
-    ValueError.
+    InvalidInput.
 
     The operands are taken in turn, g_k = gcd(g_(k-1), p_k), to the last:
     a constant g_k still meets the contents of the later operands, on the
@@ -970,11 +970,11 @@ def poly_gcd(*polys: Poly):
     image cap, _HEU_MAX_BITS, :class:`DegreeCapExceeded` is raised.
     """
     if not polys:
-        raise ValueError("gcd of no polynomials")
+        raise InvalidInput("gcd of no polynomials")
     n = polys[0].nvars
     for p in polys:
         if p.nvars != n:
-            raise ValueError(f"nvars mismatch: {n} vs {p.nvars}")
+            raise InvalidInput(f"nvars mismatch: {n} vs {p.nvars}")
     one = {0: 1}
     first = g = None
     # None stands for the first nonzero operand's cofactor while it is g / g = 1

@@ -558,6 +558,7 @@ REJECTED_INPUTS = {
     "decimal coefficient": (_factor_doc("1.5 * x1^2"), 2, "$.payload.s[0][0]"),
     "exponent coefficient": (_factor_doc("1e3 * x1^2"), 2, "$.payload.s[0][0]"),
     "zero denominator coefficient": (_factor_doc("1/0 * x1^2"), 2, "$.payload.s[0][0]"),
+    "non-ASCII variable index": (_factor_doc("1 * x١^2"), 2, "$.payload.s[0][0]"),
     "components not a list": (_sl2r_doc(5, ["0", "0"]), 2, "$.payload.components"),
     "negative g1": ({"command": "bx-table", "model": {"kind": "product_curves", "g1": -1, "g2": 2}}, 2, "$.model.g1"),
     "negative g2": ({"command": "bx-table", "model": {"kind": "product_curves", "g1": 2, "g2": -1}}, 2, "$.model.g2"),

@@ -17,12 +17,14 @@ from higgspec import (
     SymDiff,
     TopologicalData,
     build_cover,
+    exact_div,
     h0_curve,
     higher_rank_build,
     hitchin_section,
     is_squarefree,
     mat_det,
     module_from_higgs,
+    poly_gcd,
     squarefree_decompose,
 )
 from higgspec.errors import (
@@ -33,7 +35,7 @@ from higgspec.errors import (
     ZeroInput,
     ZeroPolynomial,
 )
-from higgspec.poly import Poly
+from higgspec.poly import Poly, det2
 from higgspec.spectral import _normalize_covector
 
 x, y = Poly.variable(2, 0), Poly.variable(2, 1)
@@ -161,6 +163,21 @@ REFUSALS = [
     ("companion-nvars", lambda: higher_rank_build(3, (x, Poly.one(3))), InvalidInput, "coefficients must share nvars"),
     ("matrix-square", lambda: mat_det(((x, y),)), InvalidInput, "matrix must be square and nonempty"),
     ("matrix-entries", lambda: mat_det(((x, one), (one, 2))), InvalidInput, "entries must be Poly with a common nvars"),
+    ("poly-nvars", lambda: Poly(-1), InvalidInput, "nvars must be nonnegative"),
+    ("poly-exponent-length", lambda: Poly(2, {(1,): 1}), InvalidInput, "exponent vector (1,) has length 1, expected 2"),
+    ("poly-exponent-negative", lambda: Poly(1, {(-1,): 1}), InvalidInput, "exponents must be nonnegative integers: (-1,)"),
+    ("poly-exponent-not-int", lambda: Poly(1, {(1.0,): 1}), InvalidInput, "exponents must be nonnegative integers: (1.0,)"),
+    ("poly-variable-index", lambda: Poly.variable(2, 2), InvalidInput, "variable index 2 out of range for nvars=2"),
+    ("poly-constant-value", lambda: x.constant_value(), InvalidInput, "Poly(2, '1 * x1') is not constant"),
+    ("poly-add-nvars", lambda: x + Poly.one(3), InvalidInput, "nvars mismatch: 2 vs 3"),
+    ("poly-sub-nvars", lambda: x - Poly.one(3), InvalidInput, "nvars mismatch: 2 vs 3"),
+    ("poly-mul-nvars", lambda: x * Poly.one(3), InvalidInput, "nvars mismatch: 2 vs 3"),
+    ("poly-pow-negative", lambda: x**-1, InvalidInput, "exponent must be a nonnegative integer"),
+    ("poly-evaluate-point", lambda: x.evaluate((1,)), InvalidInput, "point length must equal nvars"),
+    ("det2-nvars", lambda: det2(x, y, x, Poly.one(3)), InvalidInput, "nvars mismatch: [2, 2, 2, 3]"),
+    ("exact-div-nvars", lambda: exact_div(x, Poly.one(3)), InvalidInput, "nvars mismatch: 2 vs 3"),
+    ("gcd-no-operands", lambda: poly_gcd(), InvalidInput, "gcd of no polynomials"),
+    ("gcd-nvars", lambda: poly_gcd(x, Poly.one(3)), InvalidInput, "nvars mismatch: 2 vs 3"),
 ]
 
 

@@ -540,6 +540,28 @@ def test_from_text_rejects_bad_input():
             P(text, n)
 
 
+@pytest.mark.parametrize(
+    "text, piece",
+    [
+        ("1 * x١", "x١"),
+        ("1 * x1^٣", "x1^٣"),
+        ("1 * x١^٣", "x١^٣"),
+        ("1 * x²", "x²"),
+        ("x1^² + 1", "x1^²"),
+        ("1 * x1^", "x1^"),
+        ("1 * x^2", "x^2"),
+        ("1 * x1^2^3", "x1^2^3"),
+    ],
+)
+def test_variable_digits_are_ascii(text, piece):
+    # a variable's index and exponent are ASCII digits, as a rational's are;
+    # any other piece is read as a rational and refused as one
+    with pytest.raises(ValueError) as exc:
+        P(text, 2)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"bad rational {piece!r}: expected p or p/q"
+
+
 def _ref_parse(text, nvars):
     """Term-by-term reference parser: {exponents: Fraction}, zeros dropped, or None if malformed."""
     if not text.strip():
@@ -630,6 +652,7 @@ def test_shared_piece_memo_parses_as_from_text():
 # the reference of the differential tests below.
 
 _OLD_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+_OLD_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
 def _old_rational_parts(text: str):
@@ -648,7 +671,7 @@ def _old_parse_piece(piece, nvars):
     """One `*`-piece of a term: (key step, exponent, None) for a power of a variable, (None, p, q) for p / q."""
     piece = piece.strip()
     # only a piece starting with "x" can be a variable
-    m = poly._VAR_RE.match(piece) if piece[:1] == "x" else None
+    m = _OLD_VAR_RE.match(piece) if piece[:1] == "x" else None
     if m is None:
         return (None, *_old_rational_parts(piece))
     idx = int(m.group(1)) - 1
