@@ -72,23 +72,37 @@ row to row), and both sides time it at that pass count, their repeats
 interleaved (parent, change, parent, ...), so a burst of load on a shared
 host falls on both sides alike.
 
+Cold-start rows (layer ``cold``) time fresh processes, not calls: the
+interpreter alone (``python -c pass``), the standard-library modules that
+the checkout's ``cli.py`` imports, ``import higgspec.cli``, and
+``python -m higgspec.cli`` answering the smallest job of each workload's
+seed-1 round, as ``perfbench/run.py`` picks it.  Each takes the median raw
+CPU time (RUSAGE_CHILDREN, unscaled) of 3 x N processes per checkout, run
+one at a time, alternating checkouts, so both see the same host load.  A
+process that exits nonzero stops the run.
+
 Rows ``{layer, case, calls, best_s, median_s, passes, repeats, python,
-commit, output_sha256}`` are merged into PATH (rows of the same commit are replaced),
-so a parent checkout and a change, measured together or in two runs, leave
-both in one file.
-``output_sha256`` hashes the timed calls' results: equal hashes mean equal
-outputs.
+commit, side, output_sha256}`` are merged into PATH.  ``side`` is ``src``
+or ``parent``; a stored row is replaced only by a row of the same commit
+and side, so a parent checkout and a change, measured together or in two
+runs, leave both in one file, even when both read the same commit (two
+copies of one tree, or checkouts without ``.git``, which read
+``unknown``).
+``output_sha256`` hashes the timed calls' results (a cold row's: the
+process's stdout): equal hashes mean equal outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import itertools
 import json
 import os
 import platform
 import random
+import resource
 import signal
 import statistics
 import subprocess
@@ -567,10 +581,10 @@ class _Checkout:
 
 
 class _Worker:
-    """A _Checkout in a worker process of its own, with the same calibrate and run."""
+    """A _Checkout in a worker process of its own, with the same calibrate and run; `side` names it in the rows."""
 
-    def __init__(self, src, corpus):
-        self.src = src
+    def __init__(self, side, src, corpus):
+        self.side, self.src = side, src
         self.proc = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--serve", "--src", src, "--corpus", corpus],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
@@ -622,9 +636,9 @@ def _row(meta, side, repeats, passes, runs):
     """One BENCH row of side from its runs [seconds per pass, output_sha256]; runs None: over the limit."""
     layer, name, calls = meta
     head = {"layer": layer, "case": f"{name}, seed {SEED}", "calls": calls}
-    common = {"repeats": repeats, "python": platform.python_version(), "commit": side.commit}
+    common = {"repeats": repeats, "python": platform.python_version(), "commit": side.commit, "side": side.side}
     if runs is None:
-        print(f"{side.commit:18s} {layer:9s} {name:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
+        print(f"{side.commit:18s} {side.side:6s} {layer:9s} {name:36s} calls={calls:5d} over the {CPU_LIMIT_S}-s CPU limit")
         return {**head, "best_s": None, "median_s": None, **common, "output_sha256": None,
                 "over_cpu_limit_s": CPU_LIMIT_S}
     times = [t for t, _ in runs]
@@ -632,7 +646,7 @@ def _row(meta, side, repeats, passes, runs):
     if len(digests) != 1:
         raise SystemExit("error: outputs differ between repeats")
     best, median = min(times), statistics.median(times)
-    print(f"{side.commit:18s} {layer:9s} {name:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s"
+    print(f"{side.commit:18s} {side.side:6s} {layer:9s} {name:36s} calls={calls:5d} best={best:.6f}s median={median:.6f}s"
           f" passes={passes}")
     return {**head, "best_s": round(best, 6), "median_s": round(median, 6), "passes": passes, **common,
             "output_sha256": digests.pop()}
@@ -674,23 +688,80 @@ def _timed_rows(sides, repeats):
     return rows
 
 
+def _cli_stdlib(src):
+    """The standard-library modules the top level of src's cli.py imports."""
+    with open(os.path.join(src, "src", "higgspec", "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            names.add(node.module)
+    return sorted(names)
+
+
+def _cold_cases(tmp):
+    """The cold-start rows, (case, argv of `python` for a checkout's src), the configs written to tmp."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import gen
+
+    cases = [("python -c pass", lambda src: ["-c", "pass"]),
+             ("the stdlib modules cli imports", lambda src: ["-c", "import " + ", ".join(_cli_stdlib(src))]),
+             ("import higgspec.cli", lambda src: ["-c", "import higgspec.cli"])]
+    for wl in WORKLOADS:
+        job = min((j for j in gen.generate(wl, SEED) if not j.known_fault), key=lambda j: len(j.config))
+        path = os.path.join(tmp, f"cold-{wl}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(job.config)
+        cases.append((f"{wl} smallest job ({job.label})",
+                      lambda src, path=path: ["-m", "higgspec.cli", "--config", path, "--format", "machine"]))
+    return cases
+
+
+def _cold_rows(sides, runs, tmp):
+    """One cold-start row per case and side: the median raw CPU of `runs` fresh processes, sides alternating."""
+    rows = []
+    for name, argv in _cold_cases(tmp):
+        got = {s: [] for s in sides}
+        for k in range(runs):
+            for s in sides if k % 2 == 0 else sides[::-1]:
+                t0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+                proc = subprocess.run([sys.executable, *argv(s.src)], cwd=tmp, capture_output=True, text=True,
+                                      env=dict(os.environ, PYTHONPATH=os.path.join(s.src, "src")))
+                t1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+                if proc.returncode:
+                    raise SystemExit(f"error: {name} exited {proc.returncode} at {s.src}: {proc.stderr[-300:]}")
+                got[s].append([t1.ru_utime + t1.ru_stime - t0.ru_utime - t0.ru_stime,
+                               hashlib.sha256(proc.stdout.encode()).hexdigest()])
+        rows += [_row(["cold", name, 1], s, runs, 1, got[s]) for s in sides]
+    return rows
+
+
 def measure(srcs, repeats, corpus=None):
-    """The rows of the checkouts at srcs on the same inputs, each row timed on every checkout in turn.
+    """The rows of the checkouts srcs, [(side, path)], on the same inputs, each row timed on every checkout in turn.
 
     Each checkout runs in a worker process of its own (each imports its
     `higgspec`); the first worker starts first and records the corpus when
-    there is none.
+    there is none.  The cold-start rows follow, 3 * repeats processes per
+    checkout.
     """
     with tempfile.TemporaryDirectory() as tmp:
         corpus = corpus or os.path.join(tmp, "corpus.json")
         sides = []
         try:
-            for src in srcs:
-                sides.append(_Worker(src, corpus))
-            return _timed_rows(sides, repeats)
+            for side, src in srcs:
+                sides.append(_Worker(side, src, corpus))
+            return _timed_rows(sides, repeats) + _cold_rows(sides, 3 * repeats, tmp)
         finally:
             for s in sides:
                 s.close()
+
+
+def _merge(stored, rows):
+    """stored rows, less those of a commit and side that rows has, then rows."""
+    new = {(r["commit"], r.get("side")) for r in rows}
+    return [r for r in stored if (r["commit"], r.get("side")) not in new] + rows
 
 
 def main(argv=None):
@@ -713,15 +784,14 @@ def main(argv=None):
         return
     if not args.out:
         ap.error("the following arguments are required: --out")
-    srcs = [os.path.abspath(args.parent), src] if args.parent else [src]
+    srcs = [("parent", os.path.abspath(args.parent)), ("src", src)] if args.parent else [("src", src)]
     rows = measure(srcs, args.repeats, args.corpus)
-    kept = []
+    stored = []
     if os.path.exists(args.out):
-        commits = {r["commit"] for r in rows}
         with open(args.out, encoding="utf-8") as fh:
-            kept = [r for r in json.load(fh)["rows"] if r["commit"] not in commits]
+            stored = json.load(fh)["rows"]
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"rows": kept + rows}, fh, indent=1)
+        json.dump({"rows": _merge(stored, rows)}, fh, indent=1)
         fh.write("\n")
 
 

@@ -31,11 +31,31 @@ import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from . import geometry, moduli, spectral
-from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError
-from .geometry import NSClass, ProductOfCurves, SurfaceModel
-from .poly import Poly, _rational_parts
-from .spectral import HiggsField, OneForm, RankOneFactorization, SpectralDatum, SymDiff
+from .errors import DegreeCapExceeded, HiggspecError, ParseError, SchemaError, _rational_parts
+
+# -- the package's modules --------------------------------------------------------
+#
+# A chart job runs poly, matrix and spectral; a lattice job runs geometry,
+# moduli or both.  None of them is imported with this module: each name below
+# starts as a _Lazy stand-in, and the first attribute read through it imports
+# the module and binds it in the stand-in's place.  So a fresh process
+# compiles only the modules its command reads, and every later read is a
+# plain global lookup.
+
+
+class _Lazy:
+    __slots__ = ("_name",)
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        # from . import <name>, bound in this module's globals in place of self
+        module = globals()[self._name] = __import__(self._name, globals(), fromlist=("*",), level=1)
+        return getattr(module, attr)
+
+
+poly, spectral, geometry, moduli = map(_Lazy, ("poly", "spectral", "geometry", "moduli"))
 
 
 @dataclass
@@ -88,6 +108,18 @@ def _int(ok=None, why=None):
 _INT = _int()
 _NONNEG = _int(lambda v: v >= 0, "must be nonnegative")
 _NONZERO = _int(bool, "zero denominator")
+
+
+def _upto(low, cap, what):
+    """An integer low..cap(); cap() reads its module's bound when a value is decoded, not when the table is built."""
+
+    def dec(x, ctx):
+        high = cap()
+        if not low <= _INT(x, ctx) <= high:
+            raise _Reject(f"{what} {low}..{high}")
+        return x
+
+    return dec
 
 
 def _bool(x, ctx):
@@ -226,14 +258,14 @@ def _rational(x, ctx) -> Fraction:
 def _cls(size="rank"):
     """An NS class: ctx[size] rational coordinates."""
     coords = _list(_ratio, size)
-    return lambda x, ctx: NSClass.from_parts(coords(x, ctx))
+    return lambda x, ctx: geometry.NSClass.from_parts(coords(x, ctx))
 
 
 # the ctx key of the per-config parse memos (see _poly)
 _PARSED = "parsed texts"
 
 
-def _poly(x, ctx) -> Poly:
+def _poly(x, ctx):
     """Polynomial text or tree in ctx["nvars"] variables.
 
     A config parses each distinct text once: ctx[_PARSED] maps nvars to a
@@ -251,12 +283,12 @@ def _poly(x, ctx) -> Poly:
             p = texts.get(x)
             if p is None:
                 try:
-                    p = texts[x] = Poly.from_text(x, nvars, products=products)
+                    p = texts[x] = poly.Poly.from_text(x, nvars, products=products)
                 except ValueError as exc:
                     raise _Reject(f"bad polynomial text: {exc}") from None
             return p
         if type(x) is dict:
-            return Poly.from_tree(_POLY_TREE(x, ctx))
+            return poly.Poly.from_tree(_POLY_TREE(x, ctx))
     except DegreeCapExceeded as exc:
         raise _Reject(str(exc), error=DegreeCapExceeded) from None
     raise _Reject("expected polynomial text or tree")
@@ -278,11 +310,11 @@ _POLY_TREE = _obj({
     "nvars": _tree_nvars, "terms": _list(_obj({"exps": _list(_NONNEG, "nvars"), "num": _INT, "den": _NONZERO})),
 })
 _INT_MATRIX = _list(_list(_INT))
-_ONEFORM = _then(_list(_poly, "nvars"), lambda entries, ctx: OneForm(entries))
-_SYMDIFF = _then(_list(_list(_poly), "nvars"), lambda rows, ctx: SymDiff(rows))
-_DATUM = _then(_obj({"s1": _ONEFORM, "s2": _SYMDIFF}), lambda d, ctx: SpectralDatum(d["s1"], d["s2"]))
+_ONEFORM = _then(_list(_poly, "nvars"), lambda entries, ctx: spectral.OneForm(entries))
+_SYMDIFF = _then(_list(_list(_poly), "nvars"), lambda rows, ctx: spectral.SymDiff(rows))
+_DATUM = _then(_obj({"s1": _ONEFORM, "s2": _SYMDIFF}), lambda d, ctx: spectral.SpectralDatum(d["s1"], d["s2"]))
 _FACTORIZATION = _then(
-    _obj({"alpha": _ONEFORM, "tau": _poly}), lambda d, ctx: RankOneFactorization(d["alpha"], d["tau"])
+    _obj({"alpha": _ONEFORM, "tau": _poly}), lambda d, ctx: spectral.RankOneFactorization(d["alpha"], d["tau"])
 )
 
 
@@ -300,7 +332,7 @@ def _intersection(x, ctx):
 
 
 def _product_curves_model(d, ctx):
-    X = ProductOfCurves(d["g1"], d["g2"])
+    X = geometry.ProductOfCurves(d["g1"], d["g2"])
     model = X.model
     if d["torsion2"] is not None:
         model = replace(model, torsion2_count=d["torsion2"])
@@ -309,7 +341,9 @@ def _product_curves_model(d, ctx):
 
 
 def _surface_model(d, ctx):
-    ctx["surface"] = SurfaceModel(d["generators"], d["intersection"], d["K"], d["omega"], d["b1"], d["torsion2"])
+    ctx["surface"] = geometry.SurfaceModel(
+        d["generators"], d["intersection"], d["K"], d["omega"], d["b1"], d["torsion2"]
+    )
     return d
 
 
@@ -567,12 +601,11 @@ def _run_selftest(job):
 # (decoder, default) (an optional key).  The model's kind chooses its table;
 # the command and the model kind choose the payload table.
 
-_GENUS = _int(lambda v: 0 <= v <= geometry.MAX_GENUS, f"genus must be 0..{geometry.MAX_GENUS}")
-_MAX_DIM = spectral.MAX_CHART_DIM
+_GENUS = _upto(0, lambda: geometry.MAX_GENUS, "genus must be")
 _MODEL = _into("kind", _variant({
     "chart": _obj({
         "kind": _str,
-        "nvars": _into("nvars", _int(lambda v: 1 <= v <= _MAX_DIM, f"chart dimension must be 1..{_MAX_DIM}")),
+        "nvars": _into("nvars", _upto(1, lambda: spectral.MAX_CHART_DIM, "chart dimension must be")),
     }),
     "product_curves": _then(
         _obj({"kind": _str, "g1": _GENUS, "g2": _GENUS, "torsion2": (_NONNEG, None)}), _product_curves_model
@@ -622,7 +655,7 @@ _COMMANDS = {
     "tower": (_run_tower, {"chart": _COVER}),
     "correspondence": (_run_correspondence, {"chart": _obj({
         "higgs": _obj({
-            "matrices": _then(_list(_list(_list(_poly)), "nvars"), lambda m, ctx: HiggsField(m)),
+            "matrices": _then(_list(_list(_list(_poly)), "nvars"), lambda m, ctx: spectral.HiggsField(m)),
             "rank": (_INT, None),  # accepted and ignored
         }),
         "factorization": _FACTORIZATION,
@@ -646,7 +679,7 @@ _COMMANDS = {
     })}),
     "higher-rank": (_run_higher_rank, {None: _obj({
         "rank": _into("companion_rank", _INT),
-        "nvars": _into("nvars", _int(lambda v: 0 <= v <= _MAX_DIM, f"must be 0..{_MAX_DIM}")),
+        "nvars": _into("nvars", _upto(0, lambda: spectral.MAX_CHART_DIM, "must be")),
         "coefficients": _then(_list(_poly), _companion),  # decoded into the companion field
     })}),
     "selftest": (_run_selftest, {None: _obj({})}),
@@ -749,12 +782,13 @@ def _write(x, memo):
         return _STR(x)
     if t is _Canonical:
         return x
-    if t is Poly or t is NSClass:
-        memo[id(x)] = text = x.to_json()
-        return text
     if t is Fraction:
         return f'{{"den":{x.denominator},"num":{x.numerator}}}'
-    return _PLAIN.encode(x)  # bool, None, float; a TypeError for anything else
+    to_json = getattr(t, "to_json", None)  # Poly and NSClass, the classes that have one
+    if to_json is None:
+        return _PLAIN.encode(x)  # bool, None, float; a TypeError for anything else
+    memo[id(x)] = text = to_json(x)
+    return text
 
 
 def machine_block(report: dict) -> str:

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and its one type rule.
+"""Exception types shared across the library, its one type rule and its one rational grammar.
 
 Every domain failure derives from :class:`HiggspecError` so callers (and the
 CLI) can separate precondition violations from genuine bugs.
@@ -10,6 +10,23 @@ def _typed(name, x, *types):
     if type(x) not in types:
         raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {x!r}")
     return x
+
+
+def _rational_parts(text: str):
+    """(p, q) of the one rational grammar of configs: [+-]?digits(/digits)?, q != 0.
+
+    Digits are ASCII 0-9: str.isdigit alone also accepts other scripts'
+    digits and superscripts, which int() reads or refuses.  The polynomial
+    parser reads a term's coefficient with it, and the CLI a rational value.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdigit() and digits.isascii() and (not slash or den.isdigit() and den.isascii())):
+        raise ValueError(f"bad rational {text!r}: expected p or p/q")
+    den = int(den) if slash else 1
+    if not den:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return int(num), den
 
 
 class HiggspecError(Exception):

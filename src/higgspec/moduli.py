@@ -4,7 +4,10 @@ Stability is decided only for the split shapes whose case analyses are
 complete at this level of description; arbitrary bundles are out of scope.
 The Hitchin section has a chart backend (emits an honest Higgs field and
 re-applies the spectral morphism to it) and a lattice backend (emits divisor
-classes and numerical verdicts).
+classes and numerical verdicts).  The package's other modules (geometry, and
+the chart modules poly, matrix and spectral) are imported only inside the
+functions that use them, so the lattice functions run without the chart
+modules and the rigidity verdict without geometry.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
     DegreeCapExceeded,
@@ -29,16 +32,10 @@ from .errors import (
     ZeroHiggsUnsupported,
     _typed,
 )
-from .geometry import NSClass, SurfaceModel
-from .matrix import charpoly_cofactor
-from .poly import Poly
-from .spectral import (
-    HiggsField,
-    RankOneFactorization,
-    SpectralDatum,
-    factor_rank_one,
-    hitchin_map,
-)
+
+if TYPE_CHECKING:
+    from .geometry import NSClass, SurfaceModel
+    from .spectral import HiggsField, RankOneFactorization, SpectralDatum
 
 
 class Stability(enum.Enum):
@@ -128,12 +125,6 @@ class HitchinSectionOutput:
     identity_checked: bool = False
 
 
-def _section_field(s1, alpha, tau) -> HiggsField:
-    """B_i = [[s1_i / 2, -alpha_i tau], [alpha_i, s1_i / 2]]."""
-    half = Fraction(1, 2)
-    return HiggsField(tuple(((w, -a * tau), (a, w)) for w, a in zip((p * half for p in s1), alpha)))
-
-
 def hitchin_section(d) -> HitchinSectionOutput:
     """Right inverse of the spectral morphism, on either backend.
 
@@ -144,27 +135,31 @@ def hitchin_section(d) -> HitchinSectionOutput:
     rejected.  Lattice backend (LatticeSectionDatum): emit bundle classes and
     the stability / real-form verdicts.
     """
-    if isinstance(d, SpectralDatum):
-        return _hitchin_section_chart(d)
     if isinstance(d, LatticeSectionDatum):
         return _hitchin_section_lattice(d)
-    raise TypeError("expected a SpectralDatum or a LatticeSectionDatum")
+    return _hitchin_section_chart(d)
 
 
 def _hitchin_section_chart(d: SpectralDatum) -> HitchinSectionOutput:
+    from . import poly, spectral  # the chart backend
+
+    if not isinstance(d, spectral.SpectralDatum):
+        raise TypeError("expected a SpectralDatum or a LatticeSectionDatum")
     q = d.quarter_defect()
     if q.is_zero():
         # the nilpotent diagonal: the section field with alpha = 0 and tau = 0
         if d.s1.is_zero():
             raise NilpotentDatum("the section is undefined at (0, 0)")
-        f, z = None, Poly.zero(d.dim)
-        field = _section_field(d.s1, (z,) * d.dim, z)
-        branch = "nilpotent_diagonal"
+        f, tau = None, poly.Poly.zero(d.dim)
+        alpha, branch = (tau,) * d.dim, "nilpotent_diagonal"
     else:
-        f = factor_rank_one(q)
-        field = _section_field(d.s1, f.alpha, f.tau)
-        branch = "unit_branch" if f.tau.is_constant() else "generic"
-    if hitchin_map(field) != d:
+        f = spectral.factor_rank_one(q)
+        alpha, tau = f.alpha, f.tau
+        branch = "unit_branch" if tau.is_constant() else "generic"
+    # the section field: B_i = [[s1_i / 2, -alpha_i tau], [alpha_i, s1_i / 2]]
+    half = Fraction(1, 2)
+    field = spectral.HiggsField(tuple(((w, -a * tau), (a, w)) for w, a in zip((p * half for p in d.s1), alpha)))
+    if spectral.hitchin_map(field) != d:
         failed = "section identity sh(chi(s)) = s failed"
         raise VerificationFailure(failed if f is not None else failed + " on the diagonal branch")
     return HitchinSectionOutput(
@@ -178,6 +173,8 @@ def _hitchin_section_chart(d: SpectralDatum) -> HitchinSectionOutput:
 
 
 def _hitchin_section_lattice(d: LatticeSectionDatum) -> HitchinSectionOutput:
+    from .geometry import NSClass
+
     model = d.model
     zero = NSClass.zero(model.rank)
     psl2r = model.pair(d.D, d.D) == 0
@@ -193,6 +190,8 @@ def _hitchin_section_lattice(d: LatticeSectionDatum) -> HitchinSectionOutput:
 
 def cstar_scale(d: SpectralDatum, t) -> SpectralDatum:
     """Base weights of the scaling action: (s1, s2) -> (t s1, t^2 s2)."""
+    from .spectral import SpectralDatum
+
     t = Fraction(t)
     return SpectralDatum(d.s1.scale(t), d.s2.scale(t * t))
 
@@ -288,6 +287,8 @@ def sl2r_enumerate(components, L: NSClass, model: SurfaceModel):
     and N are built once per kept x.  More
     than MAX_SL2R_TUPLES tuples raise DegreeCapExceeded before the first one.
     """
+    from .geometry import NSClass
+
     components = [(c, _typed("multiplicity", m, int)) for c, m in components]
     total = NSClass.zero(model.rank)
     for c, m in components:
@@ -400,6 +401,8 @@ MAX_COMPANION_RANK = 5
 
 def higher_rank_build(n: int, coeffs):
     """Companion-shaped field: first row (0, c2, ..., cn), ones on the subdiagonal."""
+    from .poly import Poly
+
     if not 2 <= n <= MAX_COMPANION_RANK:
         raise RankCap(f"rank {n} outside 2..{MAX_COMPANION_RANK}")
     coeffs = tuple(coeffs)
@@ -424,9 +427,11 @@ def higher_rank_charcheck(rows) -> bool:
     The sign convention is frozen from the cofactor-expansion oracle at
     n = 2, 3 and recorded in data/charpoly_convention.json.
     """
+    from . import matrix, poly
+
     n, nvars = len(rows), rows[0][0].nvars
-    lam = Poly.variable(nvars + 1, nvars)
+    lam = poly.Poly.variable(nvars + 1, nvars)
     expected = lam**n
     for i, c in enumerate(rows[0][1:], start=2):
         expected = expected - c.lift() * lam ** (n - i)
-    return charpoly_cofactor(rows) == expected
+    return matrix.charpoly_cofactor(rows) == expected

@@ -45,7 +45,7 @@ cofactors.  Parsed polynomials are capped at total degree MAX_PARSED_DEGREE
 and at MAX_PARSED_TERMS terms.
 
 Text is read a term at a time.  A term's head, the text before its first
-`*`, is read by _rational_parts, the one rational grammar of configs
+`*`, is read by errors._rational_parts, the one rational grammar of configs
 ([+-]?digits(/digits)?, ASCII digits, checked with str methods and no
 regex).  A variable piece, x and ASCII digits with an optional ^ and ASCII
 digits, is checked the same way.  The rest of the term is looked up whole
@@ -65,7 +65,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import mul, or_
 
-from .errors import DegreeCapExceeded, DivisionFailure, InvalidInput, ZeroPolynomial, _typed
+from .errors import DegreeCapExceeded, DivisionFailure, InvalidInput, ZeroPolynomial, _rational_parts, _typed
 
 # Largest total degree a parsed polynomial may have.  Work in the squarefree
 # decomposition (one pass per multiplicity) and the size of the gcd's
@@ -83,22 +83,6 @@ MAX_TERM_PAIRS = 1 << 24
 _W = 16
 _MASK = (1 << _W) - 1
 MAX_DEGREE = _MASK >> 1
-
-
-def _rational_parts(text: str):
-    """(p, q) of the one rational grammar of configs: [+-]?digits(/digits)?, q != 0.
-
-    Digits are ASCII 0-9: str.isdigit alone also accepts other scripts'
-    digits and superscripts, which int() reads or refuses.
-    """
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if not (digits.isdigit() and digits.isascii() and (not slash or den.isdigit() and den.isascii())):
-        raise ValueError(f"bad rational {text!r}: expected p or p/q")
-    den = int(den) if slash else 1
-    if not den:
-        raise ValueError(f"bad rational {text!r}: zero denominator")
-    return int(num), den
 
 
 def _coerce_coeff(c):

@@ -133,3 +133,23 @@ def test_the_previous_trace_function_is_restored(raises):
         assert sys.gettrace() is _tracer
     finally:
         sys.settrace(before)
+
+
+def test_out_keeps_both_sides_of_one_commit(tmp_path, monkeypatch):
+    # two copies of one tree read the same commit ("unknown" without .git);
+    # a stored row is replaced only by a row of its own commit and side
+    runs = []
+
+    def measure(srcs, repeats, corpus=None):
+        runs.append(len(runs))
+        return [{"case": "c", "commit": "unknown", "side": side, "run": runs[-1]} for side, _ in srcs]
+
+    monkeypatch.setattr(bench, "measure", measure)
+    out = tmp_path / "bench.json"
+    bench.main(["--src", str(ROOT), "--parent", str(ROOT), "--out", str(out)])
+    bench.main(["--src", str(ROOT), "--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["side"], r["run"]) for r in rows] == [("parent", 0), ("src", 1)]
+    # rows stored before rows had a side are kept
+    old = {"case": "c", "commit": "unknown", "run": -1}
+    assert bench._merge([old], rows) == [old, *rows]

@@ -872,7 +872,7 @@ def test_section_identity_failure_exits_1(capsys, tmp_path, monkeypatch):
         "model": {"kind": "chart", "nvars": 2},
         "payload": {"datum": {"s1": ["0", "0"], "s2": [["1 * x1^2", "1 * x1 * x2"], ["1 * x1 * x2", "1 * x2^2"]]}},
     }
-    monkeypatch.setattr(moduli, "hitchin_map", lambda field: None)
+    monkeypatch.setattr(spectral, "hitchin_map", lambda field: None)  # read by moduli when it runs
     rc = main(["--config", write_job(tmp_path, doc), "--format", "machine"])
     err = capsys.readouterr().err
     assert rc == 1
